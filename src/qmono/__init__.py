@@ -13,7 +13,7 @@ Modules
 quat       quaternion arithmetic on plain (..., 4) arrays
 geometry   transport, fluxes, curvature, Chern quadrature
 hilbert    lattice fields, inner product, spectral boxes
-operators  multipliers, shifts, stencils, imprimitivity checks
+operators  multipliers, shifts, link operators, imprimitivity checks
 splitting  complex-slice decomposition and reduction checks
 dynamics   Cayley evolution and Ehrenfest verification
 verify     randomized identity suites (CLI backend)

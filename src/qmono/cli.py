@@ -9,11 +9,13 @@ tables are CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
 from . import dynamics, geometry
+from .hilbert import LatticeSpec
 from .verify import SUITES
 
 
@@ -49,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--mass", type=float, default=None)
     pe.add_argument("--dt", type=float, default=None)
     pe.add_argument("--steps", type=int, default=None)
-    pe.add_argument("--seed", type=int, default=42, help="unused; kept for uniform invocation")
     pe.add_argument("--out", default="trajectory.csv", help="trajectory CSV path")
     pe.add_argument("--json", action="store_true", help="print the Ehrenfest report to stdout")
     return p
@@ -106,17 +107,14 @@ def cmd_chern(args) -> int:
 def cmd_evolve(args) -> int:
     cfg = dynamics.free_flight_config() if args.preset == "free" \
         else dynamics.monopole_flyby_config()
+    # replace() re-runs the config's validation on the overridden values
+    overrides = {k: v for k, v in (("mass", args.mass), ("dt", args.dt), ("steps", args.steps))
+                 if v is not None}
     if args.n is not None or args.box is not None:
-        from .hilbert import LatticeSpec
-        cfg.lattice = LatticeSpec(n=args.n or cfg.lattice.n,
-                                  box=args.box or cfg.lattice.box)
-    if args.mass is not None:
-        cfg.mass = args.mass
-    if args.dt is not None:
-        cfg.dt = args.dt
-    if args.steps is not None:
-        cfg.steps = args.steps
-    cfg.record_force = args.preset == "flyby"
+        overrides["lattice"] = LatticeSpec(
+            n=cfg.lattice.n if args.n is None else args.n,
+            box=cfg.lattice.box if args.box is None else args.box)
+    cfg = dataclasses.replace(cfg, **overrides)
 
     traj, _ = dynamics.evolve(cfg)
     traj.save_csv(args.out)

@@ -24,94 +24,43 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
-from . import geometry, hilbert, quat
+from . import geometry, hilbert, operators as ops, quat
 from .hilbert import LatticeField, LatticeSpec
-from .operators import _hop_links
+from .operators import _hop_links  # noqa: F401  (alias checked by perfbench's tracer test)
 from .report import Report, check_from_devs
 
 _AXES = np.eye(3)
 
 
 # ---------------------------------------------------------------------------
-# sparse assembly of the step generator (fields flatten C-order, component
-# index fastest, matching kron(op3d, I4) and 4x4-block structure)
-
-def _left_mult_blocks(q: np.ndarray) -> np.ndarray:
-    """4x4 matrices of left quaternion multiplication, one per row of q."""
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    blocks = np.empty((q.shape[0], 4, 4))
-    blocks[:, 0] = np.stack([q0, -q1, -q2, -q3], axis=-1)
-    blocks[:, 1] = np.stack([q1, q0, -q3, q2], axis=-1)
-    blocks[:, 2] = np.stack([q2, q3, q0, -q1], axis=-1)
-    blocks[:, 3] = np.stack([q3, -q2, q1, q0], axis=-1)
-    return blocks
-
-
-def _block_diag_left_mult(qfield: np.ndarray) -> sparse.csr_matrix:
-    """Block-diagonal sparse left multiplication by a quaternion field."""
-    q = qfield.reshape(-1, 4)
-    nsite = q.shape[0]
-    mat = sparse.bsr_matrix(
-        (_left_mult_blocks(q), np.arange(nsite), np.arange(nsite + 1)),
-        shape=(4 * nsite, 4 * nsite),
-    )
-    return mat.tocsr()
-
-
-def _hop_matrices(spec: LatticeSpec, axis: int):
-    """Sparse transported hops along an axis (zero fill at the walls)."""
-    n = spec.n
-    ident = sparse.identity(n, format="csr")
-    up = sparse.diags([np.ones(n - 1)], [1], format="csr")     # v -> v(k+1)
-    down = sparse.diags([np.ones(n - 1)], [-1], format="csr")  # v -> v(k-1)
-    i4 = sparse.identity(4, format="csr")
-    out = []
-    plus_link, minus_link = _hop_links(spec, axis)
-    for shift1d, link in ((up, plus_link), (down, minus_link)):
-        parts = [ident, ident, ident]
-        parts[axis] = shift1d
-        s3 = sparse.kron(sparse.kron(parts[0], parts[1]), parts[2], format="csr")
-        out.append(_block_diag_left_mult(link) @ sparse.kron(s3, i4, format="csr"))
-    return out
-
+# sparse matrices of the link operators (fields flatten C-order, component
+# index fastest; see operators.link_matrix)
 
 def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
-    """Sparse matrix of the transported compact Laplacian Hamiltonian."""
-    n4 = 4 * spec.n**3
-    h_mat = -6.0 * sparse.identity(n4, format="csr")
-    for ax in range(3):
-        hop_plus, hop_minus = _hop_matrices(spec, ax)
-        h_mat = h_mat + hop_plus + hop_minus
-    return (-0.5 / (mass * spec.step**2)) * h_mat
+    """Sparse matrix of ``operators.hamiltonian``."""
+    return ops.link_matrix(spec, ops.hamiltonian(spec, mass).terms)
 
 
 def build_gradient_matrices(spec: LatticeSpec) -> list:
-    """Sparse covariant derivatives along the axes (transported hops).
+    """Sparse matrices of ``operators.covderiv`` along the axes.
 
-    Matches ``operators.covderiv``; the Hamiltonian's position commutator
-    is exactly ``-(1/m)`` times these matrices.
+    The Hamiltonian's position commutator is exactly ``-(1/m)`` times these.
     """
-    out = []
-    for ax in range(3):
-        hop_plus, hop_minus = _hop_matrices(spec, ax)
-        out.append(((hop_plus - hop_minus) / (2.0 * spec.step)).tocsr())
-    return out
+    return [ops.link_matrix(spec, ops.covderiv(spec, e).terms) for e in _AXES]
 
 
-def build_generator_matrix(spec: LatticeSpec, mass: float,
-                           h_mat: sparse.csr_matrix | None = None) -> sparse.csr_matrix:
+def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
     """Sparse matrix of the step generator ``J H``.
 
-    The transported-hop Hamiltonian commutes with the block-diagonal ``J``
-    exactly, so ``J H`` is exactly antisymmetric (to rounding) -- which is
-    what the Cayley step needs for norm and slice preservation.
+    Left multiplication is a homomorphism, ``L(J) L(w) = L(J w)``, so ``J H``
+    has the Hamiltonian's links premultiplied by ``dirq``.  The
+    transported-hop Hamiltonian commutes with ``J`` exactly, so ``J H`` is
+    exactly antisymmetric (to rounding) -- which is what the Cayley step
+    needs for norm and slice preservation.
     """
-    if h_mat is None:
-        h_mat = build_hamiltonian_matrix(spec, mass)
-    j_mat = _block_diag_left_mult(geometry.dirq(spec.points()))
-    gen = (j_mat @ h_mat).tocsr()
-    gen.sort_indices()
-    return gen
+    jvals = geometry.dirq(spec.points())
+    terms = [(m, quat.qmul(jvals, q)) for m, q in ops.hamiltonian(spec, mass).terms]
+    return ops.link_matrix(spec, terms)
 
 
 def slice_frame(points, omega) -> np.ndarray:

@@ -196,6 +196,20 @@ def tetraflux(x, a, b, c) -> np.ndarray:
     return orient * total
 
 
+def _tet_volumes(x, a, b, c):
+    """Vertices, signed volume, and the four signed volumes with the origin
+    in place of one vertex each (the origin's barycentric coordinates
+    times the volume) of the tetrahedron with edge walk (a, b, c)."""
+    verts = _tet_vertices(x, a, b, c)
+
+    def vol(q, r, s, t):
+        return np.sum(np.cross(r - q, s - q) * (t - q), axis=-1)
+
+    o = np.zeros(3)
+    subs = [vol(*(o if i == k else p for i, p in enumerate(verts))) for k in range(4)]
+    return verts, vol(*verts), subs
+
+
 def origin_inside_tetrahedron(x, a, b, c, margin: float = 0.0) -> np.ndarray:
     """Point-in-tetrahedron test for the origin, by signed sub-volumes.
 
@@ -203,22 +217,8 @@ def origin_inside_tetrahedron(x, a, b, c, margin: float = 0.0) -> np.ndarray:
     ``tetraflux``).  With ``margin > 0``, configurations whose barycentric
     coordinates come within ``margin`` of zero count as not inside.
     """
-    p0, p1, p2, p3 = _tet_vertices(x, a, b, c)
-
-    def vol(q, r, s, t):
-        return np.sum(np.cross(r - q, s - q) * (t - q), axis=-1)
-
-    total = vol(p0, p1, p2, p3)
-    o = np.zeros(3)
-    lams = np.stack(
-        [
-            vol(o, p1, p2, p3) / total,
-            vol(p0, o, p2, p3) / total,
-            vol(p0, p1, o, p3) / total,
-            vol(p0, p1, p2, o) / total,
-        ],
-        axis=-1,
-    )
+    _, total, subs = _tet_volumes(x, a, b, c)
+    lams = np.stack([sub / total for sub in subs], axis=-1)
     return np.all(lams > margin, axis=-1)
 
 

@@ -6,8 +6,9 @@ right-to-left: ``(A @ B)(psi) = A(B(psi))``.  The kinds are
 * pointwise left multipliers (position, the radial complex structure ``jop``,
   the axis units, transport phases, field components),
 * exact lattice shifts (``shift``; Dirichlet zero fill, commensurate only),
-* transported hops (``Hop``: neighbor values carried through unit transport
-  links, the building block of ``covderiv`` and ``hamiltonian``),
+* link operators (``LinkOp``: neighbor values carried through unit transport
+  links; ``covderiv`` and ``hamiltonian``), which ``link_matrix`` also
+  assembles as sparse matrices,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
 * composites and real-linear combinations of the above.
@@ -26,7 +27,10 @@ Conventions fixed here (and relied on by the verification suites):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy import sparse
 
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
@@ -141,41 +145,90 @@ class Diff(Operator):
         return Scaled(-1.0, self)
 
 
+@functools.lru_cache(maxsize=None)
 def _hop_links(spec: LatticeSpec, axis: int):
     """Transport quaternions for single-cell hops along an axis.
 
     ``plus[x] = transport from x+h to x`` and ``minus[x] = transport from
     x-h to x``; axis hops never meet the origin on a cell-centered grid.
     Hopping with these links intertwines the radial complex structure
-    exactly: ``j(x) plus[x] = plus[x] j(x+h)`` pointwise.
+    exactly: ``j(x) plus[x] = plus[x] j(x+h)`` pointwise.  Computed once
+    per lattice and axis and returned read-only.
     """
     pts = spec.points()
     step = spec.step * _AXES[axis]
     plus = geometry.transport(-step, pts + step)
     minus = geometry.transport(step, pts - step)
+    plus.setflags(write=False)
+    minus.setflags(write=False)
     return plus, minus
 
 
-class Hop(Operator):
-    """Transported single-cell hop: ``psi(x) <- link(x) psi(x -+ h e_ax)``."""
+def _left_mult_blocks(q: np.ndarray) -> np.ndarray:
+    """4x4 matrices of left quaternion multiplication, one per row of q."""
+    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    blocks = np.empty((q.shape[0], 4, 4))
+    blocks[:, 0] = np.stack([q0, -q1, -q2, -q3], axis=-1)
+    blocks[:, 1] = np.stack([q1, q0, -q3, q2], axis=-1)
+    blocks[:, 2] = np.stack([q2, q3, q0, -q1], axis=-1)
+    blocks[:, 3] = np.stack([q3, -q2, q1, q0], axis=-1)
+    return blocks
 
-    def __init__(self, spec: LatticeSpec, axis: int, direction: int, link=None):
+
+class LinkOp(Operator):
+    """Sum of linked neighbor values, ``(A psi)(x) = sum_t q_t(x) psi(x + m_t h)``.
+
+    ``terms`` pairs integer step vectors ``m_t`` with quaternion fields
+    ``q_t`` (one value per site, or one quaternion for all); neighbors
+    beyond the walls contribute zero.  ``adjoint_sign`` is +1 for a
+    hermitian and -1 for an anti-hermitian operator.  ``link_matrix``
+    assembles the same terms as a sparse matrix; that holds about five
+    times the memory of the link fields and pays off only where one
+    operator is applied many times, as in the Cayley solver.
+    """
+
+    def __init__(self, spec: LatticeSpec, terms, adjoint_sign: float):
         self.spec = spec
-        self.axis = int(axis)
-        self.direction = 1 if direction > 0 else -1
-        if link is None:
-            plus, minus = _hop_links(spec, self.axis)
-            link = plus if self.direction > 0 else minus
-        self.link = link
+        self.terms = tuple((np.asarray(m, dtype=int), q) for m, q in terms)
+        self.adjoint_sign = adjoint_sign
 
     def apply_values(self, vals):
-        # direction +1 pulls from x + h (grid shift by -1), -1 from x - h
-        return quat.qmul(self.link, _shift_axis(vals, self.axis, -self.direction))
+        out = np.zeros_like(vals)
+        for m, q in self.terms:
+            out += quat.qmul(q, Shift(self.spec, -m).apply_values(vals))
+        return out
 
     def adjoint(self):
-        # reverse hop with the inverse links
-        rev = Hop(self.spec, self.axis, -self.direction)
-        return rev
+        return self if self.adjoint_sign > 0 else Scaled(-1.0, self)
+
+
+def link_matrix(spec: LatticeSpec, terms) -> sparse.csr_matrix:
+    """Sparse matrix of ``LinkOp(spec, terms, ...)``.
+
+    Fields flatten C-order with the quaternion component fastest, so each
+    term puts one 4x4 block per site, the left multiplication by
+    ``q_t(x)``, in the block column of ``x + m_t h``.  The rows are filled
+    in CSR order directly (no block-matrix copy).  Blocks whose neighbor
+    lies beyond a wall are zero; they are dropped together with every
+    other exact zero.
+    """
+    n = spec.n
+    site = np.indices((n,) * 3).reshape(3, -1).T
+    flat = np.arange(n**3)
+    data = np.zeros((n**3, 4, len(terms), 4))  # site, block row, term, block column
+    cols = np.empty((n**3, len(terms)), dtype=np.int32)
+    for t, (m, q) in enumerate(terms):
+        inside = np.all((site + m >= 0) & (site + m < n), axis=-1)
+        cols[:, t] = np.where(inside, flat + int(np.dot(m, (n * n, n, 1))), flat)
+        q = np.broadcast_to(q, (n,) * 3 + (4,)).reshape(-1, 4)
+        data[inside, :, t] = _left_mult_blocks(q[inside])
+    indices = np.broadcast_to(4 * cols[:, None, :, None] + np.arange(4, dtype=np.int32),
+                              data.shape)
+    indptr = np.arange(0, data.size + 1, 4 * len(terms))
+    mat = sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(4 * n**3,) * 2)
+    mat.eliminate_zeros()
+    mat.sort_indices()
+    return mat
 
 
 class Scaled(Operator):
@@ -351,7 +404,7 @@ def connection(spec: LatticeSpec, u) -> Multiplier:
     return Multiplier(spec, sym, "conn")
 
 
-def covderiv(spec: LatticeSpec, u) -> Operator:
+def covderiv(spec: LatticeSpec, u) -> LinkOp:
     """Covariant derivative along the unit direction ``u``.
 
     Central difference of parallel-transported neighbors,
@@ -373,9 +426,9 @@ def covderiv(spec: LatticeSpec, u) -> Operator:
         if u[ax] == 0.0:
             continue
         scale = u[ax] / (2.0 * spec.step)
-        terms.append(Scaled(scale, Hop(spec, ax, +1)))
-        terms.append(Scaled(-scale, Hop(spec, ax, -1)))
-    return OpSum(tuple(terms))
+        plus, minus = _hop_links(spec, ax)
+        terms += [(_AXES[ax], scale * plus), (-_AXES[ax], -scale * minus)]
+    return LinkOp(spec, terms, -1.0)
 
 
 def rotgen(spec: LatticeSpec, axis: int) -> Operator:
@@ -394,39 +447,24 @@ def rotgen(spec: LatticeSpec, axis: int) -> Operator:
     return OpSum((orbital, Scaled(-0.5, left_unit(spec, axis))))
 
 
-class Kinetic(Operator):
-    """Hamiltonian ``-(1/2m) grad^2`` as the transported compact Laplacian.
+def hamiltonian(spec: LatticeSpec, mass: float) -> LinkOp:
+    """Free covariant Hamiltonian ``-(1/2m) grad^2`` in the monopole background.
 
-    Per axis the 3-point second difference with parallel-transported
-    neighbors, ``[plus(x) psi(x+h) - 2 psi(x) + minus(x) psi(x-h)] / h^2``.
-    Unit links make it exactly hermitian; the intertwining property of the
+    The transported compact Laplacian: per axis the 3-point second
+    difference with parallel-transported neighbors,
+    ``[plus(x) psi(x+h) - 2 psi(x) + minus(x) psi(x-h)] / h^2``.  Unit
+    links make it exactly hermitian; the intertwining property of the
     links makes ``[H, jop] = 0`` exact; and ``[H, position_i] = -(1/m)
     covderiv_i`` holds as a lattice operator identity.
     """
-
-    def __init__(self, spec: LatticeSpec, mass: float):
-        if mass <= 0.0:
-            raise ValueError("mass must be positive")
-        self.spec = spec
-        self.mass = float(mass)
-        self._links = [_hop_links(spec, ax) for ax in range(3)]
-
-    def apply_values(self, vals):
-        h = self.spec.step
-        acc = -6.0 * vals
-        for ax in range(3):
-            plus, minus = self._links[ax]
-            acc = acc + quat.qmul(plus, _shift_axis(vals, ax, -1))
-            acc = acc + quat.qmul(minus, _shift_axis(vals, ax, 1))
-        return acc / (-2.0 * self.mass * h**2)
-
-    def adjoint(self):
-        return self
-
-
-def hamiltonian(spec: LatticeSpec, mass: float) -> Kinetic:
-    """Free covariant Hamiltonian in the monopole background."""
-    return Kinetic(spec, mass)
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
+    coeff = -0.5 / (mass * spec.step**2)
+    terms = [(np.zeros(3), -6.0 * coeff * quat.E0)]
+    for ax in range(3):
+        plus, minus = _hop_links(spec, ax)
+        terms += [(_AXES[ax], coeff * plus), (-_AXES[ax], coeff * minus)]
+    return LinkOp(spec, terms, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,18 +676,9 @@ def gis_verify(spec: LatticeSpec, samples: int = 1000, seed: int = 42,
     rep.checks.append(check_from_devs(
         "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
 
-    x = rng.uniform(-2.0, 2.0, size=(flux_samples, 3))
-    a = rng.uniform(-1.5, 1.5, size=(flux_samples, 3))
-    b = rng.uniform(-1.5, 1.5, size=(flux_samples, 3))
-    c = rng.uniform(-1.5, 1.5, size=(flux_samples, 3))
-    keep = ~origin_near_tet_face(x, a, b, c)
-    x, a, b, c = x[keep], a[keep], b[keep], c[keep]
-    flux = geometry.tetraflux(x, a, b, c)
-    inside = geometry.origin_inside_tetrahedron(x, a, b, c)
-    expected = np.where(inside, 2.0 * np.pi, 0.0)
+    x, flux, flux_dev = _sample_tetraflux(rng, flux_samples)
     rep.checks.append(check_from_devs(
-        "flux-quantization", "tetrahedron flux in {0, 2pi} (inside iff 2pi)",
-        np.abs(flux - expected), 1e-9))
+        "flux-quantization", "tetrahedron flux in {0, 2pi} (inside iff 2pi)", flux_dev, 1e-9))
     holo = quat.qexp(geometry.dirq(x) * flux[:, None])
     rep.checks.append(check_from_devs(
         "associativity", "qexp(dirq(x) * tetraflux) = e0",
@@ -660,19 +689,27 @@ def gis_verify(spec: LatticeSpec, samples: int = 1000, seed: int = 42,
 def origin_near_tet_face(x, a, b, c, margin: float = 1e-3) -> np.ndarray:
     """True where the origin sits within ``margin`` of a face (in barycentric
     coordinates) or a vertex nearly coincides with the origin."""
-    p0, p1, p2, p3 = geometry._tet_vertices(x, a, b, c)
-
-    def vol(q, r, s, t):
-        return np.sum(np.cross(r - q, s - q) * (t - q), axis=-1)
-
-    total = vol(p0, p1, p2, p3)
+    verts, total, subs = geometry._tet_volumes(x, a, b, c)
     bad = np.abs(total) < 1e-9
-    o = np.zeros(3)
     safe_total = np.where(bad, 1.0, total)
-    for lam in (
-        vol(o, p1, p2, p3), vol(p0, o, p2, p3), vol(p0, p1, o, p3), vol(p0, p1, p2, o)
-    ):
+    for lam in subs:
         bad |= np.abs(lam / safe_total) < margin
-    for p in (p0, p1, p2, p3):
+    for p in verts:
         bad |= np.linalg.norm(p, axis=-1) < 0.05
     return bad
+
+
+def _sample_tetraflux(rng, m: int):
+    """Flux through ``m`` random tetrahedra against its quantized value.
+
+    Draws edge walks (x, a, b, c), drops those with the origin near a face
+    or vertex, and returns ``(x, flux, |flux - 2 pi [origin inside]|)``
+    for the rest; inside-ness comes from the signed-volume oracle.
+    """
+    x = rng.uniform(-2.0, 2.0, size=(m, 3))
+    a, b, c = (rng.uniform(-1.5, 1.5, size=(m, 3)) for _ in range(3))
+    keep = ~origin_near_tet_face(x, a, b, c)
+    x, a, b, c = x[keep], a[keep], b[keep], c[keep]
+    flux = geometry.tetraflux(x, a, b, c)
+    inside = geometry.origin_inside_tetrahedron(x, a, b, c)
+    return x, flux, np.abs(flux - np.where(inside, 2.0 * np.pi, 0.0))

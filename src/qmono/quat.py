@@ -50,11 +50,6 @@ def qnorm(q) -> np.ndarray:
     return np.sqrt(np.sum(q * q, axis=-1))
 
 
-def real_part(q) -> np.ndarray:
-    """The e0 component."""
-    return np.asarray(q, dtype=float)[..., 0]
-
-
 def vector_part(q) -> np.ndarray:
     """The (e1, e2, e3) components as a (..., 3) array."""
     return np.asarray(q, dtype=float)[..., 1:]

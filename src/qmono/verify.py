@@ -44,61 +44,60 @@ def _positions(rng, m, lo=0.4, hi=3.0):
     return out[:m]
 
 
-def _transport_pairs(rng, m, margin=1e-2):
-    """Random (a, x) with the segment [x, x+a] clear of the origin."""
-    a_out, x_out = np.empty((0, 3)), np.empty((0, 3))
-    while len(a_out) < m:
-        x = _positions(rng, 2 * m)
-        a = rng.uniform(-2.0, 2.0, size=(2 * m, 3))
-        ok = (np.linalg.norm(x + a, axis=-1) > 0.3) & \
-             (geometry.segment_origin_distance(x, x + a) > margin)
-        a_out = np.vstack([a_out, a[ok]])
-        x_out = np.vstack([x_out, x[ok]])
-    return a_out[:m], x_out[:m]
+def _legs_clear(legs, margin=1e-2):
+    """True where every transport leg ``(start, displacement)`` keeps both
+    ends farther than 0.3 from the origin and its segment farther than
+    ``margin``."""
+    ok = True
+    for start, disp in legs:
+        end = start + disp
+        ok = ok & (np.linalg.norm(start, axis=-1) > 0.3) \
+            & (np.linalg.norm(end, axis=-1) > 0.3) \
+            & (geometry.segment_origin_distance(start, end) > margin)
+    return ok
 
 
-def _cocycle_samples(rng, m, margin=1e-2):
-    """(a, x, s, t) with all three cocycle transports admissible."""
-    cols = [np.empty((0, 3)), np.empty((0, 3)), np.empty(0), np.empty(0)]
-    while len(cols[0]) < m:
-        x = _positions(rng, 2 * m)
-        a = rng.uniform(-1.5, 1.5, size=(2 * m, 3))
-        s = rng.uniform(-1.2, 1.2, size=2 * m)
-        t = rng.uniform(-1.2, 1.2, size=2 * m)
-        ok = np.ones(2 * m, dtype=bool)
-        for start, disp in (
-            (x, s[:, None] * a),
-            (x + s[:, None] * a, t[:, None] * a),
-            (x, (s + t)[:, None] * a),
-        ):
-            end = start + disp
-            ok &= np.linalg.norm(start, axis=-1) > 0.3
-            ok &= np.linalg.norm(end, axis=-1) > 0.3
-            ok &= geometry.segment_origin_distance(start, end) > margin
-        cols[0] = np.vstack([cols[0], a[ok]])
-        cols[1] = np.vstack([cols[1], x[ok]])
-        cols[2] = np.concatenate([cols[2], s[ok]])
-        cols[3] = np.concatenate([cols[3], t[ok]])
-    return cols[0][:m], cols[1][:m], cols[2][:m], cols[3][:m]
+def _sample_legs(rng, m, family):
+    """Rejection sampler: ``m`` draws whose transport legs are all clear.
+
+    ``family = (draw, legs)``: ``draw(rng, k)`` returns k candidates as a
+    tuple of arrays, ``legs(*candidates)`` their ``(start, displacement)``
+    legs.  Returns the accepted candidates in the order ``draw`` gives.
+    """
+    draw, legs = family
+    chunks = []
+    while sum(len(chunk[0]) for chunk in chunks) < m:
+        cand = draw(rng, 2 * m)
+        ok = _legs_clear(legs(*cand))
+        chunks.append([c[ok] for c in cand])
+    return tuple(np.concatenate(parts)[:m] for parts in zip(*chunks))
 
 
-def _multiplier_triples(rng, m, margin=1e-2):
-    """(a, b, x) admissible for all three transports and the flux triangle."""
-    a_o, b_o, x_o = (np.empty((0, 3)) for _ in range(3))
-    while len(a_o) < m:
-        x = _positions(rng, 2 * m)
-        a = rng.uniform(-1.5, 1.5, size=(2 * m, 3))
-        b = rng.uniform(-1.5, 1.5, size=(2 * m, 3))
-        ok = np.ones(2 * m, dtype=bool)
-        for start, disp in ((x, b), (x + b, a), (x, a + b)):
-            end = start + disp
-            ok &= np.linalg.norm(start, axis=-1) > 0.3
-            ok &= np.linalg.norm(end, axis=-1) > 0.3
-            ok &= geometry.segment_origin_distance(start, end) > margin
-        a_o = np.vstack([a_o, a[ok]])
-        b_o = np.vstack([b_o, b[ok]])
-        x_o = np.vstack([x_o, x[ok]])
-    return a_o[:m], b_o[:m], x_o[:m]
+# (x, a): the transport from x to x + a
+_TRANSPORT_PAIRS = (
+    lambda rng, k: (_positions(rng, k), rng.uniform(-2.0, 2.0, size=(k, 3))),
+    lambda x, a: [(x, a)],
+)
+# (x, a, s, t): the three transports of the cocycle along a
+_COCYCLE_SAMPLES = (
+    lambda rng, k: (_positions(rng, k), rng.uniform(-1.5, 1.5, size=(k, 3)),
+                    rng.uniform(-1.2, 1.2, size=k), rng.uniform(-1.2, 1.2, size=k)),
+    lambda x, a, s, t: [(x, s[:, None] * a), (x + s[:, None] * a, t[:, None] * a),
+                        (x, (s + t)[:, None] * a)],
+)
+
+
+def _multiplier_legs(x, a, b):
+    """The three transports of the multiplier loop x -> x+b -> x+a+b -> x."""
+    return [(x, b), (x + b, a), (x, a + b)]
+
+
+# (x, a, b)
+_MULTIPLIER_TRIPLES = (
+    lambda rng, k: (_positions(rng, k), rng.uniform(-1.5, 1.5, size=(k, 3)),
+                    rng.uniform(-1.5, 1.5, size=(k, 3))),
+    _multiplier_legs,
+)
 
 
 def gaussian_field(center, width, amp):
@@ -226,12 +225,12 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
     jj = quat.qnorm(quat.qmul(geometry.dirq(x), geometry.dirq(x)) + quat.E0)
     rep.checks.append(check_from_devs("dirq-square", "dirq(x)^2 = -e0", jj, tol))
 
-    a, xt = _transport_pairs(rng, samples)
+    xt, a = _sample_legs(rng, samples, _TRANSPORT_PAIRS)
     w = transport_fn(a, xt)
     rep.checks.append(check_from_devs(
         "transport-unitarity", "|w(a; x)| = 1", np.abs(quat.qnorm(w) - 1.0), tol))
 
-    ac, xc, s, t = _cocycle_samples(rng, samples)
+    xc, ac, s, t = _sample_legs(rng, samples, _COCYCLE_SAMPLES)
     lhs = quat.qmul(transport_fn(t[:, None] * ac, xc + s[:, None] * ac),
                     transport_fn(s[:, None] * ac, xc))
     rhs = transport_fn((s + t)[:, None] * ac, xc)
@@ -239,7 +238,7 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
         "transport-cocycle", "w(ta; x+sa) w(sa; x) = w((s+t)a; x)",
         quat.qnorm(lhs - rhs), tol))
 
-    am, bm, xm = _multiplier_triples(rng, samples)
+    xm, am, bm = _sample_legs(rng, samples, _MULTIPLIER_TRIPLES)
     m_val = geometry.multiplier(am, bm, xm)
     flux = geometry.triflux(geometry.multiplier_flux_triangle(am, bm, xm))
     pred = quat.qexp(geometry.dirq(xm) * flux[:, None])
@@ -256,26 +255,15 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
     alpha = rng.uniform(-1.0, 1.0, size=m2)
     beta = rng.uniform(-0.8, 0.8, size=m2)
     bcop = alpha[:, None] * am[:m2] + beta[:, None] * xm[:m2]
-    ok = np.ones(m2, dtype=bool)
-    for start, disp in ((xm[:m2], bcop), (xm[:m2] + bcop, am[:m2]), (xm[:m2], am[:m2] + bcop)):
-        ok &= np.linalg.norm(start + disp, axis=-1) > 0.3
-        ok &= geometry.segment_origin_distance(start, start + disp) > 1e-2
+    ok = _legs_clear(_multiplier_legs(xm[:m2], am[:m2], bcop))
     cop = quat.qnorm(geometry.multiplier(am[:m2][ok], bcop[ok], xm[:m2][ok]) - quat.E0)
     rep.checks.append(check_from_devs(
         "multiplier-coplanar", "m = e0 when x, a, b are coplanar with the origin",
         cop, 1e-9))
 
-    xq = rng.uniform(-2.0, 2.0, size=(samples, 3))
-    aq = rng.uniform(-1.5, 1.5, size=(samples, 3))
-    bq = rng.uniform(-1.5, 1.5, size=(samples, 3))
-    cq = rng.uniform(-1.5, 1.5, size=(samples, 3))
-    keep = ~ops.origin_near_tet_face(xq, aq, bq, cq)
-    xq, aq, bq, cq = xq[keep], aq[keep], bq[keep], cq[keep]
-    flux = geometry.tetraflux(xq, aq, bq, cq)
-    inside = geometry.origin_inside_tetrahedron(xq, aq, bq, cq)
     rep.checks.append(check_from_devs(
         "flux-quantization", "tetraflux = 2pi iff the origin is inside, else 0",
-        np.abs(flux - np.where(inside, 2.0 * np.pi, 0.0)), 1e-9))
+        ops._sample_tetraflux(rng, samples)[2], 1e-9))
 
     # cevian additivity: split (v1, v2, v3) at p on the v2-v3 edge
     m3 = min(samples, 2000)

@@ -45,9 +45,9 @@ def test_criterion_1_quaternion_algebra():
 def test_criterion_2_transport_unitarity_and_cocycle():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    a, x = verify._transport_pairs(rng, 10000)
+    x, a = verify._sample_legs(rng, 10000, verify._TRANSPORT_PAIRS)
     unit_dev = np.abs(quat.qnorm(geometry.transport(a, x)) - 1.0).max()
-    ac, xc, s, t = verify._cocycle_samples(rng, 10000)
+    xc, ac, s, t = verify._sample_legs(rng, 10000, verify._COCYCLE_SAMPLES)
     lhs = quat.qmul(geometry.transport(t[:, None] * ac, xc + s[:, None] * ac),
                     geometry.transport(s[:, None] * ac, xc))
     rhs = geometry.transport((s + t)[:, None] * ac, xc)
@@ -62,7 +62,7 @@ def test_criterion_2_transport_unitarity_and_cocycle():
 def test_criterion_3_multiplier_equals_flux_exponential():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
-    a, b, x = verify._multiplier_triples(rng, 10000)
+    x, a, b = verify._sample_legs(rng, 10000, verify._MULTIPLIER_TRIPLES)
     m_val = geometry.multiplier(a, b, x)
     flux = geometry.triflux(geometry.multiplier_flux_triangle(a, b, x))
     dev = quat.qnorm(m_val - quat.qexp(geometry.dirq(x) * flux[:, None])).max()
@@ -208,7 +208,7 @@ def test_criterion_11_sign_variant_negative_control():
     unit = _check(rep, "transport-unitarity")
     # restricted to generically non-orthogonal pairs the defect exceeds 1e-2
     rng = np.random.default_rng(42)
-    a, x = verify._transport_pairs(rng, 4000)
+    x, a = verify._sample_legs(rng, 4000, verify._TRANSPORT_PAIRS)
     nx = np.linalg.norm(x, axis=1)
     ny = np.linalg.norm(x + a, axis=1)
     ax = np.sum(a * x, axis=1)

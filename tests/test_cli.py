@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qmono import cli, quat
+from qmono import cli, dynamics, quat
 
 
 def test_verify_algebra_passes(tmp_path, capsys):
@@ -94,6 +94,27 @@ def test_evolve_short_run(tmp_path):
     assert np.abs(data[:, 7] - data[0, 7]).max() < 1e-10
     rep = json.loads((tmp_path / "traj-report.json").read_text())
     assert any(c["name"] == "velocity-identity" for c in rep["checks"])
+
+
+@pytest.mark.parametrize("overrides", [
+    ["--box", "3.0", "--steps", "0"],  # packet 0.5 from a wall, 3 sigma = 3.0
+    ["--mass", "-1", "--steps", "2"],
+    ["--mass", "0", "--steps", "2"],
+])
+def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
+    code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,
+                     "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_evolve_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 1))
+    code = cli.main(["evolve", "--preset", "free", "--n", "12", "--box", "6.0",
+                     "--steps", "2", "--out", str(tmp_path / "traj.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "residual=" in err
 
 
 def test_usage_errors():
