@@ -5,11 +5,17 @@ one Cayley step advances by
 
     psi  <-  (I + (dt/2) J H)^(-1) (I - (dt/2) J H) psi.
 
-With the transported-hop Hamiltonian, ``H`` commutes with ``J`` exactly on
-the lattice, so ``J H`` is exactly anti-hermitian and the Cayley step
-preserves the norm and the complex slice to solver tolerance.  The inner
-solve runs conjugate gradients on the normal equations of the real-linear
-system.
+The transported-hop Hamiltonian commutes with ``J`` exactly, so the
+evolution is a complex problem, and it is solved as one.  In the gauge
+``q(x) = slice_frame(x, e3)`` every transport link ``q(x)* plus(x)
+q(x+h)`` lies in ``span{1, e3}``: it is a U(1) phase.  A field ``psi =
+q (f1 + f2 e1)`` is held as two complex columns ``(f1, f2)``; ``H``
+becomes a hermitian complex 7-point matrix acting on both columns alike,
+and ``J`` becomes multiplication by ``i``.  The frame is singular only on
+the ray ``x = y = 0, z < 0``, which plays the role of the Dirac string
+(Wu and Yang, Phys. Rev. D 12, 3845, 1975) and which a cell-centered grid
+never samples.  The Cayley step runs conjugate gradients on its normal
+equations in this frame.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -18,57 +24,34 @@ force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
-from . import geometry, hilbert, operators as ops, quat
+from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
-from .operators import _hop_links  # noqa: F401  (alias checked by perfbench's tracer test)
+from .operators import _hop_links, _hop_weight
 from .report import Report, check_from_devs
 
-_AXES = np.eye(3)
-
-
-# ---------------------------------------------------------------------------
-# sparse matrices of the link operators (fields flatten C-order, component
-# index fastest; see operators.link_matrix)
-
-def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
-    """Sparse matrix of ``operators.hamiltonian``."""
-    return ops.link_matrix(spec, ops.hamiltonian(spec, mass).terms)
-
-
-def build_gradient_matrices(spec: LatticeSpec) -> list:
-    """Sparse matrices of ``operators.covderiv`` along the axes.
-
-    The Hamiltonian's position commutator is exactly ``-(1/m)`` times these.
-    """
-    return [ops.link_matrix(spec, ops.covderiv(spec, e).terms) for e in _AXES]
-
-
-def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
-    """Sparse matrix of the step generator ``J H``.
-
-    Left multiplication is a homomorphism, ``L(J) L(w) = L(J w)``, so ``J H``
-    has the Hamiltonian's links premultiplied by ``dirq``.  The
-    transported-hop Hamiltonian commutes with ``J`` exactly, so ``J H`` is
-    exactly antisymmetric (to rounding) -- which is what the Cayley step
-    needs for norm and slice preservation.
-    """
-    jvals = geometry.dirq(spec.points())
-    terms = [(m, quat.qmul(jvals, q)) for m, q in ops.hamiltonian(spec, mass).terms]
-    return ops.link_matrix(spec, terms)
+#: ``slice_frame`` rejects directions within this distance of the ray
+#: opposite to ``omega`` (measured as ``|x/|x| + omega|``, close to the angle
+#: in radians): the frame's rounding error, about 1e-16 divided by that
+#: distance, would exceed 1e-10 there
+FRAME_MARGIN = 1e-6
 
 
 def slice_frame(points, omega) -> np.ndarray:
     """Unit quaternion field q(x) with ``dirq(x) q(x) = q(x) omega``.
 
     The half-angle rotation aligning the slice axis with the radial
-    direction; singular only on the ray opposite to ``omega`` (which a
-    cell-centered lattice never samples).
+    direction, evaluated through ``s = x/|x| + omega`` so that ``|s|^2 =
+    2 (1 + cos)`` carries no cancellation near the singular ray opposite
+    to ``omega``.  Raises DomainError at the origin and for sites within
+    ``FRAME_MARGIN`` of that ray (a cell-centered lattice never samples it
+    for ``omega = e3``).
     """
     x = np.asarray(points, dtype=float)
     w = quat.vector_part(np.asarray(omega, dtype=float))
@@ -76,11 +59,127 @@ def slice_frame(points, omega) -> np.ndarray:
     if np.any(nx == 0.0):
         raise geometry.DomainError("slice_frame undefined at the origin")
     xhat = x / nx[..., None]
-    c = np.sum(xhat * w, axis=-1)
+    s = xhat + w
+    ns = np.sqrt(np.sum(s * s, axis=-1))
+    if np.any(ns < FRAME_MARGIN):
+        raise geometry.DomainError("slice_frame undefined on the ray opposite to omega")
     out = np.empty(x.shape[:-1] + (4,))
-    out[..., 0] = np.sqrt((1.0 + c) / 2.0)
-    out[..., 1:] = np.cross(w, xhat) / np.sqrt(2.0 * (1.0 + c))[..., None]
+    out[..., 0] = 0.5 * ns
+    out[..., 1:] = np.cross(w, xhat) / ns[..., None]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the slice frame: U(1) links, complex matrices (rows and columns are sites
+# in C order), field conversion
+
+@functools.lru_cache(maxsize=8)
+def _slice_gauge(spec: LatticeSpec):
+    """The frame ``q = slice_frame(points, e3)`` and the U(1) links.
+
+    Per axis the link of the hop from ``x+h`` to ``x`` is ``z(x) = q(x)*
+    plus(x) q(x+h)``, held as a complex ``(n, n, n)`` array (zero where
+    ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
+    Computed once per lattice and returned read-only.
+    """
+    q = slice_frame(spec.points(), quat.E3)
+    q.setflags(write=False)
+    links = []
+    for axis in range(3):
+        plus, _ = _hop_links(spec, axis)
+        here, there = [slice(None)] * 3, [slice(None)] * 3
+        here[axis], there[axis] = slice(None, -1), slice(1, None)
+        here, there = tuple(here), tuple(there)
+        w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
+        z = np.zeros((spec.n,) * 3, dtype=complex)
+        z[here] = w[..., 0] + 1j * w[..., 3]
+        z.setflags(write=False)
+        links.append(z)
+    return q, tuple(links)
+
+
+def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
+    """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
+    ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
+    ``down conj(z(x))`` at ``(x+h, x)``."""
+    n = spec.n
+    size = n**3
+    links = _slice_gauge(spec)[1]
+    diagonals, offsets = [np.full(size, diag)], [0]
+    for axis, (up, down) in hops.items():
+        stride = n ** (2 - axis)
+        z = links[axis].ravel()[:size - stride]
+        diagonals += [up * z, down * z.conj()]
+        offsets += [stride, -stride]
+    mat = sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
+    mat.eliminate_zeros()  # the wall entries, and a zero diagonal
+    return mat
+
+
+def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
+    """``Q* H Q``: ``operators.hamiltonian`` in the slice frame.
+
+    Hermitian, with 7 nonzeros per row away from the walls.
+    """
+    c = _hop_weight(spec, mass)
+    return _frame_matrix(spec, -6.0 * c, {axis: (c, c) for axis in range(3)})
+
+
+def build_gradient_matrices(spec: LatticeSpec) -> list:
+    """``Q* grad_i Q``: ``operators.covderiv`` along each axis in the slice
+    frame; anti-hermitian, with 2 nonzeros per row.
+
+    The Hamiltonian's position commutator is exactly ``-(1/m)`` times these.
+    """
+    s = 0.5 / spec.step
+    return [_frame_matrix(spec, 0.0, {axis: (s, -s)}) for axis in range(3)]
+
+
+def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
+    """``i Q* H Q``: the step generator ``J H`` in the slice frame, where
+    ``J`` is multiplication by ``i``.
+
+    Exactly anti-hermitian (the entries across the diagonal are negated
+    conjugates), which is what the Cayley step needs for norm and slice
+    preservation.
+    """
+    c = 1j * _hop_weight(spec, mass)
+    return _frame_matrix(spec, -6.0 * c, {axis: (c, c) for axis in range(3)})
+
+
+class _SliceFrame:
+    """Fields to and from their slice-frame columns ``(f1, f2)``.
+
+    ``psi = q (f1 + f2 e1)``, so the quaternion components of ``q* psi``
+    are ``(Re f1, Re f2, Im f2, Im f1)``.  The last converted pair is kept:
+    a field passed on unchanged (a step's output recorded, then stepped
+    again) is converted once, since fields are immutable snapshots.
+    """
+
+    def __init__(self, spec: LatticeSpec):
+        self.spec = spec
+        self.q = _slice_gauge(spec)[0]
+        self._field = None
+        self._cols = None
+
+    def cols(self, psi: LatticeField) -> np.ndarray:
+        """The ``(n^3, 2)`` complex columns of ``psi``."""
+        if psi is not self._field:
+            f = quat.qmul(quat.qconj(self.q), psi.values).reshape(-1, 4)
+            cols = np.empty((f.shape[0], 2), dtype=complex)
+            cols.real = f[:, :2]
+            cols.imag = f[:, 3:1:-1]
+            self._field, self._cols = psi, cols
+        return self._cols
+
+    def field(self, cols: np.ndarray) -> LatticeField:
+        """The field whose ``(n^3, 2)`` complex columns are ``cols``."""
+        g = np.empty((cols.shape[0], 4))
+        g[:, :2] = cols.real
+        g[:, 3:1:-1] = cols.imag
+        psi = LatticeField(self.spec, quat.qmul(self.q, g.reshape(self.q.shape)))
+        self._field, self._cols = psi, cols
+        return psi
 
 
 def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
@@ -140,10 +239,11 @@ class EvolutionConfig:
 class CayleyEvolver:
     """Norm-preserving time stepper for the monopole Hamiltonian.
 
-    Solves ``(I + M) psi' = (I - M) psi`` each step, ``M = (dt/2) J H``
-    held as a precomputed sparse matrix; conjugate gradients run on the
-    normal equations ``(I - M^2)``, symmetric positive definite because
-    ``M`` is antisymmetric.
+    Solves ``(I + M) f' = (I - M) f`` each step on the slice-frame columns,
+    ``M = (dt/2) i Q* H Q`` held as a precomputed sparse matrix; conjugate
+    gradients run on the normal equations ``(I - M^2)``, hermitian positive
+    definite because ``M`` is anti-hermitian.  ``cg_iters`` records the
+    iteration count of every step.
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
@@ -152,33 +252,42 @@ class CayleyEvolver:
         self.mass = mass
         self.dt = dt
         self.solver_rtol = solver_rtol
+        self.frame = _SliceFrame(spec)
+        self.cg_iters: list[int] = []
         self._m = None
         self._prev = None
         if dt != 0.0:
             self._m = (0.5 * dt) * build_generator_matrix(spec, mass)
-            n4 = 4 * spec.n**3
-            self._linop = LinearOperator((n4, n4), matvec=self._normal_matvec, dtype=float)
+            n2 = 2 * spec.n**3
+            self._linop = LinearOperator((n2, n2), matvec=self._normal_matvec, dtype=complex)
 
     def _normal_matvec(self, flat: np.ndarray) -> np.ndarray:
-        return flat - self._m @ (self._m @ flat)
+        cols = flat.reshape(-1, 2)
+        return (cols - self._m @ (self._m @ cols)).ravel()
 
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
             raise ValueError("field lattice does not match the evolver")
         if self.dt == 0.0:
+            self.cg_iters.append(0)
             return psi.copy()
-        v = psi.values.ravel()
+        v = self.frame.cols(psi)
         b = v - self._m @ v
-        rhs = b - self._m @ b
+        rhs = (b - self._m @ b).ravel()
         # warm start: linear extrapolation from the previous step when available
         x0 = (2.0 * v - self._prev) if self._prev is not None else b
-        sol, info = cg(self._linop, rhs, x0=x0,
-                       rtol=self.solver_rtol, atol=0.0, maxiter=500)
+        self.cg_iters.append(0)
+
+        def count(_):
+            self.cg_iters[-1] += 1
+
+        sol, info = cg(self._linop, rhs, x0=x0.ravel(), rtol=self.solver_rtol, atol=0.0,
+                       maxiter=500, callback=count)
         if info != 0:
             res = np.linalg.norm(self._normal_matvec(sol) - rhs)
             raise RuntimeError(f"Cayley inner solve did not converge (info={info}, residual={res:.3e})")
         self._prev = v
-        return LatticeField(self.spec, sol.reshape(psi.values.shape))
+        return self.frame.field(sol.reshape(-1, 2))
 
 
 def step(psi: LatticeField, cfg: EvolutionConfig) -> LatticeField:
@@ -210,48 +319,47 @@ class Trajectory:
 
 
 class _Observables:
-    """Fused expectation values along a run.
+    """Fused expectation values along a run, in the slice frame.
 
-    Uses ``Re inner(a, b) = cell * sum(a * b)`` (componentwise) and shares
-    the covariant gradients between the velocity and force rows; agrees
-    with the generic operator-based expectations (see the unit tests) but
-    runs an order of magnitude faster on large lattices.
+    With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
+    Re vdot(f, g)``, and ``J`` is ``i``.  The covariant gradients are shared
+    between the velocity and force rows.  Agrees with the generic
+    operator-based expectations (see the unit tests) but runs far faster on
+    large lattices.
     """
 
-    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool):
+    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool,
+                 frame: _SliceFrame | None = None):
         self.spec = spec
         self.mass = mass
         self.with_force = with_force
+        self.frame = _SliceFrame(spec) if frame is None else frame
         self.cell = spec.cell_volume
         pts = spec.points()
         self.coords = [pts[..., i].ravel() for i in range(3)]
-        self.jvals = geometry.dirq(pts)
         self.bvals = [geometry.bfield(pts)[..., k].ravel() for k in range(3)]
         self.grad_mats = build_gradient_matrices(spec)
         self.h_mat = build_hamiltonian_matrix(spec, mass)
 
     def row(self, psi: LatticeField):
-        v = psi.values
-        flat = v.reshape(-1, 4)
-        dens = np.sum(flat * flat, axis=-1)
+        f = self.frame.cols(psi)
+        dens = np.sum(f.real**2 + f.imag**2, axis=-1)
         nsq = float(dens.sum() * self.cell)
+        scale = self.cell / (self.mass * nsq)
         pos = [float((c * dens).sum() * self.cell / nsq) for c in self.coords]
-        jpsi = quat.qmul(self.jvals, v).reshape(-1)
-        grads = [g @ v.ravel() for g in self.grad_mats]
-        # <-(J/m) grad_i>: Re<psi, J g> = -cell sum(jpsi * g)
-        vel = [float(np.dot(jpsi, g) * self.cell / (self.mass * nsq)) for g in grads]
-        en = float(np.dot(v.ravel(), self.h_mat @ v.ravel()) * self.cell / nsq)
+        grads = [g @ f for g in self.grad_mats]
+        # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
+        vel = [float(np.vdot(f, g).imag * scale) for g in grads]
+        en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
         frc = None
         if self.with_force:
+            # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
             t = np.zeros((3, 3))
-            for jj in range(3):
-                for kk in range(3):
-                    if jj == kk:
-                        continue
-                    bpsi = (self.bvals[kk][:, None] * flat).ravel()
-                    term_vb = np.dot(jpsi, self.grad_mats[jj] @ bpsi) * self.cell
-                    term_bv = np.dot(np.repeat(self.bvals[kk], 4) * jpsi, grads[jj]) * self.cell
-                    t[jj, kk] = (term_vb + term_bv) / (self.mass * nsq)
+            for kk in range(3):
+                bf = self.bvals[kk][:, None] * f
+                for jj in range(3):
+                    if jj != kk:
+                        t[jj, kk] = 2.0 * np.vdot(bf, grads[jj]).imag * scale
             # acceleration law: eps_ijk (v_j B_k + B_k v_j) / 2m
             frc = [0.5 / self.mass * (t[(i + 1) % 3, (i + 2) % 3] - t[(i + 2) % 3, (i + 1) % 3])
                    for i in range(3)]
@@ -264,7 +372,8 @@ def evolve(cfg: EvolutionConfig, psi0: LatticeField | None = None):
     if psi0 is None:
         psi0 = gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick, cfg.omega)
     evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = _Observables(spec, cfg.mass, cfg.record_force)
+    # one frame for both: each step's output is converted once
+    obs = _Observables(spec, cfg.mass, cfg.record_force, evolver.frame)
 
     times, pos, vel, nrm, en, frc = [], [], [], [], [], []
 

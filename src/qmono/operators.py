@@ -7,8 +7,8 @@ right-to-left: ``(A @ B)(psi) = A(B(psi))``.  The kinds are
   the axis units, transport phases, field components),
 * exact lattice shifts (``shift``; Dirichlet zero fill, commensurate only),
 * link operators (``LinkOp``: neighbor values carried through unit transport
-  links; ``covderiv`` and ``hamiltonian``), which ``link_matrix`` also
-  assembles as sparse matrices,
+  links; ``covderiv`` and ``hamiltonian``; ``dynamics`` assembles the same
+  links as complex sparse matrices in its slice frame),
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
 * composites and real-linear combinations of the above.
@@ -30,8 +30,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
-
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
 from .report import CommutatorReport, Report, check_from_devs
@@ -164,27 +162,13 @@ def _hop_links(spec: LatticeSpec, axis: int):
     return plus, minus
 
 
-def _left_mult_blocks(q: np.ndarray) -> np.ndarray:
-    """4x4 matrices of left quaternion multiplication, one per row of q."""
-    q0, q1, q2, q3 = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    blocks = np.empty((q.shape[0], 4, 4))
-    blocks[:, 0] = np.stack([q0, -q1, -q2, -q3], axis=-1)
-    blocks[:, 1] = np.stack([q1, q0, -q3, q2], axis=-1)
-    blocks[:, 2] = np.stack([q2, q3, q0, -q1], axis=-1)
-    blocks[:, 3] = np.stack([q3, -q2, q1, q0], axis=-1)
-    return blocks
-
-
 class LinkOp(Operator):
     """Sum of linked neighbor values, ``(A psi)(x) = sum_t q_t(x) psi(x + m_t h)``.
 
     ``terms`` pairs integer step vectors ``m_t`` with quaternion fields
     ``q_t`` (one value per site, or one quaternion for all); neighbors
     beyond the walls contribute zero.  ``adjoint_sign`` is +1 for a
-    hermitian and -1 for an anti-hermitian operator.  ``link_matrix``
-    assembles the same terms as a sparse matrix; that holds about five
-    times the memory of the link fields and pays off only where one
-    operator is applied many times, as in the Cayley solver.
+    hermitian and -1 for an anti-hermitian operator.
     """
 
     def __init__(self, spec: LatticeSpec, terms, adjoint_sign: float):
@@ -200,35 +184,6 @@ class LinkOp(Operator):
 
     def adjoint(self):
         return self if self.adjoint_sign > 0 else Scaled(-1.0, self)
-
-
-def link_matrix(spec: LatticeSpec, terms) -> sparse.csr_matrix:
-    """Sparse matrix of ``LinkOp(spec, terms, ...)``.
-
-    Fields flatten C-order with the quaternion component fastest, so each
-    term puts one 4x4 block per site, the left multiplication by
-    ``q_t(x)``, in the block column of ``x + m_t h``.  The rows are filled
-    in CSR order directly (no block-matrix copy).  Blocks whose neighbor
-    lies beyond a wall are zero; they are dropped together with every
-    other exact zero.
-    """
-    n = spec.n
-    site = np.indices((n,) * 3).reshape(3, -1).T
-    flat = np.arange(n**3)
-    data = np.zeros((n**3, 4, len(terms), 4))  # site, block row, term, block column
-    cols = np.empty((n**3, len(terms)), dtype=np.int32)
-    for t, (m, q) in enumerate(terms):
-        inside = np.all((site + m >= 0) & (site + m < n), axis=-1)
-        cols[:, t] = np.where(inside, flat + int(np.dot(m, (n * n, n, 1))), flat)
-        q = np.broadcast_to(q, (n,) * 3 + (4,)).reshape(-1, 4)
-        data[inside, :, t] = _left_mult_blocks(q[inside])
-    indices = np.broadcast_to(4 * cols[:, None, :, None] + np.arange(4, dtype=np.int32),
-                              data.shape)
-    indptr = np.arange(0, data.size + 1, 4 * len(terms))
-    mat = sparse.csr_matrix((data.ravel(), indices.ravel(), indptr), shape=(4 * n**3,) * 2)
-    mat.eliminate_zeros()
-    mat.sort_indices()
-    return mat
 
 
 class Scaled(Operator):
@@ -447,6 +402,14 @@ def rotgen(spec: LatticeSpec, axis: int) -> Operator:
     return OpSum((orbital, Scaled(-0.5, left_unit(spec, axis))))
 
 
+def _hop_weight(spec: LatticeSpec, mass: float) -> float:
+    """The Hamiltonian's hop weight ``-1/(2 m h^2)``; the on-site weight is
+    ``-6`` times it."""
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
+    return -0.5 / (mass * spec.step**2)
+
+
 def hamiltonian(spec: LatticeSpec, mass: float) -> LinkOp:
     """Free covariant Hamiltonian ``-(1/2m) grad^2`` in the monopole background.
 
@@ -457,9 +420,7 @@ def hamiltonian(spec: LatticeSpec, mass: float) -> LinkOp:
     links makes ``[H, jop] = 0`` exact; and ``[H, position_i] = -(1/m)
     covderiv_i`` holds as a lattice operator identity.
     """
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    coeff = -0.5 / (mass * spec.step**2)
+    coeff = _hop_weight(spec, mass)
     terms = [(np.zeros(3), -6.0 * coeff * quat.E0)]
     for ax in range(3):
         plus, minus = _hop_links(spec, ax)

@@ -100,6 +100,8 @@ def test_evolve_short_run(tmp_path):
     ["--box", "3.0", "--steps", "0"],  # packet 0.5 from a wall, 3 sigma = 3.0
     ["--mass", "-1", "--steps", "2"],
     ["--mass", "0", "--steps", "2"],
+    ["--n", "7"],
+    ["--n", "2"],
 ])
 def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
     code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import expm_multiply
 
-from qmono import dynamics, hilbert, operators as ops, quat, splitting
+from qmono import dynamics, geometry, hilbert, operators as ops, quat, splitting
 from qmono.hilbert import LatticeField, LatticeSpec
 
 SPEC = LatticeSpec(n=16, box=4.0)
+
+
+def _frame_cols(spec, vals):
+    """Columns (f1, f2) of psi = q (f1 + f2 e1) in the gauge q = slice_frame(x, e3)."""
+    q = dynamics.slice_frame(spec.points(), quat.E3)
+    f = quat.qmul(quat.qconj(q), vals).reshape(-1, 4)
+    return np.stack([f[:, 0] + 1j * f[:, 3], f[:, 1] + 1j * f[:, 2]], axis=-1)
+
+
+def _anti_hermitian_defect(mat, rng):
+    u, w = (rng.standard_normal((mat.shape[0], 2)) + 1j * rng.standard_normal((mat.shape[0], 2))
+            for _ in range(2))
+    uaw = np.vdot(u, mat @ w)
+    return abs(uaw + np.conj(np.vdot(w, mat @ u))) / abs(uaw)
 
 
 def packet(spec=SPEC, center=(-1.2, 1.0, 0.4), sigma=0.5, kick=(0.8, 0.0, 0.0)):
@@ -19,13 +34,48 @@ def test_packet_is_normalized_slice_member():
 
 
 def test_slice_frame_intertwines():
-    from qmono import geometry
     pts = SPEC.points()
     for omega in (quat.E3, quat.imaginary_unit([1.0, 2.0, -0.5])):
         q = dynamics.slice_frame(pts, omega)
         assert np.abs(quat.qnorm(q) - 1.0).max() < 1e-12
         dev = quat.qmul(geometry.dirq(pts), q) - quat.qmul(q, omega)
         assert quat.qnorm(dev).max() < 1e-12
+
+
+def test_slice_frame_near_the_singular_ray():
+    # directions 1e-4 .. 1e-2 rad from the ray opposite to omega: the frame
+    # stays unit and intertwining to rounding, without cancellation in 1 + cos
+    omega = quat.imaginary_unit([1.0, 2.0, -0.5])
+    w = omega[1:]
+    perp = np.cross(w, [1.0, 0.0, 0.0])
+    perp /= np.linalg.norm(perp)
+    pts = np.array([-np.cos(a) * w + np.sin(a) * perp for a in (1e-4, 1e-3, 1e-2)])
+    q = dynamics.slice_frame(pts, omega)
+    assert np.abs(quat.qnorm(q) - 1.0).max() < 1e-12
+    dev = quat.qmul(geometry.dirq(pts), q) - quat.qmul(q, omega)
+    assert quat.qnorm(dev).max() < 1e-11
+
+
+def test_slice_frame_rejects_the_singular_ray():
+    # the sites (-a, -a, -a) lie on the ray opposite to the slice axis
+    with pytest.raises(geometry.DomainError):
+        dynamics.gaussian_packet(SPEC, (-1.2, 1.0, 0.4), 0.5, (0.8, 0.0, 0.0),
+                                 omega=quat.imaginary_unit([1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("n, box", [(16, 4.0), (48, 6.0)])
+def test_frame_links_are_u1_phases(n, box):
+    # in the gauge q = slice_frame(x, e3) every link q(x)* plus(x) q(x+h)
+    # lies in span{1, e3}; the builders drop the e1 and e2 components
+    spec = LatticeSpec(n=n, box=box)
+    q = dynamics.slice_frame(spec.points(), quat.E3)
+    for ax in range(3):
+        plus, _ = ops._hop_links(spec, ax)
+        here, there = [slice(None)] * 3, [slice(None)] * 3
+        here[ax], there[ax] = slice(None, -1), slice(1, None)
+        here, there = tuple(here), tuple(there)
+        z = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
+        assert np.abs(z[..., 1:3]).max() < 1e-13
 
 
 def _neighbor(v, axis, direction):
@@ -43,8 +93,7 @@ def _neighbor(v, axis, direction):
 
 def test_link_operators_match_numpy_reference():
     # reference: transported hops by zero-filled slicing, with links taken
-    # straight from geometry.transport
-    from qmono import geometry
+    # straight from geometry.transport; the matrices act in the slice frame
     rng = np.random.default_rng(0)
     v = rng.standard_normal((SPEC.n,) * 3 + (4,))
     pts, h, mass = SPEC.points(), SPEC.step, 1.4
@@ -58,21 +107,19 @@ def test_link_operators_match_numpy_reference():
     jh_ref = quat.qmul(geometry.dirq(pts), h_ref)
 
     def check(got, ref):
-        assert np.abs(got.reshape(v.shape) - ref).max() < 1e-12 * np.abs(ref).max()
+        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
+    vf = _frame_cols(SPEC, v)
     h_mat = dynamics.build_hamiltonian_matrix(SPEC, mass)
-    check(h_mat @ v.ravel(), h_ref)
+    check(h_mat @ vf, _frame_cols(SPEC, h_ref))
     check(ops.hamiltonian(SPEC, mass).apply_values(v), h_ref)
     for ax, g_mat in enumerate(dynamics.build_gradient_matrices(SPEC)):
-        check(g_mat @ v.ravel(), grad_ref[ax])
+        check(g_mat @ vf, _frame_cols(SPEC, grad_ref[ax]))
         check(ops.covderiv(SPEC, np.eye(3)[ax]).apply_values(v), grad_ref[ax])
     a_mat = dynamics.build_generator_matrix(SPEC, mass)
-    check(a_mat @ v.ravel(), jh_ref)
-    # J H exactly antisymmetric up to rounding
-    u = rng.standard_normal(a_mat.shape[0])
-    w = rng.standard_normal(a_mat.shape[0])
-    asym = abs(u @ (a_mat @ w) + w @ (a_mat @ u)) / abs(u @ (a_mat @ w))
-    assert asym < 1e-12
+    check(a_mat @ vf, _frame_cols(SPEC, jh_ref))
+    # i H exactly anti-hermitian up to rounding
+    assert _anti_hermitian_defect(a_mat, rng) < 1e-12
 
 
 def test_generator_matrix_matches_operators():
@@ -81,23 +128,20 @@ def test_generator_matrix_matches_operators():
     a_mat = dynamics.build_generator_matrix(SPEC, 1.0)
     h_op = ops.hamiltonian(SPEC, 1.0)
     j = ops.jop(SPEC)
-    ref = 0.5 * (j(LatticeField(SPEC, h_op.apply_values(v))).values
-                 + h_op.apply_values(j(LatticeField(SPEC, v)).values))
-    got = (a_mat @ v.ravel()).reshape(v.shape)
+    ref = _frame_cols(SPEC, 0.5 * (j(LatticeField(SPEC, h_op.apply_values(v))).values
+                                   + h_op.apply_values(j(LatticeField(SPEC, v)).values)))
+    got = a_mat @ _frame_cols(SPEC, v)
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
-    # exactly antisymmetric up to rounding
-    u = rng.standard_normal(a_mat.shape[0])
-    w = rng.standard_normal(a_mat.shape[0])
-    asym = abs(u @ (a_mat @ w) + w @ (a_mat @ u)) / abs(u @ (a_mat @ w))
-    assert asym < 1e-12
+    # exactly anti-hermitian up to rounding
+    assert _anti_hermitian_defect(a_mat, rng) < 1e-12
 
 
 def test_hamiltonian_matrix_matches_operator():
     rng = np.random.default_rng(1)
     v = rng.standard_normal((SPEC.n,) * 3 + (4,))
     h_mat = dynamics.build_hamiltonian_matrix(SPEC, 1.4)
-    ref = ops.hamiltonian(SPEC, 1.4).apply_values(v)
-    got = (h_mat @ v.ravel()).reshape(v.shape)
+    ref = _frame_cols(SPEC, ops.hamiltonian(SPEC, 1.4).apply_values(v))
+    got = h_mat @ _frame_cols(SPEC, v)
     assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
@@ -106,8 +150,8 @@ def test_gradient_matrices_match_operator():
     v = rng.standard_normal((SPEC.n,) * 3 + (4,))
     mats = dynamics.build_gradient_matrices(SPEC)
     for ax in range(3):
-        ref = ops.covderiv(SPEC, np.eye(3)[ax]).apply_values(v)
-        got = (mats[ax] @ v.ravel()).reshape(v.shape)
+        ref = _frame_cols(SPEC, ops.covderiv(SPEC, np.eye(3)[ax]).apply_values(v))
+        got = mats[ax] @ _frame_cols(SPEC, v)
         assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
@@ -157,6 +201,56 @@ def test_step_commutes_with_j():
     lhs = ev.step(j(psi))
     rhs = j(ev.step(psi))
     assert np.abs(lhs.values - rhs.values).max() < 1e-11
+
+
+@pytest.mark.parametrize("dt", [0.05, -0.05])
+def test_cayley_steps_match_dense_quaternion_solve(dt):
+    # oracle without the slice frame: the real 4n^3 matrix of J H from the
+    # quaternion operators applied to basis vectors, and a dense solve
+    spec = LatticeSpec(n=6, box=3.0)
+    mass = 1.3
+    h_op, j = ops.hamiltonian(spec, mass), ops.jop(spec)
+    shape = (spec.n,) * 3 + (4,)
+    basis = np.eye(int(np.prod(shape)))
+    jh = np.column_stack([j.apply_values(h_op.apply_values(e.reshape(shape))).ravel()
+                          for e in basis])
+    m = 0.5 * dt * jh
+    rng = np.random.default_rng(3)
+    psi = LatticeField(spec, rng.standard_normal(shape))  # both slice components
+    ev = dynamics.CayleyEvolver(spec, mass, dt)
+    ref, cur = psi.values.ravel(), psi
+    for _ in range(2):  # the second step starts from the warm-start guess
+        ref = np.linalg.solve(basis + m, ref - m @ ref)
+        cur = ev.step(cur)
+        assert np.abs(cur.values.ravel() - ref).max() < 1e-12 * np.abs(ref).max()
+
+
+def test_cayley_steps_converge_to_exact_propagator():
+    # second order against exp(-i T H) in the slice frame (Al-Mohy-Higham)
+    spec = LatticeSpec(n=24, box=6.0)
+    mass, total = 1.0, 0.4
+    psi0 = dynamics.gaussian_packet(spec, (-1.5, 1.5, 1.5), 0.85, (0.6, 0.0, 0.0))
+    f0 = _frame_cols(spec, psi0.values)
+    exact = expm_multiply(-1j * total * dynamics.build_hamiltonian_matrix(spec, mass), f0)
+    errs = []
+    for dt in (0.05, 0.025, 0.0125):
+        ev = dynamics.CayleyEvolver(spec, mass, dt)
+        cur = psi0
+        for _ in range(round(total / dt)):
+            cur = ev.step(cur)
+        errs.append(np.linalg.norm(_frame_cols(spec, cur.values) - exact) / np.linalg.norm(exact))
+    ratios = [errs[0] / errs[1], errs[1] / errs[2]]
+    assert all(3.0 <= r <= 5.0 for r in ratios), (errs, ratios)
+
+
+def test_evolver_records_cg_iterations_per_step():
+    cfg = dynamics.free_flight_config(n=16, steps=5)
+    ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
+    cur = dynamics.gaussian_packet(cfg.lattice, cfg.center, cfg.sigma, cfg.kick)
+    for _ in range(cfg.steps):
+        cur = ev.step(cur)
+    assert len(ev.cg_iters) == cfg.steps
+    assert all(isinstance(k, int) and k > 0 for k in ev.cg_iters)
 
 
 def test_time_reversibility():
@@ -255,7 +349,6 @@ def test_force_observable_against_operator_oracle():
 
 def test_force_observable_classical_limit():
     # far from the monopole the force expectation is v x B(<x>) / m
-    from qmono import geometry
     spec = LatticeSpec(n=32, box=6.0)
     mass = 2.0
     psi = dynamics.gaussian_packet(spec, (-0.7, 2.6, 0.0), 0.7, (2.4, 0.0, 0.0))
