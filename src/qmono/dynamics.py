@@ -7,15 +7,16 @@ one Cayley step advances by
 
 The transported-hop Hamiltonian commutes with ``J`` exactly, so the
 evolution is a complex problem, and it is solved as one.  In the gauge
-``q(x) = slice_frame(x, e3)`` every transport link ``q(x)* plus(x)
+``q(x) = geometry.slice_frame(x, e3)`` every transport link ``q(x)* plus(x)
 q(x+h)`` lies in ``span{1, e3}``: it is a U(1) phase.  A field ``psi =
-q (f1 + f2 e1)`` is held as two complex columns ``(f1, f2)``; ``H``
-becomes a hermitian complex 7-point matrix acting on both columns alike,
-and ``J`` becomes multiplication by ``i``.  The frame is singular only on
-the ray ``x = y = 0, z < 0``, which plays the role of the Dirac string
-(Wu and Yang, Phys. Rev. D 12, 3845, 1975) and which a cell-centered grid
-never samples.  The Cayley step runs conjugate gradients on its normal
-equations in this frame.
+q (f1 + f2 e1)`` is held as two complex columns ``(f1, f2)``; ``H`` is
+the hermitian complex 7-point matrix of ``operators.hamiltonian`` (a
+``FrameOp``) acting on both columns alike, and ``J`` becomes
+multiplication by ``i``.  The frame is singular only on the ray ``x = y =
+0, z < 0``, which plays the role of the Dirac string (Wu and Yang, Phys.
+Rev. D 12, 3845, 1975) and which a cell-centered grid never samples.  The
+Cayley step runs conjugate gradients on its normal equations in this
+frame.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -24,160 +25,58 @@ force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg
 
-from . import geometry, hilbert, quat
+from . import geometry, hilbert, operators as ops, quat
 from .hilbert import LatticeField, LatticeSpec
-from .operators import _hop_links, _hop_weight
+from .operators import _hop_links  # noqa: F401  (perfbench/test_perfbench.py traces this alias)
 from .report import Report, check_from_devs
-
-#: ``slice_frame`` rejects directions within this distance of the ray
-#: opposite to ``omega`` (measured as ``|x/|x| + omega|``, close to the angle
-#: in radians): the frame's rounding error, about 1e-16 divided by that
-#: distance, would exceed 1e-10 there
-FRAME_MARGIN = 1e-6
-
-
-def slice_frame(points, omega) -> np.ndarray:
-    """Unit quaternion field q(x) with ``dirq(x) q(x) = q(x) omega``.
-
-    The half-angle rotation aligning the slice axis with the radial
-    direction, evaluated through ``s = x/|x| + omega`` so that ``|s|^2 =
-    2 (1 + cos)`` carries no cancellation near the singular ray opposite
-    to ``omega``.  Raises DomainError at the origin and for sites within
-    ``FRAME_MARGIN`` of that ray (a cell-centered lattice never samples it
-    for ``omega = e3``).
-    """
-    x = np.asarray(points, dtype=float)
-    w = quat.vector_part(np.asarray(omega, dtype=float))
-    nx = np.sqrt(np.sum(x * x, axis=-1))
-    if np.any(nx == 0.0):
-        raise geometry.DomainError("slice_frame undefined at the origin")
-    xhat = x / nx[..., None]
-    s = xhat + w
-    ns = np.sqrt(np.sum(s * s, axis=-1))
-    if np.any(ns < FRAME_MARGIN):
-        raise geometry.DomainError("slice_frame undefined on the ray opposite to omega")
-    out = np.empty(x.shape[:-1] + (4,))
-    out[..., 0] = 0.5 * ns
-    out[..., 1:] = np.cross(w, xhat) / ns[..., None]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the slice frame: U(1) links, complex matrices (rows and columns are sites
-# in C order), field conversion
-
-@functools.lru_cache(maxsize=8)
-def _slice_gauge(spec: LatticeSpec):
-    """The frame ``q = slice_frame(points, e3)`` and the U(1) links.
-
-    Per axis the link of the hop from ``x+h`` to ``x`` is ``z(x) = q(x)*
-    plus(x) q(x+h)``, held as a complex ``(n, n, n)`` array (zero where
-    ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
-    Computed once per lattice and returned read-only.
-    """
-    q = slice_frame(spec.points(), quat.E3)
-    q.setflags(write=False)
-    links = []
-    for axis in range(3):
-        plus, _ = _hop_links(spec, axis)
-        here, there = [slice(None)] * 3, [slice(None)] * 3
-        here[axis], there[axis] = slice(None, -1), slice(1, None)
-        here, there = tuple(here), tuple(there)
-        w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
-        z = np.zeros((spec.n,) * 3, dtype=complex)
-        z[here] = w[..., 0] + 1j * w[..., 3]
-        z.setflags(write=False)
-        links.append(z)
-    return q, tuple(links)
-
-
-def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
-    """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
-    ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
-    ``down conj(z(x))`` at ``(x+h, x)``."""
-    n = spec.n
-    size = n**3
-    links = _slice_gauge(spec)[1]
-    diagonals, offsets = [np.full(size, diag)], [0]
-    for axis, (up, down) in hops.items():
-        stride = n ** (2 - axis)
-        z = links[axis].ravel()[:size - stride]
-        diagonals += [up * z, down * z.conj()]
-        offsets += [stride, -stride]
-    mat = sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
-    mat.eliminate_zeros()  # the wall entries, and a zero diagonal
-    return mat
 
 
 def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
-    """``Q* H Q``: ``operators.hamiltonian`` in the slice frame.
-
-    Hermitian, with 7 nonzeros per row away from the walls.
-    """
-    c = _hop_weight(spec, mass)
-    return _frame_matrix(spec, -6.0 * c, {axis: (c, c) for axis in range(3)})
+    """``Q* H Q``: the matrix of ``operators.hamiltonian`` in the slice frame."""
+    return ops.hamiltonian(spec, mass).matrix
 
 
 def build_gradient_matrices(spec: LatticeSpec) -> list:
-    """``Q* grad_i Q``: ``operators.covderiv`` along each axis in the slice
-    frame; anti-hermitian, with 2 nonzeros per row.
-
-    The Hamiltonian's position commutator is exactly ``-(1/m)`` times these.
-    """
-    s = 0.5 / spec.step
-    return [_frame_matrix(spec, 0.0, {axis: (s, -s)}) for axis in range(3)]
+    """``Q* grad_i Q``: the matrices of ``operators.covderiv`` along each axis."""
+    return [ops.covderiv(spec, e).matrix for e in np.eye(3)]
 
 
 def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
     """``i Q* H Q``: the step generator ``J H`` in the slice frame, where
-    ``J`` is multiplication by ``i``.
-
-    Exactly anti-hermitian (the entries across the diagonal are negated
-    conjugates), which is what the Cayley step needs for norm and slice
-    preservation.
-    """
-    c = 1j * _hop_weight(spec, mass)
-    return _frame_matrix(spec, -6.0 * c, {axis: (c, c) for axis in range(3)})
+    ``J`` is multiplication by ``i``; exactly anti-hermitian."""
+    return 1j * ops.hamiltonian(spec, mass).matrix
 
 
 class _SliceFrame:
-    """Fields to and from their slice-frame columns ``(f1, f2)``.
+    """Fields to and from their slice-frame columns ``(f1, f2)``, with
+    ``psi = q (f1 + f2 e1)``.
 
-    ``psi = q (f1 + f2 e1)``, so the quaternion components of ``q* psi``
-    are ``(Re f1, Re f2, Im f2, Im f1)``.  The last converted pair is kept:
-    a field passed on unchanged (a step's output recorded, then stepped
-    again) is converted once, since fields are immutable snapshots.
+    The last converted pair is kept: a field passed on unchanged (a step's
+    output recorded, then stepped again) is converted once, since fields
+    are immutable snapshots.
     """
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
-        self.q = _slice_gauge(spec)[0]
+        self.q = ops._slice_gauge(spec)[0]
         self._field = None
         self._cols = None
 
     def cols(self, psi: LatticeField) -> np.ndarray:
         """The ``(n^3, 2)`` complex columns of ``psi``."""
         if psi is not self._field:
-            f = quat.qmul(quat.qconj(self.q), psi.values).reshape(-1, 4)
-            cols = np.empty((f.shape[0], 2), dtype=complex)
-            cols.real = f[:, :2]
-            cols.imag = f[:, 3:1:-1]
-            self._field, self._cols = psi, cols
+            self._field, self._cols = psi, ops._to_cols(self.q, psi.values)
         return self._cols
 
     def field(self, cols: np.ndarray) -> LatticeField:
         """The field whose ``(n^3, 2)`` complex columns are ``cols``."""
-        g = np.empty((cols.shape[0], 4))
-        g[:, :2] = cols.real
-        g[:, 3:1:-1] = cols.imag
-        psi = LatticeField(self.spec, quat.qmul(self.q, g.reshape(self.q.shape)))
+        psi = LatticeField(self.spec, ops._from_cols(self.q, cols))
         self._field, self._cols = psi, cols
         return psi
 
@@ -195,7 +94,7 @@ def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
     kick = np.asarray(kick, dtype=float)
     w = np.asarray(omega, dtype=float)
     env = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (4.0 * sigma**2))
-    frame = slice_frame(pts, w)
+    frame = geometry.slice_frame(pts, w)
     phase = quat.qexp(w * np.sum(pts * kick, axis=-1)[..., None])
     vals = env[..., None] * quat.qmul(frame, phase)
     psi = LatticeField(spec, vals)
@@ -215,7 +114,6 @@ class EvolutionConfig:
     kick: tuple = (0.0, 0.0, 0.0)
     omega: tuple = tuple(quat.E3)
     solver_rtol: float = 1e-13
-    record_every: int = 1
     record_force: bool = True
 
     def __post_init__(self):
@@ -391,8 +289,7 @@ def evolve(cfg: EvolutionConfig, psi0: LatticeField | None = None):
     record(0.0, psi)
     for k in range(1, cfg.steps + 1):
         psi = evolver.step(psi)
-        if k % cfg.record_every == 0 or k == cfg.steps:
-            record(k * cfg.dt, psi)
+        record(k * cfg.dt, psi)
 
     traj = Trajectory(
         times=np.asarray(times),

@@ -32,6 +32,12 @@ from . import quat
 #: this fraction of max(|x|, |x+a|) -- the limit is ill-conditioned there.
 SEGMENT_MARGIN = 1e-9
 
+#: ``slice_frame`` rejects directions within this distance of the ray
+#: opposite to ``omega`` (measured as ``|x/|x| + omega|``, close to the angle
+#: in radians): the frame's rounding error, about 1e-16 divided by that
+#: distance, would exceed 1e-10 there
+FRAME_MARGIN = 1e-6
+
 
 class DomainError(ValueError):
     """Input touches the monopole location (or the excluded segment set)."""
@@ -51,6 +57,32 @@ def dirq(x) -> np.ndarray:
     if np.any(n == 0.0):
         raise DomainError("dirq undefined at the origin (monopole location)")
     return quat.from_vector(x / n[..., None])
+
+
+def slice_frame(points, omega) -> np.ndarray:
+    """Unit quaternion field q(x) with ``dirq(x) q(x) = q(x) omega``.
+
+    The half-angle rotation aligning the slice axis with the radial
+    direction, evaluated through ``s = x/|x| + omega`` so that ``|s|^2 =
+    2 (1 + cos)`` carries no cancellation near the singular ray opposite
+    to ``omega``.  Raises DomainError at the origin and for sites within
+    ``FRAME_MARGIN`` of that ray (a cell-centered lattice never samples it
+    for ``omega = e3``).
+    """
+    x = np.asarray(points, dtype=float)
+    w = quat.vector_part(np.asarray(omega, dtype=float))
+    nx = _norm(x)
+    if np.any(nx == 0.0):
+        raise DomainError("slice_frame undefined at the origin")
+    xhat = x / nx[..., None]
+    s = xhat + w
+    ns = _norm(s)
+    if np.any(ns < FRAME_MARGIN):
+        raise DomainError("slice_frame undefined on the ray opposite to omega")
+    out = np.empty(x.shape[:-1] + (4,))
+    out[..., 0] = 0.5 * ns
+    out[..., 1:] = np.cross(w, xhat) / ns[..., None]
+    return out
 
 
 def bfield(x) -> np.ndarray:

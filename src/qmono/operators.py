@@ -6,9 +6,11 @@ right-to-left: ``(A @ B)(psi) = A(B(psi))``.  The kinds are
 * pointwise left multipliers (position, the radial complex structure ``jop``,
   the axis units, transport phases, field components),
 * exact lattice shifts (``shift``; Dirichlet zero fill, commensurate only),
-* link operators (``LinkOp``: neighbor values carried through unit transport
-  links; ``covderiv`` and ``hamiltonian``; ``dynamics`` assembles the same
-  links as complex sparse matrices in its slice frame),
+* frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
+  between neighbors through unit transport links).  They commute with
+  ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
+  slice_frame(x, e3)``, where every link is a U(1) phase; ``dynamics``
+  evolves with the same matrices,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
 * composites and real-linear combinations of the above.
@@ -30,6 +32,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy import sparse
+
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
 from .report import CommutatorReport, Report, check_from_devs
@@ -144,43 +148,105 @@ class Diff(Operator):
 
 
 @functools.lru_cache(maxsize=None)
-def _hop_links(spec: LatticeSpec, axis: int):
-    """Transport quaternions for single-cell hops along an axis.
+def _hop_links(spec: LatticeSpec, axis: int) -> np.ndarray:
+    """Transport quaternions ``plus[x]`` from ``x+h`` to ``x`` along an axis.
 
-    ``plus[x] = transport from x+h to x`` and ``minus[x] = transport from
-    x-h to x``; axis hops never meet the origin on a cell-centered grid.
-    Hopping with these links intertwines the radial complex structure
-    exactly: ``j(x) plus[x] = plus[x] j(x+h)`` pointwise.  Computed once
-    per lattice and axis and returned read-only.
+    Axis hops never meet the origin on a cell-centered grid, and the links
+    intertwine the radial complex structure exactly: ``j(x) plus[x] =
+    plus[x] j(x+h)`` pointwise.  Computed once per lattice and axis and
+    returned read-only.
     """
-    pts = spec.points()
     step = spec.step * _AXES[axis]
-    plus = geometry.transport(-step, pts + step)
-    minus = geometry.transport(step, pts - step)
+    plus = geometry.transport(-step, spec.points() + step)
     plus.setflags(write=False)
-    minus.setflags(write=False)
-    return plus, minus
+    return plus
 
 
-class LinkOp(Operator):
-    """Sum of linked neighbor values, ``(A psi)(x) = sum_t q_t(x) psi(x + m_t h)``.
+# ---------------------------------------------------------------------------
+# the slice frame: U(1) links, complex matrices (rows and columns are sites
+# in C order), field conversion
 
-    ``terms`` pairs integer step vectors ``m_t`` with quaternion fields
-    ``q_t`` (one value per site, or one quaternion for all); neighbors
-    beyond the walls contribute zero.  ``adjoint_sign`` is +1 for a
-    hermitian and -1 for an anti-hermitian operator.
+@functools.lru_cache(maxsize=8)
+def _slice_gauge(spec: LatticeSpec):
+    """The frame ``q = slice_frame(points, e3)`` and the U(1) links.
+
+    Per axis the link of the hop from ``x+h`` to ``x`` is ``z(x) = q(x)*
+    plus(x) q(x+h)``, held as a complex ``(n, n, n)`` array (zero where
+    ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
+    Computed once per lattice and returned read-only.
+    """
+    q = geometry.slice_frame(spec.points(), quat.E3)
+    q.setflags(write=False)
+    links = []
+    for axis in range(3):
+        plus = _hop_links(spec, axis)
+        here, there = [slice(None)] * 3, [slice(None)] * 3
+        here[axis], there[axis] = slice(None, -1), slice(1, None)
+        here, there = tuple(here), tuple(there)
+        w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
+        z = np.zeros((spec.n,) * 3, dtype=complex)
+        z[here] = w[..., 0] + 1j * w[..., 3]
+        z.setflags(write=False)
+        links.append(z)
+    return q, tuple(links)
+
+
+def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
+    """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
+    ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
+    ``down conj(z(x))`` at ``(x+h, x)``."""
+    n = spec.n
+    size = n**3
+    links = _slice_gauge(spec)[1]
+    diagonals, offsets = [np.full(size, diag)], [0]
+    for axis, (up, down) in hops.items():
+        stride = n ** (2 - axis)
+        z = links[axis].ravel()[:size - stride]
+        diagonals += [up * z, down * z.conj()]
+        offsets += [stride, -stride]
+    mat = sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
+    mat.eliminate_zeros()  # the wall entries, and a zero diagonal
+    return mat
+
+
+def _to_cols(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The ``(n^3, 2)`` complex columns ``(f1, f2)`` of ``vals = q (f1 + f2 e1)``.
+
+    The quaternion components of ``q* vals`` are ``(Re f1, Re f2, Im f2,
+    Im f1)``.
+    """
+    f = quat.qmul(quat.qconj(q), vals).reshape(-1, 4)
+    cols = np.empty((f.shape[0], 2), dtype=complex)
+    cols.real = f[:, :2]
+    cols.imag = f[:, 3:1:-1]
+    return cols
+
+
+def _from_cols(q: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The quaternion values ``q (f1 + f2 e1)`` of the columns ``(f1, f2)``."""
+    g = np.empty((cols.shape[0], 4))
+    g[:, :2] = cols.real
+    g[:, 3:1:-1] = cols.imag
+    return quat.qmul(q, g.reshape(q.shape))
+
+
+class FrameOp(Operator):
+    """A ``J``-linear lattice operator held as its slice-frame matrix.
+
+    ``matrix`` is the complex ``n^3 x n^3`` matrix ``Q* A Q`` in the gauge
+    ``q = slice_frame(x, e3)``; it acts on both columns ``(f1, f2)`` of a
+    field alike.  ``adjoint_sign`` is +1 for a hermitian and -1 for an
+    anti-hermitian operator.
     """
 
-    def __init__(self, spec: LatticeSpec, terms, adjoint_sign: float):
+    def __init__(self, spec: LatticeSpec, matrix: sparse.csr_matrix, adjoint_sign: float):
         self.spec = spec
-        self.terms = tuple((np.asarray(m, dtype=int), q) for m, q in terms)
+        self.matrix = matrix
         self.adjoint_sign = adjoint_sign
 
     def apply_values(self, vals):
-        out = np.zeros_like(vals)
-        for m, q in self.terms:
-            out += quat.qmul(q, Shift(self.spec, -m).apply_values(vals))
-        return out
+        q = _slice_gauge(self.spec)[0]
+        return _from_cols(q, self.matrix @ _to_cols(q, vals))
 
     def adjoint(self):
         return self if self.adjoint_sign > 0 else Scaled(-1.0, self)
@@ -359,7 +425,7 @@ def connection(spec: LatticeSpec, u) -> Multiplier:
     return Multiplier(spec, sym, "conn")
 
 
-def covderiv(spec: LatticeSpec, u) -> LinkOp:
+def covderiv(spec: LatticeSpec, u) -> FrameOp:
     """Covariant derivative along the unit direction ``u``.
 
     Central difference of parallel-transported neighbors,
@@ -371,19 +437,15 @@ def covderiv(spec: LatticeSpec, u) -> LinkOp:
     link form makes the structure exact on the lattice: anti-hermitian,
     commuting with ``jop``, and ``[hamiltonian, position_i] = -(1/m)
     covderiv_i`` as an operator identity (a bare multiplier connection
-    would leave O(h^2) mismatches in all three).
+    would leave O(h^2) mismatches in all three).  In the slice frame the
+    link ``plus`` is the phase ``z`` and ``minus(x)`` is ``conj(z(x-h))``.
     """
     u = np.asarray(u, dtype=float)
     if abs(np.linalg.norm(u) - 1.0) > 1e-9:
         raise ValueError("covderiv direction must be a unit vector")
-    terms = []
-    for ax in range(3):
-        if u[ax] == 0.0:
-            continue
-        scale = u[ax] / (2.0 * spec.step)
-        plus, minus = _hop_links(spec, ax)
-        terms += [(_AXES[ax], scale * plus), (-_AXES[ax], -scale * minus)]
-    return LinkOp(spec, terms, -1.0)
+    s = 0.5 / spec.step
+    hops = {ax: (u[ax] * s, -u[ax] * s) for ax in range(3) if u[ax] != 0.0}
+    return FrameOp(spec, _frame_matrix(spec, 0.0, hops), -1.0)
 
 
 def rotgen(spec: LatticeSpec, axis: int) -> Operator:
@@ -402,15 +464,7 @@ def rotgen(spec: LatticeSpec, axis: int) -> Operator:
     return OpSum((orbital, Scaled(-0.5, left_unit(spec, axis))))
 
 
-def _hop_weight(spec: LatticeSpec, mass: float) -> float:
-    """The Hamiltonian's hop weight ``-1/(2 m h^2)``; the on-site weight is
-    ``-6`` times it."""
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
-    return -0.5 / (mass * spec.step**2)
-
-
-def hamiltonian(spec: LatticeSpec, mass: float) -> LinkOp:
+def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:
     """Free covariant Hamiltonian ``-(1/2m) grad^2`` in the monopole background.
 
     The transported compact Laplacian: per axis the 3-point second
@@ -418,14 +472,14 @@ def hamiltonian(spec: LatticeSpec, mass: float) -> LinkOp:
     ``[plus(x) psi(x+h) - 2 psi(x) + minus(x) psi(x-h)] / h^2``.  Unit
     links make it exactly hermitian; the intertwining property of the
     links makes ``[H, jop] = 0`` exact; and ``[H, position_i] = -(1/m)
-    covderiv_i`` holds as a lattice operator identity.
+    covderiv_i`` holds as a lattice operator identity.  Its slice-frame
+    matrix has 7 nonzeros per row away from the walls.
     """
-    coeff = _hop_weight(spec, mass)
-    terms = [(np.zeros(3), -6.0 * coeff * quat.E0)]
-    for ax in range(3):
-        plus, minus = _hop_links(spec, ax)
-        terms += [(_AXES[ax], coeff * plus), (-_AXES[ax], coeff * minus)]
-    return LinkOp(spec, terms, 1.0)
+    if mass <= 0.0:
+        raise ValueError("mass must be positive")
+    coeff = -0.5 / (mass * spec.step**2)  # the hop weight; -6 times it on site
+    hops = {ax: (coeff, coeff) for ax in range(3)}
+    return FrameOp(spec, _frame_matrix(spec, -6.0 * coeff, hops), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +599,18 @@ def curvature_coefficient(i: int, j: int, x) -> np.ndarray:
 def _steps_admissible(spec: LatticeSpec, m) -> bool:
     """True if the shift ``m * step`` keeps every site's segment off the origin.
 
-    Diagonal-family shifts can drive a site's transport segment exactly
-    through the origin (e.g. steps (2,2,2) from the site at -(3,3,3)h/2), so
-    candidates are validated against the segment-distance margin directly.
+    Site coordinates are odd multiples of h/2, so the segment from ``x``
+    to ``x + m h`` meets the origin iff ``x = -k p h/2`` for an odd ``0 < k
+    < 2 gcd(|m|)``, where ``p = m / gcd(|m|)``.  That needs every component
+    of ``m`` nonzero and every ``p_i`` odd; the site with ``k = 1`` then
+    exists iff ``max |p_i| <= n - 1`` (e.g. steps (2,2,2) from the site at
+    -(1,1,1)h/2).  Decided in integers, with no float margin.
     """
-    pts = spec.points().reshape(-1, 3)
-    y = pts + np.asarray(m) * spec.step
-    dist = geometry.segment_origin_distance(pts, y)
-    scale = np.maximum(np.linalg.norm(pts, axis=-1), np.linalg.norm(y, axis=-1))
-    return bool(np.all(dist > 1e-6 * scale))
+    m = np.asarray(m, dtype=int)
+    if not m.all():
+        return True
+    p = m // np.gcd.reduce(np.abs(m))
+    return not (np.all(p % 2 == 1) and np.abs(p).max() <= spec.n - 1)
 
 
 def _sample_steps(rng, spec: LatticeSpec, max_step: int = 3) -> np.ndarray:
@@ -581,6 +638,43 @@ def _sample_box(rng, spec: LatticeSpec, margin: int) -> hilbert.Box:
     return hilbert.Box.of(lo * spec.step, hi * spec.step)
 
 
+def _bitexact_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """0.0 if the arrays are exactly equal, else their largest difference."""
+    return 0.0 if np.array_equal(lhs, rhs) else float(np.abs(lhs - rhs).max())
+
+
+def _covariance_dev(rng, spec: LatticeSpec, psi: LatticeField):
+    """Draw admissible steps and a box; check ``U(a) E(box) = E(box+a) U(a)``.
+
+    Returns the steps and the bit-exact deviation on ``psi``.
+    """
+    steps = _sample_steps(rng, spec)
+    a = steps * spec.step
+    box = _sample_box(rng, spec, margin=1)
+    u = twisted_shift(spec, a)
+    lhs = u(hilbert.project(box, psi))
+    rhs = hilbert.project(box.translate(a), u(psi))
+    return steps, _bitexact_dev(lhs.values, rhs.values)
+
+
+def _closure_defect(rng, spec: LatticeSpec):
+    """Draw an admissible step pair and check the closure defect.
+
+    Returns ``(a, b, defect, core_symbol, dev, structural)``: the shifts,
+    ``compose_defect(spec, a, b)``, its symbol on the sites its shifts
+    leave unclipped, the symbol's deviation from ``geometry.multiplier(a,
+    b, x)`` there, and 0.0 if the defect is structurally pointwise (else
+    1.0).
+    """
+    ma, mb = _sample_step_pair(rng, spec)
+    a, b = ma * spec.step, mb * spec.step
+    defect = compose_defect(spec, a, b)
+    sym = symbol_of(defect)
+    core = interior_mask(spec, defect_clip_cells(ma, mb) + 1)
+    dev = float(quat.qnorm(sym - geometry.multiplier(a, b, spec.points()))[core].max())
+    return a, b, defect, sym[core], dev, 0.0 if is_pointwise(defect) else 1.0
+
+
 def gis_verify(spec: LatticeSpec, samples: int = 1000, seed: int = 42,
                tol: float = 1e-12, flux_samples: int = 2000) -> Report:
     """Check the three generalized-imprimitivity axioms on random inputs.
@@ -599,34 +693,20 @@ def gis_verify(spec: LatticeSpec, samples: int = 1000, seed: int = 42,
     rep = Report(suite="gis", seed=seed, n_samples=samples)
     psi = LatticeField(spec, rng.standard_normal((spec.n,) * 3 + (4,)))
 
-    cov_dev = []
-    for _ in range(samples):
-        a = _sample_steps(rng, spec) * spec.step
-        box = _sample_box(rng, spec, margin=1)
-        u = twisted_shift(spec, a)
-        lhs = u(hilbert.project(box, psi))
-        rhs = hilbert.project(box.translate(a), u(psi))
-        cov_dev.append(0.0 if np.array_equal(lhs.values, rhs.values)
-                       else float(np.abs(lhs.values - rhs.values).max()))
+    cov_dev = [_covariance_dev(rng, spec, psi)[1] for _ in range(samples)]
     rep.checks.append(check_from_devs(
         "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
 
-    pts = spec.points()
     comp_dev, mult_norm_dev, mult_comm_dev, structural = [], [], [], []
     for _ in range(max(1, samples // 50)):
-        ma, mb = _sample_step_pair(rng, spec)
-        a, b = ma * spec.step, mb * spec.step
-        defect = compose_defect(spec, a, b)
-        structural.append(0.0 if is_pointwise(defect) else 1.0)
-        sym = symbol_of(defect)
-        core = interior_mask(spec, defect_clip_cells(ma, mb) + 1)
-        comp_dev.append(float(quat.qnorm(sym - geometry.multiplier(a, b, pts))[core].max()))
-        mult_norm_dev.append(float(np.abs(quat.qnorm(sym) - 1.0)[core].max()))
+        _, _, defect, sym, dev, pointwise = _closure_defect(rng, spec)
+        structural.append(pointwise)
+        comp_dev.append(dev)
+        mult_norm_dev.append(float(np.abs(quat.qnorm(sym) - 1.0).max()))
         box = _sample_box(rng, spec, margin=1)
         lhs = defect(hilbert.project(box, psi))
         rhs = hilbert.project(box, defect(psi))
-        mult_comm_dev.append(0.0 if np.array_equal(lhs.values, rhs.values)
-                             else float(np.abs(lhs.values - rhs.values).max()))
+        mult_comm_dev.append(_bitexact_dev(lhs.values, rhs.values))
     rep.checks.append(check_from_devs(
         "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
         comp_dev, tol))

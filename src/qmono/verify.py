@@ -378,21 +378,13 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # imprimitivity, multiplied-through form, bit-exact
     imp_dev, comp_dev = [], []
     for _ in range(min(samples, 200)):
-        steps = ops._sample_steps(rng, spec)
-        a = steps * spec.step
-        box_d = ops._sample_box(rng, spec, margin=1)
-        u = ops.twisted_shift(spec, a)
-        lhsf = u(hilbert.project(box_d, psi))
-        rhsf = hilbert.project(box_d.translate(a), u(psi))
-        imp_dev.append(0.0 if np.array_equal(lhsf.values, rhsf.values)
-                       else np.abs(lhsf.values - rhsf.values).max())
+        steps, dev = ops._covariance_dev(rng, spec, psi)
+        imp_dev.append(dev)
         s2 = ops._sample_steps(rng, spec)
         v1 = ops.shift(spec, steps * spec.step)
         v2 = ops.shift(spec, s2 * spec.step)
         v12 = ops.shift(spec, (steps + s2) * spec.step)
-        comp = v1(v2(interior)).values
-        comp_dev.append(0.0 if np.array_equal(comp, v12(interior).values)
-                        else np.abs(comp - v12(interior).values).max())
+        comp_dev.append(ops._bitexact_dev(v1(v2(interior)).values, v12(interior).values))
     rep.checks.append(check_from_devs(
         "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0))
     rep.checks.append(check_from_devs(
@@ -419,17 +411,12 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
         "one-parameter-line", "U(s u) U(t u) = U((s+t) u)", group_dev, tol))
 
     defect_dev, defect_struct, wpr_size = [], [], []
-    pts = spec.points()
     for _ in range(10):
-        ma, mb = ops._sample_step_pair(rng, spec)
-        a, b = ma * spec.step, mb * spec.step
-        defect = ops.compose_defect(spec, a, b)
-        defect_struct.append(0.0 if ops.is_pointwise(defect) else 1.0)
-        sym = ops.symbol_of(defect)
-        core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
-        defect_dev.append(quat.qnorm(sym - geometry.multiplier(a, b, pts))[core].max())
+        a, b, _, sym, dev, pointwise = ops._closure_defect(rng, spec)
+        defect_struct.append(pointwise)
+        defect_dev.append(dev)
         if np.linalg.norm(np.cross(a, b)) > 1e-9:
-            wpr_size.append(quat.qnorm(sym - quat.E0)[core].max())
+            wpr_size.append(quat.qnorm(sym - quat.E0).max())
     rep.checks.append(check_from_devs(
         "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
         defect_dev, tol))

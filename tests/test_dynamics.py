@@ -10,7 +10,7 @@ SPEC = LatticeSpec(n=16, box=4.0)
 
 def _frame_cols(spec, vals):
     """Columns (f1, f2) of psi = q (f1 + f2 e1) in the gauge q = slice_frame(x, e3)."""
-    q = dynamics.slice_frame(spec.points(), quat.E3)
+    q = geometry.slice_frame(spec.points(), quat.E3)
     f = quat.qmul(quat.qconj(q), vals).reshape(-1, 4)
     return np.stack([f[:, 0] + 1j * f[:, 3], f[:, 1] + 1j * f[:, 2]], axis=-1)
 
@@ -36,7 +36,7 @@ def test_packet_is_normalized_slice_member():
 def test_slice_frame_intertwines():
     pts = SPEC.points()
     for omega in (quat.E3, quat.imaginary_unit([1.0, 2.0, -0.5])):
-        q = dynamics.slice_frame(pts, omega)
+        q = geometry.slice_frame(pts, omega)
         assert np.abs(quat.qnorm(q) - 1.0).max() < 1e-12
         dev = quat.qmul(geometry.dirq(pts), q) - quat.qmul(q, omega)
         assert quat.qnorm(dev).max() < 1e-12
@@ -50,7 +50,7 @@ def test_slice_frame_near_the_singular_ray():
     perp = np.cross(w, [1.0, 0.0, 0.0])
     perp /= np.linalg.norm(perp)
     pts = np.array([-np.cos(a) * w + np.sin(a) * perp for a in (1e-4, 1e-3, 1e-2)])
-    q = dynamics.slice_frame(pts, omega)
+    q = geometry.slice_frame(pts, omega)
     assert np.abs(quat.qnorm(q) - 1.0).max() < 1e-12
     dev = quat.qmul(geometry.dirq(pts), q) - quat.qmul(q, omega)
     assert quat.qnorm(dev).max() < 1e-11
@@ -68,9 +68,9 @@ def test_frame_links_are_u1_phases(n, box):
     # in the gauge q = slice_frame(x, e3) every link q(x)* plus(x) q(x+h)
     # lies in span{1, e3}; the builders drop the e1 and e2 components
     spec = LatticeSpec(n=n, box=box)
-    q = dynamics.slice_frame(spec.points(), quat.E3)
+    q = geometry.slice_frame(spec.points(), quat.E3)
     for ax in range(3):
-        plus, _ = ops._hop_links(spec, ax)
+        plus = ops._hop_links(spec, ax)
         here, there = [slice(None)] * 3, [slice(None)] * 3
         here[ax], there[ax] = slice(None, -1), slice(1, None)
         here, there = tuple(here), tuple(there)
@@ -91,20 +91,29 @@ def _neighbor(v, axis, direction):
     return out
 
 
+def _reference_ops(spec, mass):
+    """v -> (H v, [grad_i v], J H v) by zero-filled slicing, with links
+    taken straight from geometry.transport; shares no code with operators."""
+    pts, h = spec.points(), spec.step
+    links = [(geometry.transport(-h * e, pts + h * e), geometry.transport(h * e, pts - h * e))
+             for e in np.eye(3)]
+    j = geometry.dirq(pts)
+
+    def apply(v):
+        hops = [(quat.qmul(plus, _neighbor(v, ax, +1)), quat.qmul(minus, _neighbor(v, ax, -1)))
+                for ax, (plus, minus) in enumerate(links)]
+        h_ref = (-6.0 * v + sum(p + m for p, m in hops)) / (-2.0 * mass * h**2)
+        return h_ref, [(p - m) / (2.0 * h) for p, m in hops], quat.qmul(j, h_ref)
+
+    return apply
+
+
 def test_link_operators_match_numpy_reference():
-    # reference: transported hops by zero-filled slicing, with links taken
-    # straight from geometry.transport; the matrices act in the slice frame
+    # the operators act on quaternion values, the matrices in the slice frame
     rng = np.random.default_rng(0)
     v = rng.standard_normal((SPEC.n,) * 3 + (4,))
-    pts, h, mass = SPEC.points(), SPEC.step, 1.4
-    hops = []
-    for ax in range(3):
-        step = h * np.eye(3)[ax]
-        hops.append((quat.qmul(geometry.transport(-step, pts + step), _neighbor(v, ax, +1)),
-                     quat.qmul(geometry.transport(step, pts - step), _neighbor(v, ax, -1))))
-    h_ref = (-6.0 * v + sum(p + m for p, m in hops)) / (-2.0 * mass * h**2)
-    grad_ref = [(p - m) / (2.0 * h) for p, m in hops]
-    jh_ref = quat.qmul(geometry.dirq(pts), h_ref)
+    mass = 1.4
+    h_ref, grad_ref, jh_ref = _reference_ops(SPEC, mass)(v)
 
     def check(got, ref):
         assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
@@ -120,39 +129,6 @@ def test_link_operators_match_numpy_reference():
     check(a_mat @ vf, _frame_cols(SPEC, jh_ref))
     # i H exactly anti-hermitian up to rounding
     assert _anti_hermitian_defect(a_mat, rng) < 1e-12
-
-
-def test_generator_matrix_matches_operators():
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((SPEC.n,) * 3 + (4,))
-    a_mat = dynamics.build_generator_matrix(SPEC, 1.0)
-    h_op = ops.hamiltonian(SPEC, 1.0)
-    j = ops.jop(SPEC)
-    ref = _frame_cols(SPEC, 0.5 * (j(LatticeField(SPEC, h_op.apply_values(v))).values
-                                   + h_op.apply_values(j(LatticeField(SPEC, v)).values)))
-    got = a_mat @ _frame_cols(SPEC, v)
-    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
-    # exactly anti-hermitian up to rounding
-    assert _anti_hermitian_defect(a_mat, rng) < 1e-12
-
-
-def test_hamiltonian_matrix_matches_operator():
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((SPEC.n,) * 3 + (4,))
-    h_mat = dynamics.build_hamiltonian_matrix(SPEC, 1.4)
-    ref = _frame_cols(SPEC, ops.hamiltonian(SPEC, 1.4).apply_values(v))
-    got = h_mat @ _frame_cols(SPEC, v)
-    assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
-
-
-def test_gradient_matrices_match_operator():
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal((SPEC.n,) * 3 + (4,))
-    mats = dynamics.build_gradient_matrices(SPEC)
-    for ax in range(3):
-        ref = _frame_cols(SPEC, ops.covderiv(SPEC, np.eye(3)[ax]).apply_values(v))
-        got = mats[ax] @ _frame_cols(SPEC, v)
-        assert np.abs(got - ref).max() < 1e-12 * np.abs(ref).max()
 
 
 def test_zero_dt_step_is_identity():
@@ -206,14 +182,13 @@ def test_step_commutes_with_j():
 @pytest.mark.parametrize("dt", [0.05, -0.05])
 def test_cayley_steps_match_dense_quaternion_solve(dt):
     # oracle without the slice frame: the real 4n^3 matrix of J H from the
-    # quaternion operators applied to basis vectors, and a dense solve
+    # quaternion reference stencil applied to basis vectors, and a dense solve
     spec = LatticeSpec(n=6, box=3.0)
     mass = 1.3
-    h_op, j = ops.hamiltonian(spec, mass), ops.jop(spec)
+    reference = _reference_ops(spec, mass)
     shape = (spec.n,) * 3 + (4,)
     basis = np.eye(int(np.prod(shape)))
-    jh = np.column_stack([j.apply_values(h_op.apply_values(e.reshape(shape))).ravel()
-                          for e in basis])
+    jh = np.column_stack([reference(e.reshape(shape))[2].ravel() for e in basis])
     m = 0.5 * dt * jh
     rng = np.random.default_rng(3)
     psi = LatticeField(spec, rng.standard_normal(shape))  # both slice components

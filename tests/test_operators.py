@@ -257,6 +257,20 @@ def test_rotgen_lattice_vs_analytic(spec):
     assert quat.qnorm(out.values - fn_vals)[core].max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
+def test_steps_admissible_matches_segment_distance(n):
+    # every candidate |m_i| <= 4 against the segment-origin distance from
+    # every site, with a float margin far below the lattice's h/(2|m|) gaps
+    spec = LatticeSpec(n=n, box=3.0)
+    pts = spec.points().reshape(-1, 3)
+    r = np.linalg.norm(pts, axis=-1)
+    for m in np.stack(np.meshgrid(*[np.arange(-4, 5)] * 3), axis=-1).reshape(-1, 3):
+        y = pts + m * spec.step
+        dist = geometry.segment_origin_distance(pts, y)
+        clear = bool(np.all(dist > 1e-6 * np.maximum(r, np.linalg.norm(y, axis=-1))))
+        assert ops._steps_admissible(spec, m) == clear, m
+
+
 def test_gis_verify_report(spec):
     rep = ops.gis_verify(spec, samples=50, seed=3, flux_samples=500)
     assert rep.passed
