@@ -13,10 +13,10 @@ Modules
 quat       quaternion arithmetic on plain (..., 4) arrays
 geometry   transport, fluxes, curvature, Chern quadrature
 hilbert    lattice fields, inner product, spectral boxes
-operators  multipliers, shifts, link operators, imprimitivity checks
+operators  multipliers, shifts, slice-frame matrix operators
 splitting  complex-slice decomposition and reduction checks
 dynamics   Cayley evolution and Ehrenfest verification
-verify     randomized identity suites (CLI backend)
+verify     identity suites, imprimitivity included, and samplers (CLI backend)
 cli        `qmono` command-line entry point
 """
 

@@ -188,11 +188,6 @@ class CayleyEvolver:
         return self.frame.field(sol.reshape(-1, 2))
 
 
-def step(psi: LatticeField, cfg: EvolutionConfig) -> LatticeField:
-    """One Cayley step of ``psi`` under ``cfg`` (convenience wrapper)."""
-    return CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol).step(psi)
-
-
 @dataclass
 class Trajectory:
     """Expectation-value time series recorded along a run."""

@@ -254,6 +254,20 @@ def origin_inside_tetrahedron(x, a, b, c, margin: float = 0.0) -> np.ndarray:
     return np.all(lams > margin, axis=-1)
 
 
+def origin_near_tet_face(x, a, b, c) -> np.ndarray:
+    """True where the origin sits within 1e-3 of a face (in barycentric
+    coordinates), the tetrahedron is degenerate, or a vertex lies within
+    0.05 of the origin: there ``tetraflux`` is ill-conditioned."""
+    verts, total, subs = _tet_volumes(x, a, b, c)
+    bad = np.abs(total) < 1e-9
+    safe_total = np.where(bad, 1.0, total)
+    for lam in subs:
+        bad |= np.abs(lam / safe_total) < 1e-3
+    for p in verts:
+        bad |= np.linalg.norm(p, axis=-1) < 0.05
+    return bad
+
+
 def multiplier(a, b, x) -> np.ndarray:
     """Composition defect of two transported translations.
 

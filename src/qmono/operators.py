@@ -36,7 +36,7 @@ from scipy import sparse
 
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
-from .report import CommutatorReport, Report, check_from_devs
+from .report import CommutatorReport
 
 _AXES = np.eye(3)
 
@@ -100,16 +100,15 @@ class Operator:
 class Multiplier(Operator):
     """Pointwise left multiplication by a quaternion-valued symbol."""
 
-    def __init__(self, spec: LatticeSpec, symbol: np.ndarray, label: str = "multiplier"):
+    def __init__(self, spec: LatticeSpec, symbol: np.ndarray):
         self.spec = spec
         self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), (spec.n,) * 3 + (4,))
-        self.label = label
 
     def apply_values(self, vals):
         return quat.qmul(self.symbol, vals)
 
     def adjoint(self):
-        return Multiplier(self.spec, quat.qconj(self.symbol), self.label + "*")
+        return Multiplier(self.spec, quat.qconj(self.symbol))
 
 
 class Shift(Operator):
@@ -147,19 +146,15 @@ class Diff(Operator):
         return Scaled(-1.0, self)
 
 
-@functools.lru_cache(maxsize=None)
 def _hop_links(spec: LatticeSpec, axis: int) -> np.ndarray:
     """Transport quaternions ``plus[x]`` from ``x+h`` to ``x`` along an axis.
 
     Axis hops never meet the origin on a cell-centered grid, and the links
     intertwine the radial complex structure exactly: ``j(x) plus[x] =
-    plus[x] j(x+h)`` pointwise.  Computed once per lattice and axis and
-    returned read-only.
+    plus[x] j(x+h)`` pointwise.  Only ``_slice_gauge`` (cached) reads them.
     """
     step = spec.step * _AXES[axis]
-    plus = geometry.transport(-step, spec.points() + step)
-    plus.setflags(write=False)
-    return plus
+    return geometry.transport(-step, spec.points() + step)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +359,12 @@ def position(spec: LatticeSpec, axis: int) -> Multiplier:
     """Position component: multiplication by the real coordinate x_axis."""
     sym = np.zeros((spec.n,) * 3 + (4,))
     sym[..., 0] = spec.points()[..., axis]
-    return Multiplier(spec, sym, f"X{axis + 1}")
+    return Multiplier(spec, sym)
 
 
 def left_unit(spec: LatticeSpec, axis: int) -> Multiplier:
     """Left multiplication by the constant imaginary unit e_axis."""
-    return Multiplier(spec, np.eye(4)[axis + 1], f"e{axis + 1}^")
+    return Multiplier(spec, np.eye(4)[axis + 1])
 
 
 def jop(spec: LatticeSpec) -> Multiplier:
@@ -377,14 +372,14 @@ def jop(spec: LatticeSpec) -> Multiplier:
 
     Unitary and anti-hermitian; squares to minus the identity.
     """
-    return Multiplier(spec, geometry.dirq(spec.points()), "J")
+    return Multiplier(spec, geometry.dirq(spec.points()))
 
 
 def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
     """Magnetic field component: multiplication by x_axis / (2 |x|^3)."""
     sym = np.zeros((spec.n,) * 3 + (4,))
     sym[..., 0] = geometry.bfield(spec.points())[..., axis]
-    return Multiplier(spec, sym, f"B{axis + 1}")
+    return Multiplier(spec, sym)
 
 
 def shift(spec: LatticeSpec, a) -> Shift:
@@ -394,7 +389,7 @@ def shift(spec: LatticeSpec, a) -> Shift:
 
 def transport_op(spec: LatticeSpec, a) -> Multiplier:
     """Unitary multiplier with symbol ``transport(a; x)`` at every site."""
-    return Multiplier(spec, geometry.transport(np.asarray(a, dtype=float), spec.points()), "W")
+    return Multiplier(spec, geometry.transport(np.asarray(a, dtype=float), spec.points()))
 
 
 def twisted_shift(spec: LatticeSpec, a) -> Compose:
@@ -418,11 +413,7 @@ def compose_defect(spec: LatticeSpec, a, b) -> Compose:
 
 def connection(spec: LatticeSpec, u) -> Multiplier:
     """The connection multiplier ``e . (u cross x) / (2 |x|^2)``."""
-    u = np.asarray(u, dtype=float)
-    pts = spec.points()
-    r2 = np.sum(pts * pts, axis=-1)
-    sym = quat.from_vector(np.cross(u, pts) / (2.0 * r2)[..., None])
-    return Multiplier(spec, sym, "conn")
+    return Multiplier(spec, connection_value(u, spec.points()))
 
 
 def covderiv(spec: LatticeSpec, u) -> FrameOp:
@@ -576,7 +567,7 @@ def commutator_check(i: int, j: int, fn, points, h: float) -> CommutatorReport:
     di_dj = covderiv_fn(covderiv_fn(fn, _AXES[j], h), _AXES[i], h)
     dj_di = covderiv_fn(covderiv_fn(fn, _AXES[i], h), _AXES[j], h)
     comm = di_dj(points) - dj_di(points)
-    kap = curvature_coefficient(i, j, points)
+    kap = geometry.curvature(points).kappa[..., i, j]
     target = kap[..., None] * quat.qmul(geometry.dirq(points), fn(points))
     dev = quat.qnorm(comm - target)
     return CommutatorReport(
@@ -588,13 +579,8 @@ def commutator_check(i: int, j: int, fn, points, h: float) -> CommutatorReport:
     )
 
 
-def curvature_coefficient(i: int, j: int, x) -> np.ndarray:
-    """The scalar ``kappa_ij(x) = -eps_ijk x^k / (2 |x|^3)``."""
-    return geometry.curvature(x).kappa[..., i, j]
-
-
 # ---------------------------------------------------------------------------
-# generalized-imprimitivity verification
+# lattice domain
 
 def _steps_admissible(spec: LatticeSpec, m) -> bool:
     """True if the shift ``m * step`` keeps every site's segment off the origin.
@@ -611,146 +597,3 @@ def _steps_admissible(spec: LatticeSpec, m) -> bool:
         return True
     p = m // np.gcd.reduce(np.abs(m))
     return not (np.all(p % 2 == 1) and np.abs(p).max() <= spec.n - 1)
-
-
-def _sample_steps(rng, spec: LatticeSpec, max_step: int = 3) -> np.ndarray:
-    """Random commensurate shift steps admissible at every lattice site."""
-    while True:
-        m = rng.integers(-max_step, max_step + 1, size=3)
-        if _steps_admissible(spec, m):
-            return m
-
-
-def _sample_step_pair(rng, spec: LatticeSpec, max_step: int = 2):
-    """Random pair (a, b) with a, b and a + b all admissible."""
-    while True:
-        ma = rng.integers(-max_step, max_step + 1, size=3)
-        mb = rng.integers(-max_step, max_step + 1, size=3)
-        if all(_steps_admissible(spec, m) for m in (ma, mb, ma + mb)):
-            return ma, mb
-
-
-def _sample_box(rng, spec: LatticeSpec, margin: int) -> hilbert.Box:
-    """Random box with faces on cell boundaries, away from the walls."""
-    half = spec.n // 2 - margin
-    lo = rng.integers(-half, half - 1, size=3)
-    hi = np.array([rng.integers(l + 1, half + 1) for l in lo])
-    return hilbert.Box.of(lo * spec.step, hi * spec.step)
-
-
-def _bitexact_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """0.0 if the arrays are exactly equal, else their largest difference."""
-    return 0.0 if np.array_equal(lhs, rhs) else float(np.abs(lhs - rhs).max())
-
-
-def _covariance_dev(rng, spec: LatticeSpec, psi: LatticeField):
-    """Draw admissible steps and a box; check ``U(a) E(box) = E(box+a) U(a)``.
-
-    Returns the steps and the bit-exact deviation on ``psi``.
-    """
-    steps = _sample_steps(rng, spec)
-    a = steps * spec.step
-    box = _sample_box(rng, spec, margin=1)
-    u = twisted_shift(spec, a)
-    lhs = u(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(a), u(psi))
-    return steps, _bitexact_dev(lhs.values, rhs.values)
-
-
-def _closure_defect(rng, spec: LatticeSpec):
-    """Draw an admissible step pair and check the closure defect.
-
-    Returns ``(a, b, defect, core_symbol, dev, structural)``: the shifts,
-    ``compose_defect(spec, a, b)``, its symbol on the sites its shifts
-    leave unclipped, the symbol's deviation from ``geometry.multiplier(a,
-    b, x)`` there, and 0.0 if the defect is structurally pointwise (else
-    1.0).
-    """
-    ma, mb = _sample_step_pair(rng, spec)
-    a, b = ma * spec.step, mb * spec.step
-    defect = compose_defect(spec, a, b)
-    sym = symbol_of(defect)
-    core = interior_mask(spec, defect_clip_cells(ma, mb) + 1)
-    dev = float(quat.qnorm(sym - geometry.multiplier(a, b, spec.points()))[core].max())
-    return a, b, defect, sym[core], dev, 0.0 if is_pointwise(defect) else 1.0
-
-
-def gis_verify(spec: LatticeSpec, samples: int = 1000, seed: int = 42,
-               tol: float = 1e-12, flux_samples: int = 2000) -> Report:
-    """Check the three generalized-imprimitivity axioms on random inputs.
-
-    covariance:   twisted_shift(a) E(box) == E(box + a) twisted_shift(a),
-                  bit-exact on commensurate shifts;
-    composition:  the closure defect of two twisted shifts is a pointwise
-                  multiplier whose symbol matches the transport product;
-    multiplier:   the defect symbol is quaternion-valued of unit norm, and
-                  commutes bit-exactly with every spectral projection.
-
-    Associativity is quantized flux: for random tetrahedra the total flux
-    lands on {0, 2pi} and ``qexp(dirq(x) * flux)`` is the unit.
-    """
-    rng = np.random.default_rng(seed)
-    rep = Report(suite="gis", seed=seed, n_samples=samples)
-    psi = LatticeField(spec, rng.standard_normal((spec.n,) * 3 + (4,)))
-
-    cov_dev = [_covariance_dev(rng, spec, psi)[1] for _ in range(samples)]
-    rep.checks.append(check_from_devs(
-        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
-
-    comp_dev, mult_norm_dev, mult_comm_dev, structural = [], [], [], []
-    for _ in range(max(1, samples // 50)):
-        _, _, defect, sym, dev, pointwise = _closure_defect(rng, spec)
-        structural.append(pointwise)
-        comp_dev.append(dev)
-        mult_norm_dev.append(float(np.abs(quat.qnorm(sym) - 1.0).max()))
-        box = _sample_box(rng, spec, margin=1)
-        lhs = defect(hilbert.project(box, psi))
-        rhs = hilbert.project(box, defect(psi))
-        mult_comm_dev.append(_bitexact_dev(lhs.values, rhs.values))
-    rep.checks.append(check_from_devs(
-        "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
-        comp_dev, tol))
-    rep.checks.append(check_from_devs(
-        "defect-pointwise", "closure defect has zero net displacement", structural, 0.0))
-    rep.checks.append(check_from_devs(
-        "multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, tol))
-    rep.checks.append(check_from_devs(
-        "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
-
-    x, flux, flux_dev = _sample_tetraflux(rng, flux_samples)
-    rep.checks.append(check_from_devs(
-        "flux-quantization", "tetrahedron flux in {0, 2pi} (inside iff 2pi)", flux_dev, 1e-9))
-    holo = quat.qexp(geometry.dirq(x) * flux[:, None])
-    rep.checks.append(check_from_devs(
-        "associativity", "qexp(dirq(x) * tetraflux) = e0",
-        quat.qnorm(holo - quat.E0), 1e-9))
-    return rep
-
-
-def origin_near_tet_face(x, a, b, c, margin: float = 1e-3) -> np.ndarray:
-    """True where the origin sits within ``margin`` of a face (in barycentric
-    coordinates) or a vertex nearly coincides with the origin."""
-    verts, total, subs = geometry._tet_volumes(x, a, b, c)
-    bad = np.abs(total) < 1e-9
-    safe_total = np.where(bad, 1.0, total)
-    for lam in subs:
-        bad |= np.abs(lam / safe_total) < margin
-    for p in verts:
-        bad |= np.linalg.norm(p, axis=-1) < 0.05
-    return bad
-
-
-def _sample_tetraflux(rng, m: int):
-    """Flux through ``m`` random tetrahedra against its quantized value.
-
-    Draws edge walks (x, a, b, c), drops those with the origin near a face
-    or vertex, and returns ``(x, flux, |flux - 2 pi [origin inside]|)``
-    for the rest; inside-ness comes from the signed-volume oracle.
-    """
-    x = rng.uniform(-2.0, 2.0, size=(m, 3))
-    a, b, c = (rng.uniform(-1.5, 1.5, size=(m, 3)) for _ in range(3))
-    keep = ~origin_near_tet_face(x, a, b, c)
-    x, a, b, c = x[keep], a[keep], b[keep], c[keep]
-    flux = geometry.tetraflux(x, a, b, c)
-    inside = geometry.origin_inside_tetrahedron(x, a, b, c)
-    return x, flux, np.abs(flux - np.where(inside, 2.0 * np.pi, 0.0))

@@ -100,6 +100,98 @@ _MULTIPLIER_TRIPLES = (
 )
 
 
+# wall bands the lattice suites mask: a closure defect of a step pair
+# (|m_i| <= 2) is compared from at most 5 cells in, the parallel pair
+# (2h, 3h) of wpr-parallel-trivial from 6
+_DEFECT_BAND = ops.defect_clip_cells((2, 2, 2), (2, 2, 2)) + 1
+_PARALLEL_BAND = ops.defect_clip_cells((2, 0, 0), (3, 0, 0)) + 1
+
+
+def _suite_lattice(n: int, box: float, band: int) -> LatticeSpec:
+    """The suite's lattice; masking ``band`` wall cells needs n >= 2 band + 2."""
+    if n < 2 * band + 2:
+        raise ValueError(f"this suite masks {band} wall cells and needs n >= {2 * band + 2}")
+    return LatticeSpec(n=n, box=box)
+
+
+def _sample_steps(rng, spec: LatticeSpec) -> np.ndarray:
+    """Random commensurate shift steps admissible at every lattice site."""
+    while True:
+        m = rng.integers(-3, 4, size=3)
+        if ops._steps_admissible(spec, m):
+            return m
+
+
+def _sample_step_pair(rng, spec: LatticeSpec):
+    """Random pair (a, b) with a, b and a + b all admissible."""
+    while True:
+        ma = rng.integers(-2, 3, size=3)
+        mb = rng.integers(-2, 3, size=3)
+        if all(ops._steps_admissible(spec, m) for m in (ma, mb, ma + mb)):
+            return ma, mb
+
+
+def _sample_box(rng, spec: LatticeSpec) -> hilbert.Box:
+    """Random box with faces on cell boundaries, at least a cell from the walls."""
+    half = spec.n // 2 - 1
+    lo = rng.integers(-half, half - 1, size=3)
+    hi = np.array([rng.integers(l + 1, half + 1) for l in lo])
+    return hilbert.Box.of(lo * spec.step, hi * spec.step)
+
+
+def _bitexact_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """0.0 if the arrays are exactly equal, else their largest difference."""
+    return 0.0 if np.array_equal(lhs, rhs) else float(np.abs(lhs - rhs).max())
+
+
+def _covariance_dev(rng, spec: LatticeSpec, psi: LatticeField):
+    """Draw admissible steps and a box; check ``U(a) E(box) = E(box+a) U(a)``.
+
+    Returns the steps and the bit-exact deviation on ``psi``.
+    """
+    steps = _sample_steps(rng, spec)
+    a = steps * spec.step
+    box = _sample_box(rng, spec)
+    u = ops.twisted_shift(spec, a)
+    lhs = u(hilbert.project(box, psi))
+    rhs = hilbert.project(box.translate(a), u(psi))
+    return steps, _bitexact_dev(lhs.values, rhs.values)
+
+
+def _closure_defect(rng, spec: LatticeSpec):
+    """Draw an admissible step pair and check the closure defect.
+
+    Returns ``(a, b, defect, core_symbol, dev, structural)``: the shifts,
+    ``compose_defect(spec, a, b)``, its symbol on the sites its shifts
+    leave unclipped, the symbol's deviation from ``geometry.multiplier(a,
+    b, x)`` there, and 0.0 if the defect is structurally pointwise (else
+    1.0).
+    """
+    ma, mb = _sample_step_pair(rng, spec)
+    a, b = ma * spec.step, mb * spec.step
+    defect = ops.compose_defect(spec, a, b)
+    sym = ops.symbol_of(defect)
+    core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
+    dev = float(quat.qnorm(sym - geometry.multiplier(a, b, spec.points()))[core].max())
+    return a, b, defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
+
+
+def _sample_tetraflux(rng, m: int):
+    """Flux through ``m`` random tetrahedra against its quantized value.
+
+    Draws edge walks (x, a, b, c), drops those with the origin near a face
+    or vertex, and returns ``(x, flux, |flux - 2 pi [origin inside]|)``
+    for the rest; inside-ness comes from the signed-volume oracle.
+    """
+    x = rng.uniform(-2.0, 2.0, size=(m, 3))
+    a, b, c = (rng.uniform(-1.5, 1.5, size=(m, 3)) for _ in range(3))
+    keep = ~geometry.origin_near_tet_face(x, a, b, c)
+    x, a, b, c = x[keep], a[keep], b[keep], c[keep]
+    flux = geometry.tetraflux(x, a, b, c)
+    inside = geometry.origin_inside_tetrahedron(x, a, b, c)
+    return x, flux, np.abs(flux - np.where(inside, 2.0 * np.pi, 0.0))
+
+
 def gaussian_field(center, width, amp):
     """Analytic Gaussian bump with a constant quaternion amplitude."""
     center = np.asarray(center, dtype=float)
@@ -263,7 +355,7 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
 
     rep.checks.append(check_from_devs(
         "flux-quantization", "tetraflux = 2pi iff the origin is inside, else 0",
-        ops._sample_tetraflux(rng, samples)[2], 1e-9))
+        _sample_tetraflux(rng, samples)[2], 1e-9))
 
     # cevian additivity: split (v1, v2, v3) at p on the v2-v3 edge
     m3 = min(samples, 2000)
@@ -303,7 +395,7 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
                              ops.connection_value(_AXES[j], probes))
             comm = comm - quat.qmul(ops.connection_value(_AXES[j], probes),
                                     ops.connection_value(_AXES[i], probes))
-            target = ops.curvature_coefficient(i, j, probes)[:, None] * geometry.dirq(probes)
+            target = geometry.curvature(probes).kappa[:, i, j, None] * geometry.dirq(probes)
             fs_dev.append(quat.qnorm(da_j - da_i + comm - target).max())
     rep.checks.append(check_from_devs(
         "curvature-field-strength",
@@ -342,9 +434,9 @@ def _richardson(devs_h, devs_h2):
 
 def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
                     seed: int = 42, tol: float = 1e-12) -> Report:
+    spec = _suite_lattice(n, box, _PARALLEL_BAND)
     rng = np.random.default_rng(seed)
     rep = Report(suite="operators", seed=seed, n_samples=samples)
-    spec = LatticeSpec(n=n, box=box)
     psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
     phi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
     jo = ops.jop(spec)
@@ -378,13 +470,13 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # imprimitivity, multiplied-through form, bit-exact
     imp_dev, comp_dev = [], []
     for _ in range(min(samples, 200)):
-        steps, dev = ops._covariance_dev(rng, spec, psi)
+        steps, dev = _covariance_dev(rng, spec, psi)
         imp_dev.append(dev)
-        s2 = ops._sample_steps(rng, spec)
+        s2 = _sample_steps(rng, spec)
         v1 = ops.shift(spec, steps * spec.step)
         v2 = ops.shift(spec, s2 * spec.step)
         v12 = ops.shift(spec, (steps + s2) * spec.step)
-        comp_dev.append(ops._bitexact_dev(v1(v2(interior)).values, v12(interior).values))
+        comp_dev.append(_bitexact_dev(v1(v2(interior)).values, v12(interior).values))
     rep.checks.append(check_from_devs(
         "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0))
     rep.checks.append(check_from_devs(
@@ -393,7 +485,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # twisted shifts: unitary, one-parameter along a line, WPR off it
     un_dev, group_dev = [], []
     for _ in range(20):
-        a = ops._sample_steps(rng, spec) * spec.step
+        a = _sample_steps(rng, spec) * spec.step
         u = ops.twisted_shift(spec, a)
         un_dev.append(abs(hilbert.norm(u(interior)) - hilbert.norm(interior))
                       / hilbert.norm(interior))
@@ -412,7 +504,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
     defect_dev, defect_struct, wpr_size = [], [], []
     for _ in range(10):
-        a, b, _, sym, dev, pointwise = ops._closure_defect(rng, spec)
+        a, b, _, sym, dev, pointwise = _closure_defect(rng, spec)
         defect_struct.append(pointwise)
         defect_dev.append(dev)
         if np.linalg.norm(np.cross(a, b)) > 1e-9:
@@ -428,7 +520,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
     # parallel shifts close exactly
     par_dev = []
-    core = ops.interior_mask(spec, 6)
+    core = ops.interior_mask(spec, _PARALLEL_BAND)
     for ax in range(3):
         a = 2 * spec.step * _AXES[ax]
         b = 3 * spec.step * _AXES[ax]
@@ -670,8 +762,56 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
 
 def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
               seed: int = 42) -> Report:
-    spec = LatticeSpec(n=n, box=box)
-    rep = ops.gis_verify(spec, samples=samples, seed=seed)
+    """Check the three generalized-imprimitivity axioms on random inputs.
+
+    covariance:   twisted_shift(a) E(box) == E(box + a) twisted_shift(a),
+                  bit-exact on commensurate shifts;
+    composition:  the closure defect of two twisted shifts is a pointwise
+                  multiplier whose symbol matches the transport product;
+    multiplier:   the defect symbol is quaternion-valued of unit norm, and
+                  commutes bit-exactly with every spectral projection.
+
+    Associativity is quantized flux: for 2000 random tetrahedra the total
+    flux lands on {0, 2pi} and ``qexp(dirq(x) * flux)`` is the unit.
+    """
+    spec = _suite_lattice(n, box, _DEFECT_BAND)
+    rng = np.random.default_rng(seed)
+    rep = Report(suite="gis", seed=seed, n_samples=samples)
+    psi = LatticeField(spec, rng.standard_normal((spec.n,) * 3 + (4,)))
+
+    cov_dev = [_covariance_dev(rng, spec, psi)[1] for _ in range(samples)]
+    rep.checks.append(check_from_devs(
+        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
+
+    comp_dev, mult_norm_dev, mult_comm_dev, structural = [], [], [], []
+    for _ in range(max(1, samples // 50)):
+        _, _, defect, sym, dev, pointwise = _closure_defect(rng, spec)
+        structural.append(pointwise)
+        comp_dev.append(dev)
+        mult_norm_dev.append(float(np.abs(quat.qnorm(sym) - 1.0).max()))
+        box = _sample_box(rng, spec)
+        lhs = defect(hilbert.project(box, psi))
+        rhs = hilbert.project(box, defect(psi))
+        mult_comm_dev.append(_bitexact_dev(lhs.values, rhs.values))
+    rep.checks.append(check_from_devs(
+        "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
+        comp_dev, 1e-12))
+    rep.checks.append(check_from_devs(
+        "defect-pointwise", "closure defect has zero net displacement", structural, 0.0))
+    rep.checks.append(check_from_devs(
+        "multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12))
+    rep.checks.append(check_from_devs(
+        "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
+
+    x, flux, flux_dev = _sample_tetraflux(rng, 2000)
+    rep.checks.append(check_from_devs(
+        "flux-quantization", "tetrahedron flux in {0, 2pi} (inside iff 2pi)", flux_dev, 1e-9))
+    holo = quat.qexp(geometry.dirq(x) * flux[:, None])
+    rep.checks.append(check_from_devs(
+        "associativity", "qexp(dirq(x) * tetraflux) = e0",
+        quat.qnorm(holo - quat.E0), 1e-9))
+
+    # a fresh generator, so the check is independent of the draws above
     rep.checks.append(check_from_devs(
         "slice-winding", "qexp(2 pi w) = e0 for every imaginary unit",
         quat.qnorm(quat.qexp(2.0 * np.pi * _imaginary_units(

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from qmono import dynamics, geometry, hilbert, operators as ops, quat, splitting, verify
+from qmono import dynamics, geometry, hilbert, quat, splitting, verify
 from qmono.hilbert import LatticeSpec
 
 
@@ -78,7 +78,7 @@ def test_criterion_4_flux_quantization():
     a = rng.uniform(-1.5, 1.5, (20000, 3))
     b = rng.uniform(-1.5, 1.5, (20000, 3))
     c = rng.uniform(-1.5, 1.5, (20000, 3))
-    keep = ~ops.origin_near_tet_face(x, a, b, c)
+    keep = ~geometry.origin_near_tet_face(x, a, b, c)
     x, a, b, c = x[keep], a[keep], b[keep], c[keep]
     flux = geometry.tetraflux(x, a, b, c)
     inside = geometry.origin_inside_tetrahedron(x, a, b, c)
@@ -106,8 +106,7 @@ def test_criterion_5_chern_integral():
 
 
 def test_criterion_6_imprimitivity_and_gis():
-    spec = LatticeSpec(n=32, box=6.0)
-    rep = ops.gis_verify(spec, samples=1000, seed=42)
+    rep = verify.gis_suite(n=32, box=6.0, samples=1000, seed=42)
     cov = _check(rep, "covariance")
     pw = _check(rep, "defect-pointwise")
     comm = _check(rep, "multiplier-commutes")

@@ -125,3 +125,32 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("suite", ["algebra", "geometry", "gis", "operators", "splitting"])
+def test_verify_rejects_zero_samples(tmp_path, capsys, suite):
+    code = cli.main(["verify", suite, "--samples", "0", "--n", "16",
+                     "--out", str(tmp_path / "rep.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "--samples" in err
+
+
+@pytest.mark.parametrize("suite, least", [("gis", 12), ("operators", 14)])
+def test_verify_lattice_minimum_does_not_depend_on_the_seed(tmp_path, capsys, suite, least):
+    for seed in range(1, 9):
+        args = ["verify", suite, "--box", "4.0", "--samples", "20", "--seed", str(seed),
+                "--out", str(tmp_path / "rep.json")]
+        assert cli.main([*args, "--n", str(least - 2)]) == 2
+        assert f"n >= {least}" in capsys.readouterr().err
+        assert cli.main([*args, "--n", str(least)]) == 0
+
+
+def test_evolve_single_step_gates_norm_drift(tmp_path, monkeypatch, capsys):
+    # a "solver" returning its right-hand side is not unitary: one step
+    # drifts the norm, too short a run for the Ehrenfest report
+    monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 0))
+    code = cli.main(["evolve", "--preset", "free", "--n", "12", "--box", "6.0",
+                     "--steps", "1", "--out", str(tmp_path / "traj.csv")])
+    assert code == 1
+    assert "norm drift" in capsys.readouterr().out

@@ -133,9 +133,7 @@ def test_link_operators_match_numpy_reference():
 
 def test_zero_dt_step_is_identity():
     psi = packet()
-    cfg = dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=1,
-                                   center=(-1.2, 1.0, 0.4), sigma=0.5)
-    out = dynamics.step(psi, cfg)
+    out = dynamics.CayleyEvolver(SPEC, mass=1.0, dt=0.0).step(psi)
     assert np.array_equal(out.values, psi.values)
     assert out.values is not psi.values
 

@@ -234,8 +234,7 @@ def test_tetraflux_quantization_random():
     a = rng.uniform(-1.5, 1.5, (5000, 3))
     b = rng.uniform(-1.5, 1.5, (5000, 3))
     c = rng.uniform(-1.5, 1.5, (5000, 3))
-    from qmono.operators import origin_near_tet_face
-    keep = ~origin_near_tet_face(x, a, b, c)
+    keep = ~geometry.origin_near_tet_face(x, a, b, c)
     x, a, b, c = x[keep], a[keep], b[keep], c[keep]
     flux = geometry.tetraflux(x, a, b, c)
     inside = geometry.origin_inside_tetrahedron(x, a, b, c)

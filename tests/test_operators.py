@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmono import geometry, hilbert, operators as ops, quat
+from qmono import geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 
 AX = np.eye(3)
@@ -212,7 +212,7 @@ def test_commutator_check_diagonal_zero():
 
 def test_commutator_check_curvature_target():
     # at x = (0,0,1), i=1, j=2 the target multiplier is -dirq(x)/2
-    assert ops.curvature_coefficient(0, 1, np.array([0.0, 0.0, 1.0])) == pytest.approx(-0.5)
+    assert geometry.curvature(np.array([0.0, 0.0, 1.0])).kappa[0, 1] == pytest.approx(-0.5)
 
     def fn(x):
         env = np.exp(-np.sum((x - np.array([0.0, 0.2, 1.1])) ** 2, axis=-1))
@@ -272,12 +272,12 @@ def test_steps_admissible_matches_segment_distance(n):
 
 
 def test_gis_verify_report(spec):
-    rep = ops.gis_verify(spec, samples=50, seed=3, flux_samples=500)
+    rep = verify.gis_suite(n=spec.n, box=spec.box, samples=50, seed=3)
     assert rep.passed
     names = {c.name for c in rep.checks}
     assert {"covariance", "composition-defect", "defect-pointwise",
             "multiplier-unit", "multiplier-commutes", "flux-quantization",
-            "associativity"} <= names
+            "associativity", "slice-winding"} <= names
     d = rep.to_dict()
     assert d["suite"] == "gis"
     assert all(c["pass"] for c in d["checks"])
