@@ -9,14 +9,16 @@ The transported-hop Hamiltonian commutes with ``J`` exactly, so the
 evolution is a complex problem, and it is solved as one.  In the gauge
 ``q(x) = geometry.slice_frame(x, e3)`` every transport link ``q(x)* plus(x)
 q(x+h)`` lies in ``span{1, e3}``: it is a U(1) phase.  A field ``psi =
-q (f1 + f2 e1)`` is held as two complex columns ``(f1, f2)``; ``H`` is
-the hermitian complex 7-point matrix of ``operators.hamiltonian`` (a
-``FrameOp``) acting on both columns alike, and ``J`` becomes
-multiplication by ``i``.  The frame is singular only on the ray ``x = y =
-0, z < 0``, which plays the role of the Dirac string (Wu and Yang, Phys.
-Rev. D 12, 3845, 1975) and which a cell-centered grid never samples.  The
-Cayley step runs conjugate gradients on its normal equations in this
-frame.
+q (f1 + f2 e1)`` is held as ``(n^3, k)`` complex columns, k = 1 or 2; ``H``
+is the hermitian complex 7-point matrix of ``operators.hamiltonian`` (a
+``FrameOp``) acting on every column alike, and ``J`` becomes
+multiplication by ``i``.  A field in the slice ``{J psi = psi e3}`` is
+``q f1``: ``f2`` vanishes, and ``evolve`` steps and observes its packet
+as the one column ``f1``, while an arbitrary field keeps both.  The frame
+is singular only on the ray ``x = y = 0, z < 0``, which plays the role of
+the Dirac string (Wu and Yang, Phys. Rev. D 12, 3845, 1975) and which a
+cell-centered grid never samples.  The Cayley step runs conjugate
+gradients on its normal equations in this frame.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -26,6 +28,7 @@ force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -54,12 +57,13 @@ def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
 
 
 class _SliceFrame:
-    """Fields to and from their slice-frame columns ``(f1, f2)``, with
-    ``psi = q (f1 + f2 e1)``.
+    """Fields to and from their ``(n^3, k)`` slice-frame columns, with
+    ``psi = q (f1 + f2 e1)`` and ``f2`` zero when k = 1.
 
     The last converted pair is kept: a field passed on unchanged (a step's
     output recorded, then stepped again) is converted once, since fields
-    are immutable snapshots.
+    are immutable snapshots, and a field built from one column keeps
+    one column.
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -69,13 +73,14 @@ class _SliceFrame:
         self._cols = None
 
     def cols(self, psi: LatticeField) -> np.ndarray:
-        """The ``(n^3, 2)`` complex columns of ``psi``."""
+        """The complex columns of ``psi``: those it was built from by
+        ``field``, else the ``(n^3, 2)`` columns ``(f1, f2)``."""
         if psi is not self._field:
             self._field, self._cols = psi, ops._to_cols(self.q, psi.values)
         return self._cols
 
     def field(self, cols: np.ndarray) -> LatticeField:
-        """The field whose ``(n^3, 2)`` complex columns are ``cols``."""
+        """The field whose ``(n^3, k)`` complex columns are ``cols``."""
         psi = LatticeField(self.spec, ops._from_cols(self.q, cols))
         self._field, self._cols = psi, cols
         return psi
@@ -103,7 +108,14 @@ def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
 
 @dataclass
 class EvolutionConfig:
-    """Packet, lattice and integrator parameters for one run."""
+    """Packet, lattice and integrator parameters for one run.
+
+    The packet always lies in the slice of ``omega = e3``, the evolver's
+    frame; ``omega`` is a class constant, not a field (``perfbench/sweep.py``
+    reads it to build the same packet).
+    """
+
+    omega: ClassVar[tuple] = tuple(quat.E3)
 
     lattice: LatticeSpec
     mass: float = 1.0
@@ -112,7 +124,6 @@ class EvolutionConfig:
     center: tuple = (-2.0, 1.5, 0.0)
     sigma: float = 0.8
     kick: tuple = (0.0, 0.0, 0.0)
-    omega: tuple = tuple(quat.E3)
     solver_rtol: float = 1e-13
     record_force: bool = True
 
@@ -137,11 +148,13 @@ class EvolutionConfig:
 class CayleyEvolver:
     """Norm-preserving time stepper for the monopole Hamiltonian.
 
-    Solves ``(I + M) f' = (I - M) f`` each step on the slice-frame columns,
-    ``M = (dt/2) i Q* H Q`` held as a precomputed sparse matrix; conjugate
-    gradients run on the normal equations ``(I - M^2)``, hermitian positive
-    definite because ``M`` is anti-hermitian.  ``cg_iters`` records the
-    iteration count of every step.
+    Solves ``(I + M) f' = (I - M) f`` each step on the ``(n^3, k)``
+    slice-frame columns the frame holds for the field, ``M = (dt/2) i Q* H
+    Q`` held as a precomputed sparse matrix; conjugate gradients run on the
+    normal equations ``(I - M^2)``, hermitian positive definite because
+    ``M`` is anti-hermitian.  ``M`` acts on each column alone, so a zero
+    ``f2`` stays zero and a one-column field is stepped as one column.
+    ``cg_iters`` records the iteration count of every step.
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
@@ -156,11 +169,9 @@ class CayleyEvolver:
         self._prev = None
         if dt != 0.0:
             self._m = (0.5 * dt) * build_generator_matrix(spec, mass)
-            n2 = 2 * spec.n**3
-            self._linop = LinearOperator((n2, n2), matvec=self._normal_matvec, dtype=complex)
 
-    def _normal_matvec(self, flat: np.ndarray) -> np.ndarray:
-        cols = flat.reshape(-1, 2)
+    def _normal_matvec(self, flat: np.ndarray, k: int) -> np.ndarray:
+        cols = flat.reshape(-1, k)
         return (cols - self._m @ (self._m @ cols)).ravel()
 
     def step(self, psi: LatticeField) -> LatticeField:
@@ -170,27 +181,32 @@ class CayleyEvolver:
             self.cg_iters.append(0)
             return psi.copy()
         v = self.frame.cols(psi)
+        k = v.shape[1]
         b = v - self._m @ v
         rhs = (b - self._m @ b).ravel()
-        # warm start: linear extrapolation from the previous step when available
-        x0 = (2.0 * v - self._prev) if self._prev is not None else b
+        linop = LinearOperator((v.size, v.size), matvec=lambda x: self._normal_matvec(x, k),
+                               dtype=complex)
+        # warm start: linear extrapolation from the previous step of the same shape
+        prev = self._prev
+        x0 = (2.0 * v - prev) if prev is not None and prev.shape == v.shape else b
         self.cg_iters.append(0)
 
         def count(_):
             self.cg_iters[-1] += 1
 
-        sol, info = cg(self._linop, rhs, x0=x0.ravel(), rtol=self.solver_rtol, atol=0.0,
+        sol, info = cg(linop, rhs, x0=x0.ravel(), rtol=self.solver_rtol, atol=0.0,
                        maxiter=500, callback=count)
         if info != 0:
-            res = np.linalg.norm(self._normal_matvec(sol) - rhs)
+            res = np.linalg.norm(self._normal_matvec(sol, k) - rhs)
             raise RuntimeError(f"Cayley inner solve did not converge (info={info}, residual={res:.3e})")
         self._prev = v
-        return self.frame.field(sol.reshape(-1, 2))
+        return self.frame.field(sol.reshape(-1, k))
 
 
 @dataclass
 class Trajectory:
-    """Expectation-value time series recorded along a run."""
+    """Expectation-value time series recorded along a run, and the CG
+    iterations of each step (not written to the CSV)."""
 
     times: np.ndarray
     position: np.ndarray
@@ -198,6 +214,7 @@ class Trajectory:
     norm: np.ndarray
     energy: np.ndarray
     force: np.ndarray | None = None
+    cg_iters: np.ndarray | None = None
 
     def save_csv(self, path) -> None:
         cols = [self.times, *self.position.T, *self.velocity.T, self.norm, self.energy]
@@ -259,14 +276,17 @@ class _Observables:
         return pos, vel, en, frc
 
 
-def evolve(cfg: EvolutionConfig, psi0: LatticeField | None = None):
+def evolve(cfg: EvolutionConfig):
     """Run the configured packet; returns ``(Trajectory, final field)``."""
     spec = cfg.lattice
-    if psi0 is None:
-        psi0 = gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick, cfg.omega)
     evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
     # one frame for both: each step's output is converted once
-    obs = _Observables(spec, cfg.mass, cfg.record_force, evolver.frame)
+    frame = evolver.frame
+    obs = _Observables(spec, cfg.mass, cfg.record_force, frame)
+    # the packet lies in the e3 slice, so its f2 vanishes (up to roundoff
+    # in the conversion): it is stepped and observed as the one column f1
+    packet = gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick)
+    psi = frame.field(frame.cols(packet)[:, :1].copy())
 
     times, pos, vel, nrm, en, frc = [], [], [], [], [], []
 
@@ -280,7 +300,6 @@ def evolve(cfg: EvolutionConfig, psi0: LatticeField | None = None):
         if f is not None:
             frc.append(f)
 
-    psi = psi0
     record(0.0, psi)
     for k in range(1, cfg.steps + 1):
         psi = evolver.step(psi)
@@ -293,6 +312,7 @@ def evolve(cfg: EvolutionConfig, psi0: LatticeField | None = None):
         norm=np.asarray(nrm),
         energy=np.asarray(en),
         force=np.asarray(frc) if frc else None,
+        cg_iters=np.asarray(evolver.cg_iters),
     )
     return traj, psi
 

@@ -218,10 +218,12 @@ def _to_cols(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def _from_cols(q: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The quaternion values ``q (f1 + f2 e1)`` of the columns ``(f1, f2)``."""
-    g = np.empty((cols.shape[0], 4))
-    g[:, :2] = cols.real
-    g[:, 3:1:-1] = cols.imag
+    """The quaternion values ``q (f1 + f2 e1)`` of the ``(n^3, k)`` complex
+    columns ``cols``, k = 1 or 2; a single column is ``f1``, with ``f2`` zero."""
+    k = cols.shape[1]
+    g = np.zeros((cols.shape[0], 4))
+    g[:, :k] = cols.real
+    g[:, 3:3 - k:-1] = cols.imag
     return quat.qmul(q, g.reshape(q.shape))
 
 

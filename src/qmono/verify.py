@@ -434,6 +434,7 @@ def _richardson(devs_h, devs_h2):
 
 def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
                     seed: int = 42, tol: float = 1e-12) -> Report:
+    samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
     spec = _suite_lattice(n, box, _PARALLEL_BAND)
     rng = np.random.default_rng(seed)
     rep = Report(suite="operators", seed=seed, n_samples=samples)
@@ -469,7 +470,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
     # imprimitivity, multiplied-through form, bit-exact
     imp_dev, comp_dev = [], []
-    for _ in range(min(samples, 200)):
+    for _ in range(samples):
         steps, dev = _covariance_dev(rng, spec, psi)
         imp_dev.append(dev)
         s2 = _sample_steps(rng, spec)

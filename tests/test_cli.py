@@ -58,6 +58,15 @@ def test_verify_gis_small(tmp_path):
     assert "covariance" in names and "flux-quantization" in names
 
 
+def test_verify_operators_reports_the_samples_drawn(tmp_path):
+    # the imprimitivity loop draws at most 200 samples
+    out = tmp_path / "operators.json"
+    code = cli.main(["verify", "operators", "--samples", "10000", "--n", "14",
+                     "--box", "4.0", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["n_samples"] == 200
+
+
 def test_chern_command(tmp_path, capsys):
     out = tmp_path / "chern.csv"
     code = cli.main(["chern", "--n", "64", "--out", str(out)])
