@@ -28,9 +28,10 @@ import numpy as np
 
 from . import quat
 
-#: reject transports whose segment passes closer to the origin than
-#: this fraction of max(|x|, |x+a|) -- the limit is ill-conditioned there.
-SEGMENT_MARGIN = 1e-9
+#: ``transport`` rejects segments that pass closer to the origin than this
+#: fraction of max(|x|, |x+a|): its rounding error, about 1e-16 divided by
+#: that fraction, would exceed 1e-10 there (lattice shifts clear it by far)
+SEGMENT_MARGIN = 1e-6
 
 #: ``slice_frame`` rejects directions within this distance of the ray
 #: opposite to ``omega`` (measured as ``|x/|x| + omega|``, close to the angle
@@ -107,39 +108,59 @@ def segment_origin_distance(x, y) -> np.ndarray:
     return _norm(closest)
 
 
-def _check_transport_domain(x, y):
-    nx = _norm(x)
-    ny = _norm(y)
+def _segment(a, x):
+    """The coordinate planes of ``x`` and ``y = x + a``, ``|x|``, ``|y|``
+    and the planes of ``x cross y`` (which equals ``x cross a``), each
+    computed once, and the transport domain test decided from them.
+
+    Raises DomainError where an endpoint is the origin, and where
+    ``segment_origin_distance(x, y) <= SEGMENT_MARGIN * max(|x|, |y|)``:
+    with ``d = y - x``, the segment's closest point lies strictly inside it
+    iff ``0 < -x.d < |d|^2``, and its distance is then ``|x cross y| /
+    |d|``; otherwise it is the nearer endpoint (``d = 0`` included).
+    """
+    x0, x1, x2 = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
+    a0, a1, a2 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    y0, y1, y2 = x0 + a0, x1 + a1, x2 + a2
+    nx = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    ny = np.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
     if np.any(nx == 0.0) or np.any(ny == 0.0):
         raise DomainError("transport endpoint at the origin")
-    dist = segment_origin_distance(x, y)
-    bad = dist <= SEGMENT_MARGIN * np.maximum(nx, ny)
+    v = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
+    dd = d0 * d0 + d1 * d1 + d2 * d2
+    xd = x0 * d0 + x1 * d1 + x2 * d2
+    lim = SEGMENT_MARGIN * np.maximum(nx, ny)
+    bad = np.where((xd < 0.0) & (-xd < dd),
+                   v[0] * v[0] + v[1] * v[1] + v[2] * v[2] <= lim * lim * dd,
+                   np.minimum(nx, ny) <= lim)
     if np.any(bad):
         idx = np.argwhere(bad)
         raise DomainError(
             "transport segment passes through (or within margin of) the origin; "
             f"first offending configuration index {tuple(idx[0])}"
         )
-    return nx, ny
+    return (x0, x1, x2), (y0, y1, y2), nx, ny, v
 
 
 def transport(a, x) -> np.ndarray:
     """Parallel-transport quaternion from ``x`` to ``x + a``.
 
     Unit by construction; equals ``e0`` when ``a = 0`` or ``x`` and ``x + a``
-    are parallel.  Raises DomainError when the segment [x, x+a] meets the
-    origin (within SEGMENT_MARGIN).
+    are parallel.  Evaluated, like ``slice_frame``, through ``s = x/|x| +
+    y/|y|``, whose ``|s|^2 = 2 (1 + c)`` carries no cancellation near the
+    anti-parallel case: ``w = |s|/2 + e . (x cross y) / (|x| |y| |s|)``.
+    Raises DomainError when the segment [x, x+a] meets the origin (within
+    SEGMENT_MARGIN).
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = x + a
-    nx, ny = _check_transport_domain(x, y)
-    # denom = |x||y| (1 + c) > 0 away from the anti-parallel case
-    denom = nx * ny + np.sum(x * y, axis=-1)
-    v = np.cross(x, y)  # equals x cross a
-    out = np.empty(v.shape[:-1] + (4,))
-    out[..., 0] = np.sqrt(denom / (2.0 * nx * ny))
-    out[..., 1:] = v / np.sqrt(2.0 * nx * ny * denom)[..., None]
+    xs, ys, nx, ny, v = _segment(a, x)
+    s0, s1, s2 = (xk / nx + yk / ny for xk, yk in zip(xs, ys))
+    ns = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
+    out = np.empty(np.shape(v[0]) + (4,))
+    out[..., 0] = 0.5 * ns
+    r = nx * ny * ns
+    for k in range(3):
+        out[..., k + 1] = v[k] / r
     return out
 
 
@@ -151,8 +172,7 @@ def transport_sign_variant(a, x) -> np.ndarray:
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
-    y = x + a
-    nx, ny = _check_transport_domain(x, y)
+    _, _, nx, ny, _ = _segment(a, x)
     ax = np.sum(a * x, axis=-1)
     c_plus = (nx**2 + ax) / (nx * ny)
     c_minus = (nx**2 - ax) / (nx * ny)

@@ -157,10 +157,10 @@ class Box:
         return Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
     def indicator(self, spec: LatticeSpec) -> np.ndarray:
-        pts = spec.points()
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts >= lo) & (pts < hi), axis=-1)
+        """Site mask: the outer AND of the three per-axis masks ``lo <= x_i < hi``."""
+        ax = spec.axis()
+        m0, m1, m2 = ((ax >= lo) & (ax < hi) for lo, hi in zip(self.lo, self.hi))
+        return m0[:, None, None] & m1[None, :, None] & m2[None, None, :]
 
     def translate(self, a) -> "Box":
         a = np.asarray(a, dtype=float)

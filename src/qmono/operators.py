@@ -186,6 +186,15 @@ def _slice_gauge(spec: LatticeSpec):
     return q, tuple(links)
 
 
+@functools.lru_cache(maxsize=8)
+def _radial(spec: LatticeSpec) -> np.ndarray:
+    """The radial unit ``dirq(x)`` at every site, computed once per lattice
+    and returned read-only: the symbol of ``jop``."""
+    j = geometry.dirq(spec.points())
+    j.setflags(write=False)
+    return j
+
+
 def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
     """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
     ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
@@ -374,7 +383,7 @@ def jop(spec: LatticeSpec) -> Multiplier:
 
     Unitary and anti-hermitian; squares to minus the identity.
     """
-    return Multiplier(spec, geometry.dirq(spec.points()))
+    return Multiplier(spec, _radial(spec))
 
 
 def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:

@@ -10,6 +10,8 @@ special case of the same code.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -20,22 +22,57 @@ E3 = np.array([0.0, 0.0, 0.0, 1.0])
 #: minimum length accepted when normalizing a direction into an imaginary unit
 DIRECTION_EPS = 1e-12
 
+#: sites per ``qmul`` block (chosen by timing 4096, 8192 and 16384 at n = 32
+#: and 48): the block's ten planes, 640 KiB, stay in a core's L2 cache
+QMUL_BLOCK = 8192
+
+
+#: the four products ``p_i q_j`` of each component of ``p q``, summed left
+#: to right: the first, then each later one added or subtracted
+_PRODUCTS = (
+    ((0, 0), (np.subtract, 1, 1), (np.subtract, 2, 2), (np.subtract, 3, 3)),
+    ((0, 1), (np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
+    ((0, 2), (np.subtract, 1, 3), (np.add, 2, 0), (np.add, 3, 1)),
+    ((0, 3), (np.add, 1, 2), (np.subtract, 2, 1), (np.add, 3, 0)),
+)
+
+
+def _planes(q, rows):
+    """The four component planes of ``q[rows]``: contiguous copies, or
+    scalars where ``q`` is constant over its leading axes (zero strides,
+    as for a broadcast ``(4,)`` symbol), which is then never expanded."""
+    if not any(q.strides[:-1]):
+        return q[(0,) * (q.ndim - 1)]
+    return np.ascontiguousarray(q[rows].transpose(-1, *range(q.ndim - 1)))
+
 
 def qmul(p, q) -> np.ndarray:
-    """Quaternion product ``p q`` (non-commutative), broadcasting over (..., 4)."""
+    """Quaternion product ``p q`` (non-commutative), broadcasting over (..., 4).
+
+    Evaluated in blocks of about ``QMUL_BLOCK`` sites along the first axis,
+    on contiguous component planes and two reused block buffers, so that a
+    whole field's temporaries never leave the cache.  Each component is the
+    same four products, summed in the same order, at every site.
+    """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-    q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
-    return np.stack(
-        [
-            p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
-            p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
-            p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
-            p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
-        ],
-        axis=-1,
-    )
+    shape = np.broadcast_shapes(p.shape, q.shape)
+    grid = shape if len(shape) > 1 else (1, 4)  # at least one leading axis
+    p, q = (x if x.shape == grid else np.broadcast_to(x, grid) for x in (p, q))
+    out = np.empty(grid)
+    step = max(1, QMUL_BLOCK // max(1, math.prod(grid[1:-1])))
+    acc = np.empty((min(step, grid[0]),) + grid[1:-1])
+    term = np.empty_like(acc)
+    for start in range(0, grid[0], step):
+        rows = slice(start, start + step)
+        pp, qq, o = _planes(p, rows), _planes(q, rows), out[rows]
+        a, t = acc[:len(o)], term[:len(o)]
+        for k, ((i, j), *rest) in enumerate(_PRODUCTS):
+            np.multiply(pp[i], qq[j], out=a)
+            for op, i, j in rest:
+                op(a, np.multiply(pp[i], qq[j], out=t), out=a)
+            o[..., k] = a
+    return out.reshape(shape)
 
 
 def qconj(q) -> np.ndarray:

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, hilbert, quat
+from . import hilbert, quat
 from .hilbert import LatticeField
-from .operators import Operator
+from .operators import Operator, jop
 from .report import Report, check_from_devs
 
 
@@ -66,7 +66,7 @@ class SplitPair:
 
 
 def _jmul(psi: LatticeField) -> np.ndarray:
-    return quat.qmul(geometry.dirq(psi.spec.points()), psi.values)
+    return quat.qmul(jop(psi.spec).symbol, psi.values)
 
 
 def split(psi: LatticeField, s: SliceSpec) -> SplitPair:

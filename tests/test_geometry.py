@@ -116,6 +116,70 @@ def test_transport_domain_errors():
         geometry.transport(np.array([1.0, 0.0, 0.0]), np.zeros(3))
 
 
+def _transport_domain_agrees(a, x):
+    """``transport`` accepts every pair the segment distance clears, as one
+    batch, and raises on each pair it does not; returns the rejected mask."""
+    a, x = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float))
+    y = x + a
+    lim = geometry.SEGMENT_MARGIN * np.maximum(np.linalg.norm(x, axis=-1),
+                                               np.linalg.norm(y, axis=-1))
+    bad = geometry.segment_origin_distance(x, y) <= lim
+    geometry.transport(a[~bad], x[~bad])
+    for ak, xk in zip(a[bad], x[bad]):
+        with pytest.raises(geometry.DomainError):
+            geometry.transport(ak, xk)
+    return bad
+
+
+def test_transport_domain_matches_segment_distance():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-3, 3, (20000, 3))
+    _transport_domain_agrees(rng.uniform(-3, 3, x.shape), x)  # random pairs
+    _transport_domain_agrees(np.zeros(3), x)                   # a = 0
+    x = x[:1000]
+    u = x / np.linalg.norm(x, axis=-1)[:, None]
+    w = np.cross(u, rng.standard_normal(x.shape))
+    w /= np.linalg.norm(w, axis=-1)[:, None]
+    r = rng.uniform(0.5, 3.0, (len(x), 1))
+    t = rng.uniform(0.05, 0.95, (len(x), 1))
+    delta = geometry.SEGMENT_MARGIN * 10.0 ** rng.uniform(-3, 3, (len(x), 1))
+    # on both sides of the margin: a segment of length r whose closest
+    # point, a fraction t along it, lies delta r from the origin; a
+    # radial segment ending delta |x| from the origin; and one ending
+    # delta r off the origin, to the side
+    for a, start in ((r * u, delta * r * w - t * r * u),
+                     (-(1.0 - delta) * x, x),
+                     (delta * r * w - x, x)):
+        bad = _transport_domain_agrees(a, start)
+        assert bad.any() and not bad.all()
+    # radial: outward, inward short of the origin, and through it
+    for scale in (0.7, -0.5, -1.5, -2.0):
+        _transport_domain_agrees(scale * x, x)
+
+
+def test_transport_is_unit_just_outside_the_margin():
+    # accepted segments whose closest point lies delta max(|x|, |y|) from
+    # the origin, delta from 1.5e-6 to 1e-2: nearly anti-parallel ends,
+    # where |x||y| + x.y cancels; the rounding error is about 1e-16/delta
+    rng = np.random.default_rng(12)
+    m = 20000
+    u = rng.standard_normal((m, 3))
+    u /= np.linalg.norm(u, axis=-1)[:, None]
+    w = np.cross(u, rng.standard_normal((m, 3)))
+    w /= np.linalg.norm(w, axis=-1)[:, None]
+    t1, t2 = rng.uniform(0.5, 3.0, (2, m, 1))
+    delta = 10.0 ** rng.uniform(np.log10(1.5e-6), -2.0, (m, 1))
+    x = delta * np.maximum(t1, t2) * w - t1 * u
+    a = (t1 + t2) * u
+    rel = geometry.segment_origin_distance(x, x + a) / np.maximum(
+        np.linalg.norm(x, axis=-1), np.linalg.norm(x + a, axis=-1))
+    assert rel.min() > geometry.SEGMENT_MARGIN
+    wq = geometry.transport(a, x)
+    assert np.abs(quat.qnorm(wq) - 1.0).max() < 1e-9
+    lhs = quat.qmul(wq, quat.qmul(geometry.dirq(x), quat.qconj(wq)))
+    assert quat.qnorm(lhs - geometry.dirq(x + a)).max() < 1e-9
+
+
 def test_transport_sign_variant_not_unitary():
     rng = np.random.default_rng(6)
     a, x = admissible_pairs(rng, 2000)

@@ -260,7 +260,8 @@ def test_rotgen_lattice_vs_analytic(spec):
 @pytest.mark.parametrize("n", [4, 6, 8, 16, 32])
 def test_steps_admissible_matches_segment_distance(n):
     # every candidate |m_i| <= 4 against the segment-origin distance from
-    # every site, with a float margin far below the lattice's h/(2|m|) gaps
+    # every site, with a float margin far below the lattice's h/(2|m|) gaps;
+    # transport's own domain test must reject exactly the same shifts
     spec = LatticeSpec(n=n, box=3.0)
     pts = spec.points().reshape(-1, 3)
     r = np.linalg.norm(pts, axis=-1)
@@ -269,6 +270,13 @@ def test_steps_admissible_matches_segment_distance(n):
         dist = geometry.segment_origin_distance(pts, y)
         clear = bool(np.all(dist > 1e-6 * np.maximum(r, np.linalg.norm(y, axis=-1))))
         assert ops._steps_admissible(spec, m) == clear, m
+        # the whole-grid transport decides the same shifts
+        try:
+            geometry.transport(m * spec.step, spec.points())
+        except geometry.DomainError:
+            assert not clear, m
+        else:
+            assert clear, m
 
 
 def test_gis_verify_report(spec):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmono import quat
+from qmono import hilbert, operators, quat
 
 
 def qmul_ref(p, q):
@@ -45,6 +45,57 @@ def test_mul_against_reference():
         p = rng.standard_normal(4)
         q = rng.standard_normal(4)
         assert np.abs(quat.qmul(p, q) - qmul_ref(p, q)).max() < 1e-14
+
+
+def qmul_formula(p, q):
+    """The product in one whole-array expression per component: the same
+    16 products, summed in the same order, with no blocking (reference)."""
+    p0, p1, p2, p3 = np.moveaxis(np.asarray(p, dtype=float), -1, 0)
+    q0, q1, q2, q3 = np.moveaxis(np.asarray(q, dtype=float), -1, 0)
+    return np.stack([
+        p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3,
+        p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2,
+        p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1,
+        p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0,
+    ], axis=-1)
+
+
+def box_mask_from_points(box, spec):
+    """Box membership compared coordinate by coordinate at every site (reference)."""
+    pts = spec.points()
+    return np.all((pts >= np.asarray(box.lo)) & (pts < np.asarray(box.hi)), axis=-1)
+
+
+@pytest.mark.parametrize("n", [8, 48])
+def test_grid_kernels_match_reference_formulas(n):
+    # bit-for-bit: blocked qmul on every operand layout the program passes
+    # (n = 48 spans several blocks), and the per-axis box mask
+    rng = np.random.default_rng(n)
+    spec = hilbert.LatticeSpec(n=n, box=3.0)
+    f, g = rng.standard_normal((2, n, n, n, 4))
+    c = rng.standard_normal(4)
+    batch_p, batch_q = rng.standard_normal((2, 20000, 4))  # three blocks
+    here, there = (slice(None), slice(None, -1)), (slice(None), slice(1, None))
+    cases = [
+        (f, g),                                  # whole fields
+        (c, g), (f, c),                          # (4,) x field, field x (4,)
+        (batch_p, batch_q), (batch_p, c), (c, c),  # batches and single quaternions
+        (operators.left_unit(spec, 1).symbol, g),  # zero-stride symbol
+        (f[here], g[there]),                     # non-contiguous slices
+        (quat.qconj(f[there]), quat.qmul(g[here], f[there])),
+    ]
+    for p, q in cases:
+        got = quat.qmul(p, q)
+        assert got.shape == np.broadcast_shapes(np.shape(p), np.shape(q))
+        assert np.array_equal(got, qmul_formula(p, q))
+    h = spec.step
+    for _ in range(50):
+        lo = rng.integers(-n, n, size=3) * (h / 2)  # faces on sites and on cell faces
+        hi = lo + rng.integers(0, n + 1, size=3) * (h / 2)
+        box = hilbert.Box.of(lo, hi)
+        assert np.array_equal(box.indicator(spec), box_mask_from_points(box, spec))
+    whole = hilbert.whole_space(spec)
+    assert np.array_equal(whole.indicator(spec), box_mask_from_points(whole, spec))
 
 
 def test_conjugation():
