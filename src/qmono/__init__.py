@@ -22,16 +22,14 @@ cli        `qmono` command-line entry point
 
 from . import dynamics, geometry, hilbert, operators, quat, report, splitting, verify
 from .geometry import DomainError
-from .hilbert import Box, BoxUnion, LatticeField, LatticeSpec
-from .report import Check, CommutatorReport, Report
+from .hilbert import Box, LatticeField, LatticeSpec
+from .report import Check, Report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Box",
-    "BoxUnion",
     "Check",
-    "CommutatorReport",
     "DomainError",
     "LatticeField",
     "LatticeSpec",

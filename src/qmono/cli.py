@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 import numpy as np
@@ -130,7 +131,7 @@ def cmd_evolve(args) -> int:
         return 0 if drift <= 1e-9 else 1
 
     rep = dynamics.ehrenfest(traj)
-    report_path = f"{args.out.rsplit('.', 1)[0]}-report.json"
+    report_path = f"{os.path.splitext(args.out)[0]}-report.json"
     rep.write(report_path)
     if args.json:
         print(rep.to_json())

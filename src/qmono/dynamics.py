@@ -86,6 +86,14 @@ class _SliceFrame:
         return psi
 
 
+def _packet_envelope_phase(spec: LatticeSpec, center, sigma: float, kick):
+    """The envelope ``exp(-|x - center|^2 / (4 sigma^2))`` and the kick
+    angle ``kick . x`` of a Gaussian packet at every site."""
+    pts = spec.points()
+    env = np.exp(-np.sum((pts - np.asarray(center, dtype=float)) ** 2, axis=-1) / (4.0 * sigma**2))
+    return env, np.sum(pts * np.asarray(kick, dtype=float), axis=-1)
+
+
 def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
                     omega=tuple(quat.E3)) -> LatticeField:
     """Normalized Gaussian packet lying exactly in the slice of ``omega``.
@@ -94,13 +102,10 @@ def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
     carried on the slice frame and kicked by the right slice phase
     ``qexp(omega (kick . x))``.
     """
-    pts = spec.points()
-    center = np.asarray(center, dtype=float)
-    kick = np.asarray(kick, dtype=float)
     w = np.asarray(omega, dtype=float)
-    env = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (4.0 * sigma**2))
-    frame = geometry.slice_frame(pts, w)
-    phase = quat.qexp(w * np.sum(pts * kick, axis=-1)[..., None])
+    env, angle = _packet_envelope_phase(spec, center, sigma, kick)
+    frame = geometry.slice_frame(spec.points(), w)
+    phase = quat.qexp(w * angle[..., None])
     vals = env[..., None] * quat.qmul(frame, phase)
     psi = LatticeField(spec, vals)
     return LatticeField(spec, vals / hilbert.norm(psi))
@@ -283,10 +288,11 @@ def evolve(cfg: EvolutionConfig):
     # one frame for both: each step's output is converted once
     frame = evolver.frame
     obs = _Observables(spec, cfg.mass, cfg.record_force, frame)
-    # the packet lies in the e3 slice, so its f2 vanishes (up to roundoff
-    # in the conversion): it is stepped and observed as the one column f1
-    packet = gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick)
-    psi = frame.field(frame.cols(packet)[:, :1].copy())
+    # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
+    # frame, the one column f1 = env exp(i kick . x), stepped and observed as such
+    env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
+    f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
+    psi = frame.field(f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
 
     times, pos, vel, nrm, en, frc = [], [], [], [], [], []
 
@@ -317,8 +323,7 @@ def evolve(cfg: EvolutionConfig):
     return traj, psi
 
 
-def ehrenfest(traj: Trajectory, tol_velocity: float = 0.01,
-              tol_force: float = 0.05) -> Report:
+def ehrenfest(traj: Trajectory) -> Report:
     """Compare trajectory derivatives with the observable expectations.
 
     velocity law:  d<X>/dt (central difference of the series) against the
@@ -327,12 +332,14 @@ def ehrenfest(traj: Trajectory, tol_velocity: float = 0.01,
                    force, relative to the force scale (skipped when the run
                    did not record forces).
 
-    Deviations are evaluated on interior samples only.
+    Deviations are evaluated on interior samples only, within 1% and 5%.
     """
     t = traj.times
     if len(t) < 3:
         raise ValueError("ehrenfest needs at least three recorded samples")
     dt = float(t[1] - t[0])
+    if not dt > 0.0:
+        raise ValueError("ehrenfest needs a positive sample spacing")
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise ValueError("ehrenfest expects uniformly spaced samples")
 
@@ -343,7 +350,7 @@ def ehrenfest(traj: Trajectory, tol_velocity: float = 0.01,
     vscale = float(np.abs(traj.velocity).max())
     rep.checks.append(check_from_devs(
         "velocity-identity", "d<X>/dt = <-(J/m) grad>",
-        np.abs(dxdt - vmid) / max(vscale, 1e-30), tol_velocity))
+        np.abs(dxdt - vmid) / max(vscale, 1e-30), 0.01))
 
     if traj.force is not None and len(t) >= 5:
         d2 = (traj.position[2:] - 2.0 * traj.position[1:-1] + traj.position[:-2]) / dt**2
@@ -351,7 +358,7 @@ def ehrenfest(traj: Trajectory, tol_velocity: float = 0.01,
         fscale = float(np.abs(traj.force).max())
         rep.checks.append(check_from_devs(
             "force-identity", "d2<X>/dt2 = <eps (v B + B v)> / 2m",
-            np.abs(d2 - fmid) / max(fscale, 1e-30), tol_force))
+            np.abs(d2 - fmid) / max(fscale, 1e-30), 0.05))
     return rep
 
 

@@ -132,19 +132,6 @@ def rscale(psi: LatticeField, q) -> LatticeField:
     return LatticeField(psi.spec, quat.qmul(psi.values, np.asarray(q, dtype=float)))
 
 
-def multop(f, psi: LatticeField) -> LatticeField:
-    """Pointwise LEFT multiplication by ``f(x)``.
-
-    ``f`` is either a callable on points or a precomputed (n, n, n, 4) symbol
-    array.  Commutes with every ``project``.
-    """
-    if callable(f):
-        sym = np.asarray(f(psi.spec.points()), dtype=float)
-    else:
-        sym = np.asarray(f, dtype=float)
-    return LatticeField(psi.spec, quat.qmul(sym, psi.values))
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box ``[lo, hi)`` used as a spectral (Borel) set."""
@@ -172,35 +159,7 @@ class Box:
         return Box.of(lo, np.maximum(lo, hi))
 
 
-@dataclass(frozen=True)
-class BoxUnion:
-    """Finite union of boxes; closed under intersection with another union."""
-
-    boxes: tuple
-
-    @staticmethod
-    def of(*boxes) -> "BoxUnion":
-        return BoxUnion(tuple(boxes))
-
-    def indicator(self, spec: LatticeSpec) -> np.ndarray:
-        mask = np.zeros((spec.n,) * 3, dtype=bool)
-        for b in self.boxes:
-            mask |= b.indicator(spec)
-        return mask
-
-    def translate(self, a) -> "BoxUnion":
-        return BoxUnion(tuple(b.translate(a) for b in self.boxes))
-
-    def intersect(self, other: "BoxUnion") -> "BoxUnion":
-        return BoxUnion(tuple(b.intersect(o) for b in self.boxes for o in other.boxes))
-
-
-def whole_space(spec: LatticeSpec) -> Box:
-    """A box covering every lattice site."""
-    return Box.of((-spec.box,) * 3, (spec.box,) * 3)
-
-
-def project(delta, psi: LatticeField) -> LatticeField:
+def project(delta: Box, psi: LatticeField) -> LatticeField:
     """Spectral projection: zero the samples outside ``delta``.
 
     Idempotent, self-adjoint, multiplicative over intersections; commutes
@@ -208,34 +167,3 @@ def project(delta, psi: LatticeField) -> LatticeField:
     """
     mask = delta.indicator(psi.spec)
     return LatticeField(psi.spec, np.where(mask[..., None], psi.values, 0.0))
-
-
-def save_csv(psi: LatticeField, path) -> None:
-    """Write a field as CSV rows ``index,q0,q1,q2,q3`` (flat C-order index).
-
-    The lattice is recorded in the header comments, so ``load_csv`` can
-    rebuild the field without side information.
-    """
-    flat = psi.values.reshape(-1, 4)
-    idx = np.arange(flat.shape[0])[:, None]
-    np.savetxt(
-        path,
-        np.hstack([idx, flat]),
-        fmt=["%d"] + ["%.17g"] * 4,
-        delimiter=",",
-        header=f"n={psi.spec.n} box={psi.spec.box!r}\nindex,q0,q1,q2,q3",
-    )
-
-
-def load_csv(path) -> LatticeField:
-    """Read a field written by ``save_csv``."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-    if not first.startswith("#"):
-        raise ValueError("missing lattice header")
-    meta = dict(tok.split("=") for tok in first[1:].split())
-    spec = LatticeSpec(n=int(meta["n"]), box=float(meta["box"]))
-    data = np.loadtxt(path, delimiter=",")
-    order = np.argsort(data[:, 0])
-    vals = data[order, 1:].reshape(spec.n, spec.n, spec.n, 4)
-    return LatticeField(spec, vals)

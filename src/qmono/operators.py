@@ -36,7 +36,6 @@ from scipy import sparse
 
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
-from .report import CommutatorReport
 
 _AXES = np.eye(3)
 
@@ -422,11 +421,6 @@ def compose_defect(spec: LatticeSpec, a, b) -> Compose:
                     twisted_shift(spec, b)))
 
 
-def connection(spec: LatticeSpec, u) -> Multiplier:
-    """The connection multiplier ``e . (u cross x) / (2 |x|^2)``."""
-    return Multiplier(spec, connection_value(u, spec.points()))
-
-
 def covderiv(spec: LatticeSpec, u) -> FrameOp:
     """Covariant derivative along the unit direction ``u``.
 
@@ -567,12 +561,12 @@ def rotation_exp_fn(fn, axis: int, theta: float):
     return r
 
 
-def commutator_check(i: int, j: int, fn, points, h: float) -> CommutatorReport:
+def commutator_check(i: int, j: int, fn, points, h: float) -> np.ndarray:
     """Compare ``[covderiv_i, covderiv_j]`` against the curvature multiplier.
 
     Both derivatives are nested step-h central differences on the analytic
-    field ``fn``; the target is ``kappa_ij(x) * dirq(x) * fn(x)``.  The
-    deviation is O(h^2) on smooth fields away from the origin.
+    field ``fn``; the target is ``kappa_ij(x) * dirq(x) * fn(x)``.  Returns the
+    per-point deviations, O(h^2) on smooth fields away from the origin.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     di_dj = covderiv_fn(covderiv_fn(fn, _AXES[j], h), _AXES[i], h)
@@ -580,14 +574,7 @@ def commutator_check(i: int, j: int, fn, points, h: float) -> CommutatorReport:
     comm = di_dj(points) - dj_di(points)
     kap = geometry.curvature(points).kappa[..., i, j]
     target = kap[..., None] * quat.qmul(geometry.dirq(points), fn(points))
-    dev = quat.qnorm(comm - target)
-    return CommutatorReport(
-        pair=f"[grad_{i + 1}, grad_{j + 1}]",
-        description=f"nested central differences vs curvature multiplier at {len(points)} points",
-        h=h,
-        max_dev=float(dev.max()),
-        mean_dev=float(dev.mean()),
-    )
+    return quat.qnorm(comm - target)
 
 
 # ---------------------------------------------------------------------------

@@ -84,26 +84,3 @@ class Report:
         with open(path, "w") as fh:
             fh.write(self.to_json())
             fh.write("\n")
-
-
-@dataclass
-class CommutatorReport:
-    """Finite-difference commutator comparison for one operator pair."""
-
-    pair: str
-    description: str
-    h: float
-    max_dev: float
-    mean_dev: float
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "description": self.description,
-            "h": self.h,
-            "max_dev": self.max_dev,
-            "mean_dev": self.mean_dev,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)

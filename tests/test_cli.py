@@ -105,12 +105,25 @@ def test_evolve_short_run(tmp_path):
     assert any(c["name"] == "velocity-identity" for c in rep["checks"])
 
 
+def test_evolve_report_path_keeps_dotted_directories(tmp_path):
+    # only the file's own extension is replaced, never a dot in a directory
+    outdir = tmp_path / "a.b"
+    outdir.mkdir()
+    code = cli.main(["evolve", "--preset", "free", "--n", "12", "--box", "6.0",
+                     "--steps", "3", "--out", str(outdir / "traj")])
+    assert code == 0
+    assert (outdir / "traj").exists()
+    assert (outdir / "traj-report.json").exists()
+    assert not (tmp_path / "a-report.json").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     ["--box", "3.0", "--steps", "0"],  # packet 0.5 from a wall, 3 sigma = 3.0
     ["--mass", "-1", "--steps", "2"],
     ["--mass", "0", "--steps", "2"],
     ["--n", "7"],
     ["--n", "2"],
+    ["--dt", "0", "--steps", "4"],  # the Ehrenfest laws need a positive spacing
 ])
 def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
     code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,

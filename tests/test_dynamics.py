@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
@@ -258,6 +260,9 @@ def test_preset_packets_have_no_second_frame_column(preset, n):
     psi = dynamics.gaussian_packet(cfg.lattice, cfg.center, cfg.sigma, cfg.kick)
     f = _frame_cols(cfg.lattice, psi.values)
     assert np.linalg.norm(f[:, 1]) <= 1e-15 * np.linalg.norm(f[:, 0])
+    # evolve builds the same packet directly as the one column f1
+    _, start = dynamics.evolve(dataclasses.replace(cfg, steps=0))
+    assert np.abs(start.values - psi.values).max() <= 1e-14 * np.abs(psi.values).max()
 
 
 @pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
@@ -348,7 +353,7 @@ def test_ehrenfest_velocity_small_lattice():
                                    center=(-1.5, 1.5, 1.5), sigma=0.85,
                                    kick=(0.6, 0.0, 0.0), record_force=False)
     traj, _ = dynamics.evolve(cfg)
-    rep = dynamics.ehrenfest(traj, tol_velocity=0.01)
+    rep = dynamics.ehrenfest(traj)
     assert rep.passed
 
 
@@ -359,6 +364,13 @@ def test_ehrenfest_requires_samples():
                                norm=np.ones(2), energy=np.zeros(2))
     with pytest.raises(ValueError):
         dynamics.ehrenfest(traj)
+    # sample spacings that are not positive: a dt = 0 run, and time reversed
+    for times in (np.zeros(5), -0.1 * np.arange(5)):
+        traj = dynamics.Trajectory(times=times, position=np.zeros((5, 3)),
+                                   velocity=np.zeros((5, 3)), norm=np.ones(5),
+                                   energy=np.zeros(5))
+        with pytest.raises(ValueError, match="positive sample spacing"):
+            dynamics.ehrenfest(traj)
 
 
 def test_static_symmetric_packet():

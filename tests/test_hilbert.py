@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qmono import hilbert, quat
-from qmono.hilbert import Box, BoxUnion, LatticeField, LatticeSpec
+from qmono import hilbert, operators as ops, quat
+from qmono.hilbert import Box, LatticeField, LatticeSpec
 
 
 def random_field(spec, seed=0):
@@ -93,7 +93,7 @@ def test_rscale():
 def test_project_spectral_family():
     spec = LatticeSpec(n=16, box=4.0)
     psi = random_field(spec, 5)
-    full = hilbert.project(hilbert.whole_space(spec), psi)
+    full = hilbert.project(Box.of((-spec.box,) * 3, (spec.box,) * 3), psi)
     assert np.array_equal(full.values, psi.values)
 
     d1 = Box.of((-2.0, -2.0, -2.0), (1.0, 1.5, 2.0))
@@ -109,22 +109,11 @@ def test_project_spectral_family():
                   - hilbert.inner(phi, hilbert.project(d1, psi))).max() < 1e-12
 
 
-def test_box_union():
-    spec = LatticeSpec(n=16, box=4.0)
-    u = BoxUnion.of(Box.of((-4, -4, -4), (0, 0, 0)), Box.of((0, 0, 0), (4, 4, 4)))
-    v = BoxUnion.of(Box.of((-1, -1, -1), (1, 1, 1)))
-    mask = u.intersect(v).indicator(spec)
-    want = v.indicator(spec) & u.indicator(spec)
-    assert np.array_equal(mask, want)
-    moved = u.translate([0.5, 0.0, 0.0])
-    assert moved.boxes[0].lo[0] == -3.5
-
-
 def test_multop_left_action_and_commutation():
+    # the multiplication operator is operators.Multiplier
     spec = LatticeSpec(n=16, box=4.0)
     psi = random_field(spec, 7)
-    assert np.array_equal(hilbert.multop(lambda x: np.broadcast_to(
-        quat.E0, x.shape[:-1] + (4,)), psi).values, psi.values)
+    assert np.array_equal(ops.Multiplier(spec, quat.E0)(psi).values, psi.values)
 
     def f(x):
         out = np.zeros(x.shape[:-1] + (4,))
@@ -137,22 +126,24 @@ def test_multop_left_action_and_commutation():
         out[..., 1] = np.sin(x[..., 1])
         return out
 
-    # multop(f) multop(g) = multop(f g), order preserved
-    lhs = hilbert.multop(f, hilbert.multop(g, psi))
+    # M(f) M(g) = M(f g), order preserved
+    mf = ops.Multiplier(spec, f(spec.points()))
+    mg = ops.Multiplier(spec, g(spec.points()))
+    lhs = mf(mg(psi))
     fg = quat.qmul(f(spec.points()), g(spec.points()))
-    rhs = hilbert.multop(fg, psi)
+    rhs = ops.Multiplier(spec, fg)(psi)
     assert np.abs(lhs.values - rhs.values).max() < 1e-13
 
     d = Box.of((-2, -2, -2), (2, 2, 2))
-    a = hilbert.multop(f, hilbert.project(d, psi))
-    b = hilbert.project(d, hilbert.multop(f, psi))
+    a = mf(hilbert.project(d, psi))
+    b = hilbert.project(d, mf(psi))
     assert np.array_equal(a.values, b.values)  # bit-exact commutation
 
 
 def test_multop_is_left_not_right():
     spec = LatticeSpec(n=8, box=2.0)
     psi = random_field(spec, 8)
-    left = hilbert.multop(lambda x: np.broadcast_to(quat.E1, x.shape[:-1] + (4,)), psi)
+    left = ops.Multiplier(spec, quat.E1)(psi)
     right = hilbert.rscale(psi, quat.E1)
     assert np.abs(left.values - right.values).max() > 0.1
 
@@ -171,16 +162,6 @@ def test_sampling_commutes_with_pointwise_ops():
     a = hilbert.rscale(hilbert.sample(spec, fn), q)
     b = hilbert.sample(spec, lambda x: quat.qmul(fn(x), q))
     assert np.array_equal(a.values, b.values)
-
-
-def test_csv_round_trip(tmp_path):
-    spec = LatticeSpec(n=8, box=2.0)
-    psi = random_field(spec, 9)
-    path = tmp_path / "field.csv"
-    hilbert.save_csv(psi, path)
-    back = hilbert.load_csv(path)
-    assert back.spec == spec
-    assert np.abs(back.values - psi.values).max() < 1e-15
 
 
 def test_field_shape_validation():

@@ -94,7 +94,7 @@ def test_grid_kernels_match_reference_formulas(n):
         hi = lo + rng.integers(0, n + 1, size=3) * (h / 2)
         box = hilbert.Box.of(lo, hi)
         assert np.array_equal(box.indicator(spec), box_mask_from_points(box, spec))
-    whole = hilbert.whole_space(spec)
+    whole = hilbert.Box.of((-spec.box,) * 3, (spec.box,) * 3)
     assert np.array_equal(whole.indicator(spec), box_mask_from_points(whole, spec))
 
 

@@ -1,0 +1,58 @@
+"""Every public function and class of the package has a user besides its tests.
+
+The package modules and the benchmark scripts are parsed with ``ast``.  A
+top-level public definition counts as used when its identifier appears,
+as a name, an attribute or an imported name, anywhere in those files
+outside its own definition.  Matching is by identifier only, so this is a
+floor, not a proof: a definition that shares its name with a method or
+another module's function passes unnoticed.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# public definitions that no suite, CLI path or benchmark calls, kept on purpose
+KEEP = {
+    "rotgen": "the lattice rotation generator, kept for the conserved Poincare vector",
+    "expectation": "the generic expectation value, the tests' oracle for the fused observables",
+    "transport_sign_variant": "the sign-flipped transport, the negative control of the geometry suite",
+    "imaginary_unit": "builds the imaginary units that the tests pass as slice axes",
+}
+
+
+def _identifiers(node):
+    """Identifiers that ``node`` refers to: names, attributes, imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rsplit(".", 1)[-1]
+
+
+def _unused(root=ROOT):
+    """Names of the public top-level package definitions that nothing in
+    the scanned files refers to outside their own definition."""
+    package = root / "src" / "qmono"
+    defs, uses = [], {}
+    for path in sorted(package.glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for k, stmt in enumerate(tree.body):
+            if path.parent == package and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+                defs.append((stmt.name, (path, k)))
+            for ident in _identifiers(stmt):
+                uses.setdefault(ident, set()).add((path, k))
+    return {name for name, where in defs if not uses.get(name, set()) - {where}}
+
+
+def test_every_public_definition_has_a_user():
+    assert sorted(_unused() - set(KEEP)) == []
+
+
+def test_keep_list_names_unused_public_definitions():
+    # a kept name that disappears, or gains a user, leaves the list
+    assert set(KEEP) <= _unused()
