@@ -139,6 +139,9 @@ class EvolutionConfig:
             raise ValueError("dt must be nonnegative")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
+        if self.dt == 0.0 and self.steps > 0:
+            # every step would be the identity, with no time axis to check
+            raise ValueError("dt must be positive when steps > 0")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
         # the packet must sit at least 3 sigma from the monopole and from

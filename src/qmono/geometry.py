@@ -108,10 +108,26 @@ def segment_origin_distance(x, y) -> np.ndarray:
     return _norm(closest)
 
 
+def _plane_norm(planes):
+    """``|x|`` from the three coordinate planes of ``x``, added in order."""
+    x0, x1, x2 = planes
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def _far_end(xs, a):
+    """The coordinate planes of ``y = x + a``, ``|y|`` and the planes of
+    ``x cross y`` (which equals ``x cross a``), from the planes of ``x``."""
+    x0, x1, x2 = xs
+    a0, a1, a2 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+    y0, y1, y2 = x0 + a0, x1 + a1, x2 + a2
+    v = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+    return (y0, y1, y2), _plane_norm((y0, y1, y2)), v
+
+
 def _segment(a, x):
     """The coordinate planes of ``x`` and ``y = x + a``, ``|x|``, ``|y|``
-    and the planes of ``x cross y`` (which equals ``x cross a``), each
-    computed once, and the transport domain test decided from them.
+    and the planes of ``x cross y``, each computed once, and the transport
+    domain test decided from them.
 
     Raises DomainError where an endpoint is the origin, and where
     ``segment_origin_distance(x, y) <= SEGMENT_MARGIN * max(|x|, |y|)``:
@@ -120,13 +136,10 @@ def _segment(a, x):
     |d|``; otherwise it is the nearer endpoint (``d = 0`` included).
     """
     x0, x1, x2 = np.ascontiguousarray(np.moveaxis(np.asarray(x, dtype=float), -1, 0))
-    a0, a1, a2 = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    y0, y1, y2 = x0 + a0, x1 + a1, x2 + a2
-    nx = np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    ny = np.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    (y0, y1, y2), ny, v = _far_end((x0, x1, x2), a)
+    nx = _plane_norm((x0, x1, x2))
     if np.any(nx == 0.0) or np.any(ny == 0.0):
         raise DomainError("transport endpoint at the origin")
-    v = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
     d0, d1, d2 = y0 - x0, y1 - x1, y2 - x2
     dd = d0 * d0 + d1 * d1 + d2 * d2
     xd = x0 * d0 + x1 * d1 + x2 * d2
@@ -143,6 +156,19 @@ def _segment(a, x):
     return (x0, x1, x2), (y0, y1, y2), nx, ny, v
 
 
+def _transport_value(xhat, nx, ys, ny, v):
+    """``transport``'s quaternion from the planes of ``x/|x|``, ``|x|``, the
+    far end's planes and ``|y|``, and the planes ``v`` of ``x cross y``."""
+    s = [xh + yk / ny for xh, yk in zip(xhat, ys)]
+    ns = _plane_norm(s)
+    out = np.empty(np.shape(v[0]) + (4,))
+    out[..., 0] = 0.5 * ns
+    r = nx * ny * ns
+    for k in range(3):
+        out[..., k + 1] = v[k] / r
+    return out
+
+
 def transport(a, x) -> np.ndarray:
     """Parallel-transport quaternion from ``x`` to ``x + a``.
 
@@ -154,14 +180,7 @@ def transport(a, x) -> np.ndarray:
     SEGMENT_MARGIN).
     """
     xs, ys, nx, ny, v = _segment(a, x)
-    s0, s1, s2 = (xk / nx + yk / ny for xk, yk in zip(xs, ys))
-    ns = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2)
-    out = np.empty(np.shape(v[0]) + (4,))
-    out[..., 0] = 0.5 * ns
-    r = nx * ny * ns
-    for k in range(3):
-        out[..., k + 1] = v[k] / r
-    return out
+    return _transport_value(tuple(xk / nx for xk in xs), nx, ys, ny, v)
 
 
 def transport_sign_variant(a, x) -> np.ndarray:

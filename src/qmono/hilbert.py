@@ -143,12 +143,6 @@ class Box:
     def of(lo, hi) -> "Box":
         return Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
-    def indicator(self, spec: LatticeSpec) -> np.ndarray:
-        """Site mask: the outer AND of the three per-axis masks ``lo <= x_i < hi``."""
-        ax = spec.axis()
-        m0, m1, m2 = ((ax >= lo) & (ax < hi) for lo, hi in zip(self.lo, self.hi))
-        return m0[:, None, None] & m1[None, :, None] & m2[None, None, :]
-
     def translate(self, a) -> "Box":
         a = np.asarray(a, dtype=float)
         return Box.of(np.asarray(self.lo) + a, np.asarray(self.hi) + a)
@@ -163,7 +157,12 @@ def project(delta: Box, psi: LatticeField) -> LatticeField:
     """Spectral projection: zero the samples outside ``delta``.
 
     Idempotent, self-adjoint, multiplicative over intersections; commutes
-    bit-exactly with every pointwise left multiplication.
+    bit-exactly with every pointwise left multiplication.  The sites with
+    ``lo <= x_i < hi`` on every axis form one index block, since the axis
+    coordinates are sorted: it is copied into zeros.
     """
-    mask = delta.indicator(psi.spec)
-    return LatticeField(psi.spec, np.where(mask[..., None], psi.values, 0.0))
+    ax = psi.spec.axis()
+    block = tuple(slice(*np.searchsorted(ax, (lo, hi))) for lo, hi in zip(delta.lo, delta.hi))
+    out = np.zeros(psi.values.shape)
+    out[block] = psi.values[block]
+    return LatticeField(psi.spec, out)

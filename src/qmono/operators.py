@@ -40,26 +40,25 @@ from .hilbert import LatticeField, LatticeSpec
 _AXES = np.eye(3)
 
 
-def _shift_axis(vals: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """Shift samples m grid cells along an axis, filling with zeros."""
-    if m == 0:
-        return vals.copy()
+def _shifted(vals: np.ndarray, steps) -> np.ndarray:
+    """Samples moved ``steps[i]`` grid cells along axis i, filled with zeros:
+    the overlapping block copied in one slice assignment."""
     out = np.zeros_like(vals)
-    src = [slice(None)] * vals.ndim
-    dst = [slice(None)] * vals.ndim
-    if m > 0:
-        dst[axis] = slice(m, None)
-        src[axis] = slice(None, -m)
-    else:
-        dst[axis] = slice(None, m)
-        src[axis] = slice(-m, None)
+    src, dst = [], []
+    for m, size in zip(steps, vals.shape):
+        m = int(m)
+        if abs(m) >= size:
+            return out
+        src.append(slice(max(0, -m), size - max(0, m)))
+        dst.append(slice(max(0, m), size - max(0, -m)))
     out[tuple(dst)] = vals[tuple(src)]
     return out
 
 
 def _central_diff(vals: np.ndarray, axis: int, step: float) -> np.ndarray:
     # (psi(x + h) - psi(x - h)) / 2h with zero extension outside the box
-    return (_shift_axis(vals, axis, -1) - _shift_axis(vals, axis, 1)) / (2.0 * step)
+    e = _AXES[axis]
+    return (_shifted(vals, -e) - _shifted(vals, e)) / (2.0 * step)
 
 
 class Operator:
@@ -122,10 +121,7 @@ class Shift(Operator):
         return self.steps * self.spec.step
 
     def apply_values(self, vals):
-        out = vals
-        for axis, m in enumerate(self.steps):
-            out = _shift_axis(out, axis, int(m))
-        return out
+        return _shifted(vals, self.steps)
 
     def adjoint(self):
         return Shift(self.spec, -self.steps)
@@ -192,6 +188,20 @@ def _radial(spec: LatticeSpec) -> np.ndarray:
     j = geometry.dirq(spec.points())
     j.setflags(write=False)
     return j
+
+
+@functools.lru_cache(maxsize=8)
+def _site_planes(spec: LatticeSpec):
+    """The coordinate planes ``x_k`` and ``|x|`` of every site, contiguous,
+    computed once per lattice and returned read-only: the half of
+    ``geometry.transport``'s terms that ``transport_op`` does not recompute
+    for each shift.  ``x/|x|`` is the vector part of ``_radial``."""
+    pts = spec.points()
+    xs = tuple(np.ascontiguousarray(pts[..., k]) for k in range(3))
+    nx = geometry._plane_norm(xs)
+    for plane in (*xs, nx):
+        plane.setflags(write=False)
+    return xs, nx
 
 
 def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
@@ -398,8 +408,19 @@ def shift(spec: LatticeSpec, a) -> Shift:
 
 
 def transport_op(spec: LatticeSpec, a) -> Multiplier:
-    """Unitary multiplier with symbol ``transport(a; x)`` at every site."""
-    return Multiplier(spec, geometry.transport(np.asarray(a, dtype=float), spec.points()))
+    """Unitary multiplier with symbol ``transport(a; x)`` at every site.
+
+    ``a`` must be grid-commensurate.  The domain is decided in integers by
+    ``_steps_admissible`` (DomainError where a site's segment meets the
+    origin), and the symbol is ``geometry.transport``'s formula, bit for
+    bit, on the lattice's cached site planes: only the ``x + a`` terms are
+    computed per shift.
+    """
+    if not _steps_admissible(spec, spec.commensurate_steps(a)):
+        raise geometry.DomainError(f"a segment of the shift {a} passes through the origin")
+    xs, nx = _site_planes(spec)
+    xhat = tuple(_radial(spec)[..., k] for k in range(1, 4))
+    return Multiplier(spec, geometry._transport_value(xhat, nx, *geometry._far_end(xs, a)))
 
 
 def twisted_shift(spec: LatticeSpec, a) -> Compose:
@@ -588,7 +609,9 @@ def _steps_admissible(spec: LatticeSpec, m) -> bool:
     < 2 gcd(|m|)``, where ``p = m / gcd(|m|)``.  That needs every component
     of ``m`` nonzero and every ``p_i`` odd; the site with ``k = 1`` then
     exists iff ``max |p_i| <= n - 1`` (e.g. steps (2,2,2) from the site at
-    -(1,1,1)h/2).  Decided in integers, with no float margin.
+    -(1,1,1)h/2).  Decided in integers, with no float margin.  The
+    samplers draw only admissible shifts with it, and ``transport_op``
+    decides its domain with it.
     """
     m = np.asarray(m, dtype=int)
     if not m.all():

@@ -28,7 +28,8 @@ QMUL_BLOCK = 8192
 
 
 #: the four products ``p_i q_j`` of each component of ``p q``, summed left
-#: to right: the first, then each later one added or subtracted
+#: to right: the first, then each later one added or subtracted (the order
+#: of ``qmul``'s one-expression formula)
 _PRODUCTS = (
     ((0, 0), (np.subtract, 1, 1), (np.subtract, 2, 2), (np.subtract, 3, 3)),
     ((0, 1), (np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
@@ -51,19 +52,31 @@ def qmul(p, q) -> np.ndarray:
 
     Evaluated in blocks of about ``QMUL_BLOCK`` sites along the first axis,
     on contiguous component planes and two reused block buffers, so that a
-    whole field's temporaries never leave the cache.  Each component is the
-    same four products, summed in the same order, at every site.
+    whole field's temporaries never leave the cache.  Products of at most
+    ``QMUL_BLOCK // 64`` sites (single quaternions and small batches) skip
+    the block set-up and take each component as one expression, which is
+    faster there and on par up to about that size.  Either way each
+    component is the same four products, summed in the same order, at
+    every site.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     shape = np.broadcast_shapes(p.shape, q.shape)
-    grid = shape if len(shape) > 1 else (1, 4)  # at least one leading axis
-    p, q = (x if x.shape == grid else np.broadcast_to(x, grid) for x in (p, q))
-    out = np.empty(grid)
-    step = max(1, QMUL_BLOCK // max(1, math.prod(grid[1:-1])))
-    acc = np.empty((min(step, grid[0]),) + grid[1:-1])
+    if math.prod(shape[:-1]) <= QMUL_BLOCK // 64:  # up to 128 sites
+        p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
+        q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+        out = np.empty(shape)
+        out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
+        out[..., 1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
+        out[..., 2] = p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
+        out[..., 3] = p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
+        return out
+    p, q = (x if x.shape == shape else np.broadcast_to(x, shape) for x in (p, q))
+    out = np.empty(shape)
+    step = max(1, QMUL_BLOCK // max(1, math.prod(shape[1:-1])))
+    acc = np.empty((min(step, shape[0]),) + shape[1:-1])
     term = np.empty_like(acc)
-    for start in range(0, grid[0], step):
+    for start in range(0, shape[0], step):
         rows = slice(start, start + step)
         pp, qq, o = _planes(p, rows), _planes(q, rows), out[rows]
         a, t = acc[:len(o)], term[:len(o)]
@@ -72,19 +85,28 @@ def qmul(p, q) -> np.ndarray:
             for op, i, j in rest:
                 op(a, np.multiply(pp[i], qq[j], out=t), out=a)
             o[..., k] = a
-    return out.reshape(shape)
+    return out
 
 
 def qconj(q) -> np.ndarray:
     """Conjugate ``q* = [q0, -q1, -q2, -q3]``; anti-automorphism ``(pq)* = q* p*``."""
     q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    out = np.negative(q)
+    out[..., 0] = q[..., 0]
+    return out
 
 
 def qnorm(q) -> np.ndarray:
-    """Euclidean norm; multiplicative: ``|pq| = |p||q|``."""
+    """Euclidean norm; multiplicative: ``|pq| = |p||q|``.
+
+    The squares are added plane by plane in component order, the order in
+    which ``np.sum(q * q, axis=-1)`` adds them, without the ``q * q`` copy.
+    """
     q = np.asarray(q, dtype=float)
-    return np.sqrt(np.sum(q * q, axis=-1))
+    acc = q[..., 0] * q[..., 0]
+    for k in range(1, 4):
+        acc += q[..., k] * q[..., k]
+    return np.sqrt(acc)
 
 
 def vector_part(q) -> np.ndarray:

@@ -123,13 +123,15 @@ def test_evolve_report_path_keeps_dotted_directories(tmp_path):
     ["--mass", "0", "--steps", "2"],
     ["--n", "7"],
     ["--n", "2"],
-    ["--dt", "0", "--steps", "4"],  # the Ehrenfest laws need a positive spacing
+    ["--dt", "0", "--steps", "4"],  # identity steps with no time axis
 ])
 def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
     code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,
                      "--out", str(tmp_path / "traj.csv")])
     assert code == 2
     assert "usage error:" in capsys.readouterr().err
+    # rejected before any step runs: nothing is written
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_evolve_solver_failure_exits_1(tmp_path, monkeypatch, capsys):

@@ -150,6 +150,10 @@ def test_config_validation():
         dynamics.EvolutionConfig(lattice=SPEC, dt=-0.1, **GOOD)
     with pytest.raises(ValueError):
         dynamics.EvolutionConfig(lattice=SPEC, steps=-1, **GOOD)
+    # dt = 0 only without steps: a run of identity steps has no time axis
+    with pytest.raises(ValueError, match="dt must be positive"):
+        dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=4, **GOOD)
+    assert dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=0, **GOOD).steps == 0
     # packet support must clear the monopole and the walls by 3 sigma
     with pytest.raises(ValueError):
         dynamics.EvolutionConfig(lattice=SPEC, center=(0.0, 0.0, 1.0), sigma=0.5)
@@ -303,6 +307,47 @@ def test_evolve_matches_a_two_column_step_loop(preset, monkeypatch):
         want = np.asarray(rows)
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max()), name
     assert np.abs(final.values - psi.values).max() <= 1e-13 * np.abs(psi.values).max()
+
+
+def _observed_run(cfg, vals, columns):
+    """Positions, velocities and forces of ``cfg.steps`` Cayley steps from
+    the field ``vals``, stepped as its first ``columns`` frame columns."""
+    spec = cfg.lattice
+    ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
+    obs = dynamics._Observables(spec, cfg.mass, True, ev.frame)
+    psi = ev.frame.field(ev.frame.cols(LatticeField(spec, vals))[:, :columns])
+    rows = [obs.row(psi)]
+    for _ in range(cfg.steps):
+        psi = ev.step(psi)
+        rows.append(obs.row(psi))
+    pos, vel, _, frc = zip(*rows)
+    return np.asarray(pos), np.asarray(vel), np.asarray(frc)
+
+
+def test_dynamics_through_the_dirac_string():
+    # R: (x, y, z) -> (x, z, -y) permutes the sites and carries the flyby
+    # path (-0.72, 2.5, 0) + t v onto (-0.72, 0, -2.5) + t v, straight
+    # through the frame's singular ray x = y = 0, z < 0.  The quaternionic H
+    # does not know the ray: with the spin lift r = qexp(-(pi/4) e1),
+    # psi'(x) = r psi(R^-1 x) follows R x(t), only the wrong lift does not
+    cfg = dynamics.monopole_flyby_config(n=32, steps=60)
+    spec = cfg.lattice
+    rot = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
+    _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
+    moved = psi.values[:, ::-1].transpose(0, 2, 1, 3)  # psi(R^-1 x)
+    assert np.array_equal(spec.points()[:, ::-1].transpose(0, 2, 1, 3) @ rot.T, spec.points())
+    lift = quat.qexp(-0.25 * np.pi * quat.E1)
+    wrong = quat.qexp(0.25 * np.pi * quat.E1)
+    f = _frame_cols(spec, quat.qmul(lift, moved))
+    assert np.linalg.norm(f[:, 1]) <= 1e-14 * np.linalg.norm(f[:, 0])  # still in the e3 slice
+
+    want = [q @ rot.T for q in _observed_run(cfg, psi.values, 1)]
+    got = _observed_run(cfg, quat.qmul(lift, moved), 1)
+    for name, w, g in zip(("position", "velocity", "force"), want, got):
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
+    # the wrong lift leaves the slice, so it is stepped as both columns
+    miss, _, _ = _observed_run(cfg, quat.qmul(wrong, moved), 2)
+    assert np.abs(miss - want[0]).max() > 1e-2
 
 
 def test_time_reversibility():

@@ -282,6 +282,29 @@ def test_steps_admissible_matches_segment_distance(n):
             assert clear, m
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_transport_op_matches_transport(n):
+    # bit-for-bit: the lattice path from the cached site planes against the
+    # whole-grid transport, for every |m_i| <= 3; both raise DomainError for
+    # exactly the shifts that the integer test rejects
+    spec = LatticeSpec(n=n, box=3.0)
+    rejected = 0
+    for m in np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), axis=-1).reshape(-1, 3):
+        a = m * spec.step
+        if ops._steps_admissible(spec, m):
+            want = geometry.transport(a, spec.points())
+            assert np.array_equal(ops.transport_op(spec, a).symbol, want), m
+            continue
+        rejected += 1
+        with pytest.raises(geometry.DomainError):
+            ops.transport_op(spec, a)
+        with pytest.raises(geometry.DomainError):
+            geometry.transport(a, spec.points())
+    assert rejected == 64 + 8  # every m with odd components, and (+-2, +-2, +-2)
+    with pytest.raises(ValueError):
+        ops.transport_op(spec, np.array([0.1, 0.0, 0.0]))
+
+
 def test_gis_verify_report(spec):
     rep = verify.gis_suite(n=spec.n, box=spec.box, samples=50, seed=3)
     assert rep.passed

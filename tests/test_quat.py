@@ -66,20 +66,36 @@ def box_mask_from_points(box, spec):
     return np.all((pts >= np.asarray(box.lo)) & (pts < np.asarray(box.hi)), axis=-1)
 
 
+def shift_ref(vals, steps):
+    """``vals`` moved by ``steps`` grid cells with zero fill: a periodic roll,
+    then every site whose source index lies outside the grid zeroed (reference)."""
+    n = vals.shape[0]
+    rolled = np.roll(vals, tuple(int(m) % n for m in steps), axis=(0, 1, 2))
+    src = np.arange(n) - np.reshape(steps, (3, 1))  # per-axis source indices
+    m0, m1, m2 = (src >= 0) & (src < n)
+    inside = m0[:, None, None] & m1[None, :, None] & m2[None, None, :]
+    return np.where(inside[..., None], rolled, 0.0)
+
+
 @pytest.mark.parametrize("n", [8, 48])
 def test_grid_kernels_match_reference_formulas(n):
-    # bit-for-bit: blocked qmul on every operand layout the program passes
-    # (n = 48 spans several blocks), and the per-axis box mask
+    # bit-for-bit: blocked and small-operand qmul on every operand layout
+    # the program passes (n = 48 spans several blocks), qnorm and qconj,
+    # the one-pass shifts and central differences, and box projections
     rng = np.random.default_rng(n)
     spec = hilbert.LatticeSpec(n=n, box=3.0)
     f, g = rng.standard_normal((2, n, n, n, 4))
     c = rng.standard_normal(4)
     batch_p, batch_q = rng.standard_normal((2, 20000, 4))  # three blocks
+    cut = quat.QMUL_BLOCK // 64  # the largest small-operand batch
     here, there = (slice(None), slice(None, -1)), (slice(None), slice(1, None))
     cases = [
         (f, g),                                  # whole fields
         (c, g), (f, c),                          # (4,) x field, field x (4,)
         (batch_p, batch_q), (batch_p, c), (c, c),  # batches and single quaternions
+        (batch_p[:1], batch_q[:1]), (c, batch_q[:7]),
+        (batch_p[:cut], batch_q[:cut]), (batch_p[:cut + 1], batch_q[:cut + 1]),
+        (batch_p[:cut], c), (c, batch_q[:cut + 1]),  # both sides of the cut
         (operators.left_unit(spec, 1).symbol, g),  # zero-stride symbol
         (f[here], g[there]),                     # non-contiguous slices
         (quat.qconj(f[there]), quat.qmul(g[here], f[there])),
@@ -88,14 +104,32 @@ def test_grid_kernels_match_reference_formulas(n):
         got = quat.qmul(p, q)
         assert got.shape == np.broadcast_shapes(np.shape(p), np.shape(q))
         assert np.array_equal(got, qmul_formula(p, q))
+    for q in (f, f[there], batch_p[:cut], c):
+        assert np.array_equal(quat.qnorm(q), np.sqrt(np.sum(q * q, -1)))
+        assert np.array_equal(quat.qconj(q), q * [1.0, -1.0, -1.0, -1.0])
+
+    m_range = np.arange(-3, 4)
+    for m in np.stack(np.meshgrid(m_range, m_range, m_range), axis=-1).reshape(-1, 3):
+        assert np.array_equal(operators.Shift(spec, m).apply_values(f), shift_ref(f, m)), m
+    for m in ((n, 0, 0), (0, -n, 1), (2, 1, n + 3), (-n - 1, -n, n)):
+        assert not operators.Shift(spec, m).apply_values(f).any(), m
+    for axis, e in enumerate(np.eye(3, dtype=int)):
+        want = (shift_ref(f, -e) - shift_ref(f, e)) / (2.0 * spec.step)
+        assert np.array_equal(operators.Diff(spec, axis).apply_values(f), want)
+
     h = spec.step
+    boxes = [hilbert.Box.of((-spec.box,) * 3, (spec.box,) * 3),  # the whole box
+             hilbert.Box.of((0.0,) * 3, (0.0,) * 3)]             # an empty box
     for _ in range(50):
         lo = rng.integers(-n, n, size=3) * (h / 2)  # faces on sites and on cell faces
         hi = lo + rng.integers(0, n + 1, size=3) * (h / 2)
-        box = hilbert.Box.of(lo, hi)
-        assert np.array_equal(box.indicator(spec), box_mask_from_points(box, spec))
-    whole = hilbert.Box.of((-spec.box,) * 3, (spec.box,) * 3)
-    assert np.array_equal(whole.indicator(spec), box_mask_from_points(whole, spec))
+        boxes.append(hilbert.Box.of(lo, hi))
+    psi = hilbert.LatticeField(spec, f)
+    for box in boxes:
+        want = np.where(box_mask_from_points(box, spec)[..., None], f, 0.0)
+        assert np.array_equal(hilbert.project(box, psi).values, want), box
+    assert hilbert.project(boxes[0], psi).values.all()
+    assert not hilbert.project(boxes[1], psi).values.any()
 
 
 def test_conjugation():
