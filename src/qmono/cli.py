@@ -123,7 +123,7 @@ def cmd_evolve(args) -> int:
     traj.save_csv(args.out)
     print(f"trajectory ({len(traj.times)} samples) written to {args.out}")
     if len(traj.cg_iters):
-        print(f"mean CG iterations per step: {traj.cg_iters.mean():.1f}")
+        print(f"mean CG iterations per step (one matvec each): {traj.cg_iters.mean():.1f}")
 
     drift = float(np.abs(traj.norm - traj.norm[0]).max())
     print(f"norm drift over the run: {drift:.3e}")

@@ -17,8 +17,9 @@ multiplication by ``i``.  A field in the slice ``{J psi = psi e3}`` is
 as the one column ``f1``, while an arbitrary field keeps both.  The frame
 is singular only on the ray ``x = y = 0, z < 0``, which plays the role of
 the Dirac string (Wu and Yang, Phys. Rev. D 12, 3845, 1975) and which a
-cell-centered grid never samples.  The Cayley step runs conjugate
-gradients on its normal equations in this frame.
+cell-centered grid never samples.  The Cayley step solves ``(I + M) f' =
+(I - M) f`` in this frame, ``M = (dt/2) i Q* H Q`` anti-hermitian, by the
+generalized conjugate gradients of ``cg``: one matvec per iteration.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -32,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import blas
 
 from . import geometry, hilbert, operators as ops, quat
 from .hilbert import LatticeField, LatticeSpec
@@ -144,6 +145,10 @@ class EvolutionConfig:
             raise ValueError("dt must be positive when steps > 0")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        # rtol >= 1 accepts the warm start unchecked, a non-unitary step;
+        # rtol <= 0 can never be met
+        if not 0.0 < self.solver_rtol < 1.0:
+            raise ValueError("solver_rtol must lie in (0, 1)")
         # the packet must sit at least 3 sigma from the monopole and from
         # every wall, or its expectation values are not trustworthy
         center = np.asarray(self.center, dtype=float)
@@ -153,16 +158,79 @@ class EvolutionConfig:
             raise ValueError("packet center closer than 3 sigma to the box walls")
 
 
+def cg(a, b, x0=None, rtol=1e-5, atol=0.0, maxiter=500, callback=None):
+    """Solve ``(I + a) x = b`` for an anti-hermitian ``a`` by the generalized
+    conjugate gradients of Concus, Golub and Widlund (Widlund, SIAM J.
+    Numer. Anal. 15, 801, 1978); scipy's ``cg`` calling convention.
+
+    Lanczos on ``a`` gives orthonormal ``v_1, v_2, ...`` and a tridiagonal
+    ``T_k`` with diagonal ``i alpha_j``, ``beta_j`` below it and
+    ``-beta_j`` above.  The Galerkin iterate ``x_k = x_0 + V_k (I +
+    T_k)^-1 beta_0 e_1`` follows the LU factors of ``I + T_k``, taken
+    without pivoting: each pivot ``eta_k = 1 + i alpha_k + beta_{k-1}^2 /
+    eta_{k-1}`` has real part at least 1, so the recurrence cannot break
+    down.  The residual is ``-beta_k (z_k / eta_k) v_{k+1}``, so its norm
+    comes without a matvec, and one product with ``a`` is made per
+    iteration.  ``b`` may be ``(n, k)`` columns, solved as one vector.
+
+    Returns ``(x, info)``: ``info`` is 0 once the residual is at most
+    ``max(rtol |b|, atol)``, else the ``maxiter`` iterations run.
+    ``callback(x)`` is called after every iteration.
+    """
+    b = np.ascontiguousarray(b, dtype=complex)
+    bnorm = blas.dznrm2(b.ravel())
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    tol = max(atol, rtol * bnorm)
+    if x0 is None:
+        x = np.zeros_like(b)
+        v = b.copy()
+    else:
+        x = np.array(x0, dtype=complex, order="C").reshape(b.shape)
+        v = b - x - a @ x
+    xf, vf = x.ravel(), v.ravel()
+    # z_k: the last entry of L_k^-1 beta_0 e_1, z_1 = beta_0 = |b - x0 - a x0|
+    z = blas.dznrm2(vf)
+    if z <= tol:
+        return x, 0
+    blas.zdscal(1.0 / z, vf, overwrite_x=True)
+    # p_k: the last column of V_k U_k^-1; v_0 = p_0 = 0, so beta and ell start at 0
+    prev, pf = np.zeros_like(vf), np.zeros_like(vf)
+    beta = ell = 0.0
+    for _ in range(maxiter):
+        w = np.ascontiguousarray(a @ v)
+        wf = w.ravel()
+        blas.zaxpy(prev, wf, a=beta)
+        # v* a v is imaginary for anti-hermitian a: keep only that part
+        alpha = blas.zdotc(vf, wf).imag
+        blas.zaxpy(vf, wf, a=-1j * alpha)
+        eta = 1.0 + 1j * alpha + beta * ell
+        blas.zscal(beta / eta, pf)
+        blas.zaxpy(vf, pf, a=1.0 / eta)
+        blas.zaxpy(pf, xf, a=z)
+        beta = blas.dznrm2(wf)
+        if callback is not None:
+            callback(x)
+        if beta * abs(z / eta) <= tol:
+            return x, 0
+        blas.zdscal(1.0 / beta, wf, overwrite_x=True)
+        ell = beta / eta
+        z *= -ell
+        prev, v, vf = vf, w, wf
+    return x, maxiter
+
+
 class CayleyEvolver:
     """Norm-preserving time stepper for the monopole Hamiltonian.
 
     Solves ``(I + M) f' = (I - M) f`` each step on the ``(n^3, k)``
     slice-frame columns the frame holds for the field, ``M = (dt/2) i Q* H
-    Q`` held as a precomputed sparse matrix; conjugate gradients run on the
-    normal equations ``(I - M^2)``, hermitian positive definite because
-    ``M`` is anti-hermitian.  ``M`` acts on each column alone, so a zero
-    ``f2`` stays zero and a one-column field is stepped as one column.
-    ``cg_iters`` records the iteration count of every step.
+    Q`` held as a precomputed sparse matrix.  ``M`` is anti-hermitian, so
+    ``cg`` solves the system itself by generalized conjugate gradients, one
+    matvec per iteration, from the warm start ``2 f - f_prev``.  ``M`` acts
+    on each column alone, so a zero ``f2`` stays zero and a one-column
+    field is stepped as one column.  ``cg_iters`` records the iteration
+    count of every step: one matvec each, plus one for the start residual.
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
@@ -178,10 +246,6 @@ class CayleyEvolver:
         if dt != 0.0:
             self._m = (0.5 * dt) * build_generator_matrix(spec, mass)
 
-    def _normal_matvec(self, flat: np.ndarray, k: int) -> np.ndarray:
-        cols = flat.reshape(-1, k)
-        return (cols - self._m @ (self._m @ cols)).ravel()
-
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
             raise ValueError("field lattice does not match the evolver")
@@ -189,11 +253,7 @@ class CayleyEvolver:
             self.cg_iters.append(0)
             return psi.copy()
         v = self.frame.cols(psi)
-        k = v.shape[1]
         b = v - self._m @ v
-        rhs = (b - self._m @ b).ravel()
-        linop = LinearOperator((v.size, v.size), matvec=lambda x: self._normal_matvec(x, k),
-                               dtype=complex)
         # warm start: linear extrapolation from the previous step of the same shape
         prev = self._prev
         x0 = (2.0 * v - prev) if prev is not None and prev.shape == v.shape else b
@@ -202,19 +262,19 @@ class CayleyEvolver:
         def count(_):
             self.cg_iters[-1] += 1
 
-        sol, info = cg(linop, rhs, x0=x0.ravel(), rtol=self.solver_rtol, atol=0.0,
+        sol, info = cg(self._m, b, x0=x0, rtol=self.solver_rtol, atol=0.0,
                        maxiter=500, callback=count)
         if info != 0:
-            res = np.linalg.norm(self._normal_matvec(sol, k) - rhs)
+            res = np.linalg.norm(sol + self._m @ sol - b)
             raise RuntimeError(f"Cayley inner solve did not converge (info={info}, residual={res:.3e})")
         self._prev = v
-        return self.frame.field(sol.reshape(-1, k))
+        return self.frame.field(sol)
 
 
 @dataclass
 class Trajectory:
-    """Expectation-value time series recorded along a run, and the CG
-    iterations of each step (not written to the CSV)."""
+    """Expectation-value time series recorded along a run, and the ``cg``
+    iterations of each step, one matvec each (not written to the CSV)."""
 
     times: np.ndarray
     position: np.ndarray

@@ -56,9 +56,15 @@ def _shifted(vals: np.ndarray, steps) -> np.ndarray:
 
 
 def _central_diff(vals: np.ndarray, axis: int, step: float) -> np.ndarray:
-    # (psi(x + h) - psi(x - h)) / 2h with zero extension outside the box
-    e = _AXES[axis]
-    return (_shifted(vals, -e) - _shifted(vals, e)) / (2.0 * step)
+    # (psi(x + h) - psi(x - h)) / 2h with zero extension outside the box,
+    # built in one zeroed grid
+    out = np.zeros_like(vals)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    out[lo] = vals[hi]
+    out[hi] -= vals[lo]
+    out /= 2.0 * step
+    return out
 
 
 class Operator:

@@ -154,6 +154,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="dt must be positive"):
         dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=4, **GOOD)
     assert dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=0, **GOOD).steps == 0
+    # a solver tolerance outside (0, 1) is either never met or met unchecked
+    for rtol in (0.0, -1e-13, 1.0, 2.0):
+        with pytest.raises(ValueError, match="solver_rtol"):
+            dynamics.EvolutionConfig(lattice=SPEC, solver_rtol=rtol, **GOOD)
     # packet support must clear the monopole and the walls by 3 sigma
     with pytest.raises(ValueError):
         dynamics.EvolutionConfig(lattice=SPEC, center=(0.0, 0.0, 1.0), sigma=0.5)
@@ -220,6 +224,68 @@ def test_cayley_steps_converge_to_exact_propagator():
         errs.append(np.linalg.norm(_frame_cols(spec, cur.values) - exact) / np.linalg.norm(exact))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     assert all(3.0 <= r <= 5.0 for r in ratios), (errs, ratios)
+
+
+def _anti_hermitian(n, norm, rng):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s = g - g.conj().T
+    return s * (norm / np.linalg.norm(s, 2))
+
+
+def _counted_cg(*args, **kwargs):
+    calls = []
+    x, info = dynamics.cg(*args, callback=lambda xk: calls.append(1), **kwargs)
+    return x, info, len(calls)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("warm", [False, True])
+def test_cg_matches_dense_solve_of_identity_plus_anti_hermitian(k, warm):
+    rng = np.random.default_rng(11 + k)
+    n, rtol = 180, 1e-10
+    s = _anti_hermitian(n, 3.0, rng)
+    b = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    exact = np.linalg.solve(np.eye(n) + s, b)
+    x0 = exact + 0.1 * rng.standard_normal((n, k)) if warm else None
+    start = None if x0 is None else x0.copy()
+    x, info, iters = _counted_cg(s, b, x0=x0, rtol=rtol)
+    assert info == 0 and 0 < iters < n
+    assert x.shape == b.shape
+    bnorm = np.linalg.norm(b)
+    assert np.linalg.norm(b - x - s @ x) <= rtol * bnorm
+    # (I + s)^-1 has norm at most 1: the error is bounded by the residual
+    assert np.linalg.norm(x - exact) <= rtol * bnorm
+    if warm:  # the start is copied, not overwritten
+        assert np.array_equal(x0, start)
+
+
+def test_cg_exits_after_one_iteration_on_an_eigenvector():
+    # b an eigenvector of s, eigenvalue i lam: the Krylov space is one-dimensional,
+    # and the first iterate b / (1 + i lam) is the answer
+    rng = np.random.default_rng(7)
+    n = 60
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    lam = np.linspace(-4.0, 4.0, n)
+    s = (q * (1j * lam)) @ q.conj().T
+    for j in (0, 17, n - 1):
+        b = q[:, j:j + 1]
+        x, info, iters = _counted_cg(s, b, rtol=1e-12)
+        assert (info, iters) == (0, 1)
+        assert np.all(np.isfinite(x))
+        assert np.abs(x - b / (1.0 + 1j * lam[j])).max() <= 1e-14
+
+
+def test_cg_zero_right_hand_side_and_iteration_limit():
+    rng = np.random.default_rng(9)
+    s = _anti_hermitian(100, 3.0, rng)
+    x0 = rng.standard_normal((100, 2)) + 0j
+    x, info, iters = _counted_cg(s, np.zeros((100, 2), complex), x0=x0, rtol=1e-12)
+    assert (info, iters) == (0, 0)
+    assert x.shape == (100, 2) and not x.any()
+    b = rng.standard_normal((100, 1)) + 1j * rng.standard_normal((100, 1))
+    x, info, iters = _counted_cg(s, b, rtol=1e-12, maxiter=3)
+    assert info == 3 and iters == 3
+    assert np.linalg.norm(b - x - s @ x) > 1e-12 * np.linalg.norm(b)
 
 
 def test_evolver_records_cg_iterations_per_step():
