@@ -116,20 +116,31 @@ def _require_matching(phi: LatticeField, psi: LatticeField):
 
 
 def inner(phi: LatticeField, psi: LatticeField) -> np.ndarray:
-    """Quaternion-valued inner product (conjugate-linear in ``phi``)."""
+    """Quaternion-valued inner product (conjugate-linear in ``phi``).
+
+    One 4x4 Gram product ``G_ab = sum_x phi_a(x) psi_b(x)``; each component
+    of ``sum_x phi(x)* psi(x)`` is a signed sum of four of its entries.
+    """
     _require_matching(phi, psi)
-    prod = quat.qmul(quat.qconj(phi.values), psi.values)
-    return prod.sum(axis=(0, 1, 2)) * phi.spec.cell_volume
+    g = phi.values.reshape(-1, 4).T @ psi.values.reshape(-1, 4)
+    prod = np.array([
+        g[0, 0] + g[1, 1] + g[2, 2] + g[3, 3],
+        g[0, 1] - g[1, 0] - g[2, 3] + g[3, 2],
+        g[0, 2] + g[1, 3] - g[2, 0] - g[3, 1],
+        g[0, 3] - g[1, 2] + g[2, 1] - g[3, 0],
+    ])
+    return prod * phi.spec.cell_volume
 
 
 def norm(psi: LatticeField) -> float:
     """Hilbert norm sqrt(inner(psi, psi))."""
-    return float(np.sqrt(np.sum(psi.values**2) * psi.spec.cell_volume))
+    v = psi.values.reshape(-1)
+    return float(np.sqrt(np.dot(v, v) * psi.spec.cell_volume))
 
 
 def rscale(psi: LatticeField, q) -> LatticeField:
     """Right scalar action ``psi -> psi q`` (pointwise right multiplication)."""
-    return LatticeField(psi.spec, quat.qmul(psi.values, np.asarray(q, dtype=float)))
+    return LatticeField(psi.spec, quat.rmul(psi.values, q))
 
 
 @dataclass(frozen=True)

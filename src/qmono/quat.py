@@ -88,6 +88,23 @@ def qmul(p, q) -> np.ndarray:
     return out
 
 
+def rmul(p, c) -> np.ndarray:
+    """Right product ``p c`` of values ``p`` of shape (..., 4) by one quaternion ``c``.
+
+    One matrix product ``p @ R(c)`` on the flattened values, where row ``i``
+    of the 4x4 right-multiplication matrix ``R(c)`` is ``e_i c``.  It agrees
+    with ``qmul(p, c)`` to roundoff (BLAS sums the four products in its own
+    order) and bit for bit when ``c`` is a signed basis unit.
+    """
+    p = np.asarray(p, dtype=float)
+    c0, c1, c2, c3 = np.asarray(c, dtype=float)
+    r = np.array([[c0, c1, c2, c3],
+                  [-c1, c0, -c3, c2],
+                  [-c2, c3, c0, -c1],
+                  [-c3, -c2, c1, c0]])
+    return (p.reshape(-1, 4) @ r).reshape(p.shape)
+
+
 def qconj(q) -> np.ndarray:
     """Conjugate ``q* = [q0, -q1, -q2, -q3]``; anti-automorphism ``(pq)* = q* p*``."""
     q = np.asarray(q, dtype=float)

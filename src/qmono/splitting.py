@@ -70,21 +70,23 @@ def _jmul(psi: LatticeField) -> np.ndarray:
 
 def split(psi: LatticeField, s: SliceSpec) -> SplitPair:
     """Decompose ``psi = psi1 + psi2 omega_tilde`` with both parts in the slice."""
-    jpsi_w = quat.qmul(_jmul(psi), s.w)
-    psi1 = 0.5 * (psi.values - jpsi_w)
-    psi2 = -0.5 * quat.qmul(psi.values + jpsi_w, s.wt)
+    jpsi_w = quat.rmul(_jmul(psi), s.w)
+    psi2 = quat.rmul(psi.values + jpsi_w, -0.5 * s.wt)  # a power of two: exact in wt
+    psi1 = np.subtract(psi.values, jpsi_w, out=jpsi_w)
+    psi1 *= 0.5
     return SplitPair(LatticeField(psi.spec, psi1), LatticeField(psi.spec, psi2))
 
 
 def reconstruct(pair: SplitPair, s: SliceSpec) -> LatticeField:
     """Inverse of ``split``: ``psi1 + psi2 omega_tilde``."""
-    return LatticeField(pair.psi1.spec,
-                        pair.psi1.values + quat.qmul(pair.psi2.values, s.wt))
+    vals = quat.rmul(pair.psi2.values, s.wt)
+    vals += pair.psi1.values
+    return LatticeField(pair.psi1.spec, vals)
 
 
 def slice_residual(psi: LatticeField, s: SliceSpec) -> float:
     """Max-site norm of ``(J psi)(x) - psi(x) omega``."""
-    dev = _jmul(psi) - quat.qmul(psi.values, s.w)
+    dev = _jmul(psi) - quat.rmul(psi.values, s.w)
     return float(quat.qnorm(dev).max())
 
 

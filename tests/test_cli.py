@@ -22,15 +22,20 @@ def test_verify_algebra_passes(tmp_path, capsys):
 
 
 def test_verify_reports_are_deterministic(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    assert cli.main(["verify", "algebra", "--samples", "1000", "--out", str(a)]) == 0
-    assert cli.main(["verify", "algebra", "--samples", "1000", "--out", str(b)]) == 0
-    da = json.loads(a.read_text())
-    db = json.loads(b.read_text())
-    da.pop("timestamp")
-    db.pop("timestamp")
-    assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+    # the lattice suites run the BLAS kernels (the Gram inner product, the
+    # right product by a constant) and the batched analytic identities
+    for args in (["algebra", "--samples", "1000"],
+                 ["splitting", "--samples", "50", "--n", "12"],
+                 ["operators", "--samples", "50", "--n", "14"]):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        assert cli.main(["verify", *args, "--out", str(a)]) == 0
+        assert cli.main(["verify", *args, "--out", str(b)]) == 0
+        da = json.loads(a.read_text())
+        db = json.loads(b.read_text())
+        da.pop("timestamp")
+        db.pop("timestamp")
+        assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True), args[0]
 
 
 def test_verify_negative_control(tmp_path, monkeypatch, capsys):
@@ -43,6 +48,17 @@ def test_verify_negative_control(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(quat, "qmul", flipped)
     code = cli.main(["verify", "algebra", "--samples", "500",
+                     "--out", str(tmp_path / "bad.json")])
+    assert code == 1
+    assert "worst offender" in capsys.readouterr().err
+
+
+def test_verify_splitting_negative_control(tmp_path, monkeypatch, capsys):
+    # the right scalar action replaced by the left product c p must fail the
+    # splitting suite
+    real_qmul = quat.qmul
+    monkeypatch.setattr(quat, "rmul", lambda p, c: real_qmul(c, p))
+    code = cli.main(["verify", "splitting", "--samples", "20", "--n", "12",
                      "--out", str(tmp_path / "bad.json")])
     assert code == 1
     assert "worst offender" in capsys.readouterr().err

@@ -47,6 +47,17 @@ def test_inner_gaussian_oracle():
     assert np.abs(val[1:]).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_inner_matches_summed_pointwise_product(n):
+    # the Gram-matrix inner product against the site-by-site sum of phi* psi
+    spec = LatticeSpec(n=n, box=4.0)
+    phi, psi = random_field(spec, 5), random_field(spec, 6)
+    for a, b in ((phi, psi), (psi, psi), (phi, hilbert.rscale(psi, quat.E2))):
+        want = quat.qmul(quat.qconj(a.values), b.values).sum(axis=(0, 1, 2)) * spec.cell_volume
+        got = hilbert.inner(a, b)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_inner_positivity_and_realness():
     spec = LatticeSpec(n=16, box=4.0)
     psi = random_field(spec, 1)
@@ -160,7 +171,7 @@ def test_sampling_commutes_with_pointwise_ops():
 
     q = np.array([0.2, 0.4, -0.1, 0.9])
     a = hilbert.rscale(hilbert.sample(spec, fn), q)
-    b = hilbert.sample(spec, lambda x: quat.qmul(fn(x), q))
+    b = hilbert.sample(spec, lambda x: quat.rmul(fn(x), q))
     assert np.array_equal(a.values, b.values)
 
 

@@ -337,3 +337,44 @@ def test_operator_arithmetic(spec, psi):
     assert np.abs(combo(psi).values - want).max() < 1e-14
     neg = -x0
     assert np.abs(neg(psi).values + x0(psi).values).max() == 0.0
+
+
+def test_stencil_identities_on_a_batch_match_field_by_field():
+    # the operators suite draws its 20 Gaussian fields as one batched field
+    # and checks the four Richardson-checked identities on the whole batch;
+    # field k's deviation must be the bits it gives alone, where each field
+    # is the parameters of the one-by-one draw in a plain scalar formula
+    def gaussian_ref(center, width, amp):
+        return lambda x: (np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width**2))
+                          [..., None] * amp)
+
+    rng, ref_rng = np.random.default_rng(1008), np.random.default_rng(1008)
+    batch = verify._random_gaussian_fields(rng, 20)
+    singles = []
+    for _ in range(20):  # per field: centre, width, amplitude
+        center = verify._positions(ref_rng, 1, lo=1.2, hi=2.5)[0]
+        width = ref_rng.uniform(0.6, 1.2)
+        singles.append(gaussian_ref(center, width, ref_rng.standard_normal(4)))
+    probes = verify._probe_points(rng)
+    assert np.array_equal(probes, verify._probe_points(ref_rng))  # same draws consumed
+    assert np.array_equal(batch(probes), np.stack([fn(probes) for fn in singles]))
+    for name, _, fdev, _ in verify._STENCIL_IDENTITIES:
+        for h in (0.02, 0.01):
+            got = fdev(batch, probes, h)
+            assert got.shape == (20,), name
+            assert np.array_equal(got, [fdev(fn, probes, h) for fn in singles]), (name, h)
+
+
+def test_batched_gaussian_field_keeps_the_bits_of_scalar_widths():
+    # numpy's w**2 on an array squares, while a Python float's ** rounds
+    # through C pow; they differ in the last bit for a few widths in 10^4
+    rng = np.random.default_rng(3)
+    m = 20000
+    center = rng.uniform(-2.0, 2.0, (m, 3))
+    width = rng.uniform(0.6, 1.2, m)
+    amp = rng.standard_normal((m, 4))
+    probes = verify._probe_points(rng)
+    denom = np.array([2.0 * w**2 for w in width.tolist()])
+    env = np.exp(-np.sum((probes - center[:, None]) ** 2, axis=-1) / denom[:, None])
+    got = verify.gaussian_field(center, width, amp)(probes)
+    assert np.array_equal(got, env[..., None] * amp[:, None])

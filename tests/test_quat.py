@@ -132,6 +132,23 @@ def test_grid_kernels_match_reference_formulas(n):
     assert not hilbert.project(boxes[1], psi).values.any()
 
 
+def test_rmul_matches_the_product_formula():
+    # the right product by one quaternion is one BLAS matrix product: bit
+    # for bit on the signed basis units, within roundoff for any other c
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((32, 32, 32, 4))
+    for c in np.concatenate([np.eye(4), -np.eye(4)]):
+        assert np.array_equal(quat.rmul(f, c), qmul_formula(f, c)), c
+    for _ in range(5):
+        c = rng.standard_normal(4)
+        for p in (rng.standard_normal(4), rng.standard_normal((300, 4)), f,
+                  f[:, 1:, ::2]):  # non-contiguous
+            got = quat.rmul(p, c)
+            want = qmul_formula(p, c)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want).max(axis=-1) <= 1e-15 * quat.qnorm(p) * quat.qnorm(c))
+
+
 def test_conjugation():
     assert np.array_equal(quat.qconj(quat.E0 + quat.E1), quat.E0 - quat.E1)
     rng = np.random.default_rng(2)
