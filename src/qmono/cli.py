@@ -60,6 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError("--tol must be positive and finite")
     cfg = {"samples": args.samples, "seed": args.seed, "n": args.n,
            "box": args.box, "tol": args.tol}
     rep = SUITES[args.suite](cfg)
@@ -81,6 +83,8 @@ def cmd_verify(args) -> int:
 def cmd_chern(args) -> int:
     if args.n < 8:
         raise ValueError("--n must be at least 8")
+    if not 0.0 < args.tol < np.inf:
+        raise ValueError("--tol must be positive and finite")
     grids = [8]
     while grids[-1] * 2 <= args.n:
         grids.append(grids[-1] * 2)

@@ -61,10 +61,11 @@ class _SliceFrame:
     """Fields to and from their ``(n^3, k)`` slice-frame columns, with
     ``psi = q (f1 + f2 e1)`` and ``f2`` zero when k = 1.
 
-    The last converted pair is kept: a field passed on unchanged (a step's
-    output recorded, then stepped again) is converted once, since fields
-    are immutable snapshots, and a field built from one column keeps
-    one column.
+    The last field built by ``field`` is kept with its columns, and its
+    values are read-only: it is converted once however often it is passed
+    on (a step's output recorded, then stepped again) and cannot change
+    under the kept columns, and a field built from one column keeps one
+    column.
     """
 
     def __init__(self, spec: LatticeSpec):
@@ -76,15 +77,17 @@ class _SliceFrame:
     def cols(self, psi: LatticeField) -> np.ndarray:
         """The complex columns of ``psi``: those it was built from by
         ``field``, else the ``(n^3, 2)`` columns ``(f1, f2)``."""
-        if psi is not self._field:
-            self._field, self._cols = psi, ops._to_cols(self.q, psi.values)
-        return self._cols
+        if psi is self._field:
+            return self._cols
+        return ops._to_cols(self.q, psi.values)
 
     def field(self, cols: np.ndarray) -> LatticeField:
-        """The field whose ``(n^3, k)`` complex columns are ``cols``."""
-        psi = LatticeField(self.spec, ops._from_cols(self.q, cols))
-        self._field, self._cols = psi, cols
-        return psi
+        """The field, with read-only values, whose ``(n^3, k)`` complex
+        columns are ``cols``."""
+        vals = ops._from_cols(self.q, cols)
+        vals.setflags(write=False)
+        self._field, self._cols = LatticeField(self.spec, vals), cols
+        return self._field
 
 
 def _packet_envelope_phase(spec: LatticeSpec, center, sigma: float, kick):
@@ -134,17 +137,17 @@ class EvolutionConfig:
     record_force: bool = True
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.dt < 0.0:
-            raise ValueError("dt must be nonnegative")
+        if not 0.0 < self.mass < np.inf:
+            raise ValueError("mass must be positive and finite")
+        if not 0.0 <= self.dt < np.inf:
+            raise ValueError("dt must be nonnegative and finite")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
         if self.dt == 0.0 and self.steps > 0:
             # every step would be the identity, with no time axis to check
             raise ValueError("dt must be positive when steps > 0")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be positive and finite")
         # rtol >= 1 accepts the warm start unchecked, a non-unitary step;
         # rtol <= 0 can never be met
         if not 0.0 < self.solver_rtol < 1.0:
@@ -158,7 +161,7 @@ class EvolutionConfig:
             raise ValueError("packet center closer than 3 sigma to the box walls")
 
 
-def cg(a, b, x0=None, rtol=1e-5, atol=0.0, maxiter=500, callback=None):
+def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     """Solve ``(I + a) x = b`` for an anti-hermitian ``a`` by the generalized
     conjugate gradients of Concus, Golub and Widlund (Widlund, SIAM J.
     Numer. Anal. 15, 801, 1978); scipy's ``cg`` calling convention.
@@ -174,14 +177,14 @@ def cg(a, b, x0=None, rtol=1e-5, atol=0.0, maxiter=500, callback=None):
     iteration.  ``b`` may be ``(n, k)`` columns, solved as one vector.
 
     Returns ``(x, info)``: ``info`` is 0 once the residual is at most
-    ``max(rtol |b|, atol)``, else the ``maxiter`` iterations run.
+    ``rtol |b|``, else the ``maxiter`` iterations run.
     ``callback(x)`` is called after every iteration.
     """
     b = np.ascontiguousarray(b, dtype=complex)
     bnorm = blas.dznrm2(b.ravel())
     if bnorm == 0.0:
         return np.zeros_like(b), 0
-    tol = max(atol, rtol * bnorm)
+    tol = rtol * bnorm
     if x0 is None:
         x = np.zeros_like(b)
         v = b.copy()
@@ -262,8 +265,7 @@ class CayleyEvolver:
         def count(_):
             self.cg_iters[-1] += 1
 
-        sol, info = cg(self._m, b, x0=x0, rtol=self.solver_rtol, atol=0.0,
-                       maxiter=500, callback=count)
+        sol, info = cg(self._m, b, x0=x0, rtol=self.solver_rtol, maxiter=500, callback=count)
         if info != 0:
             res = np.linalg.norm(sol + self._m @ sol - b)
             raise RuntimeError(f"Cayley inner solve did not converge (info={info}, residual={res:.3e})")
@@ -393,7 +395,7 @@ def ehrenfest(traj: Trajectory) -> Report:
                    recorded ``<-(J/m) grad>``, relative to the velocity scale;
     force law:     d^2<X>/dt^2 against the recorded symmetrized magnetic
                    force, relative to the force scale (skipped when the run
-                   did not record forces).
+                   did not record forces or has fewer than five samples).
 
     Deviations are evaluated on interior samples only, within 1% and 5%.
     """

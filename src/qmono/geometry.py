@@ -281,16 +281,15 @@ def _tet_volumes(x, a, b, c):
     return verts, vol(*verts), subs
 
 
-def origin_inside_tetrahedron(x, a, b, c, margin: float = 0.0) -> np.ndarray:
+def origin_inside_tetrahedron(x, a, b, c) -> np.ndarray:
     """Point-in-tetrahedron test for the origin, by signed sub-volumes.
 
     Independent of the solid-angle machinery (used as an oracle against
-    ``tetraflux``).  With ``margin > 0``, configurations whose barycentric
-    coordinates come within ``margin`` of zero count as not inside.
+    ``tetraflux``): inside iff all four barycentric coordinates are positive.
     """
     _, total, subs = _tet_volumes(x, a, b, c)
     lams = np.stack([sub / total for sub in subs], axis=-1)
-    return np.all(lams > margin, axis=-1)
+    return np.all(lams > 0.0, axis=-1)
 
 
 def origin_near_tet_face(x, a, b, c) -> np.ndarray:
@@ -347,7 +346,6 @@ class CurvatureSample:
     antisymmetric in (i, j).
     """
 
-    point: np.ndarray
     omega: np.ndarray
     kappa: np.ndarray
 
@@ -374,7 +372,7 @@ def curvature(x) -> CurvatureSample:
         raise DomainError("curvature undefined at the origin")
     kappa = -_skew(x) / (2.0 * n**3)[..., None, None]
     omega = kappa[..., None, :, :] * (x / n[..., None])[..., :, None, None]
-    return CurvatureSample(point=x, omega=omega, kappa=kappa)
+    return CurvatureSample(omega=omega, kappa=kappa)
 
 
 def chern(n_theta: int, n_phi: int, radius: float = 1.0, reverse: bool = False) -> float:
@@ -390,8 +388,8 @@ def chern(n_theta: int, n_phi: int, radius: float = 1.0, reverse: bool = False) 
         raise ValueError("chern requires n_theta, n_phi >= 8")
     if n_theta % 2 != 0:
         raise ValueError("n_theta must be even (Simpson rule)")
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
 
     theta = np.linspace(0.0, np.pi, n_theta + 1)
     phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)

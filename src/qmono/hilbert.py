@@ -41,8 +41,8 @@ class LatticeSpec:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError("LatticeSpec.n must be even and >= 4")
-        if self.box <= 0.0:
-            raise ValueError("LatticeSpec.box must be positive")
+        if not 0.0 < self.box < np.inf:
+            raise ValueError("LatticeSpec.box must be positive and finite")
 
     @property
     def step(self) -> float:
@@ -157,11 +157,6 @@ class Box:
     def translate(self, a) -> "Box":
         a = np.asarray(a, dtype=float)
         return Box.of(np.asarray(self.lo) + a, np.asarray(self.hi) + a)
-
-    def intersect(self, other: "Box") -> "Box":
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        return Box.of(lo, np.maximum(lo, hi))
 
 
 def project(delta: Box, psi: LatticeField) -> LatticeField:

@@ -1,7 +1,8 @@
 """Operator algebra on lattice fields.
 
-Operators act on the left of quaternion-valued fields and compose
-right-to-left: ``(A @ B)(psi) = A(B(psi))``.  The kinds are
+Operators act on the left of quaternion-valued fields; a composite
+applies its factors right-to-left: ``Compose((A, B))(psi) = A(B(psi))``,
+written ``A B`` below.  The kinds are
 
 * pointwise left multipliers (position, the radial complex structure ``jop``,
   the axis units, transport phases, field components),
@@ -13,16 +14,17 @@ right-to-left: ``(A @ B)(psi) = A(B(psi))``.  The kinds are
   evolves with the same matrices,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
-* composites and real-linear combinations of the above.
+* composites (``Compose``) and real-linear combinations (``OpSum``,
+  ``Scaled``) of the above.
 
 Conventions fixed here (and relied on by the verification suites):
 
 * ``shift(a)``: ``psi -> psi(. - a)``; conjugating a spectral projection
   translates its box by ``+a``.
-* ``twisted_shift(a) = shift(a) @ transport_op(a)`` is unitary, covariant
+* ``twisted_shift(a) = shift(a) transport_op(a)`` is unitary, covariant
   over boxes, and ``(twisted_shift(s*u)(psi) - psi)/s -> -covderiv(u)(psi)``
   as ``s -> 0``.
-* ``compose_defect(a, b) = twisted_shift(a+b)* @ twisted_shift(a) @
+* ``compose_defect(a, b) = twisted_shift(a+b)* twisted_shift(a)
   twisted_shift(b)`` is a pointwise multiplier whose symbol is
   ``geometry.multiplier(a, b, x)``.
 """
@@ -83,23 +85,6 @@ class Operator:
     def adjoint(self) -> "Operator":
         raise NotImplementedError
 
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Compose((self, other))
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return OpSum((self, other))
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return OpSum((self, Scaled(-1.0, other)))
-
-    def __neg__(self) -> "Operator":
-        return Scaled(-1.0, self)
-
-    def __mul__(self, c: float) -> "Operator":
-        return Scaled(float(c), self)
-
-    __rmul__ = __mul__
-
 
 class Multiplier(Operator):
     """Pointwise left multiplication by a quaternion-valued symbol."""
@@ -121,10 +106,6 @@ class Shift(Operator):
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
         self.steps = np.asarray(steps, dtype=int)
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.steps * self.spec.step
 
     def apply_values(self, vals):
         return _shifted(vals, self.steps)
@@ -435,9 +416,9 @@ def twisted_shift(spec: LatticeSpec, a) -> Compose:
 
 
 def compose_defect(spec: LatticeSpec, a, b) -> Compose:
-    """The multiplier closing ``twisted_shift(a) @ twisted_shift(b)``.
+    """The multiplier closing ``twisted_shift(a) twisted_shift(b)``.
 
-    Returned as the raw composite ``twisted_shift(a+b)* @ twisted_shift(a) @
+    Returned as the raw composite ``twisted_shift(a+b)* twisted_shift(a)
     twisted_shift(b)``; structurally pointwise (net displacement zero), with
     symbol ``geometry.multiplier(a, b, x)``.
     """

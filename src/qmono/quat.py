@@ -199,8 +199,3 @@ def imaginary_unit(direction) -> np.ndarray:
         raise ValueError("direction too short to define an imaginary unit")
     return from_vector(v / n)
 
-
-def is_imaginary_unit(q, tol: float = 1e-12) -> bool:
-    """True if ``q* = -q`` and ``|q| = 1`` within tol."""
-    q = np.asarray(q, dtype=float)
-    return bool(abs(q[0]) <= tol and abs(qnorm(q) - 1.0) <= tol)

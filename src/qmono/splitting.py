@@ -1,14 +1,14 @@
 """Complex-slice reduction of the quaternionic Hilbert space.
 
-For an imaginary unit ``omega`` the slice ``H_omega = {psi : J psi = psi
-omega}`` is a complex Hilbert space over the slice field ``{u + v omega}``;
+The slice is the one the whole program computes in, ``{psi : J psi = psi
+e3}``: a complex Hilbert space over the slice field ``{u + v e3}``, where
 ``J`` is the radial complex structure (left multiplication by ``dirq``).
-Any field splits uniquely as ``psi = psi1 + psi2 omega_tilde`` with both
-components in the slice, where ``omega_tilde`` is a second imaginary unit
-anticommuting with ``omega``:
+Any field splits uniquely as ``psi = psi1 + psi2 e1`` with both components
+in the slice (``e1`` anticommutes with ``e3``; ``operators`` writes its
+frame columns ``psi = q (f1 + f2 e1)`` with the same pair):
 
-    psi1 =  (psi - J psi omega) / 2
-    psi2 = -(psi + J psi omega) omega_tilde / 2.
+    psi1 =  (psi - J psi e3) / 2
+    psi2 = -(psi + J psi e3) e1 / 2.
 
 The doubled map ``psi -> (psi1, psi2)`` is a bijective isometry:
 reconstruction is exact and ``|psi|^2 = |psi1|^2 + |psi2|^2``.  Operators
@@ -28,36 +28,6 @@ from .hilbert import LatticeField
 from .operators import Operator, jop
 
 
-@dataclass(frozen=True)
-class SliceSpec:
-    """An anticommuting pair of imaginary units (omega, omega_tilde)."""
-
-    omega: tuple
-    omega_tilde: tuple
-
-    def __post_init__(self):
-        w = np.asarray(self.omega, dtype=float)
-        wt = np.asarray(self.omega_tilde, dtype=float)
-        for name, u in (("omega", w), ("omega_tilde", wt)):
-            if not quat.is_imaginary_unit(u, tol=1e-12):
-                raise ValueError(f"{name} must be a unit imaginary quaternion")
-        anti = quat.qmul(wt, w) + quat.qmul(w, wt)
-        if np.abs(anti).max() > 1e-12:
-            raise ValueError("omega_tilde must anticommute with omega")
-
-    @property
-    def w(self) -> np.ndarray:
-        return np.asarray(self.omega, dtype=float)
-
-    @property
-    def wt(self) -> np.ndarray:
-        return np.asarray(self.omega_tilde, dtype=float)
-
-
-def default_slice() -> SliceSpec:
-    return SliceSpec(omega=tuple(quat.E3), omega_tilde=tuple(quat.E1))
-
-
 @dataclass
 class SplitPair:
     psi1: LatticeField
@@ -68,29 +38,29 @@ def _jmul(psi: LatticeField) -> np.ndarray:
     return quat.qmul(jop(psi.spec).symbol, psi.values)
 
 
-def split(psi: LatticeField, s: SliceSpec) -> SplitPair:
-    """Decompose ``psi = psi1 + psi2 omega_tilde`` with both parts in the slice."""
-    jpsi_w = quat.rmul(_jmul(psi), s.w)
-    psi2 = quat.rmul(psi.values + jpsi_w, -0.5 * s.wt)  # a power of two: exact in wt
+def split(psi: LatticeField) -> SplitPair:
+    """Decompose ``psi = psi1 + psi2 e1`` with both parts in the slice."""
+    jpsi_w = quat.rmul(_jmul(psi), quat.E3)
+    psi2 = quat.rmul(psi.values + jpsi_w, -0.5 * quat.E1)  # a power of two: exact
     psi1 = np.subtract(psi.values, jpsi_w, out=jpsi_w)
     psi1 *= 0.5
     return SplitPair(LatticeField(psi.spec, psi1), LatticeField(psi.spec, psi2))
 
 
-def reconstruct(pair: SplitPair, s: SliceSpec) -> LatticeField:
-    """Inverse of ``split``: ``psi1 + psi2 omega_tilde``."""
-    vals = quat.rmul(pair.psi2.values, s.wt)
+def reconstruct(pair: SplitPair) -> LatticeField:
+    """Inverse of ``split``: ``psi1 + psi2 e1``."""
+    vals = quat.rmul(pair.psi2.values, quat.E1)
     vals += pair.psi1.values
     return LatticeField(pair.psi1.spec, vals)
 
 
-def slice_residual(psi: LatticeField, s: SliceSpec) -> float:
-    """Max-site norm of ``(J psi)(x) - psi(x) omega``."""
-    dev = _jmul(psi) - quat.rmul(psi.values, s.w)
+def slice_residual(psi: LatticeField) -> float:
+    """Max-site norm of ``(J psi)(x) - psi(x) e3``."""
+    dev = _jmul(psi) - quat.rmul(psi.values, quat.E3)
     return float(quat.qnorm(dev).max())
 
 
-def random_slice_member(spec, s: SliceSpec, rng) -> LatticeField:
+def random_slice_member(spec, rng) -> LatticeField:
     """A smooth normalized slice member: split of a random Gaussian bump.
 
     Centers keep a comfortable distance from the monopole so that stencil
@@ -104,14 +74,14 @@ def random_slice_member(spec, s: SliceSpec, rng) -> LatticeField:
     env = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width**2))
     amp = rng.standard_normal(4)
     raw = LatticeField(spec, env[..., None] * amp)
-    psi1 = split(raw, s).psi1
+    psi1 = split(raw).psi1
     n = hilbert.norm(psi1)
     if n == 0.0:
         raise ValueError("degenerate random slice member")
     return LatticeField(spec, psi1.values / n)
 
 
-def reduce_check(op: Operator, s: SliceSpec, samples: int, seed: int):
+def reduce_check(op: Operator, samples: int, seed: int):
     """Does ``op`` map slice members back into the slice?
 
     Applies ``op`` to ``samples`` random smooth slice members and returns
@@ -122,9 +92,9 @@ def reduce_check(op: Operator, s: SliceSpec, samples: int, seed: int):
     rng = np.random.default_rng(seed)
     before, after = np.empty(samples), np.empty(samples)
     for k in range(samples):
-        psi = random_slice_member(op.spec, s, rng)
-        before[k] = slice_residual(psi, s) / np.abs(psi.values).max()
+        psi = random_slice_member(op.spec, rng)
+        before[k] = slice_residual(psi) / np.abs(psi.values).max()
         out = op(psi)
         scale = np.abs(out.values).max()
-        after[k] = slice_residual(out, s) / scale if scale > 0.0 else 0.0
+        after[k] = slice_residual(out) / scale if scale > 0.0 else 0.0
     return before, after

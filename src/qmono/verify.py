@@ -44,16 +44,16 @@ def _positions(rng, m, lo=0.4, hi=3.0):
     return out[:m]
 
 
-def _legs_clear(legs, margin=1e-2):
+def _legs_clear(legs):
     """True where every transport leg ``(start, displacement)`` keeps both
     ends farther than 0.3 from the origin and its segment farther than
-    ``margin``."""
+    0.01."""
     ok = True
     for start, disp in legs:
         end = start + disp
         ok = ok & (np.linalg.norm(start, axis=-1) > 0.3) \
             & (np.linalg.norm(end, axis=-1) > 0.3) \
-            & (geometry.segment_origin_distance(start, end) > margin)
+            & (geometry.segment_origin_distance(start, end) > 1e-2)
     return ok
 
 
@@ -227,8 +227,8 @@ def _random_gaussian_fields(rng, count):
     return gaussian_field(center, width, amp)
 
 
-def _probe_points(rng, m=12):
-    return _positions(rng, m, lo=0.8, hi=2.2)
+def _probe_points(rng):
+    return _positions(rng, 12, lo=0.8, hi=2.2)
 
 
 # ---------------------------------------------------------------------------
@@ -708,30 +708,30 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     rng = np.random.default_rng(seed)
     rep = Report(suite="splitting", seed=seed, n_samples=samples)
     spec = LatticeSpec(n=n, box=box)
-    s = splitting.default_slice()
+    w, wt = quat.E3, quat.E1  # the slice and its complement
 
     rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = [], [], [], [], [], []
     for _ in range(samples):
         psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
         nn = hilbert.norm(psi)
         psi = LatticeField(spec, psi.values / nn)
-        pair = splitting.split(psi, s)
-        rec = splitting.reconstruct(pair, s)
+        pair = splitting.split(psi)
+        rec = splitting.reconstruct(pair)
         rec_dev.append(np.abs(rec.values - psi.values).max())
         n0 = hilbert.norm(psi) ** 2
         n1 = hilbert.norm(pair.psi1) ** 2
         n2 = hilbert.norm(pair.psi2) ** 2
         norm_dev.append(abs(n0 - n1 - n2))
-        memb_dev.append(max(splitting.slice_residual(pair.psi1, s),
-                            splitting.slice_residual(pair.psi2, s)))
+        memb_dev.append(max(splitting.slice_residual(pair.psi1),
+                            splitting.slice_residual(pair.psi2)))
         # orthogonality of the decomposition: inner(psi1, psi2 wt) has no
         # slice component (real part and omega component vanish)
-        cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, s.wt))
+        cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, wt))
         orth_re.append(abs(cross[0]))
-        orth_slice.append(abs(np.sum(cross * s.w)))
+        orth_slice.append(abs(np.sum(cross * w)))
         # inner product of two slice members lands in the slice field
         q12 = hilbert.inner(pair.psi1, pair.psi2)
-        perp = q12 - q12[0] * quat.E0 - np.sum(q12 * s.w) * s.w
+        perp = q12 - q12[0] * quat.E0 - np.sum(q12 * w) * w
         inner_slice.append(quat.qnorm(perp))
     rep.checks.append(check_from_devs(
         "reconstruction", "psi1 + psi2 omega_tilde = psi", rec_dev, 1e-14))
@@ -749,33 +749,33 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
         inner_slice, 1e-12))
 
     # slice members already in the slice split as (psi, 0)
-    member = splitting.random_slice_member(spec, s, rng)
-    pair = splitting.split(member, s)
+    member = splitting.random_slice_member(spec, rng)
+    pair = splitting.split(member)
     rep.checks.append(check_from_devs(
         "split-of-member", "psi in slice -> split(psi) = (psi, 0)",
         [np.abs(pair.psi1.values - member.values).max(),
          np.abs(pair.psi2.values).max()], 1e-14))
 
     # right multiplication by slice scalars stays in the slice
-    z = 0.7 * quat.E0 + 0.3 * s.w
+    z = 0.7 * quat.E0 + 0.3 * w
     rep.checks.append(check_from_devs(
         "slice-linear", "psi in slice -> psi z in slice for z = u + v omega",
-        [splitting.slice_residual(hilbert.rscale(member, z), s)], 1e-12))
+        [splitting.slice_residual(hilbert.rscale(member, z))], 1e-12))
 
     # each reduce check holds its inputs to slice membership too: a sampler
     # that stopped drawing slice members would fail them, not pass vacuously
     before, after = splitting.reduce_check(
-        ops.twisted_shift(spec, spec.step * np.array([2.0, 1.0, 0.0])), s, samples=5, seed=seed)
+        ops.twisted_shift(spec, spec.step * np.array([2.0, 1.0, 0.0])), samples=5, seed=seed)
     rep.checks.append(check_from_devs(
         "reduce-twisted-shift", "U(a) preserves the slice",
         [max(before.max(), after.max())], 1e-12))
 
-    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), s, samples=5, seed=seed)
+    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), samples=5, seed=seed)
     rep.checks.append(check_from_devs(
         "reduce-hamiltonian", "H preserves the slice (exact for hop links)",
         [max(before.max(), after.max())], 1e-12))
 
-    before, after = splitting.reduce_check(ops.left_unit(spec, 0), s, samples=3, seed=seed)
+    before, after = splitting.reduce_check(ops.left_unit(spec, 0), samples=3, seed=seed)
     rep.checks.append(check_from_devs(
         "reduce-negative-control", "bare e1 multiplier does NOT reduce (residual order 1)",
         [0.0 if before.max() <= 1e-12 and after.max() > 0.1 else 1.0], 0.0))

@@ -177,7 +177,7 @@ def test_criterion_10_dynamics():
     for _ in range(500):
         cur = ev.step(cur)
     drift = abs(hilbert.norm(cur) - 1.0)
-    slice_res = splitting.slice_residual(cur, splitting.default_slice())
+    slice_res = splitting.slice_residual(cur)
 
     # velocity law on the free preset, and its dt convergence
     traj_a, _ = dynamics.evolve(dynamics.free_flight_config(dt=0.1, steps=60))

@@ -140,6 +140,12 @@ def test_evolve_report_path_keeps_dotted_directories(tmp_path):
     ["--n", "7"],
     ["--n", "2"],
     ["--dt", "0", "--steps", "4"],  # identity steps with no time axis
+    ["--dt", "nan", "--steps", "2"],
+    ["--dt", "inf", "--steps", "2"],
+    ["--mass", "nan", "--steps", "2"],
+    ["--mass", "inf", "--steps", "2"],
+    ["--box", "inf", "--steps", "0"],
+    ["--box", "nan", "--steps", "0"],
 ])
 def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
     code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,
@@ -159,9 +165,18 @@ def test_evolve_solver_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "did not converge" in err and "residual=" in err
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     assert cli.main(["chern", "--n", "4"]) == 2
     assert cli.main(["verify", "gis", "--n", "7"]) == 2
+    # non-finite or negative numbers are rejected before anything is written
+    out = str(tmp_path / "out")
+    for args in (["verify", "algebra", "--tol", "-1"], ["verify", "algebra", "--tol", "nan"],
+                 ["verify", "operators", "--tol", "inf"], ["verify", "gis", "--box", "nan"],
+                 ["verify", "splitting", "--box", "inf"], ["chern", "--radius", "inf"],
+                 ["chern", "--radius", "nan"], ["chern", "--radius", "-1"],
+                 ["chern", "--tol", "nan"], ["chern", "--tol", "-1"]):
+        assert cli.main([*args, "--out", out]) == 2, args
+    assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
     assert exc.value.code == 2

@@ -271,7 +271,8 @@ def test_tetraflux_enclosing():
     a = np.array([-4.0, 0.0, 0.0])
     b = np.array([4.0, -4.0, 0.0])
     c = np.array([0.0, 4.0, -4.0])
-    assert geometry.origin_inside_tetrahedron(x, a, b, c, margin=1e-6)
+    assert geometry.origin_inside_tetrahedron(x, a, b, c)
+    assert not geometry.origin_near_tet_face(x, a, b, c)
     assert geometry.tetraflux(x, a, b, c) == pytest.approx(2.0 * np.pi, abs=1e-12)
 
 

@@ -332,10 +332,10 @@ def test_adjoint_of_composite(spec, psi, interior):
 def test_operator_arithmetic(spec, psi):
     x0 = ops.position(spec, 0)
     x1 = ops.position(spec, 1)
-    combo = 2.0 * x0 - x1
+    combo = ops.OpSum((ops.Scaled(2.0, x0), ops.Scaled(-1.0, x1)))
     want = 2.0 * x0(psi).values - x1(psi).values
     assert np.abs(combo(psi).values - want).max() < 1e-14
-    neg = -x0
+    neg = ops.Scaled(-1.0, x0)
     assert np.abs(neg(psi).values + x0(psi).values).max() == 0.0
 
 

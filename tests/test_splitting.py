@@ -10,11 +10,6 @@ def spec():
     return LatticeSpec(n=16, box=4.0)
 
 
-@pytest.fixture(scope="module")
-def slice_spec():
-    return splitting.default_slice()
-
-
 def random_field(spec, seed):
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal((spec.n,) * 3 + (4,))
@@ -22,59 +17,46 @@ def random_field(spec, seed):
     return LatticeField(spec, vals / hilbert.norm(f))
 
 
-def test_slice_spec_validation():
-    with pytest.raises(ValueError):
-        splitting.SliceSpec(omega=tuple(2.0 * quat.E3), omega_tilde=tuple(quat.E1))
-    with pytest.raises(ValueError):
-        splitting.SliceSpec(omega=tuple(quat.E0), omega_tilde=tuple(quat.E1))
-    with pytest.raises(ValueError):
-        splitting.SliceSpec(omega=tuple(quat.E3), omega_tilde=tuple(quat.E3))
-    # any orthogonal pair of imaginary units anticommutes
-    w = quat.imaginary_unit([1.0, 1.0, 0.0])
-    wt = quat.imaginary_unit([1.0, -1.0, 0.0])
-    splitting.SliceSpec(omega=tuple(w), omega_tilde=tuple(wt))
-
-
-def test_split_reconstruct_and_membership(spec, slice_spec):
+def test_split_reconstruct_and_membership(spec):
     for seed in range(4):
         psi = random_field(spec, seed)
-        pair = splitting.split(psi, slice_spec)
-        rec = splitting.reconstruct(pair, slice_spec)
+        pair = splitting.split(psi)
+        rec = splitting.reconstruct(pair)
         assert np.abs(rec.values - psi.values).max() < 1e-14
-        assert splitting.slice_residual(pair.psi1, slice_spec) < 1e-14
-        assert splitting.slice_residual(pair.psi2, slice_spec) < 1e-14
+        assert splitting.slice_residual(pair.psi1) < 1e-14
+        assert splitting.slice_residual(pair.psi2) < 1e-14
 
 
-def test_norm_additivity(spec, slice_spec):
+def test_norm_additivity(spec):
     for seed in range(10):
         psi = random_field(spec, 100 + seed)
-        pair = splitting.split(psi, slice_spec)
+        pair = splitting.split(psi)
         total = hilbert.norm(pair.psi1) ** 2 + hilbert.norm(pair.psi2) ** 2
         assert abs(hilbert.norm(psi) ** 2 - total) < 1e-12
 
 
-def test_split_of_slice_member(spec, slice_spec):
+def test_split_of_slice_member(spec):
     rng = np.random.default_rng(7)
-    psi = splitting.random_slice_member(spec, slice_spec, rng)
-    pair = splitting.split(psi, slice_spec)
+    psi = splitting.random_slice_member(spec, rng)
+    pair = splitting.split(psi)
     assert np.abs(pair.psi1.values - psi.values).max() < 1e-14
     assert np.abs(pair.psi2.values).max() < 1e-14
 
 
-def test_in_slice_residual_of_constant_field(spec, slice_spec):
+def test_in_slice_residual_of_constant_field(spec):
     # psi = e0 everywhere: residual is max |dirq(x) - e3|, order one off-axis
     psi = hilbert.constant(spec, quat.E0)
-    res = splitting.slice_residual(psi, slice_spec)
+    res = splitting.slice_residual(psi)
     assert res > 1e-10
     expected = quat.qnorm(geometry.dirq(spec.points()) - quat.E3).max()
     assert res == pytest.approx(expected, rel=1e-12)
 
 
-def test_orthogonality_structure(spec, slice_spec):
-    w, wt = slice_spec.w, slice_spec.wt
+def test_orthogonality_structure(spec):
+    w, wt = quat.E3, quat.E1
     for seed in range(5):
         psi = random_field(spec, 200 + seed)
-        pair = splitting.split(psi, slice_spec)
+        pair = splitting.split(psi)
         cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, wt))
         # the decomposition is orthogonal in the slice field: both the real
         # part and the omega component of inner(psi1, psi2 omega_tilde) vanish
@@ -86,37 +68,35 @@ def test_orthogonality_structure(spec, slice_spec):
         assert quat.qnorm(perp) < 1e-12
 
 
-def test_slice_is_complex_linear(spec, slice_spec):
+def test_slice_is_complex_linear(spec):
     rng = np.random.default_rng(11)
-    psi = splitting.random_slice_member(spec, slice_spec, rng)
-    phi = splitting.random_slice_member(spec, slice_spec, rng)
-    z = 0.3 * quat.E0 - 1.2 * slice_spec.w
+    psi = splitting.random_slice_member(spec, rng)
+    phi = splitting.random_slice_member(spec, rng)
+    z = 0.3 * quat.E0 - 1.2 * quat.E3
     combo = LatticeField(spec, psi.values + hilbert.rscale(phi, z).values)
-    assert splitting.slice_residual(combo, slice_spec) < 1e-12
+    assert splitting.slice_residual(combo) < 1e-12
     # right multiplication by a non-slice unit leaves the slice
-    kicked = hilbert.rscale(psi, slice_spec.wt)
-    assert splitting.slice_residual(kicked, slice_spec) > 0.5
+    kicked = hilbert.rscale(psi, quat.E1)
+    assert splitting.slice_residual(kicked) > 0.5
 
 
-def test_reduce_check_twisted_shift(spec, slice_spec):
+def test_reduce_check_twisted_shift(spec):
     op = ops.twisted_shift(spec, spec.step * np.array([2.0, 1.0, 0.0]))
-    before, after = splitting.reduce_check(op, slice_spec, samples=4, seed=1)
+    before, after = splitting.reduce_check(op, samples=4, seed=1)
     assert before.shape == after.shape == (4,)
     assert before.max() <= 1e-12 and after.max() <= 1e-12
 
 
-def test_reduce_check_hamiltonian(spec, slice_spec):
+def test_reduce_check_hamiltonian(spec):
     # the transported-hop Hamiltonian commutes with J exactly, so it
     # preserves the slice to roundoff
-    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), slice_spec,
-                                           samples=4, seed=2)
+    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), samples=4, seed=2)
     assert before.shape == after.shape == (4,)
     assert before.max() <= 1e-12 and after.max() <= 1e-12
 
 
-def test_reduce_check_left_unit_fails(spec, slice_spec):
-    before, after = splitting.reduce_check(ops.left_unit(spec, 0), slice_spec,
-                                           samples=3, seed=3)
+def test_reduce_check_left_unit_fails(spec):
+    before, after = splitting.reduce_check(ops.left_unit(spec, 0), samples=3, seed=3)
     assert before.shape == after.shape == (3,)
     # the inputs are slice members; the outputs leave the slice at order one
     assert before.max() <= 1e-12

@@ -1,7 +1,9 @@
-"""Every function and class of the package has a user besides its tests.
+"""Every function, class, method and property of the package has a user
+besides its tests.
 
 The package modules and the benchmark scripts are parsed with ``ast``.  A
-top-level definition, public or private, counts as used when its
+top-level definition, public or private, or a method of a top-level
+class (dunders exempt: the language calls them) counts as used when its
 identifier appears, as a name, an attribute or an imported name,
 anywhere in those files outside its own definition.  Matching is by
 identifier only, so this is a floor, not a proof: a definition that
@@ -10,6 +12,7 @@ unnoticed.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -19,7 +22,7 @@ KEEP = {
     "rotgen": "the lattice rotation generator, kept for the conserved Poincare vector",
     "expectation": "the generic expectation value, the tests' oracle for the fused observables",
     "transport_sign_variant": "the sign-flipped transport, the negative control of the geometry suite",
-    "imaginary_unit": "builds the imaginary units that the tests pass as slice axes",
+    "imaginary_unit": "builds the imaginary units that the tests pass to slice_frame",
 }
 
 
@@ -34,19 +37,30 @@ def _identifiers(node):
             yield sub.name.rsplit(".", 1)[-1]
 
 
+def _definitions(tree):
+    """The top-level functions and classes of a module, and the methods
+    and properties of those classes other than dunders."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield sub
+
+
 def _unused(root=ROOT):
-    """Names of the top-level package functions and classes that nothing in
-    the scanned files refers to outside their own definition."""
+    """Names of the package definitions that nothing in the scanned files
+    refers to outside their own definition."""
     package = root / "src" / "qmono"
-    defs, uses = [], {}
+    defs, uses = [], Counter()
     for path in sorted(package.glob("*.py")) + sorted((root / "perfbench").glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for k, stmt in enumerate(tree.body):
-            if path.parent == package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((stmt.name, (path, k)))
-            for ident in _identifiers(stmt):
-                uses.setdefault(ident, set()).add((path, k))
-    return {name for name, where in defs if not uses.get(name, set()) - {where}}
+        uses.update(_identifiers(tree))
+        if path.parent == package:
+            defs += [(d.name, Counter(_identifiers(d))) for d in _definitions(tree)]
+    return {name for name, own in defs if uses[name] == own[name]}
 
 
 def test_every_public_definition_has_a_user():
