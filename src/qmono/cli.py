@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -32,9 +33,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("suite", choices=sorted(SUITES))
     pv.add_argument("--samples", type=int, default=10000, help="random samples per check")
     pv.add_argument("--seed", type=int, default=42)
-    pv.add_argument("--n", type=int, default=32, help="lattice points per axis")
-    pv.add_argument("--box", type=float, default=6.0, help="lattice half-width")
-    pv.add_argument("--tol", type=float, default=1e-12, help="algebraic tolerance")
+    # left unset (None), these take the defaults in the suite's signature
+    pv.add_argument("--n", type=int, help="lattice points per axis (gis, operators, splitting)")
+    pv.add_argument("--box", type=float, help="lattice half-width (gis, operators, splitting)")
+    pv.add_argument("--tol", type=float, help="algebraic tolerance (algebra, geometry, operators)")
     pv.add_argument("--out", default=None, help="report path (default qmono-<suite>-report.json)")
     pv.add_argument("--json", action="store_true", help="also print the report to stdout")
 
@@ -60,11 +62,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if not 0.0 < args.tol < np.inf:
+    suite = SUITES[args.suite]
+    options = {k: v for k, v in (("n", args.n), ("box", args.box), ("tol", args.tol))
+               if v is not None}
+    for k in options:
+        if k not in inspect.signature(suite).parameters:
+            raise ValueError(f"the {args.suite} suite does not read --{k}")
+    if "tol" in options and not 0.0 < args.tol < np.inf:
         raise ValueError("--tol must be positive and finite")
-    cfg = {"samples": args.samples, "seed": args.seed, "n": args.n,
-           "box": args.box, "tol": args.tol}
-    rep = SUITES[args.suite](cfg)
+    rep = suite(samples=args.samples, seed=args.seed, **options)
     path = args.out or f"qmono-{args.suite}-report.json"
     rep.write(path)
     if args.json:

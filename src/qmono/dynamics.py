@@ -48,7 +48,7 @@ def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matri
 
 def build_gradient_matrices(spec: LatticeSpec) -> list:
     """``Q* grad_i Q``: the matrices of ``operators.covderiv`` along each axis."""
-    return [ops.covderiv(spec, e).matrix for e in np.eye(3)]
+    return [ops.covderiv(spec, axis).matrix for axis in range(3)]
 
 
 def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:

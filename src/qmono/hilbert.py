@@ -60,15 +60,6 @@ class LatticeSpec:
         """All sample points, shape (n, n, n, 3)."""
         return grid_points(self)
 
-    def commensurate_steps(self, a) -> np.ndarray:
-        """Integer grid steps realizing the shift ``a``; raises if off-grid."""
-        a = np.asarray(a, dtype=float)
-        m = a / self.step
-        mi = np.rint(m)
-        if np.any(np.abs(m - mi) > 1e-9 * np.maximum(1.0, np.abs(mi))):
-            raise ValueError(f"shift {a} is not an integer multiple of the grid step {self.step}")
-        return mi.astype(int)
-
 
 @functools.lru_cache(maxsize=8)
 def grid_points(spec: LatticeSpec) -> np.ndarray:

@@ -6,7 +6,7 @@ written ``A B`` below.  The kinds are
 
 * pointwise left multipliers (position, the radial complex structure ``jop``,
   the axis units, transport phases, field components),
-* exact lattice shifts (``shift``; Dirichlet zero fill, commensurate only),
+* exact lattice shifts (``Shift``; Dirichlet zero fill),
 * frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
   between neighbors through unit transport links).  They commute with
   ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
@@ -17,16 +17,22 @@ written ``A B`` below.  The kinds are
 * composites (``Compose``) and real-linear combinations (``OpSum``,
   ``Scaled``) of the above.
 
+The lattice factories take lattice data: a translation is an integer
+step vector ``m`` (the displacement ``a = m h``; a non-integer dtype
+raises TypeError), a derivative an axis index.  Continuous displacements
+belong to ``geometry`` and to the analytic ``*_fn`` helpers below.
+
 Conventions fixed here (and relied on by the verification suites):
 
-* ``shift(a)``: ``psi -> psi(. - a)``; conjugating a spectral projection
-  translates its box by ``+a``.
-* ``twisted_shift(a) = shift(a) transport_op(a)`` is unitary, covariant
-  over boxes, and ``(twisted_shift(s*u)(psi) - psi)/s -> -covderiv(u)(psi)``
-  as ``s -> 0``.
-* ``compose_defect(a, b) = twisted_shift(a+b)* twisted_shift(a)
-  twisted_shift(b)`` is a pointwise multiplier whose symbol is
-  ``geometry.multiplier(a, b, x)``.
+* ``Shift(spec, m)``: ``psi -> psi(. - m h)``; conjugating a spectral
+  projection translates its box by ``+m h``.
+* ``twisted_shift(m) = Shift(m) transport_op(m)`` is unitary and covariant
+  over boxes.  Its continuum form ``(U(a) psi)(x) = transport(a; x - a)
+  psi(x - a)`` has generator ``(U(s u) psi - psi)/s -> -grad_u psi`` as
+  ``s -> 0``, with ``grad_u`` the covariant derivative ``covderiv_fn``.
+* ``compose_defect(ma, mb) = twisted_shift(ma+mb)* twisted_shift(ma)
+  twisted_shift(mb)`` is a pointwise multiplier whose symbol is
+  ``geometry.multiplier(ma h, mb h, x)``.
 """
 
 from __future__ import annotations
@@ -100,12 +106,22 @@ class Multiplier(Operator):
         return Multiplier(self.spec, quat.qconj(self.symbol))
 
 
+def _lattice_steps(m) -> np.ndarray:
+    """The integer step vector ``m`` of a translation by ``m h``, decided by
+    dtype: float steps raise TypeError even when whole, and are never rounded."""
+    m = np.asarray(m)
+    if not np.issubdtype(m.dtype, np.integer):
+        raise TypeError(f"lattice steps must be integers, got {m.dtype} {m}")
+    return m.astype(int)
+
+
 class Shift(Operator):
-    """Exact lattice translation ``psi -> psi(. - a)`` (zero fill)."""
+    """Exact lattice translation ``psi -> psi(. - m h)`` by the integer
+    steps ``m`` (zero fill)."""
 
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
-        self.steps = np.asarray(steps, dtype=int)
+        self.steps = _lattice_steps(steps)
 
     def apply_values(self, vals):
         return _shifted(vals, self.steps)
@@ -389,67 +405,61 @@ def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
     return Multiplier(spec, sym)
 
 
-def shift(spec: LatticeSpec, a) -> Shift:
-    """Lattice translation by ``a`` (must be grid-commensurate)."""
-    return Shift(spec, spec.commensurate_steps(a))
+def transport_op(spec: LatticeSpec, m) -> Multiplier:
+    """Unitary multiplier with symbol ``transport(m h; x)`` at every site.
 
-
-def transport_op(spec: LatticeSpec, a) -> Multiplier:
-    """Unitary multiplier with symbol ``transport(a; x)`` at every site.
-
-    ``a`` must be grid-commensurate.  The domain is decided in integers by
+    ``m`` is an integer step vector.  The domain is decided in integers by
     ``_steps_admissible`` (DomainError where a site's segment meets the
     origin), and the symbol is ``geometry.transport``'s formula, bit for
-    bit, on the lattice's cached site planes: only the ``x + a`` terms are
-    computed per shift.
+    bit, on the lattice's cached site planes: only the ``x + m h`` terms
+    are computed per shift.
     """
-    if not _steps_admissible(spec, spec.commensurate_steps(a)):
-        raise geometry.DomainError(f"a segment of the shift {a} passes through the origin")
+    m = _lattice_steps(m)
+    if not _steps_admissible(spec, m):
+        raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
     xs, nx = _site_planes(spec)
     xhat = tuple(_radial(spec)[..., k] for k in range(1, 4))
-    return Multiplier(spec, geometry._transport_value(xhat, nx, *geometry._far_end(xs, a)))
+    return Multiplier(spec, geometry._transport_value(
+        xhat, nx, *geometry._far_end(xs, m * spec.step)))
 
 
-def twisted_shift(spec: LatticeSpec, a) -> Compose:
-    """Transported translation: shift after the transport phase; unitary."""
-    return Compose((shift(spec, a), transport_op(spec, a)))
+def twisted_shift(spec: LatticeSpec, m) -> Compose:
+    """Transported translation by the integer steps ``m``: the shift after
+    the transport phase; unitary."""
+    return Compose((Shift(spec, m), transport_op(spec, m)))
 
 
-def compose_defect(spec: LatticeSpec, a, b) -> Compose:
-    """The multiplier closing ``twisted_shift(a) twisted_shift(b)``.
+def compose_defect(spec: LatticeSpec, ma, mb) -> Compose:
+    """The multiplier closing ``twisted_shift(ma) twisted_shift(mb)``.
 
-    Returned as the raw composite ``twisted_shift(a+b)* twisted_shift(a)
-    twisted_shift(b)``; structurally pointwise (net displacement zero), with
-    symbol ``geometry.multiplier(a, b, x)``.
+    Returned as the raw composite ``twisted_shift(ma+mb)* twisted_shift(ma)
+    twisted_shift(mb)``; structurally pointwise (net displacement zero), with
+    symbol ``geometry.multiplier(ma h, mb h, x)``.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return Compose((twisted_shift(spec, a + b).adjoint(),
-                    twisted_shift(spec, a),
-                    twisted_shift(spec, b)))
+    return Compose((twisted_shift(spec, np.add(ma, mb)).adjoint(),
+                    twisted_shift(spec, ma),
+                    twisted_shift(spec, mb)))
 
 
-def covderiv(spec: LatticeSpec, u) -> FrameOp:
-    """Covariant derivative along the unit direction ``u``.
+def covderiv(spec: LatticeSpec, axis: int) -> FrameOp:
+    """Covariant derivative along one axis.
 
     Central difference of parallel-transported neighbors,
 
-        (grad_i psi)(x) = [plus(x) psi(x+h) - minus(x) psi(x-h)] / 2h,
+        (grad_i psi)(x) = [plus(x) psi(x+h) - minus(x) psi(x-h)] / 2h.
 
-    summed over axes with the components of ``u``.  Expanding the links
-    recovers ``u . d + e . (u cross x)/(2 |x|^2)`` to second order, and the
-    link form makes the structure exact on the lattice: anti-hermitian,
-    commuting with ``jop``, and ``[hamiltonian, position_i] = -(1/m)
-    covderiv_i`` as an operator identity (a bare multiplier connection
-    would leave O(h^2) mismatches in all three).  In the slice frame the
-    link ``plus`` is the phase ``z`` and ``minus(x)`` is ``conj(z(x-h))``.
+    Expanding the links recovers ``d_i + e . (e_i cross x)/(2 |x|^2)`` to
+    second order, and the link form makes the structure exact on the
+    lattice: anti-hermitian, commuting with ``jop``, and ``[hamiltonian,
+    position_i] = -(1/m) covderiv_i`` as an operator identity (a bare
+    multiplier connection would leave O(h^2) mismatches in all three).  In
+    the slice frame the link ``plus`` is the phase ``z`` and ``minus(x)``
+    is ``conj(z(x-h))``.
     """
-    u = np.asarray(u, dtype=float)
-    if abs(np.linalg.norm(u) - 1.0) > 1e-9:
-        raise ValueError("covderiv direction must be a unit vector")
+    if axis not in (0, 1, 2):
+        raise ValueError(f"covderiv axis must be 0, 1 or 2, got {axis}")
     s = 0.5 / spec.step
-    hops = {ax: (u[ax] * s, -u[ax] * s) for ax in range(3) if u[ax] != 0.0}
-    return FrameOp(spec, _frame_matrix(spec, 0.0, hops), -1.0)
+    return FrameOp(spec, _frame_matrix(spec, 0.0, {axis: (s, -s)}), -1.0)
 
 
 def rotgen(spec: LatticeSpec, axis: int) -> Operator:
@@ -479,8 +489,8 @@ def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:
     covderiv_i`` holds as a lattice operator identity.  Its slice-frame
     matrix has 7 nonzeros per row away from the walls.
     """
-    if mass <= 0.0:
-        raise ValueError("mass must be positive")
+    if not 0.0 < mass < np.inf:
+        raise ValueError("mass must be positive and finite")
     coeff = -0.5 / (mass * spec.step**2)  # the hop weight; -6 times it on site
     hops = {ax: (coeff, coeff) for ax in range(3)}
     return FrameOp(spec, _frame_matrix(spec, -6.0 * coeff, hops), 1.0)

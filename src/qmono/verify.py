@@ -5,7 +5,7 @@ tolerances, and returns a ``Report``.  Identities fall into three classes:
 
 * algebraic (quaternion algebra, transport unitarity, holonomy = flux
   exponential): tolerances at roundoff scale;
-* structural lattice identities (imprimitivity on commensurate shifts,
+* structural lattice identities (imprimitivity on integer-step shifts,
   multiplier/projection commutation): bit-exact;
 * stencil identities (commutators, rotation covariance): O(h^2), verified
   together with their Richardson ratio between steps h and h/2.
@@ -20,6 +20,7 @@ from .hilbert import LatticeField, LatticeSpec
 from .report import Report, check_from_devs
 
 _AXES = np.eye(3)
+_UNIT_STEPS = np.eye(3, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +115,14 @@ def _suite_lattice(n: int, box: float, band: int) -> LatticeSpec:
     return LatticeSpec(n=n, box=box)
 
 
-def _sample_steps(rng, spec: LatticeSpec) -> np.ndarray:
-    """Random commensurate shift steps admissible at every lattice site."""
+def _sample_steps(rng, spec: LatticeSpec, count: int, bound: int) -> list:
+    """``count`` random integer step vectors with components in ``[-bound,
+    bound]``, redrawn together until each of them and their sum (the net
+    shift of a closure defect) is admissible at every lattice site."""
     while True:
-        m = rng.integers(-3, 4, size=3)
-        if ops._steps_admissible(spec, m):
-            return m
-
-
-def _sample_step_pair(rng, spec: LatticeSpec):
-    """Random pair (a, b) with a, b and a + b all admissible."""
-    while True:
-        ma = rng.integers(-2, 3, size=3)
-        mb = rng.integers(-2, 3, size=3)
-        if all(ops._steps_admissible(spec, m) for m in (ma, mb, ma + mb)):
-            return ma, mb
+        ms = [rng.integers(-bound, bound + 1, size=3) for _ in range(count)]
+        if all(ops._steps_admissible(spec, m) for m in (*ms, sum(ms))):
+            return ms
 
 
 def _sample_box(rng, spec: LatticeSpec) -> hilbert.Box:
@@ -145,35 +139,35 @@ def _bitexact_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
 
 
 def _covariance_dev(rng, spec: LatticeSpec, psi: LatticeField):
-    """Draw admissible steps and a box; check ``U(a) E(box) = E(box+a) U(a)``.
+    """Draw admissible steps ``m`` and a box; check ``U(m) E(box) = E(box +
+    m h) U(m)``.
 
     Returns the steps and the bit-exact deviation on ``psi``.
     """
-    steps = _sample_steps(rng, spec)
-    a = steps * spec.step
+    steps, = _sample_steps(rng, spec, 1, 3)
     box = _sample_box(rng, spec)
-    u = ops.twisted_shift(spec, a)
+    u = ops.twisted_shift(spec, steps)
     lhs = u(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(a), u(psi))
+    rhs = hilbert.project(box.translate(steps * spec.step), u(psi))
     return steps, _bitexact_dev(lhs.values, rhs.values)
 
 
 def _closure_defect(rng, spec: LatticeSpec):
     """Draw an admissible step pair and check the closure defect.
 
-    Returns ``(a, b, defect, core_symbol, dev, structural)``: the shifts,
-    ``compose_defect(spec, a, b)``, its symbol on the sites its shifts
-    leave unclipped, the symbol's deviation from ``geometry.multiplier(a,
-    b, x)`` there, and 0.0 if the defect is structurally pointwise (else
-    1.0).
+    Returns ``(ma, mb, defect, core_symbol, dev, structural)``: the integer
+    steps, ``compose_defect(spec, ma, mb)``, its symbol on the sites its
+    shifts leave unclipped, the symbol's deviation from
+    ``geometry.multiplier(ma h, mb h, x)`` there, and 0.0 if the defect is
+    structurally pointwise (else 1.0).
     """
-    ma, mb = _sample_step_pair(rng, spec)
-    a, b = ma * spec.step, mb * spec.step
-    defect = ops.compose_defect(spec, a, b)
+    ma, mb = _sample_steps(rng, spec, 2, 2)
+    defect = ops.compose_defect(spec, ma, mb)
     sym = ops.symbol_of(defect)
     core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
-    dev = float(quat.qnorm(sym - geometry.multiplier(a, b, spec.points()))[core].max())
-    return a, b, defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
+    want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points())
+    dev = float(quat.qnorm(sym - want)[core].max())
+    return ma, mb, defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
 
 
 def _sample_tetraflux(rng, m: int):
@@ -536,10 +530,10 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     for _ in range(samples):
         steps, dev = _covariance_dev(rng, spec, psi)
         imp_dev.append(dev)
-        s2 = _sample_steps(rng, spec)
-        v1 = ops.shift(spec, steps * spec.step)
-        v2 = ops.shift(spec, s2 * spec.step)
-        v12 = ops.shift(spec, (steps + s2) * spec.step)
+        s2, = _sample_steps(rng, spec, 1, 3)
+        v1 = ops.Shift(spec, steps)
+        v2 = ops.Shift(spec, s2)
+        v12 = ops.Shift(spec, steps + s2)
         comp_dev.append(_bitexact_dev(v1(v2(interior)).values, v12(interior).values))
     rep.checks.append(check_from_devs(
         "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0))
@@ -549,17 +543,17 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # twisted shifts: unitary, one-parameter along a line, WPR off it
     un_dev, group_dev = [], []
     for _ in range(20):
-        a = _sample_steps(rng, spec) * spec.step
-        u = ops.twisted_shift(spec, a)
+        m, = _sample_steps(rng, spec, 1, 3)
+        u = ops.twisted_shift(spec, m)
         un_dev.append(abs(hilbert.norm(u(interior)) - hilbert.norm(interior))
                       / hilbert.norm(interior))
         ax = int(rng.integers(0, 3))
         s_steps = int(rng.integers(1, 3))
         t_steps = int(rng.integers(1, 3))
-        sa = s_steps * spec.step * _AXES[ax]
-        ta = t_steps * spec.step * _AXES[ax]
-        left = ops.twisted_shift(spec, sa)(ops.twisted_shift(spec, ta)(interior))
-        right = ops.twisted_shift(spec, sa + ta)(interior)
+        unit = _UNIT_STEPS[ax]
+        left = ops.twisted_shift(spec, s_steps * unit)(
+            ops.twisted_shift(spec, t_steps * unit)(interior))
+        right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
         group_dev.append(np.abs(left.values - right.values).max())
     rep.checks.append(check_from_devs(
         "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol))
@@ -568,10 +562,10 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
     defect_dev, defect_struct, wpr_size = [], [], []
     for _ in range(10):
-        a, b, _, sym, dev, pointwise = _closure_defect(rng, spec)
+        ma, mb, _, sym, dev, pointwise = _closure_defect(rng, spec)
         defect_struct.append(pointwise)
         defect_dev.append(dev)
-        if np.linalg.norm(np.cross(a, b)) > 1e-9:
+        if np.cross(ma, mb).any():
             wpr_size.append(quat.qnorm(sym - quat.E0).max())
     rep.checks.append(check_from_devs(
         "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
@@ -585,10 +579,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # parallel shifts close exactly
     par_dev = []
     core = ops.interior_mask(spec, _PARALLEL_BAND)
-    for ax in range(3):
-        a = 2 * spec.step * _AXES[ax]
-        b = 3 * spec.step * _AXES[ax]
-        sym = ops.symbol_of(ops.compose_defect(spec, a, b))
+    for unit in _UNIT_STEPS:
+        sym = ops.symbol_of(ops.compose_defect(spec, 2 * unit, 3 * unit))
         par_dev.append(quat.qnorm(sym - quat.E0)[core].max())
     rep.checks.append(check_from_devs(
         "wpr-parallel-trivial", "m(a, b; x) = e0 for parallel a, b", par_dev, tol))
@@ -633,7 +625,9 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep.checks.append(check_from_devs(
         "spin-half-turn", "exp(2 pi M_3) = -I", turn_dev, 1e-12))
 
-    # generator of the twisted shifts: (U(su) psi - psi)/s -> -grad_u psi
+    # generator of the continuum twisted translations, (U(a) psi)(x) =
+    # transport(a; x - a) psi(x - a), along a random direction u:
+    # (U(su) psi - psi)/s -> -grad_u psi
     gen_dev_s, gen_dev_s2 = [], []
     s0 = 1e-3
     for fn in first:
@@ -673,7 +667,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     for i in range(3):
         xi = ops.position(spec, i)
         comm = ham(xi(smooth)).values - xi(ham(smooth)).values
-        target = -ops.covderiv(spec, _AXES[i])(smooth).values
+        target = -ops.covderiv(spec, i)(smooth).values
         ehr_dev.append(quat.qnorm(comm - target).max() / quat.qnorm(target).max())
     rep.checks.append(check_from_devs(
         "hamiltonian-velocity", "[H, X_i] = -(1/m) grad_i, exact on the lattice",
@@ -689,9 +683,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # adjoint consistency on interior-supported fields
     adj_dev = []
     for op in (jo, ops.position(spec, 1), ops.left_unit(spec, 0),
-               ops.shift(spec, spec.step * np.array([2.0, -1.0, 0.0])),
-               ops.Diff(spec, 1), ops.covderiv(spec, _AXES[2]),
-               ops.twisted_shift(spec, spec.step * np.array([1.0, 2.0, 0.0])), ham):
+               ops.Shift(spec, [2, -1, 0]), ops.Diff(spec, 1), ops.covderiv(spec, 2),
+               ops.twisted_shift(spec, [1, 2, 0]), ham):
         lhs = hilbert.inner(interior, op(smooth))[0]
         rhs = hilbert.inner(op.adjoint()(interior), smooth)[0]
         adj_dev.append(abs(lhs - rhs) / max(abs(lhs), 1e-12))
@@ -705,6 +698,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
 def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
                     seed: int = 42) -> Report:
+    samples = min(samples, 200)  # the report states the count drawn
     rng = np.random.default_rng(seed)
     rep = Report(suite="splitting", seed=seed, n_samples=samples)
     spec = LatticeSpec(n=n, box=box)
@@ -765,7 +759,7 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     # each reduce check holds its inputs to slice membership too: a sampler
     # that stopped drawing slice members would fail them, not pass vacuously
     before, after = splitting.reduce_check(
-        ops.twisted_shift(spec, spec.step * np.array([2.0, 1.0, 0.0])), samples=5, seed=seed)
+        ops.twisted_shift(spec, [2, 1, 0]), samples=5, seed=seed)
     rep.checks.append(check_from_devs(
         "reduce-twisted-shift", "U(a) preserves the slice",
         [max(before.max(), after.max())], 1e-12))
@@ -789,8 +783,8 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
               seed: int = 42) -> Report:
     """Check the three generalized-imprimitivity axioms on random inputs.
 
-    covariance:   twisted_shift(a) E(box) == E(box + a) twisted_shift(a),
-                  bit-exact on commensurate shifts;
+    covariance:   twisted_shift(m) E(box) == E(box + m h) twisted_shift(m),
+                  bit-exact on integer steps m;
     composition:  the closure defect of two twisted shifts is a pointwise
                   multiplier whose symbol matches the transport product;
     multiplier:   the defect symbol is quaternion-valued of unit norm, and
@@ -844,17 +838,11 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     return rep
 
 
+# the CLI passes each suite only the options its signature names
 SUITES = {
-    "algebra": lambda cfg: algebra_suite(samples=cfg["samples"], seed=cfg["seed"],
-                                         tol=cfg["tol"]),
-    "geometry": lambda cfg: geometry_suite(samples=cfg["samples"], seed=cfg["seed"],
-                                           tol=cfg["tol"]),
-    "operators": lambda cfg: operators_suite(n=cfg["n"], box=cfg["box"],
-                                             samples=cfg["samples"], seed=cfg["seed"],
-                                             tol=cfg["tol"]),
-    "splitting": lambda cfg: splitting_suite(n=cfg["n"], box=cfg["box"],
-                                             samples=min(cfg["samples"], 200),
-                                             seed=cfg["seed"]),
-    "gis": lambda cfg: gis_suite(n=cfg["n"], box=cfg["box"],
-                                 samples=cfg["samples"], seed=cfg["seed"]),
+    "algebra": algebra_suite,
+    "geometry": geometry_suite,
+    "operators": operators_suite,
+    "splitting": splitting_suite,
+    "gis": gis_suite,
 }

@@ -23,10 +23,12 @@ def test_verify_algebra_passes(tmp_path, capsys):
 
 def test_verify_reports_are_deterministic(tmp_path):
     # the lattice suites run the BLAS kernels (the Gram inner product, the
-    # right product by a constant) and the batched analytic identities
+    # right product by a constant), the batched analytic identities, and
+    # (gis hardest) the twisted shifts and closure defects of integer steps
     for args in (["algebra", "--samples", "1000"],
                  ["splitting", "--samples", "50", "--n", "12"],
-                 ["operators", "--samples", "50", "--n", "14"]):
+                 ["operators", "--samples", "50", "--n", "14"],
+                 ["gis", "--samples", "100", "--n", "12"]):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         assert cli.main(["verify", *args, "--out", str(a)]) == 0
@@ -174,7 +176,11 @@ def test_usage_errors(tmp_path):
                  ["verify", "operators", "--tol", "inf"], ["verify", "gis", "--box", "nan"],
                  ["verify", "splitting", "--box", "inf"], ["chern", "--radius", "inf"],
                  ["chern", "--radius", "nan"], ["chern", "--radius", "-1"],
-                 ["chern", "--tol", "nan"], ["chern", "--tol", "-1"]):
+                 ["chern", "--tol", "nan"], ["chern", "--tol", "-1"],
+                 # options the suite never reads: no lattice, or fixed tolerances
+                 ["verify", "algebra", "--n", "32"], ["verify", "algebra", "--box", "6.0"],
+                 ["verify", "geometry", "--n", "16"], ["verify", "geometry", "--box", "nan"],
+                 ["verify", "gis", "--tol", "1e-12"], ["verify", "splitting", "--tol", "1e-3"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:

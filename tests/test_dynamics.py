@@ -125,7 +125,7 @@ def test_link_operators_match_numpy_reference():
     check(ops.hamiltonian(SPEC, mass).apply_values(v), h_ref)
     for ax, g_mat in enumerate(dynamics.build_gradient_matrices(SPEC)):
         check(g_mat @ vf, _frame_cols(SPEC, grad_ref[ax]))
-        check(ops.covderiv(SPEC, np.eye(3)[ax]).apply_values(v), grad_ref[ax])
+        check(ops.covderiv(SPEC, ax).apply_values(v), grad_ref[ax])
     a_mat = dynamics.build_generator_matrix(SPEC, mass)
     check(a_mat @ vf, _frame_cols(SPEC, jh_ref))
     # i H exactly anti-hermitian up to rounding
@@ -516,9 +516,8 @@ def test_force_observable_against_operator_oracle():
     obs = dynamics._Observables(spec, mass, with_force=True)
     _, _, _, frc = obs.row(psi)
 
-    AX = np.eye(3)
     j = ops.jop(spec)
-    v_ops = [ops.Scaled(-1.0 / mass, ops.Compose((j, ops.covderiv(spec, AX[i]))))
+    v_ops = [ops.Scaled(-1.0 / mass, ops.Compose((j, ops.covderiv(spec, i))))
              for i in range(3)]
     b_ops = [ops.bfield_op(spec, k) for k in range(3)]
     for i in range(3):

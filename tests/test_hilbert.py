@@ -31,13 +31,6 @@ def test_grid_avoids_origin():
     assert pts.shape == (8, 8, 8, 3)
 
 
-def test_commensurate_steps():
-    spec = LatticeSpec(n=32, box=6.0)
-    assert np.array_equal(spec.commensurate_steps([0.75, -0.375, 0.0]), [2, -1, 0])
-    with pytest.raises(ValueError):
-        spec.commensurate_steps([0.5, 0.0, 0.0])
-
-
 def test_inner_gaussian_oracle():
     # closed form: integral of exp(-2|x|^2) over R^3 is (pi/2)^{3/2}
     spec = LatticeSpec(n=64, box=6.0)

@@ -54,59 +54,68 @@ def test_position_and_left_unit(spec, psi):
 
 
 def test_shift_exactness(spec, psi):
-    a = spec.step * np.array([2.0, -1.0, 0.0])
-    v = ops.shift(spec, a)
+    m = np.array([2, -1, 0])
+    v = ops.Shift(spec, m)
     out = v(psi)
     assert np.array_equal(out.values[5, 5, 5], psi.values[3, 6, 5])
     # inverse undoes (interior data)
-    back = ops.shift(spec, -a)(out)
+    back = ops.Shift(spec, -m)(out)
     core = (slice(3, -3),) * 3
     assert np.array_equal(back.values[core], psi.values[core])
-    with pytest.raises(ValueError):
-        ops.shift(spec, np.array([0.1, 0.0, 0.0]))
+
+
+def test_lattice_factories_reject_non_integer_steps(spec):
+    # a float step vector is refused by dtype, whole values included: the
+    # old float interface truncated (1.9, 0, 0) to a one-cell shift
+    for steps in ([1.9, 0.0, 0.0], np.array([1.0, 0.0, 0.0]), [True, False, False]):
+        for make in (lambda m: ops.Shift(spec, m), lambda m: ops.transport_op(spec, m),
+                     lambda m: ops.twisted_shift(spec, m),
+                     lambda m: ops.compose_defect(spec, m, [0, 1, 0]),
+                     lambda m: ops.compose_defect(spec, [0, 1, 0], m)):
+            with pytest.raises(TypeError):
+                make(steps)
 
 
 def test_shift_imprimitivity_bit_exact(spec, psi):
-    a = spec.step * np.array([3.0, 1.0, -2.0])
-    v = ops.shift(spec, a)
+    m = np.array([3, 1, -2])
+    v = ops.Shift(spec, m)
     box = Box.of((-1.5, -2.0, -1.0), (1.0, 1.5, 2.0))
     lhs = v(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(a), v(psi))
+    rhs = hilbert.project(box.translate(m * spec.step), v(psi))
     assert np.array_equal(lhs.values, rhs.values)
 
 
 def test_twisted_shift_unitary_and_covariant(spec, psi, interior):
-    a = spec.step * np.array([2.0, 1.0, 0.0])
-    u = ops.twisted_shift(spec, a)
+    m = np.array([2, 1, 0])
+    u = ops.twisted_shift(spec, m)
     assert abs(hilbert.norm(u(interior)) - hilbert.norm(interior)) < 1e-12
     box = Box.of((-1.0, -1.0, -1.0), (1.5, 2.0, 1.0))
     lhs = u(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(a), u(psi))
+    rhs = hilbert.project(box.translate(m * spec.step), u(psi))
     assert np.array_equal(lhs.values, rhs.values)
 
 
 def test_twisted_shift_inadmissible_diagonal(spec):
     # steps (2,2,2): the site at -(3,3,3)h/2 transports through the origin
     with pytest.raises(geometry.DomainError):
-        ops.twisted_shift(spec, spec.step * np.array([2.0, 2.0, 2.0]))
+        ops.twisted_shift(spec, [2, 2, 2])
 
 
 def test_one_parameter_family(spec, interior):
-    u = AX[1]
-    s, t = 2 * spec.step, 3 * spec.step
-    lhs = ops.twisted_shift(spec, s * u)(ops.twisted_shift(spec, t * u)(interior))
-    rhs = ops.twisted_shift(spec, (s + t) * u)(interior)
+    u = np.array([0, 1, 0])
+    lhs = ops.twisted_shift(spec, 2 * u)(ops.twisted_shift(spec, 3 * u)(interior))
+    rhs = ops.twisted_shift(spec, 5 * u)(interior)
     assert np.abs(lhs.values - rhs.values).max() < 1e-13
 
 
 def test_compose_defect_symbol(spec, psi):
-    a = spec.step * np.array([2.0, 0.0, 1.0])
-    b = spec.step * np.array([0.0, 1.0, 0.0])
-    defect = ops.compose_defect(spec, a, b)
+    ma = np.array([2, 0, 1])
+    mb = np.array([0, 1, 0])
+    defect = ops.compose_defect(spec, ma, mb)
     assert ops.is_pointwise(defect)
     core = ops.interior_mask(spec, 4)
     sym = ops.symbol_of(defect)
-    want = geometry.multiplier(a, b, spec.points())
+    want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points())
     assert quat.qnorm(sym - want)[core].max() < 1e-12
     assert np.abs(quat.qnorm(sym) - 1.0)[core].max() < 1e-12
     # multiplier property: applying the composite is left multiplication
@@ -123,17 +132,15 @@ def test_compose_defect_symbol(spec, psi):
 def test_wpr_structure(spec):
     # generic pair: nontrivial defect; parallel pair: trivial
     core = ops.interior_mask(spec, 5)
-    gen = ops.symbol_of(ops.compose_defect(spec, spec.step * np.array([2.0, 0, 0]),
-                                           spec.step * np.array([0, 2.0, 0])))
+    gen = ops.symbol_of(ops.compose_defect(spec, [2, 0, 0], [0, 2, 0]))
     assert quat.qnorm(gen - quat.E0)[core].max() > 1e-3
-    par = ops.symbol_of(ops.compose_defect(spec, spec.step * np.array([2.0, 0, 0]),
-                                           spec.step * np.array([1.0, 0, 0])))
+    par = ops.symbol_of(ops.compose_defect(spec, [2, 0, 0], [1, 0, 0]))
     assert quat.qnorm(par - quat.E0)[core].max() < 1e-12
 
 
 def test_net_shift_and_pointwise():
     spec = LatticeSpec(n=8, box=2.0)
-    v = ops.shift(spec, spec.step * np.array([1.0, 0, 0]))
+    v = ops.Shift(spec, [1, 0, 0])
     assert not ops.is_pointwise(v)
     assert ops.is_pointwise(ops.jop(spec))
     comp = ops.Compose((v.adjoint(), ops.jop(spec), v))
@@ -155,12 +162,13 @@ def test_connection_value():
 
 def test_covderiv_antihermitian(spec, interior):
     psi2 = LatticeField(spec, np.roll(interior.values, 2, axis=1))
-    g = ops.covderiv(spec, AX[2])
+    g = ops.covderiv(spec, 2)
     lhs = hilbert.inner(interior, g(psi2))
     rhs = hilbert.inner(g.adjoint()(interior), psi2)
     assert np.abs(lhs - rhs).max() < 1e-12 * hilbert.norm(interior) * hilbert.norm(psi2)
+    # an axis index, not a direction: -1 would otherwise build a zero matrix
     with pytest.raises(ValueError):
-        ops.covderiv(spec, np.array([1.0, 1.0, 0.0]))
+        ops.covderiv(spec, -1)
 
 
 def test_hamiltonian_velocity_identity_exact(spec, psi):
@@ -168,13 +176,14 @@ def test_hamiltonian_velocity_identity_exact(spec, psi):
     for i in range(3):
         xi = ops.position(spec, i)
         comm = ham(xi(psi)).values - xi(ham(psi)).values
-        target = (-1.0 / 1.7) * ops.covderiv(spec, AX[i])(psi).values
+        target = (-1.0 / 1.7) * ops.covderiv(spec, i)(psi).values
         assert np.abs(comm - target).max() < 1e-12 * np.abs(target).max()
 
 
 def test_hamiltonian_hermitian_and_mass(spec, psi):
-    with pytest.raises(ValueError):
-        ops.hamiltonian(spec, 0.0)
+    for mass in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ops.hamiltonian(spec, mass)
     ham = ops.hamiltonian(spec, 1.0)
     phi = LatticeField(spec, np.roll(psi.values, 1, axis=2))
     lhs = hilbert.inner(phi, ham(psi))[0]
@@ -293,16 +302,46 @@ def test_transport_op_matches_transport(n):
         a = m * spec.step
         if ops._steps_admissible(spec, m):
             want = geometry.transport(a, spec.points())
-            assert np.array_equal(ops.transport_op(spec, a).symbol, want), m
+            assert np.array_equal(ops.transport_op(spec, m).symbol, want), m
             continue
         rejected += 1
         with pytest.raises(geometry.DomainError):
-            ops.transport_op(spec, a)
+            ops.transport_op(spec, m)
         with pytest.raises(geometry.DomainError):
             geometry.transport(a, spec.points())
     assert rejected == 64 + 8  # every m with odd components, and (+-2, +-2, +-2)
-    with pytest.raises(ValueError):
-        ops.transport_op(spec, np.array([0.1, 0.0, 0.0]))
+
+
+def _single_steps_ref(rng, spec):
+    # the operators suite's single-step sampler before the samplers merged
+    while True:
+        m = rng.integers(-3, 4, size=3)
+        if ops._steps_admissible(spec, m):
+            return m
+
+
+def _step_pair_ref(rng, spec):
+    # the closure-defect pair sampler before the samplers merged
+    while True:
+        ma = rng.integers(-2, 3, size=3)
+        mb = rng.integers(-2, 3, size=3)
+        if all(ops._steps_admissible(spec, m) for m in (ma, mb, ma + mb)):
+            return ma, mb
+
+
+@pytest.mark.parametrize("n", [12, 32])
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_step_sampler_keeps_the_draws_of_both_samplers(n, seed):
+    # interleaved like the suites' loops: same steps, same generator state
+    spec = LatticeSpec(n=n, box=6.0)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(40):
+        m, = verify._sample_steps(rng, spec, 1, 3)
+        assert np.array_equal(m, _single_steps_ref(ref, spec))
+        ma, mb = verify._sample_steps(rng, spec, 2, 2)
+        ra, rb = _step_pair_ref(ref, spec)
+        assert np.array_equal(ma, ra) and np.array_equal(mb, rb)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_gis_verify_report(spec):
@@ -318,8 +357,7 @@ def test_gis_verify_report(spec):
 
 
 def test_adjoint_of_composite(spec, psi, interior):
-    a = spec.step * np.array([1.0, -2.0, 0.0])
-    u = ops.twisted_shift(spec, a)
+    u = ops.twisted_shift(spec, [1, -2, 0])
     phi = LatticeField(spec, np.roll(interior.values, -2, axis=0))
     lhs = hilbert.inner(phi, u(interior))
     rhs = hilbert.inner(u.adjoint()(phi), interior)

@@ -81,7 +81,7 @@ def test_slice_is_complex_linear(spec):
 
 
 def test_reduce_check_twisted_shift(spec):
-    op = ops.twisted_shift(spec, spec.step * np.array([2.0, 1.0, 0.0]))
+    op = ops.twisted_shift(spec, [2, 1, 0])
     before, after = splitting.reduce_check(op, samples=4, seed=1)
     assert before.shape == after.shape == (4,)
     assert before.max() <= 1e-12 and after.max() <= 1e-12
