@@ -21,6 +21,12 @@ cell-centered grid never samples.  The Cayley step solves ``(I + M) f' =
 (I - M) f`` in this frame, ``M = (dt/2) i Q* H Q`` anti-hermitian, by the
 generalized conjugate gradients of ``cg``: one matvec per iteration.
 
+A run never leaves the frame.  A field built from columns forms its
+quaternion values only when they are first read; ``evolve`` takes its norm
+column from the frame density that each observables row sums, so it
+converts at most its final field, and only on demand.  One Hamiltonian
+matrix serves both the step generator and the observables.
+
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
 force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
@@ -57,37 +63,52 @@ def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
     return 1j * ops.hamiltonian(spec, mass).matrix
 
 
+class _FrameField(LatticeField):
+    """A field held as its ``(n^3, k)`` slice-frame columns ``cols``; its
+    read-only quaternion values ``q (f1 + f2 e1)`` are formed when first read."""
+
+    def __init__(self, spec: LatticeSpec, q: np.ndarray, cols: np.ndarray):
+        self.spec = spec
+        self.cols = cols
+        self._q = q
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            vals = ops._from_cols(self._q, self.cols)
+            vals.setflags(write=False)
+            self._values = vals
+        return self._values
+
+
 class _SliceFrame:
     """Fields to and from their ``(n^3, k)`` slice-frame columns, with
     ``psi = q (f1 + f2 e1)`` and ``f2`` zero when k = 1.
 
-    The last field built by ``field`` is kept with its columns, and its
-    values are read-only: it is converted once however often it is passed
-    on (a step's output recorded, then stepped again) and cannot change
-    under the kept columns, and a field built from one column keeps one
-    column.
+    A field built by ``field`` keeps its columns, made read-only, and forms
+    its quaternion values (read-only too) only when they are first read: a
+    run that steps and observes columns never converts, a field passed on
+    (a step's output recorded, then stepped again) is not converted back,
+    and a field built from one column keeps one column.
     """
 
     def __init__(self, spec: LatticeSpec):
         self.spec = spec
         self.q = ops._slice_gauge(spec)[0]
-        self._field = None
-        self._cols = None
 
     def cols(self, psi: LatticeField) -> np.ndarray:
         """The complex columns of ``psi``: those it was built from by
         ``field``, else the ``(n^3, 2)`` columns ``(f1, f2)``."""
-        if psi is self._field:
-            return self._cols
+        if isinstance(psi, _FrameField) and psi.spec == self.spec:
+            return psi.cols
         return ops._to_cols(self.q, psi.values)
 
     def field(self, cols: np.ndarray) -> LatticeField:
-        """The field, with read-only values, whose ``(n^3, k)`` complex
-        columns are ``cols``."""
-        vals = ops._from_cols(self.q, cols)
-        vals.setflags(write=False)
-        self._field, self._cols = LatticeField(self.spec, vals), cols
-        return self._field
+        """The field whose ``(n^3, k)`` complex columns are ``cols``, with
+        its values deferred to their first read."""
+        cols.setflags(write=False)
+        return _FrameField(self.spec, self.q, cols)
 
 
 def _packet_envelope_phase(spec: LatticeSpec, center, sigma: float, kick):
@@ -228,7 +249,8 @@ class CayleyEvolver:
 
     Solves ``(I + M) f' = (I - M) f`` each step on the ``(n^3, k)``
     slice-frame columns the frame holds for the field, ``M = (dt/2) i Q* H
-    Q`` held as a precomputed sparse matrix.  ``M`` is anti-hermitian, so
+    Q`` held as a precomputed sparse matrix on the index arrays of the
+    Hamiltonian's matrix ``h_mat``.  ``M`` is anti-hermitian, so
     ``cg`` solves the system itself by generalized conjugate gradients, one
     matvec per iteration, from the warm start ``2 f - f_prev``.  ``M`` acts
     on each column alone, so a zero ``f2`` stays zero and a one-column
@@ -244,10 +266,14 @@ class CayleyEvolver:
         self.solver_rtol = solver_rtol
         self.frame = _SliceFrame(spec)
         self.cg_iters: list[int] = []
+        self.h_mat = build_hamiltonian_matrix(spec, mass)
         self._m = None
         self._prev = None
         if dt != 0.0:
-            self._m = (0.5 * dt) * build_generator_matrix(spec, mass)
+            h = self.h_mat
+            # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
+            self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
+                                        shape=h.shape)
 
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
@@ -299,29 +325,34 @@ class Trajectory:
 
 
 class _Observables:
-    """Fused expectation values along a run, in the slice frame.
+    """Fused expectation values along a run, in the slice frame of an evolver.
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
-    Re vdot(f, g)``, and ``J`` is ``i``.  The covariant gradients are shared
+    Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's frame and
+    Hamiltonian matrix are shared, and so are the covariant gradients
     between the velocity and force rows.  Agrees with the generic
     operator-based expectations (see the unit tests) but runs far faster on
     large lattices.
     """
 
-    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool,
-                 frame: _SliceFrame | None = None):
-        self.spec = spec
-        self.mass = mass
+    def __init__(self, evolver: CayleyEvolver, with_force: bool):
+        spec = evolver.spec
+        self.mass = evolver.mass
         self.with_force = with_force
-        self.frame = _SliceFrame(spec) if frame is None else frame
+        self.frame = evolver.frame
+        self.h_mat = evolver.h_mat
         self.cell = spec.cell_volume
         pts = spec.points()
         self.coords = [pts[..., i].ravel() for i in range(3)]
-        self.bvals = [geometry.bfield(pts)[..., k].ravel() for k in range(3)]
         self.grad_mats = build_gradient_matrices(spec)
-        self.h_mat = build_hamiltonian_matrix(spec, mass)
+        if with_force:
+            b = geometry.bfield(pts)
+            self.bvals = [b[..., k].ravel() for k in range(3)]
+            self._bf = None  # the B_k f buffer, reused while the column count holds
 
     def row(self, psi: LatticeField):
+        """``(position, velocity, norm, energy, force)`` of ``psi``, read
+        from its frame columns; ``force`` is None unless recorded."""
         f = self.frame.cols(psi)
         dens = np.sum(f.real**2 + f.imag**2, axis=-1)
         nsq = float(dens.sum() * self.cell)
@@ -333,48 +364,46 @@ class _Observables:
         en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
         frc = None
         if self.with_force:
+            if self._bf is None or self._bf.shape != f.shape:
+                self._bf = np.empty_like(f)
+            bf = self._bf
             # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
             t = np.zeros((3, 3))
             for kk in range(3):
-                bf = self.bvals[kk][:, None] * f
+                np.multiply(self.bvals[kk][:, None], f, out=bf)
                 for jj in range(3):
                     if jj != kk:
                         t[jj, kk] = 2.0 * np.vdot(bf, grads[jj]).imag * scale
             # acceleration law: eps_ijk (v_j B_k + B_k v_j) / 2m
             frc = [0.5 / self.mass * (t[(i + 1) % 3, (i + 2) % 3] - t[(i + 2) % 3, (i + 1) % 3])
                    for i in range(3)]
-        return pos, vel, en, frc
+        return pos, vel, float(np.sqrt(nsq)), en, frc
 
 
 def evolve(cfg: EvolutionConfig):
-    """Run the configured packet; returns ``(Trajectory, final field)``."""
+    """Run the configured packet; returns ``(Trajectory, final field)``.
+
+    The packet is stepped and observed as its one slice-frame column: no
+    step forms quaternion values, the norm column is the square root of the
+    frame density that each row sums, and the final field forms its values
+    only when they are read.  One Hamiltonian matrix serves the evolver and
+    the observables.
+    """
     spec = cfg.lattice
     evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    # one frame for both: each step's output is converted once
-    frame = evolver.frame
-    obs = _Observables(spec, cfg.mass, cfg.record_force, frame)
+    obs = _Observables(evolver, cfg.record_force)
     # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
     # frame, the one column f1 = env exp(i kick . x), stepped and observed as such
     env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
     f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
-    psi = frame.field(f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
+    psi = evolver.frame.field(f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
 
-    times, pos, vel, nrm, en, frc = [], [], [], [], [], []
-
-    def record(t, psi):
-        p, v, e, f = obs.row(psi)
-        times.append(t)
-        pos.append(p)
-        vel.append(v)
-        nrm.append(hilbert.norm(psi))
-        en.append(e)
-        if f is not None:
-            frc.append(f)
-
-    record(0.0, psi)
+    times, rows = [0.0], [obs.row(psi)]
     for k in range(1, cfg.steps + 1):
         psi = evolver.step(psi)
-        record(k * cfg.dt, psi)
+        times.append(k * cfg.dt)
+        rows.append(obs.row(psi))
+    pos, vel, nrm, en, frc = zip(*rows)
 
     traj = Trajectory(
         times=np.asarray(times),
@@ -382,7 +411,7 @@ def evolve(cfg: EvolutionConfig):
         velocity=np.asarray(vel),
         norm=np.asarray(nrm),
         energy=np.asarray(en),
-        force=np.asarray(frc) if frc else None,
+        force=np.asarray(frc) if cfg.record_force else None,
         cg_iters=np.asarray(evolver.cg_iters),
     )
     return traj, psi

@@ -18,9 +18,11 @@ written ``A B`` below.  The kinds are
   ``Scaled``) of the above.
 
 The lattice factories take lattice data: a translation is an integer
-step vector ``m`` (the displacement ``a = m h``; a non-integer dtype
-raises TypeError), a derivative an axis index.  Continuous displacements
-belong to ``geometry`` and to the analytic ``*_fn`` helpers below.
+step vector ``m`` of shape ``(3,)`` (the displacement ``a = m h``; a
+non-integer dtype raises TypeError, another shape ValueError), a
+derivative or a component an axis index 0, 1 or 2 (ValueError else).
+Continuous displacements belong to ``geometry`` and to the analytic
+``*_fn`` helpers below.
 
 Conventions fixed here (and relied on by the verification suites):
 
@@ -108,11 +110,21 @@ class Multiplier(Operator):
 
 def _lattice_steps(m) -> np.ndarray:
     """The integer step vector ``m`` of a translation by ``m h``, decided by
-    dtype: float steps raise TypeError even when whole, and are never rounded."""
+    dtype: float steps raise TypeError even when whole, and are never rounded.
+    A vector whose shape is not ``(3,)`` raises ValueError."""
     m = np.asarray(m)
     if not np.issubdtype(m.dtype, np.integer):
         raise TypeError(f"lattice steps must be integers, got {m.dtype} {m}")
+    if m.shape != (3,):
+        raise ValueError(f"lattice steps must have shape (3,), got shape {m.shape}")
     return m.astype(int)
+
+
+def _lattice_axis(axis: int, name: str) -> int:
+    """The axis index ``axis`` of the factory ``name``: 0, 1 or 2, else ValueError."""
+    if axis not in (0, 1, 2):
+        raise ValueError(f"{name} axis must be 0, 1 or 2, got {axis}")
+    return int(axis)
 
 
 class Shift(Operator):
@@ -135,7 +147,7 @@ class Diff(Operator):
 
     def __init__(self, spec: LatticeSpec, axis: int):
         self.spec = spec
-        self.axis = int(axis)
+        self.axis = _lattice_axis(axis, "Diff")
 
     def apply_values(self, vals):
         return _central_diff(vals, self.axis, self.spec.step)
@@ -381,13 +393,13 @@ def expectation(op: Operator, psi: LatticeField) -> float:
 def position(spec: LatticeSpec, axis: int) -> Multiplier:
     """Position component: multiplication by the real coordinate x_axis."""
     sym = np.zeros((spec.n,) * 3 + (4,))
-    sym[..., 0] = spec.points()[..., axis]
+    sym[..., 0] = spec.points()[..., _lattice_axis(axis, "position")]
     return Multiplier(spec, sym)
 
 
 def left_unit(spec: LatticeSpec, axis: int) -> Multiplier:
     """Left multiplication by the constant imaginary unit e_axis."""
-    return Multiplier(spec, np.eye(4)[axis + 1])
+    return Multiplier(spec, np.eye(4)[_lattice_axis(axis, "left_unit") + 1])
 
 
 def jop(spec: LatticeSpec) -> Multiplier:
@@ -401,7 +413,7 @@ def jop(spec: LatticeSpec) -> Multiplier:
 def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
     """Magnetic field component: multiplication by x_axis / (2 |x|^3)."""
     sym = np.zeros((spec.n,) * 3 + (4,))
-    sym[..., 0] = geometry.bfield(spec.points())[..., axis]
+    sym[..., 0] = geometry.bfield(spec.points())[..., _lattice_axis(axis, "bfield_op")]
     return Multiplier(spec, sym)
 
 
@@ -436,7 +448,8 @@ def compose_defect(spec: LatticeSpec, ma, mb) -> Compose:
     twisted_shift(mb)``; structurally pointwise (net displacement zero), with
     symbol ``geometry.multiplier(ma h, mb h, x)``.
     """
-    return Compose((twisted_shift(spec, np.add(ma, mb)).adjoint(),
+    ma, mb = _lattice_steps(ma), _lattice_steps(mb)
+    return Compose((twisted_shift(spec, ma + mb).adjoint(),
                     twisted_shift(spec, ma),
                     twisted_shift(spec, mb)))
 
@@ -456,8 +469,7 @@ def covderiv(spec: LatticeSpec, axis: int) -> FrameOp:
     the slice frame the link ``plus`` is the phase ``z`` and ``minus(x)``
     is ``conj(z(x-h))``.
     """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"covderiv axis must be 0, 1 or 2, got {axis}")
+    axis = _lattice_axis(axis, "covderiv")
     s = 0.5 / spec.step
     return FrameOp(spec, _frame_matrix(spec, 0.0, {axis: (s, -s)}), -1.0)
 

@@ -362,13 +362,13 @@ def test_evolve_matches_a_two_column_step_loop(preset, monkeypatch):
 
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(spec, cfg.mass, cfg.record_force, ev.frame)
+    obs = dynamics._Observables(ev, cfg.record_force)
     psi = dynamics.gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick)
     ref = {name: [] for name in ("position", "velocity", "norm", "energy", "force")}
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        pos, vel, en, frc = obs.row(psi)
+        pos, vel, _, en, frc = obs.row(psi)
         for name, val in zip(ref, (pos, vel, hilbert.norm(psi), en, frc)):
             ref[name].append(val)
     # evolve solved on the one column f1, the loop on both columns
@@ -387,18 +387,71 @@ def test_evolve_matches_a_two_column_step_loop(preset, monkeypatch):
     assert np.abs(final.values - psi.values).max() <= 1e-13 * np.abs(psi.values).max()
 
 
+@pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
+def test_evolve_matches_a_one_column_step_loop_bit_for_bit(preset):
+    cfg = getattr(dynamics, preset)(n=16, steps=10)
+    traj, final = dynamics.evolve(cfg)
+
+    ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
+    obs = dynamics._Observables(ev, cfg.record_force)
+    _, start = dynamics.evolve(dataclasses.replace(cfg, steps=0))
+    psi = ev.frame.field(ev.frame.cols(start))  # the normalized packet column f1
+    fields, rows = [psi], [obs.row(psi)]
+    for _ in range(cfg.steps):
+        psi = ev.step(psi)
+        fields.append(psi)
+        rows.append(obs.row(psi))
+    pos, vel, nrm, en, frc = (np.asarray(col) for col in zip(*rows))
+    assert np.array_equal(traj.position, pos)
+    assert np.array_equal(traj.velocity, vel)
+    assert np.array_equal(traj.energy, en)
+    assert np.array_equal(traj.norm, nrm)
+    if cfg.record_force:
+        assert np.array_equal(traj.force, frc)
+    else:
+        assert traj.force is None
+    assert traj.cg_iters.tolist() == ev.cg_iters
+    assert np.array_equal(final.values, psi.values)
+    # the norm column is read from the frame density, not from the quaternion values
+    ref = np.array([hilbert.norm(f) for f in fields])
+    assert np.all(np.abs(traj.norm - ref) <= 1e-15 * ref)
+
+
+def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
+    cfg = dynamics.monopole_flyby_config(n=16, steps=6)
+    calls = {"hamiltonian": 0, "step": 0, "from_cols": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ops, "hamiltonian", counted("hamiltonian", ops.hamiltonian))
+    monkeypatch.setattr(ops, "_from_cols", counted("from_cols", ops._from_cols))
+    monkeypatch.setattr(dynamics.CayleyEvolver, "step",
+                        counted("step", dynamics.CayleyEvolver.step))
+    traj, final = dynamics.evolve(cfg)
+    assert calls == {"hamiltonian": 1, "step": cfg.steps, "from_cols": 0}
+    vals = final.values
+    assert calls["from_cols"] == 1
+    assert final.values is vals and not vals.flags.writeable
+    assert calls["from_cols"] == 1
+    assert len(traj.times) == cfg.steps + 1
+
+
 def _observed_run(cfg, vals, columns):
     """Positions, velocities and forces of ``cfg.steps`` Cayley steps from
     the field ``vals``, stepped as its first ``columns`` frame columns."""
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(spec, cfg.mass, True, ev.frame)
+    obs = dynamics._Observables(ev, True)
     psi = ev.frame.field(ev.frame.cols(LatticeField(spec, vals))[:, :columns])
     rows = [obs.row(psi)]
     for _ in range(cfg.steps):
         psi = ev.step(psi)
         rows.append(obs.row(psi))
-    pos, vel, _, frc = zip(*rows)
+    pos, vel, _, _, frc = zip(*rows)
     return np.asarray(pos), np.asarray(vel), np.asarray(frc)
 
 
@@ -513,8 +566,8 @@ def test_force_observable_against_operator_oracle():
     spec = LatticeSpec(n=16, box=4.0)
     mass = 1.3
     psi = dynamics.gaussian_packet(spec, (-1.2, 1.6, 0.3), 0.6, (1.0, 0.0, 0.0))
-    obs = dynamics._Observables(spec, mass, with_force=True)
-    _, _, _, frc = obs.row(psi)
+    obs = dynamics._Observables(dynamics.CayleyEvolver(spec, mass, 0.0), with_force=True)
+    _, _, _, _, frc = obs.row(psi)
 
     j = ops.jop(spec)
     v_ops = [ops.Scaled(-1.0 / mass, ops.Compose((j, ops.covderiv(spec, i))))
@@ -534,7 +587,7 @@ def test_force_observable_classical_limit():
     spec = LatticeSpec(n=32, box=6.0)
     mass = 2.0
     psi = dynamics.gaussian_packet(spec, (-0.7, 2.6, 0.0), 0.7, (2.4, 0.0, 0.0))
-    obs = dynamics._Observables(spec, mass, with_force=True)
-    pos, vel, _, frc = obs.row(psi)
+    obs = dynamics._Observables(dynamics.CayleyEvolver(spec, mass, 0.0), with_force=True)
+    pos, vel, _, _, frc = obs.row(psi)
     classical = np.cross(vel, geometry.bfield(np.asarray(pos))) / mass
     assert np.abs(np.asarray(frc) - classical).max() < 0.1 * np.abs(classical).max()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,29 @@ def test_lattice_factories_reject_non_integer_steps(spec):
                      lambda m: ops.compose_defect(spec, [0, 1, 0], m)):
             with pytest.raises(TypeError):
                 make(steps)
+
+
+@pytest.mark.parametrize("steps", [[1, 0], [1, 0, 0, 0], [[1, 0, 0]]])
+def test_lattice_factories_reject_step_vectors_not_of_length_three(spec, steps):
+    # [1, 0] used to shift two axes and leave the third, or fail to unpack
+    message = re.escape(f"must have shape (3,), got shape {np.shape(steps)}")
+    for make in (lambda m: ops.Shift(spec, m), lambda m: ops.transport_op(spec, m),
+                 lambda m: ops.twisted_shift(spec, m),
+                 lambda m: ops.compose_defect(spec, m, [0, 1, 0]),
+                 lambda m: ops.compose_defect(spec, [0, 1, 0], m)):
+        with pytest.raises(ValueError, match=message):
+            make(steps)
+
+
+@pytest.mark.parametrize("axis", [-1, 3])
+def test_axis_factories_reject_axes_outside_0_to_2(spec, axis):
+    # -1 used to read the x_3 plane (position, bfield_op) or give e0
+    # (left_unit); Diff differenced along axis 0 or across the components
+    for make, name in ((ops.Diff, "Diff"), (ops.left_unit, "left_unit"),
+                       (ops.position, "position"), (ops.bfield_op, "bfield_op"),
+                       (ops.rotgen, "left_unit"), (ops.covderiv, "covderiv")):
+        with pytest.raises(ValueError, match=f"^{name} axis must be 0, 1 or 2, got {axis}$"):
+            make(spec, axis)
 
 
 def test_shift_imprimitivity_bit_exact(spec, psi):
