@@ -308,7 +308,7 @@ def test_frame_columns_round_trip(k):
 
 
 def test_step_output_is_read_only():
-    # the frame keeps the columns of a step's output for the next step, so
+    # a step's output keeps its frame columns for the next step, so
     # an in-place write to the output would go unseen: it is refused
     ev = dynamics.CayleyEvolver(SPEC, 1.0, 0.05)
     out = ev.step(packet())
