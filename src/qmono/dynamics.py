@@ -21,11 +21,12 @@ cell-centered grid never samples.  The Cayley step solves ``(I + M) f' =
 (I - M) f`` in this frame, ``M = (dt/2) i Q* H Q`` anti-hermitian, by the
 generalized conjugate gradients of ``cg``: one matvec per iteration.
 
-A run never leaves the frame.  A field built from columns forms its
-quaternion values only when they are first read; ``evolve`` takes its norm
-column from the frame density that each observables row sums, so it
-converts at most its final field, and only on demand.  One Hamiltonian
-matrix serves both the step generator and the observables.
+A run never leaves the frame, which ``operators`` owns: a step reads
+``operators._frame_cols`` and returns an ``operators._FrameField``, whose
+quaternion values are formed only when first read.  ``evolve``'s norm
+column comes from the frame density that each observables row sums, so it
+converts at most its final field, on demand.  One Hamiltonian matrix serves both
+the step generator and the observables.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -63,54 +64,6 @@ def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
     return 1j * ops.hamiltonian(spec, mass).matrix
 
 
-class _FrameField(LatticeField):
-    """A field held as its ``(n^3, k)`` slice-frame columns ``cols``; its
-    read-only quaternion values ``q (f1 + f2 e1)`` are formed when first read."""
-
-    def __init__(self, spec: LatticeSpec, q: np.ndarray, cols: np.ndarray):
-        self.spec = spec
-        self.cols = cols
-        self._q = q
-        self._values = None
-
-    @property
-    def values(self) -> np.ndarray:
-        if self._values is None:
-            vals = ops._from_cols(self._q, self.cols)
-            vals.setflags(write=False)
-            self._values = vals
-        return self._values
-
-
-class _SliceFrame:
-    """Fields to and from their ``(n^3, k)`` slice-frame columns, with
-    ``psi = q (f1 + f2 e1)`` and ``f2`` zero when k = 1.
-
-    A field built by ``field`` keeps its columns, made read-only, and forms
-    its quaternion values (read-only too) only when they are first read: a
-    run that steps and observes columns never converts, a field passed on
-    (a step's output recorded, then stepped again) is not converted back,
-    and a field built from one column keeps one column.
-    """
-
-    def __init__(self, spec: LatticeSpec):
-        self.spec = spec
-        self.q = ops._slice_gauge(spec)[0]
-
-    def cols(self, psi: LatticeField) -> np.ndarray:
-        """The complex columns of ``psi``: those it was built from by
-        ``field``, else the ``(n^3, 2)`` columns ``(f1, f2)``."""
-        if isinstance(psi, _FrameField) and psi.spec == self.spec:
-            return psi.cols
-        return ops._to_cols(self.q, psi.values)
-
-    def field(self, cols: np.ndarray) -> LatticeField:
-        """The field whose ``(n^3, k)`` complex columns are ``cols``, with
-        its values deferred to their first read."""
-        cols.setflags(write=False)
-        return _FrameField(self.spec, self.q, cols)
-
-
 def _packet_envelope_phase(spec: LatticeSpec, center, sigma: float, kick):
     """The envelope ``exp(-|x - center|^2 / (4 sigma^2))`` and the kick
     angle ``kick . x`` of a Gaussian packet at every site."""
@@ -140,12 +93,13 @@ def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
 class EvolutionConfig:
     """Packet, lattice and integrator parameters for one run.
 
-    The packet always lies in the slice of ``omega = e3``, the evolver's
-    frame; ``omega`` is a class constant, not a field (``perfbench/sweep.py``
-    reads it to build the same packet).
+    The packet lies in the slice of ``omega = e3``, the evolver's frame, and
+    is solved to ``solver_rtol``: class constants, not fields
+    (``perfbench/sweep.py`` reads both to build the same run).
     """
 
     omega: ClassVar[tuple] = tuple(quat.E3)
+    solver_rtol: ClassVar[float] = 1e-13
 
     lattice: LatticeSpec
     mass: float = 1.0
@@ -154,7 +108,6 @@ class EvolutionConfig:
     center: tuple = (-2.0, 1.5, 0.0)
     sigma: float = 0.8
     kick: tuple = (0.0, 0.0, 0.0)
-    solver_rtol: float = 1e-13
     record_force: bool = True
 
     def __post_init__(self):
@@ -169,10 +122,6 @@ class EvolutionConfig:
             raise ValueError("dt must be positive when steps > 0")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
-        # rtol >= 1 accepts the warm start unchecked, a non-unitary step;
-        # rtol <= 0 can never be met
-        if not 0.0 < self.solver_rtol < 1.0:
-            raise ValueError("solver_rtol must lie in (0, 1)")
         # the packet must sit at least 3 sigma from the monopole and from
         # every wall, or its expectation values are not trustworthy
         center = np.asarray(self.center, dtype=float)
@@ -247,10 +196,10 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
 class CayleyEvolver:
     """Norm-preserving time stepper for the monopole Hamiltonian.
 
-    Solves ``(I + M) f' = (I - M) f`` each step on the ``(n^3, k)``
-    slice-frame columns the frame holds for the field, ``M = (dt/2) i Q* H
-    Q`` held as a precomputed sparse matrix on the index arrays of the
-    Hamiltonian's matrix ``h_mat``.  ``M`` is anti-hermitian, so
+    Solves ``(I + M) f' = (I - M) f`` each step, from the ``(n^3, k)``
+    columns ``operators._frame_cols(psi)`` to an ``operators._FrameField``;
+    ``M = (dt/2) i Q* H Q`` is held as a precomputed sparse matrix on the index
+    arrays of the Hamiltonian's matrix ``h_mat``.  ``M`` is anti-hermitian, so
     ``cg`` solves the system itself by generalized conjugate gradients, one
     matvec per iteration, from the warm start ``2 f - f_prev``.  ``M`` acts
     on each column alone, so a zero ``f2`` stays zero and a one-column
@@ -259,12 +208,11 @@ class CayleyEvolver:
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
-                 solver_rtol: float = 1e-13):
+                 solver_rtol: float = EvolutionConfig.solver_rtol):
         self.spec = spec
         self.mass = mass
         self.dt = dt
         self.solver_rtol = solver_rtol
-        self.frame = _SliceFrame(spec)
         self.cg_iters: list[int] = []
         self.h_mat = build_hamiltonian_matrix(spec, mass)
         self._m = None
@@ -281,7 +229,7 @@ class CayleyEvolver:
         if self.dt == 0.0:
             self.cg_iters.append(0)
             return psi.copy()
-        v = self.frame.cols(psi)
+        v = ops._frame_cols(psi)
         b = v - self._m @ v
         # warm start: linear extrapolation from the previous step of the same shape
         prev = self._prev
@@ -296,7 +244,7 @@ class CayleyEvolver:
             res = np.linalg.norm(sol + self._m @ sol - b)
             raise RuntimeError(f"Cayley inner solve did not converge (info={info}, residual={res:.3e})")
         self._prev = v
-        return self.frame.field(sol)
+        return ops._FrameField(self.spec, sol)
 
 
 @dataclass
@@ -325,12 +273,12 @@ class Trajectory:
 
 
 class _Observables:
-    """Fused expectation values along a run, in the slice frame of an evolver.
+    """Fused expectation values along a run, on ``operators._frame_cols``.
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
-    Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's frame and
-    Hamiltonian matrix are shared, and so are the covariant gradients
-    between the velocity and force rows.  Agrees with the generic
+    Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's Hamiltonian matrix
+    is shared, and so are the covariant gradients between the velocity and
+    force rows.  Agrees with the generic
     operator-based expectations (see the unit tests) but runs far faster on
     large lattices.
     """
@@ -339,7 +287,6 @@ class _Observables:
         spec = evolver.spec
         self.mass = evolver.mass
         self.with_force = with_force
-        self.frame = evolver.frame
         self.h_mat = evolver.h_mat
         self.cell = spec.cell_volume
         pts = spec.points()
@@ -353,7 +300,7 @@ class _Observables:
     def row(self, psi: LatticeField):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
         from its frame columns; ``force`` is None unless recorded."""
-        f = self.frame.cols(psi)
+        f = ops._frame_cols(psi)
         dens = np.sum(f.real**2 + f.imag**2, axis=-1)
         nsq = float(dens.sum() * self.cell)
         scale = self.cell / (self.mass * nsq)
@@ -383,10 +330,10 @@ class _Observables:
 def evolve(cfg: EvolutionConfig):
     """Run the configured packet; returns ``(Trajectory, final field)``.
 
-    The packet is stepped and observed as its one slice-frame column: no
-    step forms quaternion values, the norm column is the square root of the
-    frame density that each row sums, and the final field forms its values
-    only when they are read.  One Hamiltonian matrix serves the evolver and
+    The packet is the ``operators._FrameField`` of its one slice-frame
+    column, stepped and observed as such: no step forms quaternion values,
+    the norm column is the square root of the frame density that each row
+    sums, and the final field forms its values only when they are read.  One Hamiltonian matrix serves the evolver and
     the observables.
     """
     spec = cfg.lattice
@@ -396,7 +343,7 @@ def evolve(cfg: EvolutionConfig):
     # frame, the one column f1 = env exp(i kick . x), stepped and observed as such
     env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
     f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
-    psi = evolver.frame.field(f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
+    psi = ops._FrameField(spec, f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
 
     times, rows = [0.0], [obs.row(psi)]
     for k in range(1, cfg.steps + 1):

@@ -17,6 +17,10 @@ written ``A B`` below.  The kinds are
 * composites (``Compose``) and real-linear combinations (``OpSum``,
   ``Scaled``) of the above.
 
+The slice frame has its one owner here: the gauge ``q``, a field's complex
+columns ``psi = q (f1 + f2 e1)`` and ``_FrameField``, a field held as its
+columns; ``dynamics`` reaches them through ``_frame_cols`` and ``_FrameField``.
+
 The lattice factories take lattice data: a translation is an integer
 step vector ``m`` of shape ``(3,)`` (the displacement ``a = m h``; a
 non-integer dtype raises TypeError, another shape ValueError), a
@@ -197,26 +201,18 @@ def _slice_gauge(spec: LatticeSpec):
 
 
 @functools.lru_cache(maxsize=8)
-def _radial(spec: LatticeSpec) -> np.ndarray:
-    """The radial unit ``dirq(x)`` at every site, computed once per lattice
-    and returned read-only: the symbol of ``jop``."""
-    j = geometry.dirq(spec.points())
-    j.setflags(write=False)
-    return j
-
-
-@functools.lru_cache(maxsize=8)
-def _site_planes(spec: LatticeSpec):
-    """The coordinate planes ``x_k`` and ``|x|`` of every site, contiguous,
-    computed once per lattice and returned read-only: the half of
-    ``geometry.transport``'s terms that ``transport_op`` does not recompute
-    for each shift.  ``x/|x|`` is the vector part of ``_radial``."""
+def _site_table(spec: LatticeSpec):
+    """The radial unit ``dirq(x)`` (the symbol of ``jop``), the contiguous
+    planes ``x_k`` and ``|x|`` of every site, once per lattice and read-only:
+    with ``dirq``'s vector part ``x/|x|``, the half of ``geometry.transport``'s
+    terms that ``transport_op`` does not recompute for each shift."""
     pts = spec.points()
+    j = geometry.dirq(pts)
     xs = tuple(np.ascontiguousarray(pts[..., k]) for k in range(3))
     nx = geometry._plane_norm(xs)
-    for plane in (*xs, nx):
-        plane.setflags(write=False)
-    return xs, nx
+    for arr in (j, *xs, nx):
+        arr.setflags(write=False)
+    return j, xs, nx
 
 
 def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
@@ -258,6 +254,34 @@ def _from_cols(q: np.ndarray, cols: np.ndarray) -> np.ndarray:
     g[:, :k] = cols.real
     g[:, 3:3 - k:-1] = cols.imag
     return quat.qmul(q, g.reshape(q.shape))
+
+
+class _FrameField(LatticeField):
+    """A field held as its ``(n^3, k)`` slice-frame columns ``cols``, made
+    read-only; its read-only quaternion values ``q (f1 + f2 e1)`` are formed
+    only when first read, so a field passed on in the frame is never converted."""
+
+    def __init__(self, spec: LatticeSpec, cols: np.ndarray):
+        cols.setflags(write=False)
+        self.spec = spec
+        self.cols = cols
+        self._values = None
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            vals = _from_cols(_slice_gauge(self.spec)[0], self.cols)
+            vals.setflags(write=False)
+            self._values = vals
+        return self._values
+
+
+def _frame_cols(psi: LatticeField) -> np.ndarray:
+    """The complex slice-frame columns of ``psi``: a ``_FrameField``'s own,
+    else the ``(n^3, 2)`` columns ``(f1, f2)`` of its values."""
+    if isinstance(psi, _FrameField):
+        return psi.cols
+    return _to_cols(_slice_gauge(psi.spec)[0], psi.values)
 
 
 class FrameOp(Operator):
@@ -407,7 +431,7 @@ def jop(spec: LatticeSpec) -> Multiplier:
 
     Unitary and anti-hermitian; squares to minus the identity.
     """
-    return Multiplier(spec, _radial(spec))
+    return Multiplier(spec, _site_table(spec)[0])
 
 
 def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
@@ -429,8 +453,8 @@ def transport_op(spec: LatticeSpec, m) -> Multiplier:
     m = _lattice_steps(m)
     if not _steps_admissible(spec, m):
         raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
-    xs, nx = _site_planes(spec)
-    xhat = tuple(_radial(spec)[..., k] for k in range(1, 4))
+    j, xs, nx = _site_table(spec)
+    xhat = tuple(j[..., k] for k in range(1, 4))
     return Multiplier(spec, geometry._transport_value(
         xhat, nx, *geometry._far_end(xs, m * spec.step)))
 

@@ -542,11 +542,11 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 
     # twisted shifts: unitary, one-parameter along a line, WPR off it
     un_dev, group_dev = [], []
+    interior_norm = hilbert.norm(interior)
     for _ in range(20):
         m, = _sample_steps(rng, spec, 1, 3)
         u = ops.twisted_shift(spec, m)
-        un_dev.append(abs(hilbert.norm(u(interior)) - hilbert.norm(interior))
-                      / hilbert.norm(interior))
+        un_dev.append(abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm)
         ax = int(rng.integers(0, 3))
         s_steps = int(rng.integers(1, 3))
         t_steps = int(rng.integers(1, 3))
@@ -658,15 +658,16 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     # the transported-hop forms make both splitting identities exact on the
     # lattice (roundoff only), strictly better than the O(h^2) bound that a
     # multiplier-connection discretization would give
-    hj = ham(jo(smooth)).values - jo(ham(smooth)).values
+    h_smooth = ham(smooth)
+    hj = ham(jo(smooth)).values - jo(h_smooth).values
     rep.checks.append(check_from_devs(
         "hamiltonian-j-commute", "[H, J] = 0, exact on the lattice",
-        [quat.qnorm(hj).max() / np.abs(ham(smooth).values).max()], 1e-12))
+        [quat.qnorm(hj).max() / np.abs(h_smooth.values).max()], 1e-12))
 
     ehr_dev = []
     for i in range(3):
         xi = ops.position(spec, i)
-        comm = ham(xi(smooth)).values - xi(ham(smooth)).values
+        comm = ham(xi(smooth)).values - xi(h_smooth).values
         target = -ops.covderiv(spec, i)(smooth).values
         ehr_dev.append(quat.qnorm(comm - target).max() / quat.qnorm(target).max())
     rep.checks.append(check_from_devs(

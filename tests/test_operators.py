@@ -90,6 +90,15 @@ def test_lattice_factories_reject_step_vectors_not_of_length_three(spec, steps):
             make(steps)
 
 
+@pytest.mark.parametrize("other", [LatticeSpec(n=12, box=4.0), LatticeSpec(n=16, box=5.0)])
+def test_operators_reject_a_field_of_another_lattice(spec, other):
+    field = hilbert.constant(other, quat.E0)
+    for op in (ops.jop(spec), ops.Shift(spec, [1, 0, 0]), ops.Diff(spec, 0),
+               ops.hamiltonian(spec, 1.0), ops.twisted_shift(spec, [1, 0, 0])):
+        with pytest.raises(ValueError, match="operator and field live on different lattices"):
+            op(field)
+
+
 @pytest.mark.parametrize("axis", [-1, 3])
 def test_axis_factories_reject_axes_outside_0_to_2(spec, axis):
     # -1 used to read the x_3 plane (position, bfield_op) or give e0

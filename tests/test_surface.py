@@ -1,5 +1,6 @@
 """Every function, class, method and property of the package has a user
-besides its tests.
+besides its tests, and every private name that one package module takes
+from another is listed with its reason.
 
 The package modules and the benchmark scripts are parsed with ``ast``.  A
 top-level definition, public or private, or a method of a top-level
@@ -23,6 +24,25 @@ KEEP = {
     "expectation": "the generic expectation value, the tests' oracle for the fused observables",
     "transport_sign_variant": "the sign-flipped transport, the negative control of the geometry suite",
     "imaginary_unit": "builds the imaginary units that the tests pass to slice_frame",
+}
+
+# private names that one package module takes from another, as
+# "user -> owner._name", each with the reason it crosses the module line
+PRIVATE_CROSSINGS = {
+    "dynamics -> operators._FrameField":
+        "a Cayley step returns its solution as a field held in slice-frame columns",
+    "dynamics -> operators._frame_cols":
+        "a Cayley step and an observables row read a field's slice-frame columns",
+    "dynamics -> operators._hop_links":
+        "imported as an alias that perfbench traces as the link assembly",
+    "operators -> geometry._plane_norm":
+        "the site table's |x|, by transport's own formula",
+    "operators -> geometry._far_end":
+        "transport_op's per-shift terms of transport, at x + m h",
+    "operators -> geometry._transport_value":
+        "transport_op's symbol, transport's formula on the cached site planes",
+    "verify -> operators._steps_admissible":
+        "the samplers draw only integer steps whose segments miss the origin",
 }
 
 
@@ -75,3 +95,36 @@ def test_every_private_helper_has_a_user():
 def test_keep_list_names_unused_public_definitions():
     # a kept name that disappears, or gains a user, leaves the list
     assert set(KEEP) <= _unused()
+
+
+def _private_crossings(root=ROOT):
+    """``user -> owner._name`` for every private name that a package module
+    reads from another: imported from it by name, or read as an attribute
+    of the name it was imported under (``from . import operators as ops``).
+    Like ``_unused``, a floor: a module reached some other way is not seen."""
+    found = set()
+    for path in sorted((root / "src" / "qmono").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        user, modules = path.stem, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.add(f"{user} -> {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.add(f"{user} -> {modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_every_private_crossing_is_listed():
+    # reaching into another module's private name is a listed decision
+    assert sorted(_private_crossings() - set(PRIVATE_CROSSINGS)) == []
+
+
+def test_private_crossings_list_has_no_stale_entry():
+    # a crossing whose use is gone leaves the list
+    assert sorted(set(PRIVATE_CROSSINGS) - _private_crossings()) == []
