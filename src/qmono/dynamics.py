@@ -40,7 +40,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import blas
 
 from . import geometry, hilbert, operators as ops, quat
 from .hilbert import LatticeField, LatticeSpec
@@ -131,6 +130,14 @@ class EvolutionConfig:
             raise ValueError("packet center closer than 3 sigma to the box walls")
 
 
+def _blas():
+    """scipy's BLAS wrappers, imported on first use: only the Cayley solver
+    needs them, so ``scipy.linalg`` (about 8 MiB resident) loads with a
+    ``CayleyEvolver`` that steps, never with a verify suite."""
+    from scipy.linalg import blas
+    return blas
+
+
 def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     """Solve ``(I + a) x = b`` for an anti-hermitian ``a`` by the generalized
     conjugate gradients of Concus, Golub and Widlund (Widlund, SIAM J.
@@ -150,6 +157,7 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     ``rtol |b|``, else the ``maxiter`` iterations run.
     ``callback(x)`` is called after every iteration.
     """
+    blas = _blas()
     b = np.ascontiguousarray(b, dtype=complex)
     bnorm = blas.dznrm2(b.ravel())
     if bnorm == 0.0:
@@ -218,6 +226,7 @@ class CayleyEvolver:
         self._m = None
         self._prev = None
         if dt != 0.0:
+            _blas()  # the solver's BLAS loads with the set-up, not in the first step
             h = self.h_mat
             # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
             self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
@@ -226,10 +235,10 @@ class CayleyEvolver:
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
             raise ValueError("field lattice does not match the evolver")
+        v = ops._frame_cols(psi)
         if self.dt == 0.0:
             self.cg_iters.append(0)
-            return psi.copy()
-        v = ops._frame_cols(psi)
+            return ops._FrameField(self.spec, v)
         b = v - self._m @ v
         # warm start: linear extrapolation from the previous step of the same shape
         prev = self._prev
@@ -284,13 +293,14 @@ class _Observables:
     """
 
     def __init__(self, evolver: CayleyEvolver, with_force: bool):
-        spec = evolver.spec
+        self.spec = spec = evolver.spec
         self.mass = evolver.mass
         self.with_force = with_force
         self.h_mat = evolver.h_mat
         self.cell = spec.cell_volume
         pts = spec.points()
-        self.coords = [pts[..., i].ravel() for i in range(3)]
+        # column views of the cached grid; each product below is formed contiguous
+        self.coords = [pts.reshape(-1, 3)[:, i] for i in range(3)]
         self.grad_mats = build_gradient_matrices(spec)
         if with_force:
             b = geometry.bfield(pts)
@@ -300,6 +310,8 @@ class _Observables:
     def row(self, psi: LatticeField):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
         from its frame columns; ``force`` is None unless recorded."""
+        if psi.spec != self.spec:
+            raise ValueError("field lattice does not match the evolver")
         f = ops._frame_cols(psi)
         dens = np.sum(f.real**2 + f.imag**2, axis=-1)
         nsq = float(dens.sum() * self.cell)

@@ -364,13 +364,21 @@ def _skew(x):
     return out
 
 
-def curvature(x) -> CurvatureSample:
-    """Closed-form curvature two-forms at ``x`` (see CurvatureSample)."""
-    x = np.asarray(x, dtype=float)
+def _kappa(x):
+    """``(kappa, |x|)`` at ``x``: the two-form of CurvatureSample, formed in
+    place in ``_skew``'s array; DomainError at the origin."""
     n = _norm(x)
     if np.any(n == 0.0):
         raise DomainError("curvature undefined at the origin")
-    kappa = -_skew(x) / (2.0 * n**3)[..., None, None]
+    kappa = _skew(x)
+    kappa /= (-2.0 * n**3)[..., None, None]
+    return kappa, n
+
+
+def curvature(x) -> CurvatureSample:
+    """Closed-form curvature two-forms at ``x`` (see CurvatureSample)."""
+    x = np.asarray(x, dtype=float)
+    kappa, n = _kappa(x)
     omega = kappa[..., None, :, :] * (x / n[..., None])[..., :, None, None]
     return CurvatureSample(omega=omega, kappa=kappa)
 
@@ -401,7 +409,7 @@ def chern(n_theta: int, n_phi: int, radius: float = 1.0, reverse: bool = False) 
     d_theta = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
     d_phi = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
 
-    kappa = curvature(x).kappa
+    kappa = _kappa(x)[0]  # omega, three times kappa's size, is not needed
     u, v = (d_theta, d_phi) if reverse else (d_phi, d_theta)
     integrand = np.einsum("...ij,...i,...j->...", kappa, u, v)
 

@@ -218,18 +218,21 @@ def _site_table(spec: LatticeSpec):
 def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
     """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
     ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
-    ``down conj(z(x))`` at ``(x+h, x)``."""
+    ``down conj(z(x))`` at ``(x+h, x)``.  Its arrays hold exactly its
+    nonzeros: a zero diagonal is not passed, and the wall links are dropped."""
     n = spec.n
     size = n**3
     links = _slice_gauge(spec)[1]
-    diagonals, offsets = [np.full(size, diag)], [0]
+    diagonals, offsets = ([np.full(size, diag)], [0]) if diag else ([], [])
     for axis, (up, down) in hops.items():
         stride = n ** (2 - axis)
         z = links[axis].ravel()[:size - stride]
         diagonals += [up * z, down * z.conj()]
         offsets += [stride, -stride]
     mat = sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
-    mat.eliminate_zeros()  # the wall entries, and a zero diagonal
+    # the conversion drops the zero wall links but returns views of its
+    # full-length buffers: copied, the arrays are exactly nnz long
+    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
     return mat
 
 

@@ -489,16 +489,11 @@ _STENCIL_IDENTITIES = (
 )
 
 
-def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
-                    seed: int = 42, tol: float = 1e-12) -> Report:
-    samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
-    spec = _suite_lattice(n, box, _PARALLEL_BAND)
-    rng = np.random.default_rng(seed)
-    rep = Report(suite="operators", seed=seed, n_samples=samples)
-    psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
-    phi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
-    jo = ops.jop(spec)
+# The operators suite runs its check groups one function each, in a fixed
+# order on one generator, so a group's whole-grid temporaries are freed
+# before the next group starts.
 
+def _jop_checks(rep, spec, psi, phi, jo, tol):
     rep.checks.append(check_from_devs(
         "jop-square", "J^2 = -I",
         [np.abs(jo(jo(psi)).values + psi.values).max()], 1e-14))
@@ -521,10 +516,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep.checks.append(check_from_devs(
         "position-j-commute", "[X_i, J] = 0 (roundoff only)", xj, 1e-14))
 
-    # fields with an empty band at the walls: shifts act without clipping
-    interior = hilbert.project(
-        hilbert.Box.of((-box * 0.55,) * 3, (box * 0.55,) * 3), psi)
 
+def _shift_checks(rep, rng, spec, psi, interior, samples):
     # imprimitivity, multiplied-through form, bit-exact
     imp_dev, comp_dev = [], []
     for _ in range(samples):
@@ -540,7 +533,9 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep.checks.append(check_from_devs(
         "shift-composition", "V(a) V(b) = V(a+b), bit-exact", comp_dev, 0.0))
 
-    # twisted shifts: unitary, one-parameter along a line, WPR off it
+
+def _twisted_checks(rep, rng, spec, interior, tol):
+    # twisted shifts: unitary, one-parameter along a line
     un_dev, group_dev = [], []
     interior_norm = hilbert.norm(interior)
     for _ in range(20):
@@ -560,6 +555,9 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep.checks.append(check_from_devs(
         "one-parameter-line", "U(s u) U(t u) = U((s+t) u)", group_dev, tol))
 
+
+def _defect_checks(rep, rng, spec, tol):
+    # closure defects: pointwise, with the transport-product symbol; WPR off a line
     defect_dev, defect_struct, wpr_size = [], [], []
     for _ in range(10):
         ma, mb, _, sym, dev, pointwise = _closure_defect(rng, spec)
@@ -585,6 +583,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep.checks.append(check_from_devs(
         "wpr-parallel-trivial", "m(a, b; x) = e0 for parallel a, b", par_dev, tol))
 
+
+def _analytic_checks(rep, rng):
     # connection value spot check: u = e1 at x = (0,0,1) -> -e2/2
     conn = ops.connection_value(_AXES[0], np.array([0.0, 0.0, 1.0]))
     rep.checks.append(check_from_devs(
@@ -645,10 +645,9 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
         "twisted-generator-order", "first-order convergence ratio in 2 +/- 0.5",
         np.abs(_richardson(gen_dev_s, gen_dev_s2) - 2.0), 0.5))
 
+
+def _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol):
     # lattice Hamiltonian: hermitian, commutes with J at O(h^2), Ehrenfest form
-    smooth = hilbert.sample(spec, gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
-    smooth = LatticeField(spec, smooth.values / hilbert.norm(smooth))
-    ham = ops.hamiltonian(spec, 1.0)
     lhs = hilbert.inner(phi, ham(psi))[0]
     rhs = hilbert.inner(ham(phi), psi)[0]
     rep.checks.append(check_from_devs(
@@ -681,6 +680,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
         "bfield-op", "B_3 symbol = x_3 / (2 |x|^3)",
         [np.abs(bval[..., 0] - 0.5 * pts3 / r**3).max()], 1e-14))
 
+
+def _adjoint_checks(rep, spec, jo, interior, smooth, ham):
     # adjoint consistency on interior-supported fields
     adj_dev = []
     for op in (jo, ops.position(spec, 1), ops.left_unit(spec, 0),
@@ -691,6 +692,30 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
         adj_dev.append(abs(lhs - rhs) / max(abs(lhs), 1e-12))
     rep.checks.append(check_from_devs(
         "adjoint-consistency", "inner(phi, A psi) = inner(A* phi, psi)", adj_dev, 1e-10))
+
+
+def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
+                    seed: int = 42, tol: float = 1e-12) -> Report:
+    samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
+    spec = _suite_lattice(n, box, _PARALLEL_BAND)
+    rng = np.random.default_rng(seed)
+    rep = Report(suite="operators", seed=seed, n_samples=samples)
+    psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
+    phi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
+    jo = ops.jop(spec)
+    _jop_checks(rep, spec, psi, phi, jo, tol)
+    # fields with an empty band at the walls: shifts act without clipping
+    interior = hilbert.project(
+        hilbert.Box.of((-box * 0.55,) * 3, (box * 0.55,) * 3), psi)
+    _shift_checks(rep, rng, spec, psi, interior, samples)
+    _twisted_checks(rep, rng, spec, interior, tol)
+    _defect_checks(rep, rng, spec, tol)
+    _analytic_checks(rep, rng)
+    smooth = hilbert.sample(spec, gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
+    smooth = LatticeField(spec, smooth.values / hilbert.norm(smooth))
+    ham = ops.hamiltonian(spec, 1.0)
+    _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol)
+    _adjoint_checks(rep, spec, jo, interior, smooth, ham)
     return rep
 
 

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,3 +218,25 @@ def test_evolve_single_step_gates_norm_drift(tmp_path, monkeypatch, capsys):
                      "--steps", "1", "--out", str(tmp_path / "traj.csv")])
     assert code == 1
     assert "norm drift" in capsys.readouterr().out
+
+
+def test_verify_never_loads_the_solver_blas(tmp_path):
+    # scipy.linalg (the BLAS of the Cayley solver) loads with an evolver
+    # that steps, not with a verify run; a fresh process shows which
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+from qmono import cli, dynamics
+from qmono.hilbert import LatticeSpec
+out = {str(tmp_path)!r}
+assert cli.main(["verify", "geometry", "--samples", "200", "--out", out + "/g.json"]) == 0
+assert cli.main(["verify", "gis", "--samples", "10", "--n", "12", "--box", "4.0",
+                 "--out", out + "/gis.json"]) == 0
+print("scipy.linalg" in sys.modules)
+dynamics.CayleyEvolver(LatticeSpec(n=12, box=4.0), 1.0, 0.1)
+print("scipy.linalg" in sys.modules)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-2:] == ["False", "True"]

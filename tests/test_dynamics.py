@@ -133,10 +133,23 @@ def test_link_operators_match_numpy_reference():
 
 
 def test_zero_dt_step_is_identity():
+    # the identity on frame columns, bit for bit, returned like every other
+    # step: as a read-only frame field
+    ev = dynamics.CayleyEvolver(SPEC, mass=1.0, dt=0.0)
     psi = packet()
-    out = dynamics.CayleyEvolver(SPEC, mass=1.0, dt=0.0).step(psi)
-    assert np.array_equal(out.values, psi.values)
-    assert out.values is not psi.values
+    out = ev.step(psi)
+    assert isinstance(out, ops._FrameField)
+    assert np.array_equal(out.cols, ops._frame_cols(psi))
+    # a plain field's values come back through the frame, to roundoff
+    assert np.abs(out.values - psi.values).max() < 1e-15 * np.abs(psi.values).max()
+    with pytest.raises(ValueError):
+        out.values *= 2.0
+    # a frame field's values are formed from the same columns, bit for bit
+    again = ev.step(out)
+    assert np.array_equal(again.values, out.values)
+    with pytest.raises(ValueError):
+        again.cols[0] = 0.0
+    assert ev.cg_iters == [0, 0]
 
 
 GOOD = dict(center=(-1.2, 1.0, 0.4), sigma=0.5)
@@ -327,6 +340,17 @@ def test_step_rejects_a_field_of_another_lattice():
     with pytest.raises(ValueError, match="does not match the evolver"):
         ev.step(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols))
     assert ev.cg_iters == []
+
+
+def test_observables_row_rejects_a_field_of_another_lattice():
+    obs = dynamics._Observables(dynamics.CayleyEvolver(SPEC, 1.0, 0.0), with_force=True)
+    with pytest.raises(ValueError, match="does not match the evolver"):
+        obs.row(hilbert.constant(LatticeSpec(n=12, box=SPEC.box), quat.E0))
+    # columns of the right size on a box twice as large would report the
+    # evolver lattice's positions: only the lattice check refuses them
+    cols = ops._frame_cols(packet())
+    with pytest.raises(ValueError, match="does not match the evolver"):
+        obs.row(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols))
 
 
 def test_one_column_step_matches_two_column_step_with_zero_f2():

@@ -205,6 +205,24 @@ def test_covderiv_antihermitian(spec, interior):
         ops.covderiv(spec, -1)
 
 
+def _buffer_nbytes(a):
+    """Bytes of the allocation that ``a`` views, or of its own data."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_frame_matrices_hold_exactly_their_nonzeros(n):
+    lat = LatticeSpec(n=n, box=4.0)
+    for op in (ops.hamiltonian(lat, 1.3), *(ops.covderiv(lat, ax) for ax in range(3))):
+        m = op.matrix
+        assert np.count_nonzero(m.data) == m.nnz
+        for arr in (m.data, m.indices):
+            assert arr.size == m.nnz
+            assert _buffer_nbytes(arr) == arr.nbytes
+
+
 def test_hamiltonian_velocity_identity_exact(spec, psi):
     ham = ops.hamiltonian(spec, 1.7)
     for i in range(3):
