@@ -1,9 +1,9 @@
 """Command-line driver: verification suites, Chern quadrature, evolution.
 
 Exit codes: 0 all checks within tolerance, 1 identity failure (or solver
-failure), 2 usage error.  Reports are JSON with a stable layout (the
-timestamp is an isolated top-level key); trajectories and convergence
-tables are CSV.
+failure), 2 usage error (an unwritable ``--out`` included).  Reports are
+JSON with a stable layout (the timestamp is an isolated top-level key);
+trajectories and convergence tables are CSV.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def cmd_chern(args) -> int:
     rows = []
     target = 2.0 * np.pi
     for g in grids:
-        val = geometry.chern(g, g, radius=args.radius)
+        val = geometry.chern(g, radius=args.radius)
         rows.append((g, g, val, abs(val - target)))
     print(f"{'n_theta':>8} {'n_phi':>8} {'value':>20} {'error':>12} {'ratio':>8}")
     for i, (nt, nph, val, err) in enumerate(rows):
@@ -155,12 +155,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # an --out in a missing directory is refused before any work runs
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out directory does not exist: {args.out}")
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "chern":
             return cmd_chern(args)
         return cmd_evolve(args)
-    except (ValueError, geometry.DomainError) as exc:
+    except (ValueError, OSError, geometry.DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

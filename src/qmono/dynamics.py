@@ -121,6 +121,10 @@ class EvolutionConfig:
             raise ValueError("dt must be positive when steps > 0")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
+        for name in ("center", "kick"):
+            vec = np.asarray(getattr(self, name), dtype=float)
+            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+                raise ValueError(f"{name} must be three finite numbers")
         # the packet must sit at least 3 sigma from the monopole and from
         # every wall, or its expectation values are not trustworthy
         center = np.asarray(self.center, dtype=float)
@@ -132,8 +136,8 @@ class EvolutionConfig:
 
 def _blas():
     """scipy's BLAS wrappers, imported on first use: only the Cayley solver
-    needs them, so ``scipy.linalg`` (about 8 MiB resident) loads with a
-    ``CayleyEvolver`` that steps, never with a verify suite."""
+    needs them, so ``scipy.linalg`` (about 8 MiB resident) loads with every
+    ``CayleyEvolver``, never with a verify suite."""
     from scipy.linalg import blas
     return blas
 
@@ -213,32 +217,26 @@ class CayleyEvolver:
     on each column alone, so a zero ``f2`` stays zero and a one-column
     field is stepped as one column.  ``cg_iters`` records the iteration
     count of every step: one matvec each, plus one for the start residual.
+    At ``dt = 0``, ``M`` is zero: a step returns its input after 0 iterations.
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
                  solver_rtol: float = EvolutionConfig.solver_rtol):
         self.spec = spec
         self.mass = mass
-        self.dt = dt
         self.solver_rtol = solver_rtol
         self.cg_iters: list[int] = []
-        self.h_mat = build_hamiltonian_matrix(spec, mass)
-        self._m = None
+        self.h_mat = h = build_hamiltonian_matrix(spec, mass)
         self._prev = None
-        if dt != 0.0:
-            _blas()  # the solver's BLAS loads with the set-up, not in the first step
-            h = self.h_mat
-            # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
-            self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
-                                        shape=h.shape)
+        _blas()  # the solver's BLAS loads with the set-up, not in the first step
+        # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
+        self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
+                                    shape=h.shape)
 
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
             raise ValueError("field lattice does not match the evolver")
         v = ops._frame_cols(psi)
-        if self.dt == 0.0:
-            self.cg_iters.append(0)
-            return ops._FrameField(self.spec, v)
         b = v - self._m @ v
         # warm start: linear extrapolation from the previous step of the same shape
         prev = self._prev

@@ -383,24 +383,22 @@ def curvature(x) -> CurvatureSample:
     return CurvatureSample(omega=omega, kappa=kappa)
 
 
-def chern(n_theta: int, n_phi: int, radius: float = 1.0, reverse: bool = False) -> float:
+def chern(n: int, radius: float = 1.0, reverse: bool = False) -> float:
     """Integral of the curvature two-form over a sphere around the origin.
 
-    Product quadrature: composite Simpson in the polar angle (``n_theta``
-    intervals, even), periodic trapezoid in azimuth (``n_phi`` points).
-    Converges to 2 pi at fourth order in the default orientation (the one
-    in which the enclosed monopole charge counts positive); radius drops
-    out exactly.
+    Product quadrature on an ``n`` by ``n`` grid: composite Simpson in the
+    polar angle (``n`` intervals, even), periodic trapezoid in azimuth
+    (``n`` points).  Converges to 2 pi at fourth order in the default
+    orientation (the one in which the enclosed monopole charge counts
+    positive); radius drops out exactly.
     """
-    if n_theta < 8 or n_phi < 8:
-        raise ValueError("chern requires n_theta, n_phi >= 8")
-    if n_theta % 2 != 0:
-        raise ValueError("n_theta must be even (Simpson rule)")
+    if n < 8 or n % 2 != 0:
+        raise ValueError("chern requires an even n >= 8 (Simpson rule)")
     if not 0.0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
 
-    theta = np.linspace(0.0, np.pi, n_theta + 1)
-    phi = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    theta = np.linspace(0.0, np.pi, n + 1)
+    phi = np.arange(n) * (2.0 * np.pi / n)
     tg, pg = np.meshgrid(theta, phi, indexing="ij")
 
     st, ct = np.sin(tg), np.cos(tg)
@@ -413,8 +411,8 @@ def chern(n_theta: int, n_phi: int, radius: float = 1.0, reverse: bool = False) 
     u, v = (d_theta, d_phi) if reverse else (d_phi, d_theta)
     integrand = np.einsum("...ij,...i,...j->...", kappa, u, v)
 
-    w_theta = np.ones(n_theta + 1)
+    w_theta = np.ones(n + 1)
     w_theta[1:-1:2] = 4.0
     w_theta[2:-1:2] = 2.0
-    w_theta *= (np.pi / n_theta) / 3.0
-    return float(np.sum(integrand * w_theta[:, None]) * (2.0 * np.pi / n_phi))
+    w_theta *= (np.pi / n) / 3.0
+    return float(np.sum(integrand * w_theta[:, None]) * (2.0 * np.pi / n))

@@ -85,9 +85,6 @@ class LatticeField:
         if self.values.shape != (n, n, n, 4):
             raise ValueError(f"values must have shape {(n, n, n, 4)}, got {self.values.shape}")
 
-    def copy(self) -> "LatticeField":
-        return LatticeField(self.spec, self.values.copy())
-
 
 def sample(spec: LatticeSpec, fn) -> LatticeField:
     """Sample an analytic field ``fn: (..., 3) -> (..., 4)`` onto the lattice."""

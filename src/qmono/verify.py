@@ -308,14 +308,8 @@ def algebra_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12) -> R
 # ---------------------------------------------------------------------------
 # geometry suite
 
-def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
-                   transport_fn=None) -> Report:
-    """Transport, cocycle, holonomy-flux and curvature checks.
-
-    ``transport_fn`` overrides the transport used by the unitarity and
-    cocycle checks (the sign variant serves as a negative control).
-    """
-    transport_fn = transport_fn or geometry.transport
+def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12) -> Report:
+    """Transport, cocycle, holonomy-flux and curvature checks."""
     rng = np.random.default_rng(seed)
     rep = Report(suite="geometry", seed=seed, n_samples=samples)
 
@@ -324,14 +318,14 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
     rep.checks.append(check_from_devs("dirq-square", "dirq(x)^2 = -e0", jj, tol))
 
     xt, a = _sample_legs(rng, samples, _TRANSPORT_PAIRS)
-    w = transport_fn(a, xt)
+    w = geometry.transport(a, xt)
     rep.checks.append(check_from_devs(
         "transport-unitarity", "|w(a; x)| = 1", np.abs(quat.qnorm(w) - 1.0), tol))
 
     xc, ac, s, t = _sample_legs(rng, samples, _COCYCLE_SAMPLES)
-    lhs = quat.qmul(transport_fn(t[:, None] * ac, xc + s[:, None] * ac),
-                    transport_fn(s[:, None] * ac, xc))
-    rhs = transport_fn((s + t)[:, None] * ac, xc)
+    lhs = quat.qmul(geometry.transport(t[:, None] * ac, xc + s[:, None] * ac),
+                    geometry.transport(s[:, None] * ac, xc))
+    rhs = geometry.transport((s + t)[:, None] * ac, xc)
     rep.checks.append(check_from_devs(
         "transport-cocycle", "w(ta; x+sa) w(sa; x) = w((s+t)a; x)",
         quat.qnorm(lhs - rhs), tol))
@@ -416,9 +410,9 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12,
     rep.checks.append(check_from_devs(
         "bfield-divergence", "div B = 0 away from the origin (FD)", div, 1e-6))
 
-    c0 = geometry.chern(256, 256)
-    c7 = geometry.chern(256, 256, radius=7.0)
-    cr = geometry.chern(256, 256, reverse=True)
+    c0 = geometry.chern(256)
+    c7 = geometry.chern(256, radius=7.0)
+    cr = geometry.chern(256, reverse=True)
     rep.checks.append(check_from_devs(
         "chern-integral", "sphere integral of kappa = 2pi",
         [abs(c0 - 2.0 * np.pi)], 1e-6))

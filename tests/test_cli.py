@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmono import cli, dynamics, quat
+from qmono.verify import SUITES
 
 
 def test_verify_algebra_passes(tmp_path, capsys):
@@ -191,6 +193,38 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["verify", "algebra"],
+    ["chern", "--n", "16"],
+    ["evolve", "--preset", "free", "--n", "16", "--steps", "4"],
+])
+def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, args):
+    def ran(*_, **__):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setitem(cli.SUITES, "algebra", ran)
+    monkeypatch.setattr(cli.geometry, "chern", ran)
+    monkeypatch.setattr(cli.dynamics, "evolve", ran)
+    code = cli.main([*args, "--out", str(tmp_path / "missing" / "out.txt")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "usage error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
+    # the directory exists, but the path names a directory, not a file
+    assert cli.main(["chern", "--n", "16", "--out", str(tmp_path)]) == 2
+    assert "usage error:" in capsys.readouterr().err
+
+
+def test_suites_take_only_the_options_of_qmono_verify():
+    # a suite parameter that the CLI cannot set is a knob only tests reach
+    for name, suite in SUITES.items():
+        assert set(inspect.signature(suite).parameters) <= {"samples", "seed", "n", "box", "tol"}, name
+
+
 @pytest.mark.parametrize("suite", ["algebra", "geometry", "gis", "operators", "splitting"])
 def test_verify_rejects_zero_samples(tmp_path, capsys, suite):
     code = cli.main(["verify", suite, "--samples", "0", "--n", "16",
@@ -221,8 +255,8 @@ def test_evolve_single_step_gates_norm_drift(tmp_path, monkeypatch, capsys):
 
 
 def test_verify_never_loads_the_solver_blas(tmp_path):
-    # scipy.linalg (the BLAS of the Cayley solver) loads with an evolver
-    # that steps, not with a verify run; a fresh process shows which
+    # scipy.linalg (the BLAS of the Cayley solver) loads with an evolver,
+    # not with a verify run; a fresh process shows which
     code = f"""
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})

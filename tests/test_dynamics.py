@@ -166,6 +166,12 @@ def test_config_validation():
     with pytest.raises(ValueError, match="dt must be positive"):
         dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=4, **GOOD)
     assert dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=0, **GOOD).steps == 0
+    # the packet's center and kick are three finite numbers each
+    for bad in (dict(center=(np.nan, 1.0, 0.4)), dict(center=(-1.2, 1.0)),
+                dict(kick=(np.inf, 0.0, 0.0)), dict(kick=(np.nan, 0.0, 0.0)),
+                dict(kick=(0.5, 0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="three finite numbers"):
+            dynamics.EvolutionConfig(lattice=SPEC, **{**GOOD, **bad})
     # packet support must clear the monopole and the walls by 3 sigma
     with pytest.raises(ValueError):
         dynamics.EvolutionConfig(lattice=SPEC, center=(0.0, 0.0, 1.0), sigma=0.5)

@@ -354,22 +354,22 @@ def test_curvature_antisymmetry_random():
 
 
 def test_chern_quadrature():
-    val = geometry.chern(256, 256)
+    val = geometry.chern(256)
     assert abs(val - 2.0 * np.pi) < 1e-6
-    assert abs(geometry.chern(256, 256, radius=7.0) - 2.0 * np.pi) < 1e-6
-    assert abs(geometry.chern(256, 256, reverse=True) + 2.0 * np.pi) < 1e-6
+    assert abs(geometry.chern(256, radius=7.0) - 2.0 * np.pi) < 1e-6
+    assert abs(geometry.chern(256, reverse=True) + 2.0 * np.pi) < 1e-6
 
 
 def test_chern_convergence_order():
-    errs = [abs(geometry.chern(n, n) - 2.0 * np.pi) for n in (8, 16, 32)]
+    errs = [abs(geometry.chern(n) - 2.0 * np.pi) for n in (8, 16, 32)]
     assert 8.0 < errs[0] / errs[1] < 32.0
     assert 8.0 < errs[1] / errs[2] < 32.0
 
 
 def test_chern_validation():
     with pytest.raises(ValueError):
-        geometry.chern(4, 256)
+        geometry.chern(4)
     with pytest.raises(ValueError):
-        geometry.chern(9, 256)
+        geometry.chern(9)
     with pytest.raises(ValueError):
-        geometry.chern(16, 16, radius=-1.0)
+        geometry.chern(16, radius=-1.0)
