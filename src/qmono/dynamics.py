@@ -155,7 +155,8 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     eta_{k-1}`` has real part at least 1, so the recurrence cannot break
     down.  The residual is ``-beta_k (z_k / eta_k) v_{k+1}``, so its norm
     comes without a matvec, and one product with ``a`` is made per
-    iteration.  ``b`` may be ``(n, k)`` columns, solved as one vector.
+    iteration.  ``b`` may be ``(n, k)`` columns, solved as one vector;
+    the start ``x0`` is zero when not given.
 
     Returns ``(x, info)``: ``info`` is 0 once the residual is at most
     ``rtol |b|``, else the ``maxiter`` iterations run.
@@ -167,12 +168,9 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     if bnorm == 0.0:
         return np.zeros_like(b), 0
     tol = rtol * bnorm
-    if x0 is None:
-        x = np.zeros_like(b)
-        v = b.copy()
-    else:
-        x = np.array(x0, dtype=complex, order="C").reshape(b.shape)
-        v = b - x - a @ x
+    x = (np.zeros_like(b) if x0 is None
+         else np.array(x0, dtype=complex, order="C").reshape(b.shape))
+    v = b - x - a @ x
     xf, vf = x.ravel(), v.ravel()
     # z_k: the last entry of L_k^-1 beta_0 e_1, z_1 = beta_0 = |b - x0 - a x0|
     z = blas.dznrm2(vf)
@@ -413,11 +411,10 @@ def ehrenfest(traj: Trajectory) -> Report:
     return rep
 
 
-def free_flight_config(n: int = 36, box: float = 7.2, dt: float = 0.1,
-                       steps: int = 60) -> EvolutionConfig:
+def free_flight_config(n: int = 36, dt: float = 0.1, steps: int = 60) -> EvolutionConfig:
     """Packet coasting far from the monopole: ballistic reference run."""
     return EvolutionConfig(
-        lattice=LatticeSpec(n=n, box=box),
+        lattice=LatticeSpec(n=n, box=7.2),
         mass=1.0,
         dt=dt,
         steps=steps,
@@ -428,8 +425,7 @@ def free_flight_config(n: int = 36, box: float = 7.2, dt: float = 0.1,
     )
 
 
-def monopole_flyby_config(n: int = 48, box: float = 6.0, dt: float = 0.02,
-                          steps: int = 60) -> EvolutionConfig:
+def monopole_flyby_config(n: int = 48, dt: float = 0.02, steps: int = 60) -> EvolutionConfig:
     """Kicked packet passing the monopole at a finite impact parameter.
 
     Sized so the run stays clean on all three fronts that can contaminate
@@ -439,7 +435,7 @@ def monopole_flyby_config(n: int = 48, box: float = 6.0, dt: float = 0.02,
     resolution (sigma ~ 2.8 h).
     """
     return EvolutionConfig(
-        lattice=LatticeSpec(n=n, box=box),
+        lattice=LatticeSpec(n=n, box=6.0),
         mass=2.0,
         dt=dt,
         steps=steps,

@@ -56,18 +56,14 @@ class LatticeSpec:
         """The n per-axis coordinates, odd multiples of box/n."""
         return (2.0 * np.arange(self.n) + 1.0 - self.n) * (self.box / self.n)
 
+    @functools.lru_cache(maxsize=8)
     def points(self) -> np.ndarray:
-        """All sample points, shape (n, n, n, 3)."""
-        return grid_points(self)
-
-
-@functools.lru_cache(maxsize=8)
-def grid_points(spec: LatticeSpec) -> np.ndarray:
-    ax = spec.axis()
-    x1, x2, x3 = np.meshgrid(ax, ax, ax, indexing="ij")
-    pts = np.stack([x1, x2, x3], axis=-1)
-    pts.setflags(write=False)
-    return pts
+        """All sample points, shape (n, n, n, 3), read-only and cached per lattice."""
+        ax = self.axis()
+        x1, x2, x3 = np.meshgrid(ax, ax, ax, indexing="ij")
+        pts = np.stack([x1, x2, x3], axis=-1)
+        pts.setflags(write=False)
+        return pts
 
 
 @dataclass

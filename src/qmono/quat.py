@@ -19,17 +19,14 @@ E1 = np.array([0.0, 1.0, 0.0, 0.0])
 E2 = np.array([0.0, 0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 0.0, 1.0])
 
-#: minimum length accepted when normalizing a direction into an imaginary unit
-DIRECTION_EPS = 1e-12
-
 #: sites per ``qmul`` block (chosen by timing 4096, 8192 and 16384 at n = 32
 #: and 48): the block's ten planes, 640 KiB, stay in a core's L2 cache
 QMUL_BLOCK = 8192
 
 
 #: the four products ``p_i q_j`` of each component of ``p q``, summed left
-#: to right: the first, then each later one added or subtracted (the order
-#: of ``qmul``'s one-expression formula)
+#: to right: the first, then each later one added or subtracted, as in
+#: ``p0 q0 - p1 q1 - p2 q2 - p3 q3`` for component 0
 _PRODUCTS = (
     ((0, 0), (np.subtract, 1, 1), (np.subtract, 2, 2), (np.subtract, 3, 3)),
     ((0, 1), (np.add, 1, 0), (np.add, 2, 3), (np.subtract, 3, 2)),
@@ -39,11 +36,7 @@ _PRODUCTS = (
 
 
 def _planes(q, rows):
-    """The four component planes of ``q[rows]``: contiguous copies, or
-    scalars where ``q`` is constant over its leading axes (zero strides,
-    as for a broadcast ``(4,)`` symbol), which is then never expanded."""
-    if not any(q.strides[:-1]):
-        return q[(0,) * (q.ndim - 1)]
+    """The four component planes of ``q[rows]``, as contiguous copies."""
     return np.ascontiguousarray(q[rows].transpose(-1, *range(q.ndim - 1)))
 
 
@@ -52,31 +45,20 @@ def qmul(p, q) -> np.ndarray:
 
     Evaluated in blocks of about ``QMUL_BLOCK`` sites along the first axis,
     on contiguous component planes and two reused block buffers, so that a
-    whole field's temporaries never leave the cache.  Products of at most
-    ``QMUL_BLOCK // 64`` sites (single quaternions and small batches) skip
-    the block set-up and take each component as one expression, which is
-    faster there and on par up to about that size.  Either way each
-    component is the same four products, summed in the same order, at
-    every site.
+    whole field's temporaries never leave the cache.  A single quaternion
+    is a batch of one.  Each component is the same four products, summed
+    in the same order, at every site.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     shape = np.broadcast_shapes(p.shape, q.shape)
-    if math.prod(shape[:-1]) <= QMUL_BLOCK // 64:  # up to 128 sites
-        p0, p1, p2, p3 = np.moveaxis(p, -1, 0)
-        q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
-        out = np.empty(shape)
-        out[..., 0] = p0 * q0 - p1 * q1 - p2 * q2 - p3 * q3
-        out[..., 1] = p0 * q1 + p1 * q0 + p2 * q3 - p3 * q2
-        out[..., 2] = p0 * q2 - p1 * q3 + p2 * q0 + p3 * q1
-        out[..., 3] = p0 * q3 + p1 * q2 - p2 * q1 + p3 * q0
-        return out
-    p, q = (x if x.shape == shape else np.broadcast_to(x, shape) for x in (p, q))
-    out = np.empty(shape)
-    step = max(1, QMUL_BLOCK // max(1, math.prod(shape[1:-1])))
-    acc = np.empty((min(step, shape[0]),) + shape[1:-1])
+    full = shape if len(shape) > 1 else (1,) + shape
+    p, q = (x if x.shape == full else np.broadcast_to(x, full) for x in (p, q))
+    out = np.empty(full)
+    step = max(1, QMUL_BLOCK // max(1, math.prod(full[1:-1])))
+    acc = np.empty((min(step, full[0]),) + full[1:-1])
     term = np.empty_like(acc)
-    for start in range(0, shape[0], step):
+    for start in range(0, full[0], step):
         rows = slice(start, start + step)
         pp, qq, o = _planes(p, rows), _planes(q, rows), out[rows]
         a, t = acc[:len(o)], term[:len(o)]
@@ -85,7 +67,7 @@ def qmul(p, q) -> np.ndarray:
             for op, i, j in rest:
                 op(a, np.multiply(pp[i], qq[j], out=t), out=a)
             o[..., k] = a
-    return out
+    return out.reshape(shape)
 
 
 def rmul(p, c) -> np.ndarray:
@@ -183,19 +165,4 @@ def auto(omega, q) -> np.ndarray:
     if np.any(np.abs(qnorm(omega) - 1.0) > 1e-9):
         raise ValueError("auto requires a unit quaternion omega")
     return qmul(qconj(omega), qmul(q, omega))
-
-
-def imaginary_unit(direction) -> np.ndarray:
-    """Normalize a 3-vector direction into an imaginary unit quaternion.
-
-    The result w satisfies ``w* = -w``, ``|w| = 1`` and ``w^2 = -e0``.
-    Directions shorter than ``DIRECTION_EPS`` are rejected (undefined axis).
-    """
-    v = np.asarray(direction, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("direction must be a 3-vector")
-    n = float(np.linalg.norm(v))
-    if n < DIRECTION_EPS:
-        raise ValueError("direction too short to define an imaginary unit")
-    return from_vector(v / n)
 

@@ -692,6 +692,13 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
                     seed: int = 42, tol: float = 1e-12) -> Report:
     samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
     spec = _suite_lattice(n, box, _PARALLEL_BAND)
+    # built first, so that a lattice on which it vanishes is refused before any check
+    smooth = hilbert.sample(spec, gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
+    smooth_norm = hilbert.norm(smooth)
+    if smooth_norm == 0.0:
+        raise ValueError("the suite's smooth Gaussian underflows to norm 0 on this lattice; "
+                         "take a smaller box")
+    smooth = LatticeField(spec, smooth.values / smooth_norm)
     rng = np.random.default_rng(seed)
     rep = Report(suite="operators", seed=seed, n_samples=samples)
     psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
@@ -705,8 +712,6 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     _twisted_checks(rep, rng, spec, interior, tol)
     _defect_checks(rep, rng, spec, tol)
     _analytic_checks(rep, rng)
-    smooth = hilbert.sample(spec, gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
-    smooth = LatticeField(spec, smooth.values / hilbert.norm(smooth))
     ham = ops.hamiltonian(spec, 1.0)
     _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol)
     _adjoint_checks(rep, spec, jo, interior, smooth, ham)

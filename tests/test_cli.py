@@ -185,7 +185,9 @@ def test_usage_errors(tmp_path):
                  # options the suite never reads: no lattice, or fixed tolerances
                  ["verify", "algebra", "--n", "32"], ["verify", "algebra", "--box", "6.0"],
                  ["verify", "geometry", "--n", "16"], ["verify", "geometry", "--box", "nan"],
-                 ["verify", "gis", "--tol", "1e-12"], ["verify", "splitting", "--tol", "1e-3"]):
+                 ["verify", "gis", "--tol", "1e-12"], ["verify", "splitting", "--tol", "1e-3"],
+                 # a box so wide that the operators suite's smooth Gaussian underflows to 0
+                 ["verify", "operators", "--n", "14", "--box", "600"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:

@@ -36,7 +36,8 @@ def test_packet_is_normalized_slice_member():
 
 def test_slice_frame_intertwines():
     pts = SPEC.points()
-    for omega in (quat.E3, quat.imaginary_unit([1.0, 2.0, -0.5])):
+    v = np.array([1.0, 2.0, -0.5])
+    for omega in (quat.E3, quat.from_vector(v / np.linalg.norm(v))):
         q = geometry.slice_frame(pts, omega)
         assert np.abs(quat.qnorm(q) - 1.0).max() < 1e-12
         dev = quat.qmul(geometry.dirq(pts), q) - quat.qmul(q, omega)
@@ -46,7 +47,8 @@ def test_slice_frame_intertwines():
 def test_slice_frame_near_the_singular_ray():
     # directions 1e-4 .. 1e-2 rad from the ray opposite to omega: the frame
     # stays unit and intertwining to rounding, without cancellation in 1 + cos
-    omega = quat.imaginary_unit([1.0, 2.0, -0.5])
+    v = np.array([1.0, 2.0, -0.5])
+    omega = quat.from_vector(v / np.linalg.norm(v))
     w = omega[1:]
     perp = np.cross(w, [1.0, 0.0, 0.0])
     perp /= np.linalg.norm(perp)
@@ -59,9 +61,10 @@ def test_slice_frame_near_the_singular_ray():
 
 def test_slice_frame_rejects_the_singular_ray():
     # the sites (-a, -a, -a) lie on the ray opposite to the slice axis
+    v = np.ones(3)
     with pytest.raises(geometry.DomainError):
         dynamics.gaussian_packet(SPEC, (-1.2, 1.0, 0.4), 0.5, (0.8, 0.0, 0.0),
-                                 omega=quat.imaginary_unit([1.0, 1.0, 1.0]))
+                                 omega=quat.from_vector(v / np.linalg.norm(v)))
 
 
 @pytest.mark.parametrize("n, box", [(16, 4.0), (48, 6.0)])
@@ -270,6 +273,9 @@ def test_cg_matches_dense_solve_of_identity_plus_anti_hermitian(k, warm):
     assert np.linalg.norm(x - exact) <= rtol * bnorm
     if warm:  # the start is copied, not overwritten
         assert np.array_equal(x0, start)
+    else:  # no start is the zero start, bit for bit
+        x_zero, info_zero, iters_zero = _counted_cg(s, b, x0=np.zeros_like(b), rtol=rtol)
+        assert (info_zero, iters_zero) == (info, iters) and np.array_equal(x_zero, x)
 
 
 def test_cg_exits_after_one_iteration_on_an_eigenvector():

@@ -79,23 +79,24 @@ def shift_ref(vals, steps):
 
 @pytest.mark.parametrize("n", [8, 48])
 def test_grid_kernels_match_reference_formulas(n):
-    # bit-for-bit: blocked and small-operand qmul on every operand layout
-    # the program passes (n = 48 spans several blocks), qnorm and qconj,
-    # the one-pass shifts and central differences, and box projections
+    # bit-for-bit: qmul on every operand layout the program passes, from
+    # single quaternions to whole fields (n = 48 spans several blocks),
+    # qnorm and qconj, the one-pass shifts and central differences, and box
+    # projections
     rng = np.random.default_rng(n)
     spec = hilbert.LatticeSpec(n=n, box=3.0)
     f, g = rng.standard_normal((2, n, n, n, 4))
     c = rng.standard_normal(4)
     batch_p, batch_q = rng.standard_normal((2, 20000, 4))  # three blocks
-    cut = quat.QMUL_BLOCK // 64  # the largest small-operand batch
+    small = 128  # small batches, one block each
     here, there = (slice(None), slice(None, -1)), (slice(None), slice(1, None))
     cases = [
         (f, g),                                  # whole fields
         (c, g), (f, c),                          # (4,) x field, field x (4,)
         (batch_p, batch_q), (batch_p, c), (c, c),  # batches and single quaternions
         (batch_p[:1], batch_q[:1]), (c, batch_q[:7]),
-        (batch_p[:cut], batch_q[:cut]), (batch_p[:cut + 1], batch_q[:cut + 1]),
-        (batch_p[:cut], c), (c, batch_q[:cut + 1]),  # both sides of the cut
+        (batch_p[:small], batch_q[:small]), (batch_p[:small + 1], batch_q[:small + 1]),
+        (batch_p[:small], c), (c, batch_q[:small + 1]),  # small batches and a constant
         (operators.left_unit(spec, 1).symbol, g),  # zero-stride symbol
         (f[here], g[there]),                     # non-contiguous slices
         (quat.qconj(f[there]), quat.qmul(g[here], f[there])),
@@ -104,7 +105,7 @@ def test_grid_kernels_match_reference_formulas(n):
         got = quat.qmul(p, q)
         assert got.shape == np.broadcast_shapes(np.shape(p), np.shape(q))
         assert np.array_equal(got, qmul_formula(p, q))
-    for q in (f, f[there], batch_p[:cut], c):
+    for q in (f, f[there], batch_p[:small], c):
         assert np.array_equal(quat.qnorm(q), np.sqrt(np.sum(q * q, -1)))
         assert np.array_equal(quat.qconj(q), q * [1.0, -1.0, -1.0, -1.0])
 
@@ -247,13 +248,3 @@ def test_auto_is_automorphism():
     dev = quat.qnorm(quat.auto(w, quat.qmul(p, q))
                      - quat.qmul(quat.auto(w, p), quat.auto(w, q)))
     assert (dev / (quat.qnorm(p) * quat.qnorm(q))).max() < 1e-13
-
-
-def test_imaginary_unit_construction():
-    w = quat.imaginary_unit([0.0, 0.0, 5.0])
-    assert np.array_equal(w, quat.E3)
-    assert np.abs(quat.qmul(w, w) + quat.E0).max() < 1e-15
-    with pytest.raises(ValueError):
-        quat.imaginary_unit([0.0, 0.0, 1e-13])
-    with pytest.raises(ValueError):
-        quat.imaginary_unit([1.0, 0.0, 0.0, 0.0])

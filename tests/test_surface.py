@@ -23,7 +23,6 @@ KEEP = {
     "rotgen": "the lattice rotation generator, kept for the conserved Poincare vector",
     "expectation": "the generic expectation value, the tests' oracle for the fused observables",
     "transport_sign_variant": "the sign-flipped transport, the negative control of acceptance criterion 11",
-    "imaginary_unit": "builds the imaginary units that the tests pass to slice_frame",
 }
 
 # private names that one package module takes from another, as
