@@ -32,13 +32,16 @@ from . import quat
 class LatticeSpec:
     """Cell-centered cubic grid: ``n`` points per axis on ``[-box, box]^3``.
 
-    ``n`` must be even and >= 4 so that no sample coordinate hits the origin.
+    ``n`` must be an integer (TypeError else, whole floats included), even
+    and >= 4 so that no sample coordinate hits the origin.
     """
 
     n: int
     box: float
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise TypeError(f"LatticeSpec.n must be an integer, got {self.n!r}")
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError("LatticeSpec.n must be even and >= 4")
         if not 0.0 < self.box < np.inf:

@@ -5,8 +5,9 @@ applies its factors right-to-left: ``Compose((A, B))(psi) = A(B(psi))``,
 written ``A B`` below.  The kinds are
 
 * pointwise left multipliers (position, the radial complex structure ``jop``,
-  the axis units, transport phases, field components),
-* exact lattice shifts (``Shift``; Dirichlet zero fill),
+  the axis units, field components),
+* exact lattice shifts (``Shift``; Dirichlet zero fill) and twisted shifts
+  (``TwistedShift``: a shift after a transport multiplier, in one pass),
 * frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
   between neighbors through unit transport links).  They commute with
   ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
@@ -32,7 +33,8 @@ Conventions fixed here (and relied on by the verification suites):
 
 * ``Shift(spec, m)``: ``psi -> psi(. - m h)``; conjugating a spectral
   projection translates its box by ``+m h``.
-* ``twisted_shift(m) = Shift(m) transport_op(m)`` is unitary and covariant
+* ``twisted_shift(m)`` is ``Shift(m)`` after left multiplication by
+  ``transport(m h; x)``, held as one operator; it is unitary and covariant
   over boxes.  Its continuum form ``(U(a) psi)(x) = transport(a; x - a)
   psi(x - a)`` has generator ``(U(s u) psi - psi)/s -> -grad_u psi`` as
   ``s -> 0``, with ``grad_u`` the covariant derivative ``covderiv_fn``.
@@ -54,18 +56,25 @@ from .hilbert import LatticeField, LatticeSpec
 _AXES = np.eye(3)
 
 
+def _overlap(steps, shape):
+    """The blocks of sites ``src`` and ``dst = src + steps`` that both lie in
+    a grid of ``shape``, as slice tuples; empty where a step spans an axis."""
+    src, dst = [], []
+    for m, size in zip(steps, shape):
+        m = int(m)
+        if abs(m) >= size:
+            m, size = 0, 0  # no site stays
+        src.append(slice(max(0, -m), size - max(0, m)))
+        dst.append(slice(max(0, m), size - max(0, -m)))
+    return tuple(src), tuple(dst)
+
+
 def _shifted(vals: np.ndarray, steps) -> np.ndarray:
     """Samples moved ``steps[i]`` grid cells along axis i, filled with zeros:
     the overlapping block copied in one slice assignment."""
     out = np.zeros_like(vals)
-    src, dst = [], []
-    for m, size in zip(steps, vals.shape):
-        m = int(m)
-        if abs(m) >= size:
-            return out
-        src.append(slice(max(0, -m), size - max(0, m)))
-        dst.append(slice(max(0, m), size - max(0, -m)))
-    out[tuple(dst)] = vals[tuple(src)]
+    src, dst = _overlap(steps, vals.shape)
+    out[dst] = vals[src]
     return out
 
 
@@ -146,6 +155,28 @@ class Shift(Operator):
         return Shift(self.spec, -self.steps)
 
 
+class TwistedShift(Shift):
+    """A shift by the steps ``m`` after a left multiplication, as one operator.
+
+    ``symbol`` is the multiplier on the block ``src`` of sites whose image
+    ``dst = src + m`` stays on the lattice: ``out[dst] = symbol vals[src]``,
+    zero elsewhere.  The adjoint moves back by the conjugate symbol.
+    """
+
+    def __init__(self, spec: LatticeSpec, steps, symbol: np.ndarray, src: tuple, dst: tuple):
+        super().__init__(spec, steps)
+        self.symbol = symbol
+        self.src, self.dst = src, dst
+
+    def apply_values(self, vals):
+        out = np.zeros_like(vals)
+        out[self.dst] = quat.qmul(self.symbol, vals[self.src])
+        return out
+
+    def adjoint(self):
+        return TwistedShift(self.spec, -self.steps, quat.qconj(self.symbol), self.dst, self.src)
+
+
 class Diff(Operator):
     """Central difference along one axis; exactly antisymmetric."""
 
@@ -202,12 +233,13 @@ def _slice_gauge(spec: LatticeSpec):
 
 @functools.lru_cache(maxsize=8)
 def _site_table(spec: LatticeSpec):
-    """The radial unit ``dirq(x)`` (the symbol of ``jop``), the contiguous
-    planes ``x_k`` and ``|x|`` of every site, once per lattice and read-only:
-    with ``dirq``'s vector part ``x/|x|``, the half of ``geometry.transport``'s
-    terms that ``transport_op`` does not recompute for each shift."""
+    """The radial unit ``dirq(x)`` (the symbol of ``jop``, held plane by
+    plane), the contiguous planes ``x_k`` and ``|x|`` of every site, once
+    per lattice and read-only: with ``dirq``'s vector part ``x/|x|``, the
+    half of ``geometry.transport``'s terms that ``twisted_shift`` does not
+    recompute for each shift."""
     pts = spec.points()
-    j = geometry.dirq(pts)
+    j = np.moveaxis(np.ascontiguousarray(np.moveaxis(geometry.dirq(pts), -1, 0)), 0, -1)
     xs = tuple(np.ascontiguousarray(pts[..., k]) for k in range(3))
     nx = geometry._plane_norm(xs)
     for arr in (j, *xs, nx):
@@ -444,28 +476,24 @@ def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
     return Multiplier(spec, sym)
 
 
-def transport_op(spec: LatticeSpec, m) -> Multiplier:
-    """Unitary multiplier with symbol ``transport(m h; x)`` at every site.
+def twisted_shift(spec: LatticeSpec, m) -> TwistedShift:
+    """Transported translation by the integer steps ``m``: ``(U psi)(x + m h)
+    = transport(m h; x) psi(x)``, zero where ``x - m h`` is off the lattice.
 
-    ``m`` is an integer step vector.  The domain is decided in integers by
-    ``_steps_admissible`` (DomainError where a site's segment meets the
-    origin), and the symbol is ``geometry.transport``'s formula, bit for
-    bit, on the lattice's cached site planes: only the ``x + m h`` terms
-    are computed per shift.
+    The domain is decided in integers by ``_steps_admissible`` (DomainError
+    where a site's segment meets the origin).  The symbol is
+    ``geometry.transport``'s formula, bit for bit, on the lattice's cached
+    site planes, computed only on the sites that the shift keeps.
     """
     m = _lattice_steps(m)
     if not _steps_admissible(spec, m):
         raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
+    src, dst = _overlap(m, (spec.n,) * 3)
     j, xs, nx = _site_table(spec)
-    xhat = tuple(j[..., k] for k in range(1, 4))
-    return Multiplier(spec, geometry._transport_value(
-        xhat, nx, *geometry._far_end(xs, m * spec.step)))
-
-
-def twisted_shift(spec: LatticeSpec, m) -> Compose:
-    """Transported translation by the integer steps ``m``: the shift after
-    the transport phase; unitary."""
-    return Compose((Shift(spec, m), transport_op(spec, m)))
+    xhat = tuple(j[..., k][src] for k in range(1, 4))
+    symbol = geometry._transport_value(
+        xhat, nx[src], *geometry._far_end(tuple(x[src] for x in xs), m * spec.step))
+    return TwistedShift(spec, m, symbol, src, dst)
 
 
 def compose_defect(spec: LatticeSpec, ma, mb) -> Compose:
@@ -646,7 +674,7 @@ def _steps_admissible(spec: LatticeSpec, m) -> bool:
     of ``m`` nonzero and every ``p_i`` odd; the site with ``k = 1`` then
     exists iff ``max |p_i| <= n - 1`` (e.g. steps (2,2,2) from the site at
     -(1,1,1)h/2).  Decided in integers, with no float margin.  The
-    samplers draw only admissible shifts with it, and ``transport_op``
+    samplers draw only admissible shifts with it, and ``twisted_shift``
     decides its domain with it.
     """
     m = np.asarray(m, dtype=int)

@@ -36,8 +36,11 @@ _PRODUCTS = (
 
 
 def _planes(q, rows):
-    """The four component planes of ``q[rows]``, as contiguous copies."""
-    return np.ascontiguousarray(q[rows].transpose(-1, *range(q.ndim - 1)))
+    """The four component planes of ``q[rows]``, each contiguous: a copy of
+    an interleaved operand's plane, the plane itself where ``q`` is held
+    plane by plane (a ``(4, ...)`` array seen through ``np.moveaxis``)."""
+    block = q[rows]
+    return [np.ascontiguousarray(block[..., k]) for k in range(4)]
 
 
 def qmul(p, q) -> np.ndarray:
@@ -45,9 +48,10 @@ def qmul(p, q) -> np.ndarray:
 
     Evaluated in blocks of about ``QMUL_BLOCK`` sites along the first axis,
     on contiguous component planes and two reused block buffers, so that a
-    whole field's temporaries never leave the cache.  A single quaternion
-    is a batch of one.  Each component is the same four products, summed
-    in the same order, at every site.
+    whole field's temporaries never leave the cache; an operand held plane
+    by plane is read in place.  A single quaternion is a batch of one.
+    Each component is the same four products, summed in the same order, at
+    every site.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)

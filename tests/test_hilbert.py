@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,15 @@ def test_lattice_spec_validation():
         LatticeSpec(n=33, box=6.0)  # odd n would sample the origin
     with pytest.raises(ValueError):
         LatticeSpec(n=32, box=0.0)
+
+
+@pytest.mark.parametrize("n", [32.0, 32.5, True, "32", np.float64(16.0)])
+def test_lattice_spec_rejects_a_non_integer_n(n):
+    # a whole float n was accepted, compared equal to the integer lattice as
+    # a cache key, and failed later with a bare TypeError building a grid
+    with pytest.raises(TypeError, match=f"^LatticeSpec.n must be an integer, got {re.escape(repr(n))}$"):
+        LatticeSpec(n=n, box=6.0)
+    assert LatticeSpec(n=np.int64(16), box=6.0) == LatticeSpec(n=16, box=6.0)
 
 
 def test_grid_avoids_origin():

@@ -70,8 +70,7 @@ def test_lattice_factories_reject_non_integer_steps(spec):
     # a float step vector is refused by dtype, whole values included: the
     # old float interface truncated (1.9, 0, 0) to a one-cell shift
     for steps in ([1.9, 0.0, 0.0], np.array([1.0, 0.0, 0.0]), [True, False, False]):
-        for make in (lambda m: ops.Shift(spec, m), lambda m: ops.transport_op(spec, m),
-                     lambda m: ops.twisted_shift(spec, m),
+        for make in (lambda m: ops.Shift(spec, m), lambda m: ops.twisted_shift(spec, m),
                      lambda m: ops.compose_defect(spec, m, [0, 1, 0]),
                      lambda m: ops.compose_defect(spec, [0, 1, 0], m)):
             with pytest.raises(TypeError):
@@ -82,8 +81,7 @@ def test_lattice_factories_reject_non_integer_steps(spec):
 def test_lattice_factories_reject_step_vectors_not_of_length_three(spec, steps):
     # [1, 0] used to shift two axes and leave the third, or fail to unpack
     message = re.escape(f"must have shape (3,), got shape {np.shape(steps)}")
-    for make in (lambda m: ops.Shift(spec, m), lambda m: ops.transport_op(spec, m),
-                 lambda m: ops.twisted_shift(spec, m),
+    for make in (lambda m: ops.Shift(spec, m), lambda m: ops.twisted_shift(spec, m),
                  lambda m: ops.compose_defect(spec, m, [0, 1, 0]),
                  lambda m: ops.compose_defect(spec, [0, 1, 0], m)):
         with pytest.raises(ValueError, match=message):
@@ -345,23 +343,64 @@ def test_steps_admissible_matches_segment_distance(n):
 
 @pytest.mark.parametrize("n", [8, 32])
 def test_transport_op_matches_transport(n):
-    # bit-for-bit: the lattice path from the cached site planes against the
-    # whole-grid transport, for every |m_i| <= 3; both raise DomainError for
-    # exactly the shifts that the integer test rejects
+    # bit-for-bit: the twisted shift's symbol, from the cached site planes on
+    # the sites x whose image x + m h stays on the lattice, against the
+    # whole-grid transport there, for every |m_i| <= 3; both raise
+    # DomainError for exactly the shifts that the integer test rejects
     spec = LatticeSpec(n=n, box=3.0)
     rejected = 0
     for m in np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), axis=-1).reshape(-1, 3):
         a = m * spec.step
         if ops._steps_admissible(spec, m):
-            want = geometry.transport(a, spec.points())
-            assert np.array_equal(ops.transport_op(spec, m).symbol, want), m
+            u = ops.twisted_shift(spec, m)
+            kept = tuple(slice(max(0, -k), n - max(0, k)) for k in m)
+            assert u.src == kept, m
+            want = geometry.transport(a, spec.points())[kept]
+            assert np.array_equal(u.symbol, want), m
             continue
         rejected += 1
         with pytest.raises(geometry.DomainError):
-            ops.transport_op(spec, m)
+            ops.twisted_shift(spec, m)
         with pytest.raises(geometry.DomainError):
             geometry.transport(a, spec.points())
     assert rejected == 64 + 8  # every m with odd components, and (+-2, +-2, +-2)
+
+
+def _composite_twisted_shift(spec, m):
+    # the twisted shift as it was built before it became one operator: a
+    # whole-grid transport multiplier, then the plain shift (reference)
+    sym = geometry.transport(np.asarray(m) * spec.step, spec.points())
+    return ops.Compose((ops.Shift(spec, m), ops.Multiplier(spec, sym)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_twisted_shift_matches_the_composite(n):
+    # forward bit for bit (signed zeros included, compared as int64 views);
+    # the adjoint equal under array_equal: the composite's clipped band held
+    # conj(sym) * 0, which may be -0.0, where the fused adjoint holds +0.0
+    spec = LatticeSpec(n=n, box=3.0)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n,) * 3 + (4,))
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    psi, phi = LatticeField(spec, vals), LatticeField(spec, rng.standard_normal(vals.shape))
+    draws = [rng.integers(-3, 4, size=3) for _ in range(12)]
+    steps = [m for m in draws if ops._steps_admissible(spec, m)]
+    steps += [np.zeros(3, dtype=int), np.array([n, 0, 0]), np.array([1, -n - 2, 0]),
+              np.array([-n, n, n + 1])]
+    for m in steps:
+        u, ref = ops.twisted_shift(spec, m), _composite_twisted_shift(spec, m)
+        got = u(psi).values
+        assert np.array_equal(got.view(np.int64), ref(psi).values.view(np.int64)), m
+        if np.abs(m).max() >= n:
+            assert not got.any(), m
+        assert np.array_equal(u.adjoint()(phi).values, ref.adjoint()(phi).values), m
+        assert np.array_equal(u.adjoint().adjoint()(psi).values.view(np.int64),
+                              got.view(np.int64)), m
+        lhs = hilbert.inner(phi, u(psi))
+        rhs = hilbert.inner(u.adjoint()(phi), psi)
+        assert np.abs(lhs - rhs).max() < 1e-12 * hilbert.norm(phi) * hilbert.norm(psi), m
+        assert np.array_equal(ops.net_shift(u), m) and np.array_equal(ops.net_shift(u.adjoint()), -m)
+    assert ops.is_pointwise(ops.compose_defect(spec, [2, 0, 1], [0, 1, 0]))
 
 
 def _single_steps_ref(rng, spec):

@@ -133,6 +133,38 @@ def test_grid_kernels_match_reference_formulas(n):
     assert not hilbert.project(boxes[1], psi).values.any()
 
 
+def plane_held(q):
+    """The values of ``q`` held plane by plane: the ``(..., 4)`` view of a
+    contiguous ``(4, ...)`` copy."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(q, -1, 0)), 0, -1)
+
+
+def test_qmul_reads_a_plane_held_operand_as_the_interleaved_one():
+    # bit for bit, signed zeros included: each operand held plane by plane,
+    # alone or both, against the same values interleaved
+    rng = np.random.default_rng(16)
+    f, g = rng.standard_normal((2, 16, 16, 16, 4))
+    p, q = rng.standard_normal((2, 12, 4))
+    c, d = rng.standard_normal((2, 4))
+    for x in (f, g, p, q, c, d):
+        x[rng.random(x.shape) < 0.2] = 0.0
+        x[rng.random(x.shape) < 0.2] = -0.0
+    sym = np.broadcast_to(c, f.shape)  # a constant symbol, zero strides
+    for a, b in ((c, d), (sym, g), (c, g), (p, q), (f, g), (f[:, 1:], g[:, :-1])):
+        want = quat.qmul(a, b).view(np.int64)
+        for pa, pb in ((plane_held(a), b), (a, plane_held(b)), (plane_held(a), plane_held(b))):
+            assert np.array_equal(quat.qmul(pa, pb).view(np.int64), want)
+
+
+def test_multiplier_symbols_are_held_plane_by_plane():
+    # qmul reads these planes in place; an interleaved symbol would be copied
+    # plane by plane in every block
+    spec = hilbert.LatticeSpec(n=16, box=4.0)
+    u = operators.twisted_shift(spec, [2, -1, 0])
+    for sym in (operators.jop(spec).symbol, u.symbol, u.adjoint().symbol):
+        assert all(sym[..., k].flags.c_contiguous for k in range(4))
+
+
 def test_rmul_matches_the_product_formula():
     # the right product by one quaternion is one BLAS matrix product: bit
     # for bit on the signed basis units, within roundoff for any other c

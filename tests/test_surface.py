@@ -37,9 +37,9 @@ PRIVATE_CROSSINGS = {
     "operators -> geometry._plane_norm":
         "the site table's |x|, by transport's own formula",
     "operators -> geometry._far_end":
-        "transport_op's per-shift terms of transport, at x + m h",
+        "twisted_shift's per-shift terms of transport, at x + m h on the kept sites",
     "operators -> geometry._transport_value":
-        "transport_op's symbol, transport's formula on the cached site planes",
+        "twisted_shift's symbol, transport's formula on the cached site planes",
     "verify -> operators._steps_admissible":
         "the samplers draw only integer steps whose segments miss the origin",
 }
