@@ -4,10 +4,11 @@ Operators act on the left of quaternion-valued fields; a composite
 applies its factors right-to-left: ``Compose((A, B))(psi) = A(B(psi))``,
 written ``A B`` below.  The kinds are
 
-* pointwise left multipliers (position, the radial complex structure ``jop``,
-  the axis units, field components),
-* exact lattice shifts (``Shift``; Dirichlet zero fill) and twisted shifts
-  (``TwistedShift``: a shift after a transport multiplier, in one pass),
+* exact lattice shifts (``Shift``; Dirichlet zero fill off the block of
+  sites that ``_overlap`` keeps) and left multipliers followed by a shift
+  (``Multiplier``, a ``Shift``): pointwise with no steps (position, the
+  radial complex structure ``jop``, the axis units, field components) and
+  twisted (``twisted_shift``: a transport multiplier, then a shift, in one pass),
 * frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
   between neighbors through unit transport links).  They commute with
   ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
@@ -53,7 +54,7 @@ from scipy import sparse
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
 
-_AXES = np.eye(3)
+_AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
 
 
 def _overlap(steps, shape):
@@ -67,27 +68,6 @@ def _overlap(steps, shape):
         src.append(slice(max(0, -m), size - max(0, m)))
         dst.append(slice(max(0, m), size - max(0, -m)))
     return tuple(src), tuple(dst)
-
-
-def _shifted(vals: np.ndarray, steps) -> np.ndarray:
-    """Samples moved ``steps[i]`` grid cells along axis i, filled with zeros:
-    the overlapping block copied in one slice assignment."""
-    out = np.zeros_like(vals)
-    src, dst = _overlap(steps, vals.shape)
-    out[dst] = vals[src]
-    return out
-
-
-def _central_diff(vals: np.ndarray, axis: int, step: float) -> np.ndarray:
-    # (psi(x + h) - psi(x - h)) / 2h with zero extension outside the box,
-    # built in one zeroed grid
-    out = np.zeros_like(vals)
-    hi = (slice(None),) * axis + (slice(1, None),)
-    lo = (slice(None),) * axis + (slice(None, -1),)
-    out[lo] = vals[hi]
-    out[hi] -= vals[lo]
-    out /= 2.0 * step
-    return out
 
 
 class Operator:
@@ -105,20 +85,6 @@ class Operator:
 
     def adjoint(self) -> "Operator":
         raise NotImplementedError
-
-
-class Multiplier(Operator):
-    """Pointwise left multiplication by a quaternion-valued symbol."""
-
-    def __init__(self, spec: LatticeSpec, symbol: np.ndarray):
-        self.spec = spec
-        self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), (spec.n,) * 3 + (4,))
-
-    def apply_values(self, vals):
-        return quat.qmul(self.symbol, vals)
-
-    def adjoint(self):
-        return Multiplier(self.spec, quat.qconj(self.symbol))
 
 
 def _lattice_steps(m) -> np.ndarray:
@@ -142,31 +108,35 @@ def _lattice_axis(axis: int, name: str) -> int:
 
 class Shift(Operator):
     """Exact lattice translation ``psi -> psi(. - m h)`` by the integer
-    steps ``m`` (zero fill)."""
+    steps ``m``: ``out[dst] = vals[src]`` on ``_overlap``'s blocks, else zero."""
 
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
         self.steps = _lattice_steps(steps)
+        self.src, self.dst = _overlap(self.steps, (spec.n,) * 3)
 
     def apply_values(self, vals):
-        return _shifted(vals, self.steps)
+        out = np.zeros_like(vals)
+        out[self.dst] = vals[self.src]
+        return out
 
     def adjoint(self):
         return Shift(self.spec, -self.steps)
 
 
-class TwistedShift(Shift):
-    """A shift by the steps ``m`` after a left multiplication, as one operator.
+class Multiplier(Shift):
+    """Left multiplication by a quaternion-valued symbol, then a shift by the
+    integer steps ``m`` (none by default: a pointwise multiplier).
 
-    ``symbol`` is the multiplier on the block ``src`` of sites whose image
-    ``dst = src + m`` stays on the lattice: ``out[dst] = symbol vals[src]``,
-    zero elsewhere.  The adjoint moves back by the conjugate symbol.
+    ``symbol`` is broadcast to the block ``src`` (the whole grid for ``m =
+    0``): ``out[dst] = symbol vals[src]``, zero elsewhere.  The adjoint
+    moves back by the conjugate symbol.
     """
 
-    def __init__(self, spec: LatticeSpec, steps, symbol: np.ndarray, src: tuple, dst: tuple):
+    def __init__(self, spec: LatticeSpec, symbol: np.ndarray, steps=(0, 0, 0)):
         super().__init__(spec, steps)
-        self.symbol = symbol
-        self.src, self.dst = src, dst
+        block = tuple(s.stop - s.start for s in self.src)
+        self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), block + (4,))
 
     def apply_values(self, vals):
         out = np.zeros_like(vals)
@@ -174,7 +144,7 @@ class TwistedShift(Shift):
         return out
 
     def adjoint(self):
-        return TwistedShift(self.spec, -self.steps, quat.qconj(self.symbol), self.dst, self.src)
+        return Multiplier(self.spec, quat.qconj(self.symbol), -self.steps)
 
 
 class Diff(Operator):
@@ -183,9 +153,13 @@ class Diff(Operator):
     def __init__(self, spec: LatticeSpec, axis: int):
         self.spec = spec
         self.axis = _lattice_axis(axis, "Diff")
+        e = _AXES[self.axis]
+        self.ahead, self.behind = Shift(spec, -e), Shift(spec, e)
 
     def apply_values(self, vals):
-        return _central_diff(vals, self.axis, self.spec.step)
+        out = self.ahead.apply_values(vals) - self.behind.apply_values(vals)
+        out /= 2.0 * self.spec.step
+        return out
 
     def adjoint(self):
         return Scaled(-1.0, self)
@@ -220,9 +194,7 @@ def _slice_gauge(spec: LatticeSpec):
     links = []
     for axis in range(3):
         plus = _hop_links(spec, axis)
-        here, there = [slice(None)] * 3, [slice(None)] * 3
-        here[axis], there[axis] = slice(None, -1), slice(1, None)
-        here, there = tuple(here), tuple(there)
+        here, there = _overlap(_AXES[axis], q.shape)
         w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
         z = np.zeros((spec.n,) * 3, dtype=complex)
         z[here] = w[..., 0] + 1j * w[..., 3]
@@ -354,9 +326,17 @@ class Scaled(Operator):
         return Scaled(self.coeff, self.op.adjoint())
 
 
+def _factors(ops) -> tuple:
+    """A composite's factors as a tuple; ValueError unless all share a lattice."""
+    ops = tuple(ops)
+    if any(op.spec != ops[0].spec for op in ops[1:]):
+        raise ValueError("composite factors live on different lattices")
+    return ops
+
+
 class OpSum(Operator):
     def __init__(self, ops):
-        self.ops = tuple(ops)
+        self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
     def apply_values(self, vals):
@@ -373,7 +353,7 @@ class Compose(Operator):
     """Composite; factors apply right-to-left."""
 
     def __init__(self, ops):
-        self.ops = tuple(ops)
+        self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
     def apply_values(self, vals):
@@ -387,8 +367,6 @@ class Compose(Operator):
 
 def net_shift(op: Operator):
     """Total grid displacement of a composite, or None if not shift-like."""
-    if isinstance(op, Multiplier):
-        return np.zeros(3, dtype=int)
     if isinstance(op, Shift):
         return op.steps.copy()
     if isinstance(op, Compose):
@@ -476,7 +454,7 @@ def bfield_op(spec: LatticeSpec, axis: int) -> Multiplier:
     return Multiplier(spec, sym)
 
 
-def twisted_shift(spec: LatticeSpec, m) -> TwistedShift:
+def twisted_shift(spec: LatticeSpec, m) -> Multiplier:
     """Transported translation by the integer steps ``m``: ``(U psi)(x + m h)
     = transport(m h; x) psi(x)``, zero where ``x - m h`` is off the lattice.
 
@@ -488,12 +466,12 @@ def twisted_shift(spec: LatticeSpec, m) -> TwistedShift:
     m = _lattice_steps(m)
     if not _steps_admissible(spec, m):
         raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
-    src, dst = _overlap(m, (spec.n,) * 3)
+    src = _overlap(m, (spec.n,) * 3)[0]
     j, xs, nx = _site_table(spec)
     xhat = tuple(j[..., k][src] for k in range(1, 4))
     symbol = geometry._transport_value(
         xhat, nx[src], *geometry._far_end(tuple(x[src] for x in xs), m * spec.step))
-    return TwistedShift(spec, m, symbol, src, dst)
+    return Multiplier(spec, symbol, m)
 
 
 def compose_defect(spec: LatticeSpec, ma, mb) -> Compose:

@@ -124,7 +124,7 @@ def test_project_spectral_family():
                   - hilbert.inner(phi, hilbert.project(d1, psi))).max() < 1e-12
 
 
-def test_multop_left_action_and_commutation():
+def test_multiplier_left_action_and_commutation():
     # the multiplication operator is operators.Multiplier
     spec = LatticeSpec(n=16, box=4.0)
     psi = random_field(spec, 7)
@@ -155,7 +155,7 @@ def test_multop_left_action_and_commutation():
     assert np.array_equal(a.values, b.values)  # bit-exact commutation
 
 
-def test_multop_is_left_not_right():
+def test_multiplier_is_left_not_right():
     spec = LatticeSpec(n=8, box=2.0)
     psi = random_field(spec, 8)
     left = ops.Multiplier(spec, quat.E1)(psi)

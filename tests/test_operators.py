@@ -7,6 +7,7 @@ from qmono import geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 
 AX = np.eye(3)
+AX_STEPS = np.eye(3, dtype=int)
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,11 @@ def test_operators_reject_a_field_of_another_lattice(spec, other):
                ops.hamiltonian(spec, 1.0), ops.twisted_shift(spec, [1, 0, 0])):
         with pytest.raises(ValueError, match="operator and field live on different lattices"):
             op(field)
+    # a composite of factors on two lattices used to take the first one's
+    # lattice and apply the other's symbol to it
+    for make in (ops.Compose, ops.OpSum):
+        with pytest.raises(ValueError, match="composite factors live on different lattices"):
+            make((ops.position(spec, 0), ops.position(other, 0)))
 
 
 @pytest.mark.parametrize("axis", [-1, 3])
@@ -230,6 +236,31 @@ def test_hamiltonian_velocity_identity_exact(spec, psi):
         assert np.abs(comm - target).max() < 1e-12 * np.abs(target).max()
 
 
+@pytest.mark.parametrize("lat", [LatticeSpec(n=12, box=4.0), LatticeSpec(n=16, box=4.0),
+                                 LatticeSpec(n=14, box=7.3)])
+def test_frame_operators_are_sums_of_twisted_shifts(lat):
+    # H = -(1/(2 m h^2)) sum_i (U_i^+ + U_i^- - 2) and grad_i = (U_i^- - U_i^+)/2h
+    # with U_i^+- = twisted_shift(+-e_i): the frame links and the twisted
+    # shifts share only the transport formula.  Plain shifts miss H by ~0.1.
+    rng = np.random.default_rng(lat.n)
+    psi = LatticeField(lat, rng.standard_normal((lat.n,) * 3 + (4,)))
+    mass, h = 1.3, lat.step
+    ham = ops.hamiltonian(lat, mass)(psi).values
+
+    def miss(shift):
+        lap = sum(shift(e)(psi).values + shift(-e)(psi).values - 2.0 * psi.values
+                  for e in AX_STEPS)
+        return np.abs(-lap / (2.0 * mass * h**2) - ham).max() / np.abs(ham).max()
+
+    assert miss(lambda m: ops.twisted_shift(lat, m)) < 1e-12
+    assert miss(lambda m: ops.Shift(lat, m)) > 0.05
+    for i, e in enumerate(AX_STEPS):
+        grad = ops.covderiv(lat, i)(psi).values
+        ref = (ops.twisted_shift(lat, -e)(psi).values
+               - ops.twisted_shift(lat, e)(psi).values) / (2.0 * h)
+        assert np.abs(ref - grad).max() < 1e-12 * np.abs(grad).max(), i
+
+
 def test_hamiltonian_hermitian_and_mass(spec, psi):
     for mass in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValueError):
@@ -342,7 +373,7 @@ def test_steps_admissible_matches_segment_distance(n):
 
 
 @pytest.mark.parametrize("n", [8, 32])
-def test_transport_op_matches_transport(n):
+def test_twisted_shift_symbol_matches_transport(n):
     # bit-for-bit: the twisted shift's symbol, from the cached site planes on
     # the sites x whose image x + m h stays on the lattice, against the
     # whole-grid transport there, for every |m_i| <= 3; both raise
@@ -401,6 +432,13 @@ def test_twisted_shift_matches_the_composite(n):
         assert np.abs(lhs - rhs).max() < 1e-12 * hilbert.norm(phi) * hilbert.norm(psi), m
         assert np.array_equal(ops.net_shift(u), m) and np.array_equal(ops.net_shift(u.adjoint()), -m)
     assert ops.is_pointwise(ops.compose_defect(spec, [2, 0, 1], [0, 1, 0]))
+    # a pointwise multiplier is the same operator with no steps: its product
+    # lands in a zeroed grid with the bits of the bare product
+    sym = rng.standard_normal(vals.shape)
+    mult = ops.Multiplier(spec, sym)
+    assert np.array_equal(mult(psi).values.view(np.int64), quat.qmul(sym, vals).view(np.int64))
+    assert np.array_equal(mult.adjoint()(psi).values.view(np.int64),
+                          quat.qmul(quat.qconj(sym), vals).view(np.int64))
 
 
 def _single_steps_ref(rng, spec):
@@ -435,7 +473,7 @@ def test_step_sampler_keeps_the_draws_of_both_samplers(n, seed):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_gis_verify_report(spec):
+def test_gis_suite_report(spec):
     rep = verify.gis_suite(n=spec.n, box=spec.box, samples=50, seed=3)
     assert rep.passed
     names = {c.name for c in rep.checks}
