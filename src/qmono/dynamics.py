@@ -283,9 +283,9 @@ class _Observables:
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
     Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's Hamiltonian matrix
     is shared, and so are the covariant gradients between the velocity and
-    force rows.  Agrees with the generic
-    operator-based expectations (see the unit tests) but runs far faster on
-    large lattices.
+    force rows; the force row forms each ``B_k f`` afresh.  Agrees with the
+    generic operator-based expectations (see the unit tests) but runs far
+    faster on large lattices.
     """
 
     def __init__(self, evolver: CayleyEvolver, with_force: bool):
@@ -301,7 +301,6 @@ class _Observables:
         if with_force:
             b = geometry.bfield(pts)
             self.bvals = [b[..., k].ravel() for k in range(3)]
-            self._bf = None  # the B_k f buffer, reused while the column count holds
 
     def row(self, psi: LatticeField):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
@@ -319,13 +318,10 @@ class _Observables:
         en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
         frc = None
         if self.with_force:
-            if self._bf is None or self._bf.shape != f.shape:
-                self._bf = np.empty_like(f)
-            bf = self._bf
             # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
             t = np.zeros((3, 3))
             for kk in range(3):
-                np.multiply(self.bvals[kk][:, None], f, out=bf)
+                bf = self.bvals[kk][:, None] * f
                 for jj in range(3):
                     if jj != kk:
                         t[jj, kk] = 2.0 * np.vdot(bf, grads[jj]).imag * scale

@@ -15,7 +15,9 @@ conjugate-linear in the first factor and linear in the second:
 
 A field is either a callable ``x -> quaternion`` (analytic representation,
 evaluable anywhere) or a ``LatticeField`` (samples on a ``LatticeSpec``);
-``sample`` converts the former to the latter.
+``sample`` converts the former to the latter.  ``gaussian_field`` is the
+analytic bump that the suites and the slice sampler draw, one field or a
+batch of them.
 """
 
 from __future__ import annotations
@@ -91,15 +93,35 @@ def sample(spec: LatticeSpec, fn) -> LatticeField:
     return LatticeField(spec, vals)
 
 
+def gaussian_field(center, width, amp):
+    """Analytic Gaussian bump with a constant quaternion amplitude.
+
+    The parameters may carry one leading batch axis (``center`` (B, 3),
+    ``width`` (B,), ``amp`` (B, 4)); the field then maps points (..., 3)
+    to values (B, ..., 4), field ``k`` of the batch at index ``k``.
+    """
+    center = np.asarray(center, dtype=float)
+    width = np.asarray(width, dtype=float)
+    amp = np.asarray(amp, dtype=float)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        pad = (1,) * (x.ndim - 1)  # the points' own axes, after the batch axis
+        c = center.reshape(center.shape[:-1] + pad + (3,))
+        # w^2 by C pow, which rounds as a Python float's ``**`` does (numpy's
+        # ``**2`` squares, and differs in the last bit for a few widths in
+        # 10^4), so a batch keeps the bits of its fields taken one by one
+        w2 = np.float_power(width, 2.0).reshape(width.shape + pad)
+        env = np.exp(-np.sum((x - c) ** 2, axis=-1) / (2.0 * w2))
+        return env[..., None] * amp.reshape(amp.shape[:-1] + pad + (4,))
+
+    return fn
+
+
 def constant(spec: LatticeSpec, q) -> LatticeField:
     """The constant field with value ``q`` at every site."""
     q = np.asarray(q, dtype=float)
     return LatticeField(spec, np.broadcast_to(q, (spec.n, spec.n, spec.n, 4)).copy())
-
-
-def _require_matching(phi: LatticeField, psi: LatticeField):
-    if phi.spec != psi.spec:
-        raise ValueError("lattice specs do not match")
 
 
 def inner(phi: LatticeField, psi: LatticeField) -> np.ndarray:
@@ -108,7 +130,8 @@ def inner(phi: LatticeField, psi: LatticeField) -> np.ndarray:
     One 4x4 Gram product ``G_ab = sum_x phi_a(x) psi_b(x)``; each component
     of ``sum_x phi(x)* psi(x)`` is a signed sum of four of its entries.
     """
-    _require_matching(phi, psi)
+    if phi.spec != psi.spec:
+        raise ValueError("lattice specs do not match")
     g = phi.values.reshape(-1, 4).T @ psi.values.reshape(-1, 4)
     prod = np.array([
         g[0, 0] + g[1, 1] + g[2, 2] + g[3, 3],

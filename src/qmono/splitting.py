@@ -66,14 +66,11 @@ def random_slice_member(spec, rng) -> LatticeField:
     Centers keep a comfortable distance from the monopole so that stencil
     operators applied to the member are well resolved.
     """
-    pts = spec.points()
     center = rng.uniform(-0.45 * spec.box, 0.45 * spec.box, size=3)
     while not 0.3 * spec.box < np.linalg.norm(center) < 0.45 * spec.box:
         center = rng.uniform(-0.45 * spec.box, 0.45 * spec.box, size=3)
     width = rng.uniform(0.08 * spec.box, 0.12 * spec.box)
-    env = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width**2))
-    amp = rng.standard_normal(4)
-    raw = LatticeField(spec, env[..., None] * amp)
+    raw = hilbert.sample(spec, hilbert.gaussian_field(center, width, rng.standard_normal(4)))
     psi1 = split(raw).psi1
     n = hilbert.norm(psi1)
     if n == 0.0:

@@ -19,8 +19,7 @@ from . import geometry, hilbert, operators as ops, quat, splitting
 from .hilbert import LatticeField, LatticeSpec
 from .report import Report, check_from_devs
 
-_AXES = np.eye(3)
-_UNIT_STEPS = np.eye(3, dtype=int)
+_AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
 
 
 # ---------------------------------------------------------------------------
@@ -36,13 +35,24 @@ def _imaginary_units(rng, m):
     return quat.from_vector(v / np.linalg.norm(v, axis=-1)[:, None])
 
 
+def _sample(rng, m, draw, accept):
+    """Rejection sampler: the first ``m`` candidates that ``accept(*cand)``
+    keeps, in draw order; ``draw(rng, k)`` returns k candidates as a tuple
+    of arrays, 2m a round."""
+    chunks = []
+    while sum(len(chunk[0]) for chunk in chunks) < m:
+        cand = draw(rng, 2 * m)
+        ok = accept(*cand)
+        chunks.append([c[ok] for c in cand])
+    return tuple(np.concatenate(parts)[:m] for parts in zip(*chunks))
+
+
 def _positions(rng, m, lo=0.4, hi=3.0):
-    out = np.empty((0, 3))
-    while len(out) < m:
-        x = rng.uniform(-hi, hi, size=(2 * m, 3))
+    def in_shell(x):
         r = np.linalg.norm(x, axis=-1)
-        out = np.vstack([out, x[(r > lo) & (r < hi)]])
-    return out[:m]
+        return (r > lo) & (r < hi)
+
+    return _sample(rng, m, lambda g, k: (g.uniform(-hi, hi, size=(k, 3)),), in_shell)[0]
 
 
 def _legs_clear(legs):
@@ -59,19 +69,11 @@ def _legs_clear(legs):
 
 
 def _sample_legs(rng, m, family):
-    """Rejection sampler: ``m`` draws whose transport legs are all clear.
-
-    ``family = (draw, legs)``: ``draw(rng, k)`` returns k candidates as a
-    tuple of arrays, ``legs(*candidates)`` their ``(start, displacement)``
-    legs.  Returns the accepted candidates in the order ``draw`` gives.
-    """
+    """``m`` draws whose transport legs are all clear: ``family = (draw,
+    legs)``, ``draw`` as for ``_sample`` and ``legs(*cand)`` the
+    candidates' ``(start, displacement)`` legs."""
     draw, legs = family
-    chunks = []
-    while sum(len(chunk[0]) for chunk in chunks) < m:
-        cand = draw(rng, 2 * m)
-        ok = _legs_clear(legs(*cand))
-        chunks.append([c[ok] for c in cand])
-    return tuple(np.concatenate(parts)[:m] for parts in zip(*chunks))
+    return _sample(rng, m, draw, lambda *cand: _legs_clear(legs(*cand)))
 
 
 # (x, a): the transport from x to x + a
@@ -186,39 +188,14 @@ def _sample_tetraflux(rng, m: int):
     return x, flux, np.abs(flux - np.where(inside, 2.0 * np.pi, 0.0))
 
 
-def gaussian_field(center, width, amp):
-    """Analytic Gaussian bump with a constant quaternion amplitude.
-
-    The parameters may carry one leading batch axis (``center`` (B, 3),
-    ``width`` (B,), ``amp`` (B, 4)); the field then maps points (..., 3)
-    to values (B, ..., 4), field ``k`` of the batch at index ``k``.
-    """
-    center = np.asarray(center, dtype=float)
-    width = np.asarray(width, dtype=float)
-    amp = np.asarray(amp, dtype=float)
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        pad = (1,) * (x.ndim - 1)  # the points' own axes, after the batch axis
-        c = center.reshape(center.shape[:-1] + pad + (3,))
-        # w^2 by C pow, which rounds as a Python float's ``**`` does (numpy's
-        # ``**2`` squares, and differs in the last bit for a few widths in
-        # 10^4), so a batch keeps the bits of its fields taken one by one
-        w2 = np.float_power(width, 2.0).reshape(width.shape + pad)
-        env = np.exp(-np.sum((x - c) ** 2, axis=-1) / (2.0 * w2))
-        return env[..., None] * amp.reshape(amp.shape[:-1] + pad + (4,))
-
-    return fn
-
-
 def _random_gaussian_fields(rng, count):
-    """``count`` random Gaussian bumps as one batched ``gaussian_field``."""
+    """``count`` random Gaussian bumps as one batched ``hilbert.gaussian_field``."""
     center, width, amp = np.empty((count, 3)), np.empty(count), np.empty((count, 4))
     for k in range(count):
         center[k] = _positions(rng, 1, lo=1.2, hi=2.5)[0]
         width[k] = rng.uniform(0.6, 1.2)
         amp[k] = rng.standard_normal(4)
-    return gaussian_field(center, width, amp)
+    return hilbert.gaussian_field(center, width, amp)
 
 
 def _probe_points(rng):
@@ -382,31 +359,24 @@ def geometry_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12) -> 
     # field strength of the connection by finite differences
     probes = _positions(rng, 50, lo=0.8, hi=2.0)
     h = 1e-4
+    conn = [lambda y, k=k: ops.connection_value(_AXES[k], y) for k in range(3)]
     fs_dev = []
     for i in range(3):
         for j in range(3):
             if i == j:
                 continue
-            da_j = (ops.connection_value(_AXES[j], probes + h * _AXES[i])
-                    - ops.connection_value(_AXES[j], probes - h * _AXES[i])) / (2.0 * h)
-            da_i = (ops.connection_value(_AXES[i], probes + h * _AXES[j])
-                    - ops.connection_value(_AXES[i], probes - h * _AXES[j])) / (2.0 * h)
-            comm = quat.qmul(ops.connection_value(_AXES[i], probes),
-                             ops.connection_value(_AXES[j], probes))
-            comm = comm - quat.qmul(ops.connection_value(_AXES[j], probes),
-                                    ops.connection_value(_AXES[i], probes))
+            da_j = ops.partial_fn(conn[j], i, h)(probes)
+            da_i = ops.partial_fn(conn[i], j, h)(probes)
+            comm = (quat.qmul(conn[i](probes), conn[j](probes))
+                    - quat.qmul(conn[j](probes), conn[i](probes)))
             target = geometry.curvature(probes).kappa[:, i, j, None] * geometry.dirq(probes)
             fs_dev.append(quat.qnorm(da_j - da_i + comm - target).max())
     rep.checks.append(check_from_devs(
         "curvature-field-strength",
         "dA_j/dx_i - dA_i/dx_j + [A_i, A_j] = kappa_ij dirq(x) (FD)", fs_dev, 1e-6))
 
-    div = []
-    for p in probes[:20]:
-        d = 0.0
-        for i in range(3):
-            d += (geometry.bfield(p + h * _AXES[i])[i] - geometry.bfield(p - h * _AXES[i])[i]) / (2.0 * h)
-        div.append(abs(d))
+    db = [ops.partial_fn(geometry.bfield, i, h) for i in range(3)]
+    div = [abs(sum(db[i](p)[i] for i in range(3))) for p in probes[:20]]
     rep.checks.append(check_from_devs(
         "bfield-divergence", "div B = 0 away from the origin (FD)", div, 1e-6))
 
@@ -539,7 +509,7 @@ def _twisted_checks(rep, rng, spec, interior, tol):
         ax = int(rng.integers(0, 3))
         s_steps = int(rng.integers(1, 3))
         t_steps = int(rng.integers(1, 3))
-        unit = _UNIT_STEPS[ax]
+        unit = _AXES[ax]
         left = ops.twisted_shift(spec, s_steps * unit)(
             ops.twisted_shift(spec, t_steps * unit)(interior))
         right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
@@ -571,7 +541,7 @@ def _defect_checks(rep, rng, spec, tol):
     # parallel shifts close exactly
     par_dev = []
     core = ops.interior_mask(spec, _PARALLEL_BAND)
-    for unit in _UNIT_STEPS:
+    for unit in _AXES:
         sym = ops.symbol_of(ops.compose_defect(spec, 2 * unit, 3 * unit))
         par_dev.append(quat.qnorm(sym - quat.E0)[core].max())
     rep.checks.append(check_from_devs(
@@ -693,7 +663,8 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
     spec = _suite_lattice(n, box, _PARALLEL_BAND)
     # built first, so that a lattice on which it vanishes is refused before any check
-    smooth = hilbert.sample(spec, gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
+    smooth = hilbert.sample(
+        spec, hilbert.gaussian_field((1.5, 0.8, -0.6), 1.0, (1.0, 0.3, -0.2, 0.5)))
     smooth_norm = hilbert.norm(smooth)
     if smooth_norm == 0.0:
         raise ValueError("the suite's smooth Gaussian underflows to norm 0 on this lattice; "

@@ -473,6 +473,47 @@ def test_step_sampler_keeps_the_draws_of_both_samplers(n, seed):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+def _positions_ref(rng, m, lo=0.4, hi=3.0):
+    # the shell sampler before the rejection loops merged
+    out = np.empty((0, 3))
+    while len(out) < m:
+        x = rng.uniform(-hi, hi, size=(2 * m, 3))
+        r = np.linalg.norm(x, axis=-1)
+        out = np.vstack([out, x[(r > lo) & (r < hi)]])
+    return out[:m]
+
+
+def _sample_legs_ref(rng, m, family):
+    # the transport-leg sampler before the rejection loops merged
+    draw, legs = family
+    chunks = []
+    while sum(len(chunk[0]) for chunk in chunks) < m:
+        cand = draw(rng, 2 * m)
+        ok = verify._legs_clear(legs(*cand))
+        chunks.append([c[ok] for c in cand])
+    return tuple(np.concatenate(parts)[:m] for parts in zip(*chunks))
+
+
+@pytest.mark.parametrize("seed", [1, 42, 1008])
+@pytest.mark.parametrize("m, lo, hi", [(1, 0.4, 3.0), (1, 1.2, 2.5), (12, 0.8, 2.2),
+                                       (50, 0.8, 2.0), (7, 2.9, 3.0), (4000, 0.4, 3.0)])
+def test_rejection_sampler_keeps_the_draws_of_both_loops(seed, m, lo, hi):
+    # the thin shell (2.9, 3.0) keeps one draw in twenty, so it takes many rounds
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got = verify._positions(rng, m, lo, hi)
+        assert got.shape == (m, 3)
+        assert np.array_equal(got.view(np.int64), _positions_ref(ref, m, lo, hi).view(np.int64))
+        for family in (verify._TRANSPORT_PAIRS, verify._COCYCLE_SAMPLES,
+                       verify._MULTIPLIER_TRIPLES):
+            got = verify._sample_legs(rng, m, family)
+            want = _sample_legs_ref(ref, m, family)
+            assert len(got) == len(want) and all(len(g) == m for g in got)
+            assert all(np.array_equal(g.view(np.int64), w.view(np.int64))
+                       for g, w in zip(got, want))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_gis_suite_report(spec):
     rep = verify.gis_suite(n=spec.n, box=spec.box, samples=50, seed=3)
     assert rep.passed
@@ -543,5 +584,5 @@ def test_batched_gaussian_field_keeps_the_bits_of_scalar_widths():
     probes = verify._probe_points(rng)
     denom = np.array([2.0 * w**2 for w in width.tolist()])
     env = np.exp(-np.sum((probes - center[:, None]) ** 2, axis=-1) / denom[:, None])
-    got = verify.gaussian_field(center, width, amp)(probes)
+    got = hilbert.gaussian_field(center, width, amp)(probes)
     assert np.array_equal(got, env[..., None] * amp[:, None])

@@ -43,6 +43,32 @@ def test_split_of_slice_member(spec):
     assert np.abs(pair.psi2.values).max() < 1e-14
 
 
+def _slice_member_ref(spec, rng):
+    # the slice sampler with its hand-written Gaussian, before it drew
+    # hilbert.gaussian_field
+    pts = spec.points()
+    center = rng.uniform(-0.45 * spec.box, 0.45 * spec.box, size=3)
+    while not 0.3 * spec.box < np.linalg.norm(center) < 0.45 * spec.box:
+        center = rng.uniform(-0.45 * spec.box, 0.45 * spec.box, size=3)
+    width = rng.uniform(0.08 * spec.box, 0.12 * spec.box)
+    env = np.exp(-np.sum((pts - center) ** 2, axis=-1) / (2.0 * width**2))
+    amp = rng.standard_normal(4)
+    psi1 = splitting.split(LatticeField(spec, env[..., None] * amp)).psi1
+    return psi1.values / hilbert.norm(psi1)
+
+
+@pytest.mark.parametrize("n, box", [(14, 6.0), (32, 6.0), (16, 7.3)])
+def test_slice_member_keeps_the_bits_of_its_gaussian(n, box):
+    lattice = LatticeSpec(n=n, box=box)
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):
+            got = splitting.random_slice_member(lattice, rng).values
+            want = _slice_member_ref(lattice, ref)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), seed
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_in_slice_residual_of_constant_field(spec):
     # psi = e0 everywhere: residual is max |dirq(x) - e3|, order one off-axis
     psi = hilbert.constant(spec, quat.E0)
