@@ -71,7 +71,7 @@ def slice_frame(points, omega) -> np.ndarray:
     for ``omega = e3``).
     """
     x = np.asarray(points, dtype=float)
-    w = quat.vector_part(np.asarray(omega, dtype=float))
+    w = np.asarray(omega, dtype=float)[..., 1:]
     nx = _norm(x)
     if np.any(nx == 0.0):
         raise DomainError("slice_frame undefined at the origin")

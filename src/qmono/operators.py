@@ -16,8 +16,8 @@ written ``A B`` below.  The kinds are
   evolves with the same matrices,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
-* composites (``Compose``) and real-linear combinations (``OpSum``,
-  ``Scaled``) of the above.
+* composites (``Compose``, with an adjoint) and real-linear combinations
+  (``OpSum``, ``Scaled``: no adjoint, which no path needs) of the above.
 
 The slice frame has its one owner here: the gauge ``q``, a field's complex
 columns ``psi = q (f1 + f2 e1)`` and ``_FrameField``, a field held as its
@@ -322,9 +322,6 @@ class Scaled(Operator):
     def apply_values(self, vals):
         return self.coeff * self.op.apply_values(vals)
 
-    def adjoint(self):
-        return Scaled(self.coeff, self.op.adjoint())
-
 
 def _factors(ops) -> tuple:
     """A composite's factors as a tuple; ValueError unless all share a lattice."""
@@ -344,9 +341,6 @@ class OpSum(Operator):
         for op in self.ops[1:]:
             out = out + op.apply_values(vals)
         return out
-
-    def adjoint(self):
-        return OpSum(tuple(op.adjoint() for op in self.ops))
 
 
 class Compose(Operator):
@@ -594,18 +588,6 @@ def rotgen_fn(fn, axis: int, h: float):
     return m
 
 
-def rotation_matrix(axis: int, theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    j = (axis + 1) % 3
-    k = (axis + 2) % 3
-    r = np.eye(3)
-    r[j, j] = c
-    r[k, k] = c
-    r[j, k] = -s
-    r[k, j] = s
-    return r
-
-
 def rotation_exp_fn(fn, axis: int, theta: float):
     """Finite rotation ``exp(theta * rotgen(axis))`` of an analytic field.
 
@@ -614,7 +596,12 @@ def rotation_exp_fn(fn, axis: int, theta: float):
     factor is the identity and the spin factor is ``-e0``: one full turn
     maps ``psi`` to ``-psi``.
     """
-    rot = rotation_matrix(axis, theta)
+    c, s = np.cos(theta), np.sin(theta)
+    j = (axis + 1) % 3
+    k = (axis + 2) % 3
+    rot = np.eye(3)
+    rot[j, j] = rot[k, k] = c
+    rot[j, k], rot[k, j] = -s, s
     phase = quat.qexp(-0.5 * theta * np.eye(4)[axis + 1])
 
     def r(x):

@@ -112,11 +112,6 @@ def qnorm(q) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def vector_part(q) -> np.ndarray:
-    """The (e1, e2, e3) components as a (..., 3) array."""
-    return np.asarray(q, dtype=float)[..., 1:]
-
-
 def from_vector(v) -> np.ndarray:
     """Embed a 3-vector as the imaginary quaternion ``v . e``."""
     v = np.asarray(v, dtype=float)

@@ -210,26 +210,16 @@ def algebra_suite(samples: int = 10000, seed: int = 42, tol: float = 1e-12) -> R
     rep = Report(suite="algebra", seed=seed, n_samples=samples)
     basis = np.eye(4)
 
-    # structure constants e_i e_j = -delta_ij e0 + eps_ijk e_k
-    eps = np.zeros((3, 3, 3))
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        eps[i, j, k] = 1.0
-        eps[j, i, k] = -1.0
-    table_dev = []
-    for mu in range(4):
-        for nu in range(4):
-            got = quat.qmul(basis[mu], basis[nu])
-            if mu == 0:
-                want = basis[nu]
-            elif nu == 0:
-                want = basis[mu]
-            else:
-                want = -float(mu == nu) * basis[0]
-                want = want + np.concatenate([[0.0], eps[mu - 1, nu - 1]])
-            table_dev.append(np.abs(got - want).max())
+    # the table want[mu, nu] = e_mu e_nu from the structure constants
+    # e_i e_j = -delta_ij e0 + eps_ijk e_k, against all 16 products at once
+    want = np.zeros((4, 4, 4))
+    want[0], want[:, 0], want[1:, 1:, 0] = basis, basis, -np.eye(3)
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        want[i, j, k], want[j, i, k] = 1.0, -1.0
+    table_dev = np.abs(quat.qmul(basis[:, None], basis[None, :]) - want).max(axis=-1)
     rep.checks.append(check_from_devs(
         "multiplication-table", "e_i e_j = -delta_ij e0 + eps_ijk e_k, exact",
-        table_dev, 0.0))
+        table_dev.ravel(), 0.0))
 
     p = rng.standard_normal((samples, 4))
     q = rng.standard_normal((samples, 4))
@@ -409,10 +399,10 @@ def _richardson(devs_h, devs_h2):
 def _dev_grad_position(fn, probes, h):
     devs = []
     for i in range(3):
+        direct = ops.covderiv_fn(fn, _AXES[i], h)(probes)
         for j in range(3):
             grad = ops.covderiv_fn(lambda y, jj=j: y[..., jj, None] * fn(y), _AXES[i], h)
-            direct = ops.covderiv_fn(fn, _AXES[i], h)
-            comm = grad(probes) - probes[:, j, None] * direct(probes)
+            comm = grad(probes) - probes[:, j, None] * direct
             target = fn(probes) if i == j else 0.0
             devs.append(quat.qnorm(comm - target).max(axis=-1))
     return np.max(devs, axis=0)
@@ -442,6 +432,19 @@ def _dev_rotation_j(fn, probes, h):
         jm = quat.qmul(geometry.dirq(probes), ops.rotgen_fn(fn, i, h)(probes))
         devs.append(quat.qnorm(mj - jm).max(axis=-1))
     return np.max(devs, axis=0)
+
+
+def _dev_rotation_position(fn, probes, h):
+    # [M_3, X_1] = -X_2
+    mx = ops.rotgen_fn(lambda y: y[..., 0, None] * fn(y), 2, h)(probes)
+    xm = probes[:, 0, None] * ops.rotgen_fn(fn, 2, h)(probes)
+    return quat.qnorm(mx - xm + probes[:, 1, None] * fn(probes)).max(axis=-1)
+
+
+def _dev_spin_half_turn(fn, probes):
+    # full turn: exp(2 pi M_3) = -identity (factored rotation, exact)
+    rot = ops.rotation_exp_fn(fn, 2, 2.0 * np.pi)(probes)
+    return quat.qnorm(rot + fn(probes)).max(axis=-1) / quat.qnorm(fn(probes)).max(axis=-1)
 
 
 # (name, law, deviation function, tolerance at step h)
@@ -568,30 +571,18 @@ def _analytic_checks(rep, rng):
             name + "-order", law + ": Richardson ratio h vs h/2 in 4 +/- 0.5",
             np.abs(ratios - 4.0), 0.5))
 
-    # the first five fields one at a time
-    first = [lambda y, k=k: fields(y)[k] for k in range(5)]
-
-    # [M_3, X_1] = -X_2 on analytic fields
-    rotx_dev = []
-    for fn in first:
-        mx = ops.rotgen_fn(lambda y: y[..., 0, None] * fn(y), 2, h)(probes)
-        xm = probes[:, 0, None] * ops.rotgen_fn(fn, 2, h)(probes)
-        rotx_dev.append(quat.qnorm(mx - xm + probes[:, 1, None] * fn(probes)).max())
+    # the first five fields of the batch
     rep.checks.append(check_from_devs(
-        "rotation-position", "[M_3, X_1] = -X_2", rotx_dev, 2e-3))
-
-    # full turn: exp(2 pi M_3) = -identity (factored rotation, exact)
-    turn_dev = []
-    for fn in first:
-        rot = ops.rotation_exp_fn(fn, 2, 2.0 * np.pi)
-        turn_dev.append(quat.qnorm(rot(probes) + fn(probes)).max()
-                        / quat.qnorm(fn(probes)).max())
+        "rotation-position", "[M_3, X_1] = -X_2",
+        _dev_rotation_position(fields, probes, h)[:5], 2e-3))
     rep.checks.append(check_from_devs(
-        "spin-half-turn", "exp(2 pi M_3) = -I", turn_dev, 1e-12))
+        "spin-half-turn", "exp(2 pi M_3) = -I", _dev_spin_half_turn(fields, probes)[:5], 1e-12))
 
     # generator of the continuum twisted translations, (U(a) psi)(x) =
     # transport(a; x - a) psi(x - a), along a random direction u:
-    # (U(su) psi - psi)/s -> -grad_u psi
+    # (U(su) psi - psi)/s -> -grad_u psi; the first five fields one at a
+    # time, each with its own direction
+    first = [lambda y, k=k: fields(y)[k] for k in range(5)]
     gen_dev_s, gen_dev_s2 = [], []
     s0 = 1e-3
     for fn in first:
@@ -658,6 +649,25 @@ def _adjoint_checks(rep, spec, jo, interior, smooth, ham):
         "adjoint-consistency", "inner(phi, A psi) = inner(A* phi, psi)", adj_dev, 1e-10))
 
 
+def _wpr_checks(rep, spec, psi, ham):
+    # the frame operators as sums of the one-step twisted translations U_i^+-
+    # = twisted_shift(+-e_i) of the weakened projective representation (H at
+    # mass 1); the two sides share only the transport formula
+    h = spec.step
+    lap, cov_dev = 0.0, []
+    for i, e in enumerate(_AXES):
+        up, down = ops.twisted_shift(spec, e)(psi).values, ops.twisted_shift(spec, -e)(psi).values
+        lap = lap + (up + down - 2.0 * psi.values)
+        grad = ops.covderiv(spec, i)(psi).values
+        cov_dev.append(quat.qnorm((down - up) / (2.0 * h) - grad).max() / quat.qnorm(grad).max())
+    hpsi = ham(psi).values
+    rep.checks.append(check_from_devs(
+        "hamiltonian-wpr", "H = -(1/2m h^2) sum_i (U_i^+ + U_i^- - 2), exact on the lattice",
+        [quat.qnorm(-lap / (2.0 * h**2) - hpsi).max() / quat.qnorm(hpsi).max()], 1e-12))
+    rep.checks.append(check_from_devs(
+        "covderiv-wpr", "grad_i = (U_i^- - U_i^+)/2h, exact on the lattice", cov_dev, 1e-12))
+
+
 def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
                     seed: int = 42, tol: float = 1e-12) -> Report:
     samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
@@ -686,6 +696,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     ham = ops.hamiltonian(spec, 1.0)
     _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol)
     _adjoint_checks(rep, spec, jo, interior, smooth, ham)
+    _wpr_checks(rep, spec, psi, ham)
     return rep
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qmono import geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
+from qmono.report import Report
 
 AX = np.eye(3)
 AX_STEPS = np.eye(3, dtype=int)
@@ -549,9 +550,10 @@ def test_operator_arithmetic(spec, psi):
 
 def test_stencil_identities_on_a_batch_match_field_by_field():
     # the operators suite draws its 20 Gaussian fields as one batched field
-    # and checks the four Richardson-checked identities on the whole batch;
-    # field k's deviation must be the bits it gives alone, where each field
-    # is the parameters of the one-by-one draw in a plain scalar formula
+    # and checks the four Richardson-checked identities, rotation-position and
+    # spin-half-turn on the whole batch; field k's deviation must be the bits
+    # it gives alone, where each field is the parameters of the one-by-one
+    # draw in a plain scalar formula
     def gaussian_ref(center, width, amp):
         return lambda x: (np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width**2))
                           [..., None] * amp)
@@ -566,11 +568,33 @@ def test_stencil_identities_on_a_batch_match_field_by_field():
     probes = verify._probe_points(rng)
     assert np.array_equal(probes, verify._probe_points(ref_rng))  # same draws consumed
     assert np.array_equal(batch(probes), np.stack([fn(probes) for fn in singles]))
-    for name, _, fdev, _ in verify._STENCIL_IDENTITIES:
+    batch_checks = [(name, fdev) for name, _, fdev, _ in verify._STENCIL_IDENTITIES] + [
+        ("rotation-position", verify._dev_rotation_position),
+        ("spin-half-turn", lambda fn, probes, h: verify._dev_spin_half_turn(fn, probes))]
+    for name, fdev in batch_checks:
         for h in (0.02, 0.01):
             got = fdev(batch, probes, h)
             assert got.shape == (20,), name
             assert np.array_equal(got, [fdev(fn, probes, h) for fn in singles]), (name, h)
+
+
+def test_wpr_checks_pass_with_twisted_shifts_and_fail_with_plain_shifts(monkeypatch):
+    # hamiltonian-wpr and covderiv-wpr state H and grad_i through the
+    # one-step twisted translations; plain shifts drop the transport and
+    # miss both by far more than roundoff
+    spec = LatticeSpec(n=12, box=4.0)
+    psi = LatticeField(spec, np.random.default_rng(12).standard_normal((12,) * 3 + (4,)))
+    ham = ops.hamiltonian(spec, 1.0)
+
+    def run():
+        rep = Report(suite="operators", seed=0, n_samples=0)
+        verify._wpr_checks(rep, spec, psi, ham)
+        assert [c.name for c in rep.checks] == ["hamiltonian-wpr", "covderiv-wpr"]
+        return rep.checks
+
+    assert all(c.passed and c.max_dev < 1e-14 for c in run())
+    monkeypatch.setattr(ops, "twisted_shift", lambda spec, m: ops.Shift(spec, m))
+    assert all(not c.passed and c.max_dev > 0.01 for c in run())
 
 
 def test_batched_gaussian_field_keeps_the_bits_of_scalar_widths():
