@@ -78,18 +78,17 @@ def random_slice_member(spec, rng) -> LatticeField:
     return LatticeField(spec, psi1.values / n)
 
 
-def reduce_check(op: Operator, samples: int, seed: int):
+def reduce_check(op: Operator, members: list):
     """Does ``op`` map slice members back into the slice?
 
-    Applies ``op`` to ``samples`` random smooth slice members and returns
-    the arrays ``(before, after)`` of their relative slice residuals: the
-    inputs' (membership sanity, roundoff) and the outputs'.  An order-one
-    ``after`` certifies that ``op`` does not reduce to the slice.
+    Applies ``op`` to each of ``members`` (smooth slice members, such as
+    ``random_slice_member`` draws) and returns the arrays ``(before,
+    after)`` of their relative slice residuals: the inputs' (membership
+    sanity, roundoff) and the outputs'.  An order-one ``after`` certifies
+    that ``op`` does not reduce to the slice.
     """
-    rng = np.random.default_rng(seed)
-    before, after = np.empty(samples), np.empty(samples)
-    for k in range(samples):
-        psi = random_slice_member(op.spec, rng)
+    before, after = np.empty(len(members)), np.empty(len(members))
+    for k, psi in enumerate(members):
         before[k] = slice_residual(psi) / np.abs(psi.values).max()
         out = op(psi)
         scale = np.abs(out.values).max()

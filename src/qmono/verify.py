@@ -9,9 +9,17 @@ tolerances, and returns a ``Report``.  Identities fall into three classes:
   multiplier/projection commutation): bit-exact;
 * stencil identities (commutators, rotation covariance): O(h^2), verified
   together with their Richardson ratio between steps h and h/2.
+
+The ``gis`` and ``operators`` suites draw all inputs of a sampling loop
+first, in the order a draw-then-check loop would draw them, and then
+evaluate the checks in forked worker processes, one per available core
+(``_map_draws``); the same code runs on the same inputs, so a report does
+not depend on the number of workers.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -74,6 +82,53 @@ def _sample_legs(rng, m, family):
     candidates' ``(start, displacement)`` legs."""
     draw, legs = family
     return _sample(rng, m, draw, lambda *cand: _legs_clear(legs(*cand)))
+
+
+# ---------------------------------------------------------------------------
+# forked evaluation of independent draws
+
+_MAPPED = None  # (task, draws) of the running map, inherited by its workers
+
+
+def _cores() -> int:
+    """The cores this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _mapped_draw(i: int):
+    task, draws = _MAPPED
+    return task(*draws[i])
+
+
+def _map_draws(task, draws: list) -> list:
+    """``[task(*d) for d in draws]``, in order.
+
+    Runs on one worker process per available core, at most one per draw,
+    forked after ``task`` and ``draws`` are stored in ``_MAPPED``: the
+    workers inherit them and every field ``task`` holds, so only indices
+    go out and only results come back.  With one worker, or where ``fork``
+    does not exist, it evaluates in this process.  The workers are joined
+    before it returns, also when a task raises; the task's exception is
+    then raised here.
+    """
+    # imported here, so that `evolve` and `chern`, which never map, do not
+    # load them (about 0.5 MiB)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    global _MAPPED
+    workers = min(_cores(), len(draws))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [task(*d) for d in draws]
+    _MAPPED = task, draws
+    # an executor, not a multiprocessing.Pool: a worker that dies (say, out
+    # of memory) raises BrokenProcessPool here instead of hanging the map
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(_mapped_draw, range(len(draws))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _MAPPED = None
 
 
 # (x, a): the transport from x to x + a
@@ -140,36 +195,36 @@ def _bitexact_dev(lhs: np.ndarray, rhs: np.ndarray) -> float:
     return 0.0 if np.array_equal(lhs, rhs) else float(np.abs(lhs - rhs).max())
 
 
-def _covariance_dev(rng, spec: LatticeSpec, psi: LatticeField):
-    """Draw admissible steps ``m`` and a box; check ``U(m) E(box) = E(box +
-    m h) U(m)``.
-
-    Returns the steps and the bit-exact deviation on ``psi``.
-    """
+def _covariance_draw(rng, spec: LatticeSpec) -> tuple:
+    """Admissible steps ``m`` and a box for one covariance check."""
     steps, = _sample_steps(rng, spec, 1, 3)
-    box = _sample_box(rng, spec)
+    return steps, _sample_box(rng, spec)
+
+
+def _covariance_dev(spec: LatticeSpec, psi: LatticeField, steps, box) -> float:
+    """Bit-exact deviation of ``U(m) E(box) = E(box + m h) U(m)`` on ``psi``."""
     u = ops.twisted_shift(spec, steps)
     lhs = u(hilbert.project(box, psi))
     rhs = hilbert.project(box.translate(steps * spec.step), u(psi))
-    return steps, _bitexact_dev(lhs.values, rhs.values)
+    return _bitexact_dev(lhs.values, rhs.values)
 
 
-def _closure_defect(rng, spec: LatticeSpec):
-    """Draw an admissible step pair and check the closure defect.
+def _closure_defect(spec: LatticeSpec, ma, mb):
+    """The closure defect of an admissible step pair (``_sample_steps(rng,
+    spec, 2, 2)`` draws one).
 
-    Returns ``(ma, mb, defect, core_symbol, dev, structural)``: the integer
-    steps, ``compose_defect(spec, ma, mb)``, its symbol on the sites its
-    shifts leave unclipped, the symbol's deviation from
-    ``geometry.multiplier(ma h, mb h, x)`` there, and 0.0 if the defect is
-    structurally pointwise (else 1.0).
+    Returns ``(defect, core_symbol, dev, structural)``:
+    ``compose_defect(spec, ma, mb)``, its symbol on the sites its shifts
+    leave unclipped, the symbol's deviation from ``geometry.multiplier(ma
+    h, mb h, x)`` there, and 0.0 if the defect is structurally pointwise
+    (else 1.0).
     """
-    ma, mb = _sample_steps(rng, spec, 2, 2)
     defect = ops.compose_defect(spec, ma, mb)
     sym = ops.symbol_of(defect)
     core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
     want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points())
     dev = float(quat.qnorm(sym - want)[core].max())
-    return ma, mb, defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
+    return defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
 
 
 def _sample_tetraflux(rng, m: int):
@@ -486,15 +541,17 @@ def _jop_checks(rep, spec, psi, phi, jo, tol):
 
 def _shift_checks(rep, rng, spec, psi, interior, samples):
     # imprimitivity, multiplied-through form, bit-exact
-    imp_dev, comp_dev = [], []
-    for _ in range(samples):
-        steps, dev = _covariance_dev(rng, spec, psi)
-        imp_dev.append(dev)
-        s2, = _sample_steps(rng, spec, 1, 3)
+    draws = [(*_covariance_draw(rng, spec), _sample_steps(rng, spec, 1, 3)[0])
+             for _ in range(samples)]
+
+    def devs(steps, box, s2):
         v1 = ops.Shift(spec, steps)
         v2 = ops.Shift(spec, s2)
         v12 = ops.Shift(spec, steps + s2)
-        comp_dev.append(_bitexact_dev(v1(v2(interior)).values, v12(interior).values))
+        return (_covariance_dev(spec, psi, steps, box),
+                _bitexact_dev(v1(v2(interior)).values, v12(interior).values))
+
+    imp_dev, comp_dev = zip(*_map_draws(devs, draws))
     rep.checks.append(check_from_devs(
         "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0))
     rep.checks.append(check_from_devs(
@@ -503,20 +560,21 @@ def _shift_checks(rep, rng, spec, psi, interior, samples):
 
 def _twisted_checks(rep, rng, spec, interior, tol):
     # twisted shifts: unitary, one-parameter along a line
-    un_dev, group_dev = [], []
     interior_norm = hilbert.norm(interior)
-    for _ in range(20):
-        m, = _sample_steps(rng, spec, 1, 3)
+    # steps m, then an axis and the line's two step counts
+    draws = [(_sample_steps(rng, spec, 1, 3)[0], int(rng.integers(0, 3)),
+              int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(20)]
+
+    def devs(m, ax, s_steps, t_steps):
         u = ops.twisted_shift(spec, m)
-        un_dev.append(abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm)
-        ax = int(rng.integers(0, 3))
-        s_steps = int(rng.integers(1, 3))
-        t_steps = int(rng.integers(1, 3))
         unit = _AXES[ax]
         left = ops.twisted_shift(spec, s_steps * unit)(
             ops.twisted_shift(spec, t_steps * unit)(interior))
         right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
-        group_dev.append(np.abs(left.values - right.values).max())
+        return (abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm,
+                np.abs(left.values - right.values).max())
+
+    un_dev, group_dev = zip(*_map_draws(devs, draws))
     rep.checks.append(check_from_devs(
         "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol))
     rep.checks.append(check_from_devs(
@@ -525,13 +583,14 @@ def _twisted_checks(rep, rng, spec, interior, tol):
 
 def _defect_checks(rep, rng, spec, tol):
     # closure defects: pointwise, with the transport-product symbol; WPR off a line
-    defect_dev, defect_struct, wpr_size = [], [], []
-    for _ in range(10):
-        ma, mb, _, sym, dev, pointwise = _closure_defect(rng, spec)
-        defect_struct.append(pointwise)
-        defect_dev.append(dev)
-        if np.cross(ma, mb).any():
-            wpr_size.append(quat.qnorm(sym - quat.E0).max())
+    draws = [_sample_steps(rng, spec, 2, 2) for _ in range(10)]
+
+    def devs(ma, mb):
+        _, sym, dev, pointwise = _closure_defect(spec, ma, mb)
+        return dev, pointwise, quat.qnorm(sym - quat.E0).max()
+
+    defect_dev, defect_struct, size = zip(*_map_draws(devs, draws))
+    wpr_size = [sz for (ma, mb), sz in zip(draws, size) if np.cross(ma, mb).any()]
     rep.checks.append(check_from_devs(
         "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
         defect_dev, tol))
@@ -703,14 +762,13 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 # ---------------------------------------------------------------------------
 # splitting suite
 
-def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
-                    seed: int = 42) -> Report:
-    samples = min(samples, 200)  # the report states the count drawn
-    rng = np.random.default_rng(seed)
-    rep = Report(suite="splitting", seed=seed, n_samples=samples)
-    spec = LatticeSpec(n=n, box=box)
-    w, wt = quat.E3, quat.E1  # the slice and its complement
+# Like the operators suite, the splitting suite runs its check groups one
+# function each, so a group's whole-grid temporaries are freed before the
+# next group starts.
 
+def _split_checks(rep, rng, spec, samples):
+    n = spec.n
+    w, wt = quat.E3, quat.E1  # the slice and its complement
     rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = [], [], [], [], [], []
     for _ in range(samples):
         psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
@@ -749,6 +807,8 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
         "inner-in-slice", "inner on the slice takes slice-field values",
         inner_slice, 1e-12))
 
+
+def _member_checks(rep, rng, spec):
     # slice members already in the slice split as (psi, 0)
     member = splitting.random_slice_member(spec, rng)
     pair = splitting.split(member)
@@ -758,33 +818,78 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
          np.abs(pair.psi2.values).max()], 1e-14))
 
     # right multiplication by slice scalars stays in the slice
-    z = 0.7 * quat.E0 + 0.3 * w
+    z = 0.7 * quat.E0 + 0.3 * quat.E3
     rep.checks.append(check_from_devs(
         "slice-linear", "psi in slice -> psi z in slice for z = u + v omega",
         [splitting.slice_residual(hilbert.rscale(member, z))], 1e-12))
 
+
+def _reduce_checks(rep, spec, seed):
     # each reduce check holds its inputs to slice membership too: a sampler
-    # that stopped drawing slice members would fail them, not pass vacuously
-    before, after = splitting.reduce_check(
-        ops.twisted_shift(spec, [2, 1, 0]), samples=5, seed=seed)
+    # that stopped drawing slice members would fail them, not pass vacuously;
+    # all three take their members from one fresh generator
+    members_rng = np.random.default_rng(seed)
+    members = [splitting.random_slice_member(spec, members_rng) for _ in range(5)]
+    before, after = splitting.reduce_check(ops.twisted_shift(spec, [2, 1, 0]), members)
     rep.checks.append(check_from_devs(
         "reduce-twisted-shift", "U(a) preserves the slice",
         [max(before.max(), after.max())], 1e-12))
 
-    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), samples=5, seed=seed)
+    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), members)
     rep.checks.append(check_from_devs(
         "reduce-hamiltonian", "H preserves the slice (exact for hop links)",
         [max(before.max(), after.max())], 1e-12))
 
-    before, after = splitting.reduce_check(ops.left_unit(spec, 0), samples=3, seed=seed)
+    before, after = splitting.reduce_check(ops.left_unit(spec, 0), members[:3])
     rep.checks.append(check_from_devs(
         "reduce-negative-control", "bare e1 multiplier does NOT reduce (residual order 1)",
         [0.0 if before.max() <= 1e-12 and after.max() > 0.1 else 1.0], 0.0))
+
+
+def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
+                    seed: int = 42) -> Report:
+    samples = min(samples, 200)  # the report states the count drawn
+    rng = np.random.default_rng(seed)
+    rep = Report(suite="splitting", seed=seed, n_samples=samples)
+    spec = LatticeSpec(n=n, box=box)
+    _split_checks(rep, rng, spec, samples)
+    _member_checks(rep, rng, spec)
+    _reduce_checks(rep, spec, seed)
     return rep
 
 
 # ---------------------------------------------------------------------------
 # gis suite
+
+def _covariance_checks(rep, rng, spec, psi, samples):
+    draws = [_covariance_draw(rng, spec) for _ in range(samples)]
+    cov_dev = _map_draws(lambda steps, box: _covariance_dev(spec, psi, steps, box), draws)
+    rep.checks.append(check_from_devs(
+        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
+
+
+def _closure_checks(rep, rng, spec, psi, count):
+    # a step pair, then a box for the multiplier's commutation
+    draws = [(*_sample_steps(rng, spec, 2, 2), _sample_box(rng, spec)) for _ in range(count)]
+
+    def devs(ma, mb, box):
+        defect, sym, dev, pointwise = _closure_defect(spec, ma, mb)
+        lhs = defect(hilbert.project(box, psi))
+        rhs = hilbert.project(box, defect(psi))
+        return (dev, pointwise, float(np.abs(quat.qnorm(sym) - 1.0).max()),
+                _bitexact_dev(lhs.values, rhs.values))
+
+    comp_dev, structural, mult_norm_dev, mult_comm_dev = zip(*_map_draws(devs, draws))
+    rep.checks.append(check_from_devs(
+        "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
+        comp_dev, 1e-12))
+    rep.checks.append(check_from_devs(
+        "defect-pointwise", "closure defect has zero net displacement", structural, 0.0))
+    rep.checks.append(check_from_devs(
+        "multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12))
+    rep.checks.append(check_from_devs(
+        "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
+
 
 def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
               seed: int = 42) -> Report:
@@ -804,30 +909,8 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rng = np.random.default_rng(seed)
     rep = Report(suite="gis", seed=seed, n_samples=samples)
     psi = LatticeField(spec, rng.standard_normal((spec.n,) * 3 + (4,)))
-
-    cov_dev = [_covariance_dev(rng, spec, psi)[1] for _ in range(samples)]
-    rep.checks.append(check_from_devs(
-        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
-
-    comp_dev, mult_norm_dev, mult_comm_dev, structural = [], [], [], []
-    for _ in range(max(1, samples // 50)):
-        _, _, defect, sym, dev, pointwise = _closure_defect(rng, spec)
-        structural.append(pointwise)
-        comp_dev.append(dev)
-        mult_norm_dev.append(float(np.abs(quat.qnorm(sym) - 1.0).max()))
-        box = _sample_box(rng, spec)
-        lhs = defect(hilbert.project(box, psi))
-        rhs = hilbert.project(box, defect(psi))
-        mult_comm_dev.append(_bitexact_dev(lhs.values, rhs.values))
-    rep.checks.append(check_from_devs(
-        "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
-        comp_dev, 1e-12))
-    rep.checks.append(check_from_devs(
-        "defect-pointwise", "closure defect has zero net displacement", structural, 0.0))
-    rep.checks.append(check_from_devs(
-        "multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12))
-    rep.checks.append(check_from_devs(
-        "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
+    _covariance_checks(rep, rng, spec, psi, samples)
+    _closure_checks(rep, rng, spec, psi, max(1, samples // 50))
 
     x, flux, flux_dev = _sample_tetraflux(rng, 2000)
     rep.checks.append(check_from_devs(

@@ -106,9 +106,14 @@ def test_slice_is_complex_linear(spec):
     assert splitting.slice_residual(kicked) > 0.5
 
 
+def _members(spec, seed, count):
+    rng = np.random.default_rng(seed)
+    return [splitting.random_slice_member(spec, rng) for _ in range(count)]
+
+
 def test_reduce_check_twisted_shift(spec):
     op = ops.twisted_shift(spec, [2, 1, 0])
-    before, after = splitting.reduce_check(op, samples=4, seed=1)
+    before, after = splitting.reduce_check(op, _members(spec, 1, 4))
     assert before.shape == after.shape == (4,)
     assert before.max() <= 1e-12 and after.max() <= 1e-12
 
@@ -116,13 +121,13 @@ def test_reduce_check_twisted_shift(spec):
 def test_reduce_check_hamiltonian(spec):
     # the transported-hop Hamiltonian commutes with J exactly, so it
     # preserves the slice to roundoff
-    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), samples=4, seed=2)
+    before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), _members(spec, 2, 4))
     assert before.shape == after.shape == (4,)
     assert before.max() <= 1e-12 and after.max() <= 1e-12
 
 
 def test_reduce_check_left_unit_fails(spec):
-    before, after = splitting.reduce_check(ops.left_unit(spec, 0), samples=3, seed=3)
+    before, after = splitting.reduce_check(ops.left_unit(spec, 0), _members(spec, 3, 3))
     assert before.shape == after.shape == (3,)
     # the inputs are slice members; the outputs leave the slice at order one
     assert before.max() <= 1e-12
