@@ -31,7 +31,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run an identity suite and write a JSON report")
     pv.add_argument("suite", choices=sorted(SUITES))
-    pv.add_argument("--samples", type=int, default=10000, help="random samples per check")
+    pv.add_argument("--samples", type=int, default=10000,
+                    help="random samples per check (splitting checks at most 200; gis "
+                         "reads it as its covariance draws, so the default is ten "
+                         "times gis_suite's own 1000)")
     pv.add_argument("--seed", type=int, default=42)
     # left unset (None), these take the defaults in the suite's signature
     pv.add_argument("--n", type=int, help="lattice points per axis (gis, operators, splitting)")

@@ -14,11 +14,16 @@ The ``gis`` and ``operators`` suites draw all inputs of a sampling loop
 first, in the order a draw-then-check loop would draw them, and then
 evaluate the checks in forked worker processes, one per available core
 (``_map_draws``); the same code runs on the same inputs, so a report does
-not depend on the number of workers.
+not depend on the number of workers.  The ``splitting`` suite's loop, which
+draws a whole field per sample, maps contiguous runs of samples instead:
+each worker replays the suite generator through the runs before its own
+(``_split_checks``), so it draws the same fields without the parent
+holding them.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 
 import numpy as np
@@ -766,32 +771,56 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 # function each, so a group's whole-grid temporaries are freed before the
 # next group starts.
 
-def _split_checks(rep, rng, spec, samples):
-    n = spec.n
+def _split_devs(spec: LatticeSpec, psi: LatticeField) -> tuple:
+    """The six split deviations of one drawn field, checked at unit norm."""
     w, wt = quat.E3, quat.E1  # the slice and its complement
-    rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = [], [], [], [], [], []
-    for _ in range(samples):
-        psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
-        nn = hilbert.norm(psi)
-        psi = LatticeField(spec, psi.values / nn)
-        pair = splitting.split(psi)
-        rec = splitting.reconstruct(pair)
-        rec_dev.append(np.abs(rec.values - psi.values).max())
-        n0 = hilbert.norm(psi) ** 2
-        n1 = hilbert.norm(pair.psi1) ** 2
-        n2 = hilbert.norm(pair.psi2) ** 2
-        norm_dev.append(abs(n0 - n1 - n2))
-        memb_dev.append(max(splitting.slice_residual(pair.psi1),
-                            splitting.slice_residual(pair.psi2)))
-        # orthogonality of the decomposition: inner(psi1, psi2 wt) has no
-        # slice component (real part and omega component vanish)
-        cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, wt))
-        orth_re.append(abs(cross[0]))
-        orth_slice.append(abs(np.sum(cross * w)))
-        # inner product of two slice members lands in the slice field
-        q12 = hilbert.inner(pair.psi1, pair.psi2)
-        perp = q12 - q12[0] * quat.E0 - np.sum(q12 * w) * w
-        inner_slice.append(quat.qnorm(perp))
+    psi = LatticeField(spec, psi.values / hilbert.norm(psi))
+    pair = splitting.split(psi)
+    rec_dev = np.abs(splitting.reconstruct(pair).values - psi.values).max()
+    n0 = hilbert.norm(psi) ** 2
+    n1 = hilbert.norm(pair.psi1) ** 2
+    n2 = hilbert.norm(pair.psi2) ** 2
+    memb_dev = max(splitting.slice_residual(pair.psi1), splitting.slice_residual(pair.psi2))
+    # orthogonality of the decomposition: inner(psi1, psi2 wt) has no slice
+    # component (real part and omega component vanish)
+    cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, wt))
+    # inner product of two slice members lands in the slice field
+    q12 = hilbert.inner(pair.psi1, pair.psi2)
+    perp = q12 - q12[0] * quat.E0 - np.sum(q12 * w) * w
+    return (rec_dev, abs(n0 - n1 - n2), memb_dev, abs(cross[0]), abs(np.sum(cross * w)),
+            quat.qnorm(perp))
+
+
+# The split loop draws one whole grid per sample, about 1 MiB at n=32, so it
+# does not draw all its fields ahead like the gis and operators loops.  It
+# cuts the samples into one contiguous run per worker instead.  Each run
+# replays the suite generator from its state before the loop: it draws the
+# fields of the runs before it into one reused buffer (the same draws, so
+# the same generator state), then draws and checks its own fields, and
+# returns their deviations with its generator's final state.  The last
+# run's state becomes the suite generator's, so the groups after it draw
+# what a draw-then-check loop leaves them.
+
+def _split_checks(rep, rng, spec, samples):
+    shape = (spec.n,) * 3 + (4,)
+    runs = max(1, min(_cores(), samples))
+
+    def run(start, stop):
+        gen = copy.deepcopy(rng)  # the parent advances `rng` only after the map
+        skipped = np.empty(shape)
+        for _ in range(start):
+            gen.standard_normal(out=skipped)
+        del skipped
+        devs = [_split_devs(spec, LatticeField(spec, gen.standard_normal(shape)))
+                for _ in range(start, stop)]
+        return devs, gen.bit_generator.state
+
+    results = _map_draws(run, [(k * samples // runs, (k + 1) * samples // runs)
+                               for k in range(runs)])
+    rng.bit_generator.state = results[-1][1]
+    # one contiguous row per check, in sample order
+    rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = np.ascontiguousarray(
+        np.reshape([d for devs, _ in results for d in devs], (-1, 6)).T)
     rep.checks.append(check_from_devs(
         "reconstruction", "psi1 + psi2 omega_tilde = psi", rec_dev, 1e-14))
     rep.checks.append(check_from_devs(

@@ -1,16 +1,19 @@
-"""The forked map of the gis and operators suites' sampling loops: it
-returns the in-process results bit for bit, raises a task's error in the
-parent, leaves no process behind, and the loops draw exactly what their
-draw-then-check form drew."""
+"""The forked map of the gis, operators and splitting suites' sampling
+loops: it returns the in-process results bit for bit, raises a task's error
+in the parent, leaves no process behind, and the loops draw exactly what
+their draw-then-check form drew.  The splitting loop's workers replay the
+suite generator over the fields of the runs before theirs; it never holds
+more than one drawn field per worker."""
 
 import json
 import multiprocessing
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qmono import cli, geometry, hilbert, operators as ops, quat, verify
+from qmono import cli, geometry, hilbert, operators as ops, quat, splitting, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 from qmono.report import Report, check_from_devs
 
@@ -66,8 +69,13 @@ def test_no_worker_outlives_a_suite_or_the_cli(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
     verify.operators_suite(n=16, samples=20, seed=1)
     assert multiprocessing.active_children() == []
+    verify.splitting_suite(n=16, samples=7, seed=1)
+    assert multiprocessing.active_children() == []
     assert cli.main(["verify", "gis", "--n", "16", "--samples", "60",
                      "--out", str(tmp_path / "gis.json")]) == 0
+    assert multiprocessing.active_children() == []
+    assert cli.main(["verify", "splitting", "--n", "16", "--samples", "7",
+                     "--out", str(tmp_path / "splitting.json")]) == 0
     assert multiprocessing.active_children() == []
 
 
@@ -80,15 +88,41 @@ def _report(suite):
 @pytest.mark.parametrize("suite", [
     lambda: verify.gis_suite(n=16, samples=100, seed=42),
     lambda: verify.operators_suite(n=16, samples=30, seed=42),
-], ids=["gis", "operators"])
+    # 7 samples: neither 2 nor 3 workers divide them into equal runs
+    lambda: verify.splitting_suite(n=16, samples=7, seed=42),
+], ids=["gis", "operators", "splitting"])
 def test_reports_do_not_depend_on_the_worker_count(suite, monkeypatch):
     _workers(monkeypatch, 1)
     one = _report(suite)
-    _workers(monkeypatch, 2)
-    assert _report(suite) == one
+    for count in (2, 3):
+        _workers(monkeypatch, count)
+        assert _report(suite) == one, count
 
 
-# the five sampling loops as they were before the map: each draw followed by
+def test_the_split_loop_holds_one_field_at_a_time(monkeypatch):
+    # in one process the loop's peak does not grow with the sample count:
+    # drawing its fields ahead would hold one grid per sample
+    grid = 16 ** 3 * 4 * 8
+    _workers(monkeypatch, 1)
+
+    def peak(samples):
+        rep = Report(suite="splitting", seed=0, n_samples=samples)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            verify._split_checks(rep, rng, SPEC, samples)
+            return (tracemalloc.get_traced_memory()[1] - base) / grid
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # the map's first call imports its pool modules
+    few, many = peak(5), peak(40)
+    assert abs(many - few) <= 1.0, (few, many)
+    assert many < 12.0, many
+
+
+# the six sampling loops as they were before the map: each draw followed by
 # its check; each returns its deviations per check name
 
 def _covariance_loop(rng, psi, interior):
@@ -154,6 +188,28 @@ def _defect_loop(rng, psi, interior):
             "wpr-nontrivial": [0.0 if min(size) > 1e-3 else 1.0]}
 
 
+def _split_loop(rng, psi, interior):
+    out = {"reconstruction": [], "norm-additivity": [], "slice-membership": [],
+           "orthogonality-real": [], "orthogonality-slice": [], "inner-in-slice": []}
+    for _ in range(7):
+        drawn = LatticeField(SPEC, rng.standard_normal((16, 16, 16, 4)))
+        field = LatticeField(SPEC, drawn.values / hilbert.norm(drawn))
+        pair = splitting.split(field)
+        out["reconstruction"].append(
+            np.abs(splitting.reconstruct(pair).values - field.values).max())
+        out["norm-additivity"].append(abs(hilbert.norm(field) ** 2 - hilbert.norm(pair.psi1) ** 2
+                                          - hilbert.norm(pair.psi2) ** 2))
+        out["slice-membership"].append(max(splitting.slice_residual(pair.psi1),
+                                           splitting.slice_residual(pair.psi2)))
+        cross = hilbert.inner(pair.psi1, hilbert.rscale(pair.psi2, quat.E1))
+        out["orthogonality-real"].append(abs(cross[0]))
+        out["orthogonality-slice"].append(abs(np.sum(cross * quat.E3)))
+        q12 = hilbert.inner(pair.psi1, pair.psi2)
+        out["inner-in-slice"].append(
+            quat.qnorm(q12 - q12[0] * quat.E0 - np.sum(q12 * quat.E3) * quat.E3))
+    return out
+
+
 _GROUPS = {
     "covariance": (lambda rep, rng, psi, interior:
                    verify._covariance_checks(rep, rng, SPEC, psi, 30), _covariance_loop),
@@ -165,6 +221,8 @@ _GROUPS = {
                 verify._twisted_checks(rep, rng, SPEC, interior, 1e-12), _twisted_loop),
     "defect": (lambda rep, rng, psi, interior:
                verify._defect_checks(rep, rng, SPEC, 1e-12), _defect_loop),
+    "split": (lambda rep, rng, psi, interior:
+              verify._split_checks(rep, rng, SPEC, 7), _split_loop),
 }
 
 
