@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run an identity suite and write a JSON report")
     pv.add_argument("suite", choices=sorted(SUITES))
     pv.add_argument("--samples", type=int, default=10000,
-                    help="random samples per check (splitting checks at most 200; gis "
+                    help="random samples per check (splitting checks at most 200 "
+                         "fields and operators at most 200 imprimitivity draws; gis "
                          "reads it as its covariance draws, so the default is ten "
                          "times gis_suite's own 1000)")
     pv.add_argument("--seed", type=int, default=42)

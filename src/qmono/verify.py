@@ -10,21 +10,31 @@ tolerances, and returns a ``Report``.  Identities fall into three classes:
 * stencil identities (commutators, rotation covariance): O(h^2), verified
   together with their Richardson ratio between steps h and h/2.
 
-The ``gis`` and ``operators`` suites draw all inputs of a sampling loop
-first, in the order a draw-then-check loop would draw them, and then
-evaluate the checks in forked worker processes, one per available core
-(``_map_draws``); the same code runs on the same inputs, so a report does
-not depend on the number of workers.  The ``splitting`` suite's loop, which
-draws a whole field per sample, maps contiguous runs of samples instead:
-each worker replays the suite generator through the runs before its own
-(``_split_checks``), so it draws the same fields without the parent
-holding them.
+The ``gis``, ``operators`` and ``splitting`` suites each run as one task
+list.  A suite first draws every input from its generator in the parent,
+in the order a draw-then-check loop would draw them; then it evaluates one
+list of tasks, every check group and every sampled draw, with a single
+``_map_draws`` call on forked worker processes, one per available core;
+last, it appends the returned checks in report order.  The tasks are listed
+longest first, in a fixed order written in each suite.  The covariance
+draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
+by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
+once and checks every box drawn with that ``m`` (``_step_group_tasks``).
+The splitting suite draws one whole field per sample, so its tasks are
+contiguous runs of samples: each run replays the suite generator through
+the runs before its own (``_split_run``), so it draws the same fields
+without the parent holding them.  Its member checks stay in the parent,
+after the map, because they draw from the generator state that the last
+run hands back.  The same code runs on the same inputs, so a report does
+not depend on the number of workers.  The geometry suite, batched vector
+work and three ``chern`` quadratures, runs in the calling process.
 """
 
 from __future__ import annotations
 
 import copy
 import os
+from functools import partial
 
 import numpy as np
 
@@ -136,6 +146,41 @@ def _map_draws(task, draws: list) -> list:
         _MAPPED = None
 
 
+def _run_tasks(tasks: list) -> list:
+    """``[task() for task in tasks]``, in order, through ``_map_draws``.
+
+    A worker takes the next task when it finishes one, so the tasks are
+    best listed longest first."""
+    return _map_draws(lambda task: task(), [(task,) for task in tasks])
+
+
+def _step_group_tasks(draws: list, evaluate) -> tuple:
+    """One task per distinct step vector of ``draws``, whose first entries
+    are step vectors, and the draw indices of each task's group.
+
+    A group's task is ``evaluate(m, *columns)``, with the group's further
+    draw entries as one column each, in draw order; it returns one result
+    per draw.  The largest group comes first, equal ones in order of first
+    appearance; ``_in_draw_order`` puts the results back in draw order.
+    """
+    groups = {}
+    for i, draw in enumerate(draws):
+        groups.setdefault(tuple(draw[0]), []).append(i)
+    groups = sorted(groups.values(), key=len, reverse=True)
+    tasks = [partial(evaluate, draws[g[0]][0], *zip(*(draws[i][1:] for i in g)))
+             for g in groups]
+    return tasks, groups
+
+
+def _in_draw_order(groups: list, results: list) -> list:
+    """The per-draw results of ``_step_group_tasks``' tasks, in draw order."""
+    out = [None] * sum(map(len, groups))
+    for group, res in zip(groups, results):
+        for i, r in zip(group, res):
+            out[i] = r
+    return out
+
+
 # (x, a): the transport from x to x + a
 _TRANSPORT_PAIRS = (
     lambda rng, k: (_positions(rng, k), rng.uniform(-2.0, 2.0, size=(k, 3))),
@@ -206,12 +251,15 @@ def _covariance_draw(rng, spec: LatticeSpec) -> tuple:
     return steps, _sample_box(rng, spec)
 
 
-def _covariance_dev(spec: LatticeSpec, psi: LatticeField, steps, box) -> float:
-    """Bit-exact deviation of ``U(m) E(box) = E(box + m h) U(m)`` on ``psi``."""
+def _covariance_devs(spec: LatticeSpec, psi: LatticeField, steps, boxes) -> list:
+    """Bit-exact deviations of ``U(m) E(box) = E(box + m h) U(m)`` on
+    ``psi`` for ``m = steps``, one per box; ``U(m)`` and ``U(m) psi`` are
+    built once."""
     u = ops.twisted_shift(spec, steps)
-    lhs = u(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(steps * spec.step), u(psi))
-    return _bitexact_dev(lhs.values, rhs.values)
+    u_psi = u(psi)
+    return [_bitexact_dev(u(hilbert.project(box, psi)).values,
+                          hilbert.project(box.translate(steps * spec.step), u_psi).values)
+            for box in boxes]
 
 
 def _closure_defect(spec: LatticeSpec, ma, mb):
@@ -516,21 +564,22 @@ _STENCIL_IDENTITIES = (
 )
 
 
-# The operators suite runs its check groups one function each, in a fixed
-# order on one generator, so a group's whole-grid temporaries are freed
-# before the next group starts.
+# The operators suite's check groups, one function each: a group evaluates
+# inputs drawn before it and returns its checks (or, for a sampled draw,
+# its deviations), so it runs as one task of the suite's list, and its
+# whole-grid temporaries are freed before the worker takes the next task.
 
-def _jop_checks(rep, spec, psi, phi, jo, tol):
-    rep.checks.append(check_from_devs(
+def _jop_checks(spec, psi, phi, jo, tol) -> list:
+    checks = [check_from_devs(
         "jop-square", "J^2 = -I",
-        [np.abs(jo(jo(psi)).values + psi.values).max()], 1e-14))
+        [np.abs(jo(jo(psi)).values + psi.values).max()], 1e-14)]
     lhs = hilbert.inner(phi, jo(psi))
     rhs = hilbert.inner(jo(phi), psi)
     scale = hilbert.norm(phi) * hilbert.norm(psi)
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "jop-antihermitian", "inner(phi, J psi) = -inner(J phi, psi)",
         np.abs(lhs + rhs) / scale, tol))
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "jop-isometry", "|J psi| = |psi|",
         [abs(hilbert.norm(jo(psi)) - hilbert.norm(psi)) / hilbert.norm(psi)], tol))
 
@@ -540,106 +589,114 @@ def _jop_checks(rep, spec, psi, phi, jo, tol):
         xi = ops.position(spec, i)
         diff = xi(jo(psi)).values - jo(xi(psi)).values
         xj.append(np.abs(diff).max() / (spec.box * np.abs(psi.values).max()))
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "position-j-commute", "[X_i, J] = 0 (roundoff only)", xj, 1e-14))
+    return checks
 
 
-def _shift_checks(rep, rng, spec, psi, interior, samples):
+def _imprimitivity_devs(spec, psi, interior, steps, boxes, s2s) -> list:
+    """``(imprimitivity, shift-composition)`` deviations of the draws with
+    the first steps ``steps``, one pair per drawn box and second steps."""
+    v1 = ops.Shift(spec, steps)
+    comp = [_bitexact_dev(v1(ops.Shift(spec, s2)(interior)).values,
+                          ops.Shift(spec, steps + s2)(interior).values) for s2 in s2s]
+    return list(zip(_covariance_devs(spec, psi, steps, boxes), comp))
+
+
+def _shift_checks(devs) -> list:
     # imprimitivity, multiplied-through form, bit-exact
-    draws = [(*_covariance_draw(rng, spec), _sample_steps(rng, spec, 1, 3)[0])
-             for _ in range(samples)]
-
-    def devs(steps, box, s2):
-        v1 = ops.Shift(spec, steps)
-        v2 = ops.Shift(spec, s2)
-        v12 = ops.Shift(spec, steps + s2)
-        return (_covariance_dev(spec, psi, steps, box),
-                _bitexact_dev(v1(v2(interior)).values, v12(interior).values))
-
-    imp_dev, comp_dev = zip(*_map_draws(devs, draws))
-    rep.checks.append(check_from_devs(
-        "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0))
-    rep.checks.append(check_from_devs(
-        "shift-composition", "V(a) V(b) = V(a+b), bit-exact", comp_dev, 0.0))
+    imp_dev, comp_dev = zip(*devs)
+    return [check_from_devs(
+                "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0),
+            check_from_devs(
+                "shift-composition", "V(a) V(b) = V(a+b), bit-exact", comp_dev, 0.0)]
 
 
-def _twisted_checks(rep, rng, spec, interior, tol):
+def _twisted_devs(spec, interior, interior_norm, m, ax, s_steps, t_steps) -> tuple:
     # twisted shifts: unitary, one-parameter along a line
-    interior_norm = hilbert.norm(interior)
-    # steps m, then an axis and the line's two step counts
-    draws = [(_sample_steps(rng, spec, 1, 3)[0], int(rng.integers(0, 3)),
-              int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(20)]
-
-    def devs(m, ax, s_steps, t_steps):
-        u = ops.twisted_shift(spec, m)
-        unit = _AXES[ax]
-        left = ops.twisted_shift(spec, s_steps * unit)(
-            ops.twisted_shift(spec, t_steps * unit)(interior))
-        right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
-        return (abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm,
-                np.abs(left.values - right.values).max())
-
-    un_dev, group_dev = zip(*_map_draws(devs, draws))
-    rep.checks.append(check_from_devs(
-        "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol))
-    rep.checks.append(check_from_devs(
-        "one-parameter-line", "U(s u) U(t u) = U((s+t) u)", group_dev, tol))
+    u = ops.twisted_shift(spec, m)
+    unit = _AXES[ax]
+    left = ops.twisted_shift(spec, s_steps * unit)(
+        ops.twisted_shift(spec, t_steps * unit)(interior))
+    right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
+    return (abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm,
+            np.abs(left.values - right.values).max())
 
 
-def _defect_checks(rep, rng, spec, tol):
+def _twisted_checks(devs, tol) -> list:
+    un_dev, group_dev = zip(*devs)
+    return [check_from_devs(
+                "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol),
+            check_from_devs(
+                "one-parameter-line", "U(s u) U(t u) = U((s+t) u)", group_dev, tol)]
+
+
+def _defect_devs(spec, ma, mb) -> tuple:
+    _, sym, dev, pointwise = _closure_defect(spec, ma, mb)
+    return dev, pointwise, quat.qnorm(sym - quat.E0).max()
+
+
+def _defect_checks(draws, devs, tol) -> list:
     # closure defects: pointwise, with the transport-product symbol; WPR off a line
-    draws = [_sample_steps(rng, spec, 2, 2) for _ in range(10)]
-
-    def devs(ma, mb):
-        _, sym, dev, pointwise = _closure_defect(spec, ma, mb)
-        return dev, pointwise, quat.qnorm(sym - quat.E0).max()
-
-    defect_dev, defect_struct, size = zip(*_map_draws(devs, draws))
+    defect_dev, defect_struct, size = zip(*devs)
     wpr_size = [sz for (ma, mb), sz in zip(draws, size) if np.cross(ma, mb).any()]
-    rep.checks.append(check_from_devs(
-        "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
-        defect_dev, tol))
-    rep.checks.append(check_from_devs(
-        "defect-pointwise", "closure defect is a pointwise multiplier", defect_struct, 0.0))
-    rep.checks.append(check_from_devs(
-        "wpr-nontrivial", "generic closure defect differs from the identity",
-        [0.0 if (min(wpr_size) > 1e-3) else 1.0], 0.0))
+    return [check_from_devs(
+                "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
+                defect_dev, tol),
+            check_from_devs(
+                "defect-pointwise", "closure defect is a pointwise multiplier",
+                defect_struct, 0.0),
+            check_from_devs(
+                "wpr-nontrivial", "generic closure defect differs from the identity",
+                [0.0 if (min(wpr_size) > 1e-3) else 1.0], 0.0)]
 
+
+def _parallel_checks(spec, tol) -> list:
     # parallel shifts close exactly
     par_dev = []
     core = ops.interior_mask(spec, _PARALLEL_BAND)
     for unit in _AXES:
         sym = ops.symbol_of(ops.compose_defect(spec, 2 * unit, 3 * unit))
         par_dev.append(quat.qnorm(sym - quat.E0)[core].max())
-    rep.checks.append(check_from_devs(
-        "wpr-parallel-trivial", "m(a, b; x) = e0 for parallel a, b", par_dev, tol))
+    return [check_from_devs(
+        "wpr-parallel-trivial", "m(a, b; x) = e0 for parallel a, b", par_dev, tol)]
 
 
-def _analytic_checks(rep, rng):
-    # connection value spot check: u = e1 at x = (0,0,1) -> -e2/2
-    conn = ops.connection_value(_AXES[0], np.array([0.0, 0.0, 1.0]))
-    rep.checks.append(check_from_devs(
-        "connection-value", "connection(e1)(0,0,1) = -e2/2",
-        [np.abs(conn - np.array([0.0, 0.0, -0.5, 0.0])).max()], 1e-15))
-
-    # stencil identities on analytic fields, with Richardson ratios
+def _analytic_draws(rng) -> tuple:
+    """20 Gaussian fields, 12 probe points and 5 unit directions."""
     fields = _random_gaussian_fields(rng, 20)
     probes = _probe_points(rng)
+    directions = []
+    for _ in range(5):
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        directions.append(u)
+    return fields, probes, directions
+
+
+def _analytic_checks(fields, probes, directions) -> list:
+    # connection value spot check: u = e1 at x = (0,0,1) -> -e2/2
+    conn = ops.connection_value(_AXES[0], np.array([0.0, 0.0, 1.0]))
+    checks = [check_from_devs(
+        "connection-value", "connection(e1)(0,0,1) = -e2/2",
+        [np.abs(conn - np.array([0.0, 0.0, -0.5, 0.0])).max()], 1e-15)]
+
+    # stencil identities on analytic fields, with Richardson ratios
     h = 0.02
     for name, law, fdev, tol_h in _STENCIL_IDENTITIES:
         devs_h = fdev(fields, probes, h)
         devs_h2 = fdev(fields, probes, h / 2.0)
         ratios = _richardson(devs_h, devs_h2)
-        rep.checks.append(check_from_devs(name, law + " (step h)", devs_h, tol_h))
-        rep.checks.append(check_from_devs(
+        checks.append(check_from_devs(name, law + " (step h)", devs_h, tol_h))
+        checks.append(check_from_devs(
             name + "-order", law + ": Richardson ratio h vs h/2 in 4 +/- 0.5",
             np.abs(ratios - 4.0), 0.5))
 
     # the first five fields of the batch
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "rotation-position", "[M_3, X_1] = -X_2",
         _dev_rotation_position(fields, probes, h)[:5], 2e-3))
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "spin-half-turn", "exp(2 pi M_3) = -I", _dev_spin_half_turn(fields, probes)[:5], 1e-12))
 
     # generator of the continuum twisted translations, (U(a) psi)(x) =
@@ -649,36 +706,35 @@ def _analytic_checks(rep, rng):
     first = [lambda y, k=k: fields(y)[k] for k in range(5)]
     gen_dev_s, gen_dev_s2 = [], []
     s0 = 1e-3
-    for fn in first:
-        u = rng.standard_normal(3)
-        u /= np.linalg.norm(u)
+    for fn, u in zip(first, directions):
         target = ops.covderiv_fn(fn, u, 1e-4)(probes)
         for s_val, out in ((s0, gen_dev_s), (s0 / 2.0, gen_dev_s2)):
             shifted = quat.qmul(geometry.transport(s_val * u, probes - s_val * u),
                                 fn(probes - s_val * u))
             fd = (shifted - fn(probes)) / s_val
             out.append(quat.qnorm(fd + target).max())
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "twisted-generator", "(U(s u) psi - psi)/s -> -grad_u psi", gen_dev_s, 1e-2))
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "twisted-generator-order", "first-order convergence ratio in 2 +/- 0.5",
         np.abs(_richardson(gen_dev_s, gen_dev_s2) - 2.0), 0.5))
+    return checks
 
 
-def _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol):
+def _hamiltonian_checks(spec, psi, phi, jo, smooth, ham, tol) -> list:
     # lattice Hamiltonian: hermitian, commutes with J at O(h^2), Ehrenfest form
     lhs = hilbert.inner(phi, ham(psi))[0]
     rhs = hilbert.inner(ham(phi), psi)[0]
-    rep.checks.append(check_from_devs(
+    checks = [check_from_devs(
         "hamiltonian-hermitian", "inner(phi, H psi) = inner(H phi, psi)",
-        [abs(lhs - rhs) / abs(lhs)], tol))
+        [abs(lhs - rhs) / abs(lhs)], tol)]
 
     # the transported-hop forms make both splitting identities exact on the
     # lattice (roundoff only), strictly better than the O(h^2) bound that a
     # multiplier-connection discretization would give
     h_smooth = ham(smooth)
     hj = ham(jo(smooth)).values - jo(h_smooth).values
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "hamiltonian-j-commute", "[H, J] = 0, exact on the lattice",
         [quat.qnorm(hj).max() / np.abs(h_smooth.values).max()], 1e-12))
 
@@ -688,19 +744,20 @@ def _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol):
         comm = ham(xi(smooth)).values - xi(h_smooth).values
         target = -ops.covderiv(spec, i)(smooth).values
         ehr_dev.append(quat.qnorm(comm - target).max() / quat.qnorm(target).max())
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "hamiltonian-velocity", "[H, X_i] = -(1/m) grad_i, exact on the lattice",
         ehr_dev, 1e-12))
 
     bval = ops.symbol_of(ops.bfield_op(spec, 2))
     pts3 = spec.points()[..., 2]
     r = np.linalg.norm(spec.points(), axis=-1)
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "bfield-op", "B_3 symbol = x_3 / (2 |x|^3)",
         [np.abs(bval[..., 0] - 0.5 * pts3 / r**3).max()], 1e-14))
+    return checks
 
 
-def _adjoint_checks(rep, spec, jo, interior, smooth, ham):
+def _adjoint_checks(spec, jo, interior, smooth, ham) -> list:
     # adjoint consistency on interior-supported fields
     adj_dev = []
     for op in (jo, ops.position(spec, 1), ops.left_unit(spec, 0),
@@ -709,11 +766,11 @@ def _adjoint_checks(rep, spec, jo, interior, smooth, ham):
         lhs = hilbert.inner(interior, op(smooth))[0]
         rhs = hilbert.inner(op.adjoint()(interior), smooth)[0]
         adj_dev.append(abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    rep.checks.append(check_from_devs(
-        "adjoint-consistency", "inner(phi, A psi) = inner(A* phi, psi)", adj_dev, 1e-10))
+    return [check_from_devs(
+        "adjoint-consistency", "inner(phi, A psi) = inner(A* phi, psi)", adj_dev, 1e-10)]
 
 
-def _wpr_checks(rep, spec, psi, ham):
+def _wpr_checks(spec, psi, ham) -> list:
     # the frame operators as sums of the one-step twisted translations U_i^+-
     # = twisted_shift(+-e_i) of the weakened projective representation (H at
     # mass 1); the two sides share only the transport formula
@@ -725,11 +782,13 @@ def _wpr_checks(rep, spec, psi, ham):
         grad = ops.covderiv(spec, i)(psi).values
         cov_dev.append(quat.qnorm((down - up) / (2.0 * h) - grad).max() / quat.qnorm(grad).max())
     hpsi = ham(psi).values
-    rep.checks.append(check_from_devs(
-        "hamiltonian-wpr", "H = -(1/2m h^2) sum_i (U_i^+ + U_i^- - 2), exact on the lattice",
-        [quat.qnorm(-lap / (2.0 * h**2) - hpsi).max() / quat.qnorm(hpsi).max()], 1e-12))
-    rep.checks.append(check_from_devs(
-        "covderiv-wpr", "grad_i = (U_i^- - U_i^+)/2h, exact on the lattice", cov_dev, 1e-12))
+    return [check_from_devs(
+                "hamiltonian-wpr",
+                "H = -(1/2m h^2) sum_i (U_i^+ + U_i^- - 2), exact on the lattice",
+                [quat.qnorm(-lap / (2.0 * h**2) - hpsi).max() / quat.qnorm(hpsi).max()], 1e-12),
+            check_from_devs(
+                "covderiv-wpr", "grad_i = (U_i^- - U_i^+)/2h, exact on the lattice",
+                cov_dev, 1e-12)]
 
 
 def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
@@ -748,19 +807,42 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rep = Report(suite="operators", seed=seed, n_samples=samples)
     psi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
     phi = LatticeField(spec, rng.standard_normal((n, n, n, 4)))
-    jo = ops.jop(spec)
-    _jop_checks(rep, spec, psi, phi, jo, tol)
     # fields with an empty band at the walls: shifts act without clipping
     interior = hilbert.project(
         hilbert.Box.of((-box * 0.55,) * 3, (box * 0.55,) * 3), psi)
-    _shift_checks(rep, rng, spec, psi, interior, samples)
-    _twisted_checks(rep, rng, spec, interior, tol)
-    _defect_checks(rep, rng, spec, tol)
-    _analytic_checks(rep, rng)
-    ham = ops.hamiltonian(spec, 1.0)
-    _hamiltonian_checks(rep, spec, psi, phi, jo, smooth, ham, tol)
-    _adjoint_checks(rep, spec, jo, interior, smooth, ham)
-    _wpr_checks(rep, spec, psi, ham)
+    # every draw, in the order of the groups' checks: imprimitivity (steps,
+    # box, second steps), twisted lines (steps, then an axis and the line's
+    # two step counts), closure defects, analytic fields
+    shift_draws = [(*_covariance_draw(rng, spec), _sample_steps(rng, spec, 1, 3)[0])
+                   for _ in range(samples)]
+    twisted_draws = [(_sample_steps(rng, spec, 1, 3)[0], int(rng.integers(0, 3)),
+                      int(rng.integers(1, 3)), int(rng.integers(1, 3))) for _ in range(20)]
+    defect_draws = [_sample_steps(rng, spec, 2, 2) for _ in range(10)]
+    fields, probes, directions = _analytic_draws(rng)
+
+    jo, ham = ops.jop(spec), ops.hamiltonian(spec, 1.0)
+    interior_norm = hilbert.norm(interior)
+    shift_tasks, shift_groups = _step_group_tasks(
+        shift_draws, partial(_imprimitivity_devs, spec, psi, interior))
+    # longest first: the whole-field groups, then the sampled draws
+    ham_c, par_c, analytic_c, wpr_c, jop_c, adj_c, *devs = _run_tasks([
+        partial(_hamiltonian_checks, spec, psi, phi, jo, smooth, ham, tol),
+        partial(_parallel_checks, spec, tol),
+        partial(_analytic_checks, fields, probes, directions),
+        partial(_wpr_checks, spec, psi, ham),
+        partial(_jop_checks, spec, psi, phi, jo, tol),
+        partial(_adjoint_checks, spec, jo, interior, smooth, ham),
+        *(partial(_defect_devs, spec, *d) for d in defect_draws),
+        *(partial(_twisted_devs, spec, interior, interior_norm, *d) for d in twisted_draws),
+        *shift_tasks])
+    defect_devs, devs = devs[:len(defect_draws)], devs[len(defect_draws):]
+    twisted_devs, devs = devs[:len(twisted_draws)], devs[len(twisted_draws):]
+
+    rep.checks += jop_c
+    rep.checks += _shift_checks(_in_draw_order(shift_groups, devs))
+    rep.checks += _twisted_checks(twisted_devs, tol)
+    rep.checks += _defect_checks(defect_draws, defect_devs, tol) + par_c
+    rep.checks += analytic_c + ham_c + adj_c + wpr_c
     return rep
 
 
@@ -768,8 +850,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
 # splitting suite
 
 # Like the operators suite, the splitting suite runs its check groups one
-# function each, so a group's whole-grid temporaries are freed before the
-# next group starts.
+# function each, each returning its checks.
 
 def _split_devs(spec: LatticeSpec, psi: LatticeField) -> tuple:
     """The six split deviations of one drawn field, checked at unit norm."""
@@ -801,78 +882,75 @@ def _split_devs(spec: LatticeSpec, psi: LatticeField) -> tuple:
 # run's state becomes the suite generator's, so the groups after it draw
 # what a draw-then-check loop leaves them.
 
-def _split_checks(rep, rng, spec, samples):
+def _split_run(rng, spec: LatticeSpec, start: int, stop: int) -> tuple:
+    """The split deviations of samples ``start`` to ``stop`` and the
+    generator state after them, drawn from a copy of ``rng``."""
     shape = (spec.n,) * 3 + (4,)
-    runs = max(1, min(_cores(), samples))
+    gen = copy.deepcopy(rng)  # the parent advances `rng` only after the map
+    skipped = np.empty(shape)
+    for _ in range(start):
+        gen.standard_normal(out=skipped)
+    del skipped
+    devs = [_split_devs(spec, LatticeField(spec, gen.standard_normal(shape)))
+            for _ in range(start, stop)]
+    return devs, gen.bit_generator.state
 
-    def run(start, stop):
-        gen = copy.deepcopy(rng)  # the parent advances `rng` only after the map
-        skipped = np.empty(shape)
-        for _ in range(start):
-            gen.standard_normal(out=skipped)
-        del skipped
-        devs = [_split_devs(spec, LatticeField(spec, gen.standard_normal(shape)))
-                for _ in range(start, stop)]
-        return devs, gen.bit_generator.state
 
-    results = _map_draws(run, [(k * samples // runs, (k + 1) * samples // runs)
-                               for k in range(runs)])
-    rng.bit_generator.state = results[-1][1]
+def _split_checks(devs) -> list:
     # one contiguous row per check, in sample order
     rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = np.ascontiguousarray(
-        np.reshape([d for devs, _ in results for d in devs], (-1, 6)).T)
-    rep.checks.append(check_from_devs(
-        "reconstruction", "psi1 + psi2 omega_tilde = psi", rec_dev, 1e-14))
-    rep.checks.append(check_from_devs(
-        "norm-additivity", "|psi|^2 = |psi1|^2 + |psi2|^2", norm_dev, 1e-12))
-    rep.checks.append(check_from_devs(
-        "slice-membership", "J psi_k = psi_k omega", memb_dev, 1e-14))
-    rep.checks.append(check_from_devs(
-        "orthogonality-real", "Re inner(psi1, psi2 omega_tilde) = 0", orth_re, 1e-12))
-    rep.checks.append(check_from_devs(
-        "orthogonality-slice", "slice part of inner(psi1, psi2 omega_tilde) = 0",
-        orth_slice, 1e-12))
-    rep.checks.append(check_from_devs(
-        "inner-in-slice", "inner on the slice takes slice-field values",
-        inner_slice, 1e-12))
+        np.reshape(devs, (-1, 6)).T)
+    return [
+        check_from_devs("reconstruction", "psi1 + psi2 omega_tilde = psi", rec_dev, 1e-14),
+        check_from_devs("norm-additivity", "|psi|^2 = |psi1|^2 + |psi2|^2", norm_dev, 1e-12),
+        check_from_devs("slice-membership", "J psi_k = psi_k omega", memb_dev, 1e-14),
+        check_from_devs(
+            "orthogonality-real", "Re inner(psi1, psi2 omega_tilde) = 0", orth_re, 1e-12),
+        check_from_devs(
+            "orthogonality-slice", "slice part of inner(psi1, psi2 omega_tilde) = 0",
+            orth_slice, 1e-12),
+        check_from_devs(
+            "inner-in-slice", "inner on the slice takes slice-field values",
+            inner_slice, 1e-12),
+    ]
 
 
-def _member_checks(rep, rng, spec):
+def _member_checks(rng, spec) -> list:
     # slice members already in the slice split as (psi, 0)
     member = splitting.random_slice_member(spec, rng)
     pair = splitting.split(member)
-    rep.checks.append(check_from_devs(
-        "split-of-member", "psi in slice -> split(psi) = (psi, 0)",
-        [np.abs(pair.psi1.values - member.values).max(),
-         np.abs(pair.psi2.values).max()], 1e-14))
-
     # right multiplication by slice scalars stays in the slice
     z = 0.7 * quat.E0 + 0.3 * quat.E3
-    rep.checks.append(check_from_devs(
-        "slice-linear", "psi in slice -> psi z in slice for z = u + v omega",
-        [splitting.slice_residual(hilbert.rscale(member, z))], 1e-12))
+    return [check_from_devs(
+                "split-of-member", "psi in slice -> split(psi) = (psi, 0)",
+                [np.abs(pair.psi1.values - member.values).max(),
+                 np.abs(pair.psi2.values).max()], 1e-14),
+            check_from_devs(
+                "slice-linear", "psi in slice -> psi z in slice for z = u + v omega",
+                [splitting.slice_residual(hilbert.rscale(member, z))], 1e-12)]
 
 
-def _reduce_checks(rep, spec, seed):
+def _reduce_checks(spec, seed) -> list:
     # each reduce check holds its inputs to slice membership too: a sampler
     # that stopped drawing slice members would fail them, not pass vacuously;
     # all three take their members from one fresh generator
     members_rng = np.random.default_rng(seed)
     members = [splitting.random_slice_member(spec, members_rng) for _ in range(5)]
     before, after = splitting.reduce_check(ops.twisted_shift(spec, [2, 1, 0]), members)
-    rep.checks.append(check_from_devs(
+    checks = [check_from_devs(
         "reduce-twisted-shift", "U(a) preserves the slice",
-        [max(before.max(), after.max())], 1e-12))
+        [max(before.max(), after.max())], 1e-12)]
 
     before, after = splitting.reduce_check(ops.hamiltonian(spec, 1.0), members)
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "reduce-hamiltonian", "H preserves the slice (exact for hop links)",
         [max(before.max(), after.max())], 1e-12))
 
     before, after = splitting.reduce_check(ops.left_unit(spec, 0), members[:3])
-    rep.checks.append(check_from_devs(
+    checks.append(check_from_devs(
         "reduce-negative-control", "bare e1 multiplier does NOT reduce (residual order 1)",
         [0.0 if before.max() <= 1e-12 and after.max() > 0.1 else 1.0], 0.0))
+    return checks
 
 
 def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
@@ -881,43 +959,45 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     rng = np.random.default_rng(seed)
     rep = Report(suite="splitting", seed=seed, n_samples=samples)
     spec = LatticeSpec(n=n, box=box)
-    _split_checks(rep, rng, spec, samples)
-    _member_checks(rep, rng, spec)
-    _reduce_checks(rep, spec, seed)
+    runs = max(1, min(_cores(), samples))
+    bounds = [(k * samples // runs, (k + 1) * samples // runs) for k in range(runs)]
+    # longest first: a run also replays the fields of the runs before it, so
+    # the last run goes first; the reduce checks, with their own generator,
+    # go last
+    *split_runs, reduce_c = _run_tasks(
+        [partial(_split_run, rng, spec, *b) for b in reversed(bounds)]
+        + [partial(_reduce_checks, spec, seed)])
+    split_runs.reverse()
+    rng.bit_generator.state = split_runs[-1][1]
+    rep.checks += _split_checks([d for devs, _ in split_runs for d in devs])
+    rep.checks += _member_checks(rng, spec) + reduce_c
     return rep
 
 
 # ---------------------------------------------------------------------------
 # gis suite
 
-def _covariance_checks(rep, rng, spec, psi, samples):
-    draws = [_covariance_draw(rng, spec) for _ in range(samples)]
-    cov_dev = _map_draws(lambda steps, box: _covariance_dev(spec, psi, steps, box), draws)
-    rep.checks.append(check_from_devs(
-        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", cov_dev, 0.0))
+def _closure_devs(spec, psi, ma, mb, box) -> tuple:
+    defect, sym, dev, pointwise = _closure_defect(spec, ma, mb)
+    lhs = defect(hilbert.project(box, psi))
+    rhs = hilbert.project(box, defect(psi))
+    return (dev, pointwise, float(np.abs(quat.qnorm(sym) - 1.0).max()),
+            _bitexact_dev(lhs.values, rhs.values))
 
 
-def _closure_checks(rep, rng, spec, psi, count):
-    # a step pair, then a box for the multiplier's commutation
-    draws = [(*_sample_steps(rng, spec, 2, 2), _sample_box(rng, spec)) for _ in range(count)]
-
-    def devs(ma, mb, box):
-        defect, sym, dev, pointwise = _closure_defect(spec, ma, mb)
-        lhs = defect(hilbert.project(box, psi))
-        rhs = hilbert.project(box, defect(psi))
-        return (dev, pointwise, float(np.abs(quat.qnorm(sym) - 1.0).max()),
-                _bitexact_dev(lhs.values, rhs.values))
-
-    comp_dev, structural, mult_norm_dev, mult_comm_dev = zip(*_map_draws(devs, draws))
-    rep.checks.append(check_from_devs(
-        "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
-        comp_dev, 1e-12))
-    rep.checks.append(check_from_devs(
-        "defect-pointwise", "closure defect has zero net displacement", structural, 0.0))
-    rep.checks.append(check_from_devs(
-        "multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12))
-    rep.checks.append(check_from_devs(
-        "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", mult_comm_dev, 0.0))
+def _closure_checks(devs) -> list:
+    comp_dev, structural, mult_norm_dev, mult_comm_dev = zip(*devs)
+    return [
+        check_from_devs(
+            "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
+            comp_dev, 1e-12),
+        check_from_devs(
+            "defect-pointwise", "closure defect has zero net displacement", structural, 0.0),
+        check_from_devs("multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12),
+        check_from_devs(
+            "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact",
+            mult_comm_dev, 0.0),
+    ]
 
 
 def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
@@ -938,8 +1018,18 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     rng = np.random.default_rng(seed)
     rep = Report(suite="gis", seed=seed, n_samples=samples)
     psi = LatticeField(spec, rng.standard_normal((spec.n,) * 3 + (4,)))
-    _covariance_checks(rep, rng, spec, psi, samples)
-    _closure_checks(rep, rng, spec, psi, max(1, samples // 50))
+    cov_draws = [_covariance_draw(rng, spec) for _ in range(samples)]
+    # a step pair, then a box for the multiplier's commutation
+    closure_draws = [(*_sample_steps(rng, spec, 2, 2), _sample_box(rng, spec))
+                     for _ in range(max(1, samples // 50))]
+    cov_tasks, cov_groups = _step_group_tasks(cov_draws, partial(_covariance_devs, spec, psi))
+    # longest first: a closure defect, then the covariance groups
+    devs = _run_tasks([partial(_closure_devs, spec, psi, *d) for d in closure_draws]
+                      + cov_tasks)
+    rep.checks.append(check_from_devs(
+        "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact",
+        _in_draw_order(cov_groups, devs[len(closure_draws):]), 0.0))
+    rep.checks += _closure_checks(devs[:len(closure_draws)])
 
     x, flux, flux_dev = _sample_tetraflux(rng, 2000)
     rep.checks.append(check_from_devs(

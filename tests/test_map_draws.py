@@ -1,21 +1,25 @@
-"""The forked map of the gis, operators and splitting suites' sampling
-loops: it returns the in-process results bit for bit, raises a task's error
-in the parent, leaves no process behind, and the loops draw exactly what
-their draw-then-check form drew.  The splitting loop's workers replay the
-suite generator over the fields of the runs before theirs; it never holds
-more than one drawn field per worker."""
+"""The forked map that runs each of the gis, operators and splitting suites
+as one task list: it returns the in-process results bit for bit, raises a
+task's error in the parent, leaves no process behind, each suite maps once,
+and the suites draw exactly what their draw-then-check loops drew.  A
+covariance task checks all the draws of one step vector as each draw's own
+check would.  The splitting loop's workers replay the suite generator over
+the fields of the runs before theirs; it never holds more than one drawn
+field per worker."""
 
+import functools
 import json
 import multiprocessing
 import os
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
 from qmono import cli, geometry, hilbert, operators as ops, quat, splitting, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
-from qmono.report import Report, check_from_devs
+from qmono.report import check_from_devs
 
 SPEC = LatticeSpec(n=16, box=6.0)
 
@@ -74,9 +78,39 @@ def test_no_worker_outlives_a_suite_or_the_cli(tmp_path, monkeypatch):
     assert cli.main(["verify", "gis", "--n", "16", "--samples", "60",
                      "--out", str(tmp_path / "gis.json")]) == 0
     assert multiprocessing.active_children() == []
+    assert cli.main(["verify", "operators", "--n", "16", "--samples", "20",
+                     "--out", str(tmp_path / "operators.json")]) == 0
+    assert multiprocessing.active_children() == []
     assert cli.main(["verify", "splitting", "--n", "16", "--samples", "7",
                      "--out", str(tmp_path / "splitting.json")]) == 0
     assert multiprocessing.active_children() == []
+
+    # a task that raises: the suite raises its error and leaves no worker
+    def broken(spec, seed):
+        raise geometry.DomainError("segment through the origin")
+
+    monkeypatch.setattr(verify, "_reduce_checks", broken)
+    with pytest.raises(geometry.DomainError, match="through the origin"):
+        verify.splitting_suite(n=16, samples=7, seed=1)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: verify.gis_suite(n=16, samples=100, seed=1),
+    lambda: verify.operators_suite(n=16, samples=20, seed=1),
+    lambda: verify.splitting_suite(n=16, samples=7, seed=1),
+], ids=["gis", "operators", "splitting"])
+def test_a_suite_evaluates_its_tasks_in_one_map(suite, monkeypatch):
+    _workers(monkeypatch, 2)
+    maps, real = [], verify._map_draws
+
+    def counted(task, draws):
+        maps.append(len(draws))
+        return real(task, draws)
+
+    monkeypatch.setattr(verify, "_map_draws", counted)
+    suite()
+    assert len(maps) == 1, maps
 
 
 def _report(suite):
@@ -100,41 +134,75 @@ def test_reports_do_not_depend_on_the_worker_count(suite, monkeypatch):
 
 
 def test_the_split_loop_holds_one_field_at_a_time(monkeypatch):
-    # in one process the loop's peak does not grow with the sample count:
-    # drawing its fields ahead would hold one grid per sample
+    # in one process a run's peak does not grow with its sample count, nor
+    # with the fields it replays: drawing its fields ahead would hold one
+    # grid per sample
     grid = 16 ** 3 * 4 * 8
-    _workers(monkeypatch, 1)
 
-    def peak(samples):
-        rep = Report(suite="splitting", seed=0, n_samples=samples)
+    def peak(start, stop):
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            verify._split_checks(rep, rng, SPEC, samples)
+            verify._split_run(rng, SPEC, start, stop)
             return (tracemalloc.get_traced_memory()[1] - base) / grid
         finally:
             tracemalloc.stop()
 
-    peak(1)  # the map's first call imports its pool modules
-    few, many = peak(5), peak(40)
+    peak(0, 1)
+    few, many = peak(0, 5), peak(0, 40)
     assert abs(many - few) <= 1.0, (few, many)
     assert many < 12.0, many
+    replayed = peak(39, 40)
+    assert replayed <= few + 1.0, (few, replayed)
 
 
-# the six sampling loops as they were before the map: each draw followed by
-# its check; each returns its deviations per check name
+def _covariance_dev(spec, psi, steps, box):
+    """The covariance deviation of one draw, checked on its own."""
+    u = ops.twisted_shift(spec, steps)
+    lhs = u(hilbert.project(box, psi))
+    rhs = hilbert.project(box.translate(steps * spec.step), u(psi))
+    return verify._bitexact_dev(lhs.values, rhs.values)
 
-def _covariance_loop(rng, psi, interior):
+
+def test_a_step_group_checks_each_draw_like_its_own_check(monkeypatch):
+    psi, _ = _fields(3)
+    rng = np.random.default_rng(3)
+    draws = [verify._covariance_draw(rng, SPEC) for _ in range(12)]
+    # more boxes for the steps of draws 4 and 0
+    draws += [(draws[4][0], verify._sample_box(rng, SPEC)),
+              (draws[0][0], verify._sample_box(rng, SPEC)),
+              (draws[4][0], verify._sample_box(rng, SPEC))]
+    tasks, groups = verify._step_group_tasks(
+        draws, functools.partial(verify._covariance_devs, SPEC, psi))
+    assert len(tasks) == len(groups) < len(draws)  # a step vector repeats
+    assert sorted(i for g in groups for i in g) == list(range(len(draws)))
+    assert [len(g) for g in groups] == sorted(map(len, groups), reverse=True)
+    for g in groups:
+        assert all(np.array_equal(draws[i][0], draws[g[0]][0]) for i in g)
+    # the identity holds, so every deviation reads 0.0; a checksum of both
+    # sides' bytes tells each draw's comparison apart
+    checksum = lambda lhs, rhs: float(zlib.crc32(lhs.tobytes() + rhs.tobytes()))
+    for dev in (verify._bitexact_dev, checksum):
+        monkeypatch.setattr(verify, "_bitexact_dev", dev)
+        got = verify._in_draw_order(groups, [task() for task in tasks])
+        assert got == [_covariance_dev(SPEC, psi, m, box) for m, box in draws]
+    assert len(set(got)) == len(draws)
+
+
+# the sampling loops as they were before the map: each draw followed by its
+# check; each returns its deviations per check name
+
+def _covariance_loop(rng, psi):
     devs = []
-    for _ in range(30):
+    for _ in range(150):
         steps, = verify._sample_steps(rng, SPEC, 1, 3)
         box = verify._sample_box(rng, SPEC)
-        devs.append(verify._covariance_dev(SPEC, psi, steps, box))
+        devs.append(_covariance_dev(SPEC, psi, steps, box))
     return {"covariance": devs}
 
 
-def _closure_loop(rng, psi, interior):
+def _closure_loop(rng, psi):
     out = {"composition-defect": [], "defect-pointwise": [], "multiplier-unit": [],
            "multiplier-commutes": []}
     for _ in range(3):
@@ -154,14 +222,14 @@ def _shift_loop(rng, psi, interior):
     imp, comp = [], []
     for _ in range(30):
         steps, = verify._sample_steps(rng, SPEC, 1, 3)
-        imp.append(verify._covariance_dev(SPEC, psi, steps, verify._sample_box(rng, SPEC)))
+        imp.append(_covariance_dev(SPEC, psi, steps, verify._sample_box(rng, SPEC)))
         s2, = verify._sample_steps(rng, SPEC, 1, 3)
         composed = ops.Shift(SPEC, steps)(ops.Shift(SPEC, s2)(interior)).values
         comp.append(verify._bitexact_dev(composed, ops.Shift(SPEC, steps + s2)(interior).values))
     return {"imprimitivity": imp, "shift-composition": comp}
 
 
-def _twisted_loop(rng, psi, interior):
+def _twisted_loop(rng, interior):
     un, group = [], []
     norm = hilbert.norm(interior)
     for _ in range(20):
@@ -175,7 +243,7 @@ def _twisted_loop(rng, psi, interior):
     return {"twisted-unitarity": un, "one-parameter-line": group}
 
 
-def _defect_loop(rng, psi, interior):
+def _defect_loop(rng):
     dev, struct, size = [], [], []
     for _ in range(10):
         ma, mb = verify._sample_steps(rng, SPEC, 2, 2)
@@ -188,7 +256,7 @@ def _defect_loop(rng, psi, interior):
             "wpr-nontrivial": [0.0 if min(size) > 1e-3 else 1.0]}
 
 
-def _split_loop(rng, psi, interior):
+def _split_loop(rng):
     out = {"reconstruction": [], "norm-additivity": [], "slice-membership": [],
            "orthogonality-real": [], "orthogonality-slice": [], "inner-in-slice": []}
     for _ in range(7):
@@ -210,33 +278,66 @@ def _split_loop(rng, psi, interior):
     return out
 
 
-_GROUPS = {
-    "covariance": (lambda rep, rng, psi, interior:
-                   verify._covariance_checks(rep, rng, SPEC, psi, 30), _covariance_loop),
-    "closure": (lambda rep, rng, psi, interior:
-                verify._closure_checks(rep, rng, SPEC, psi, 3), _closure_loop),
-    "shift": (lambda rep, rng, psi, interior:
-              verify._shift_checks(rep, rng, SPEC, psi, interior, 30), _shift_loop),
-    "twisted": (lambda rep, rng, psi, interior:
-                verify._twisted_checks(rep, rng, SPEC, interior, 1e-12), _twisted_loop),
-    "defect": (lambda rep, rng, psi, interior:
-               verify._defect_checks(rep, rng, SPEC, 1e-12), _defect_loop),
-    "split": (lambda rep, rng, psi, interior:
-              verify._split_checks(rep, rng, SPEC, 7), _split_loop),
+# each suite's draws in the draw-then-check order, its sampling loops
+# checked on the way: returns the loops' deviations per group
+
+def _gis_loops(rng):
+    psi = LatticeField(SPEC, rng.standard_normal((16, 16, 16, 4)))
+    loops = {"covariance": _covariance_loop(rng, psi), "closure": _closure_loop(rng, psi)}
+    verify._sample_tetraflux(rng, 2000)
+    return loops
+
+
+def _operators_loops(rng):
+    psi = LatticeField(SPEC, rng.standard_normal((16, 16, 16, 4)))
+    rng.standard_normal((16, 16, 16, 4))  # phi
+    interior = hilbert.project(Box.of((-3.3,) * 3, (3.3,) * 3), psi)
+    loops = {"shift": _shift_loop(rng, psi, interior), "twisted": _twisted_loop(rng, interior),
+             "defect": _defect_loop(rng)}
+    # the analytic checks' 20 Gaussian fields, 12 probes and 5 directions
+    verify._random_gaussian_fields(rng, 20)
+    verify._probe_points(rng)
+    for _ in range(5):
+        rng.standard_normal(3)
+    return loops
+
+
+def _splitting_loops(rng):
+    loops = {"split": _split_loop(rng)}
+    splitting.random_slice_member(SPEC, rng)  # the member checks' draw
+    return loops
+
+
+_SUITES = {
+    "gis": (lambda seed: verify.gis_suite(n=16, samples=150, seed=seed), _gis_loops),
+    "operators": (lambda seed: verify.operators_suite(n=16, samples=30, seed=seed),
+                  _operators_loops),
+    "splitting": (lambda seed: verify.splitting_suite(n=16, samples=7, seed=seed),
+                  _splitting_loops),
 }
+_GROUPS = {"covariance": "gis", "closure": "gis", "shift": "operators", "twisted": "operators",
+           "defect": "operators", "split": "splitting"}
 
 
 @pytest.mark.parametrize("group", sorted(_GROUPS))
 @pytest.mark.parametrize("seed", [1, 42])
 def test_mapped_loops_draw_like_the_interleaved_loops(group, seed, monkeypatch):
+    # the whole suite on two workers: its generator ends where the
+    # draw-then-check loops leave theirs, and the group's checks read the
+    # loop's deviations
     _workers(monkeypatch, 2)
-    mapped, interleaved = _GROUPS[group]
-    psi, interior = _fields(seed)
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    rep = Report(suite=group, seed=seed, n_samples=0)
-    mapped(rep, rng, psi, interior)
-    want = interleaved(ref, psi, interior)
-    assert rng.bit_generator.state == ref.bit_generator.state
+    suite, loops = _SUITES[_GROUPS[group]]
+    ref = np.random.default_rng(seed)
+    want = loops(ref)[group]
+    made, real = [], np.random.default_rng
+
+    def recorded(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    rep = suite(seed)
+    assert made[0].bit_generator.state == ref.bit_generator.state
     checks = {c.name: c for c in rep.checks}
     for name, devs in want.items():
         c = checks[name]

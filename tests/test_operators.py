@@ -5,7 +5,6 @@ import pytest
 
 from qmono import geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
-from qmono.report import Report
 
 AX = np.eye(3)
 AX_STEPS = np.eye(3, dtype=int)
@@ -587,10 +586,9 @@ def test_wpr_checks_pass_with_twisted_shifts_and_fail_with_plain_shifts(monkeypa
     ham = ops.hamiltonian(spec, 1.0)
 
     def run():
-        rep = Report(suite="operators", seed=0, n_samples=0)
-        verify._wpr_checks(rep, spec, psi, ham)
-        assert [c.name for c in rep.checks] == ["hamiltonian-wpr", "covderiv-wpr"]
-        return rep.checks
+        checks = verify._wpr_checks(spec, psi, ham)
+        assert [c.name for c in checks] == ["hamiltonian-wpr", "covderiv-wpr"]
+        return checks
 
     assert all(c.passed and c.max_dev < 1e-14 for c in run())
     monkeypatch.setattr(ops, "twisted_shift", lambda spec, m: ops.Shift(spec, m))
