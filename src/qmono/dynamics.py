@@ -26,7 +26,11 @@ A run never leaves the frame, which ``operators`` owns: a step reads
 quaternion values are formed only when first read.  ``evolve``'s norm
 column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
-the step generator and the observables.
+the step generator and the observables.  A row and the next step only read
+the same field, so where a second core exists ``evolve`` computes each row
+on one worker thread while the calling thread takes the next step; on one
+core the rows run in the calling thread, in the same loop.  Either way
+every row and step does the same arithmetic, so a run is bit-identical.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -35,6 +39,7 @@ force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -42,7 +47,7 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry, hilbert, operators as ops, quat
-from .hilbert import LatticeField, LatticeSpec
+from .hilbert import LatticeField, LatticeSpec, _cores
 from .operators import _hop_links  # noqa: F401  (perfbench/test_perfbench.py traces this alias)
 from .report import Report, check_from_devs
 
@@ -282,10 +287,12 @@ class _Observables:
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
     Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's Hamiltonian matrix
-    is shared, and so are the covariant gradients between the velocity and
-    force rows; the force row forms each ``B_k f`` afresh.  Agrees with the
-    generic operator-based expectations (see the unit tests) but runs far
-    faster on large lattices.
+    is shared, and so is each covariant gradient ``G_j f`` between the
+    velocity and the force terms of axis ``j``; the force terms form each
+    ``B_k f`` afresh.  Agrees with the generic operator-based expectations
+    (see the unit tests) but runs far faster on large lattices.  A row only
+    reads its field and these read-only arrays, so it may run on another
+    thread than the steps.
     """
 
     def __init__(self, evolver: CayleyEvolver, with_force: bool):
@@ -304,7 +311,11 @@ class _Observables:
 
     def row(self, psi: LatticeField):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
-        from its frame columns; ``force`` is None unless recorded."""
+        from its frame columns; ``force`` is None unless recorded.
+
+        One gradient grid ``G_j f`` is live at a time: the velocity and the
+        force terms of axis ``j`` are read from it before the next is formed.
+        """
         if psi.spec != self.spec:
             raise ValueError("field lattice does not match the evolver")
         f = ops._frame_cols(psi)
@@ -312,23 +323,34 @@ class _Observables:
         nsq = float(dens.sum() * self.cell)
         scale = self.cell / (self.mass * nsq)
         pos = [float((c * dens).sum() * self.cell / nsq) for c in self.coords]
-        grads = [g @ f for g in self.grad_mats]
-        # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
-        vel = [float(np.vdot(f, g).imag * scale) for g in grads]
         en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
+        vel = []
+        t = np.zeros((3, 3))
+        for jj, grad in enumerate(self.grad_mats):
+            g = grad @ f
+            # <-(J/m) grad_j> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
+            vel.append(float(np.vdot(f, g).imag * scale))
+            if self.with_force:
+                # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
+                for kk in range(3):
+                    if kk != jj:
+                        t[jj, kk] = 2.0 * np.vdot(self.bvals[kk][:, None] * f, g).imag * scale
         frc = None
         if self.with_force:
-            # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
-            t = np.zeros((3, 3))
-            for kk in range(3):
-                bf = self.bvals[kk][:, None] * f
-                for jj in range(3):
-                    if jj != kk:
-                        t[jj, kk] = 2.0 * np.vdot(bf, grads[jj]).imag * scale
             # acceleration law: eps_ijk (v_j B_k + B_k v_j) / 2m
             frc = [0.5 / self.mass * (t[(i + 1) % 3, (i + 2) % 3] - t[(i + 2) % 3, (i + 1) % 3])
                    for i in range(3)]
         return pos, vel, float(np.sqrt(nsq)), en, frc
+
+
+class _CallingThread(Executor):
+    """An executor that runs each submitted call at once, in the calling
+    thread, and returns it as a finished future."""
+
+    def submit(self, fn, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 def evolve(cfg: EvolutionConfig):
@@ -337,8 +359,15 @@ def evolve(cfg: EvolutionConfig):
     The packet is the ``operators._FrameField`` of its one slice-frame
     column, stepped and observed as such: no step forms quaternion values,
     the norm column is the square root of the frame density that each row
-    sums, and the final field forms its values only when they are read.  One Hamiltonian matrix serves the evolver and
-    the observables.
+    sums, and the final field forms its values only when they are read.  One
+    Hamiltonian matrix serves the evolver and the observables.
+
+    Where ``hilbert._cores`` counts more than one core, each observables row
+    runs on one worker thread beside the steps: row 0 is submitted before
+    step 1, row k right after step k, and the rows are collected in order
+    after the last step.  On one core they run in the calling thread, in
+    the same loop.  The worker is shut down before ``evolve`` returns or
+    raises, so a step's ``RuntimeError`` leaves no thread behind.
     """
     spec = cfg.lattice
     evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
@@ -349,12 +378,13 @@ def evolve(cfg: EvolutionConfig):
     f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
     psi = ops._FrameField(spec, f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
 
-    times, rows = [0.0], [obs.row(psi)]
-    for k in range(1, cfg.steps + 1):
-        psi = evolver.step(psi)
-        times.append(k * cfg.dt)
-        rows.append(obs.row(psi))
-    pos, vel, nrm, en, frc = zip(*rows)
+    with (ThreadPoolExecutor(1) if _cores() > 1 else _CallingThread()) as pool:
+        times, rows = [0.0], [pool.submit(obs.row, psi)]
+        for k in range(1, cfg.steps + 1):
+            psi = evolver.step(psi)
+            times.append(k * cfg.dt)
+            rows.append(pool.submit(obs.row, psi))
+        pos, vel, nrm, en, frc = zip(*(row.result() for row in rows))
 
     traj = Trajectory(
         times=np.asarray(times),

@@ -17,12 +17,14 @@ A field is either a callable ``x -> quaternion`` (analytic representation,
 evaluable anywhere) or a ``LatticeField`` (samples on a ``LatticeSpec``);
 ``sample`` converts the former to the latter.  ``gaussian_field`` is the
 analytic bump that the suites and the slice sampler draw, one field or a
-batch of them.
+batch of them.  ``_cores`` is the one count of usable cores, read by the
+forked suite map of ``verify`` and the observables worker of ``dynamics``.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,3 +184,8 @@ def project(delta: Box, psi: LatticeField) -> LatticeField:
     out = np.zeros(psi.values.shape)
     out[block] = psi.values[block]
     return LatticeField(psi.spec, out)
+
+
+def _cores() -> int:
+    """The cores this process may run on (1 where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1

@@ -33,13 +33,12 @@ work and three ``chern`` quadratures, runs in the calling process.
 from __future__ import annotations
 
 import copy
-import os
 from functools import partial
 
 import numpy as np
 
 from . import geometry, hilbert, operators as ops, quat, splitting
-from .hilbert import LatticeField, LatticeSpec
+from .hilbert import LatticeField, LatticeSpec, _cores
 from .report import Report, check_from_devs
 
 _AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
@@ -103,11 +102,6 @@ def _sample_legs(rng, m, family):
 # forked evaluation of independent draws
 
 _MAPPED = None  # (task, draws) of the running map, inherited by its workers
-
-
-def _cores() -> int:
-    """The cores this process may run on (1 where the OS does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _mapped_draw(i: int):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -482,6 +483,80 @@ def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
     assert final.values is vals and not vals.flags.writeable
     assert calls["from_cols"] == 1
     assert len(traj.times) == cfg.steps + 1
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
+def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkeypatch):
+    # one core: every row in the calling thread; two: every row on the worker
+    threads = []
+    real_row = dynamics._Observables.row
+
+    def located_row(self, psi):
+        threads.append(threading.get_ident())
+        return real_row(self, psi)
+
+    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    monkeypatch.setattr(dynamics._Observables, "row", located_row)
+    before = threading.active_count()
+    test_evolve_matches_a_one_column_step_loop_bit_for_bit(preset)
+    assert threading.active_count() == before
+    # the test runs evolve twice (10 and 0 steps), then its own 11-row loop
+    evolve_rows, loop_rows = threads[:12], threads[12:]
+    assert len(evolve_rows) == 12 and set(loop_rows) == {threading.get_ident()}
+    in_caller = [t == threading.get_ident() for t in evolve_rows]
+    assert all(in_caller) if cores == 1 else not any(in_caller)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
+    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 1))
+    cfg = dynamics.monopole_flyby_config(n=16, steps=4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="did not converge"):
+        dynamics.evolve(cfg)
+    assert threading.active_count() == before
+
+
+def _three_gradient_row(obs, psi):
+    """The observables row as it was before it held one gradient at a time:
+    all three gradients, then the force terms, each ``B_k f`` formed once."""
+    f = ops._frame_cols(psi)
+    dens = np.sum(f.real**2 + f.imag**2, axis=-1)
+    nsq = float(dens.sum() * obs.cell)
+    scale = obs.cell / (obs.mass * nsq)
+    pos = [float((c * dens).sum() * obs.cell / nsq) for c in obs.coords]
+    grads = [g @ f for g in obs.grad_mats]
+    # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
+    vel = [float(np.vdot(f, g).imag * scale) for g in grads]
+    en = float(np.vdot(f, obs.h_mat @ f).real * obs.cell / nsq)
+    frc = None
+    if obs.with_force:
+        # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
+        t = np.zeros((3, 3))
+        for kk in range(3):
+            bf = obs.bvals[kk][:, None] * f
+            for jj in range(3):
+                if jj != kk:
+                    t[jj, kk] = 2.0 * np.vdot(bf, grads[jj]).imag * scale
+        # acceleration law: eps_ijk (v_j B_k + B_k v_j) / 2m
+        frc = [0.5 / obs.mass * (t[(i + 1) % 3, (i + 2) % 3] - t[(i + 2) % 3, (i + 1) % 3])
+               for i in range(3)]
+    return pos, vel, float(np.sqrt(nsq)), en, frc
+
+
+def test_the_one_gradient_row_matches_the_three_gradient_row_bit_for_bit():
+    cfg = dynamics.monopole_flyby_config(n=16, steps=4)
+    ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
+    obs = dynamics._Observables(ev, True)
+    _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
+    for step in range(cfg.steps + 1):
+        if step:
+            psi = ev.step(psi)
+        got, want = obs.row(psi), _three_gradient_row(obs, psi)
+        for name, a, b in zip(("position", "velocity", "norm", "energy", "force"), got, want):
+            assert np.array_equal(a, b), (step, name)
 
 
 def _observed_run(cfg, vals, columns):

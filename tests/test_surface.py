@@ -34,12 +34,16 @@ PRIVATE_CROSSINGS = {
         "a Cayley step and an observables row read a field's slice-frame columns",
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
+    "dynamics -> hilbert._cores":
+        "evolve runs the observables rows on a worker thread only when a second core exists",
     "operators -> geometry._plane_norm":
         "the site table's |x|, by transport's own formula",
     "operators -> geometry._far_end":
         "twisted_shift's per-shift terms of transport, at x + m h on the kept sites",
     "operators -> geometry._transport_value":
         "twisted_shift's symbol, transport's formula on the cached site planes",
+    "verify -> hilbert._cores":
+        "the suite map forks one worker process per usable core",
     "verify -> operators._steps_admissible":
         "the samplers draw only integer steps whose segments miss the origin",
 }
