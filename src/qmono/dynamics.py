@@ -370,13 +370,20 @@ def evolve(cfg: EvolutionConfig):
     raises, so a step's ``RuntimeError`` leaves no thread behind.
     """
     spec = cfg.lattice
-    evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = _Observables(evolver, cfg.record_force)
     # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
-    # frame, the one column f1 = env exp(i kick . x), stepped and observed as such
+    # frame, the one column f1 = env exp(i kick . x), stepped and observed as
+    # such; built first, so that a lattice on which it vanishes is refused
+    # before any matrix is built
     env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
     f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
-    psi = ops._FrameField(spec, f1 / (np.linalg.norm(f1) * np.sqrt(spec.cell_volume)))
+    f1_norm = np.linalg.norm(f1)
+    if f1_norm == 0.0:
+        raise ValueError(f"the packet underflows to norm 0 on the lattice n={spec.n}, "
+                         f"box={spec.box}; take a smaller box")
+    psi = ops._FrameField(spec, f1 / (f1_norm * np.sqrt(spec.cell_volume)))
+    del env, angle, f1  # not held while the matrices are assembled (peak RSS)
+    evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
+    obs = _Observables(evolver, cfg.record_force)
 
     with (ThreadPoolExecutor(1) if _cores() > 1 else _CallingThread()) as pool:
         times, rows = [0.0], [pool.submit(obs.row, psi)]

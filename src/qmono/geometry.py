@@ -12,9 +12,8 @@ The parallel-transport quaternion ``transport(a, x)`` carries the fiber from
 
 Both radicands carry the ``+a.x`` inner sign; this is forced by unitarity
 (``w w* = 1``).  The variant with the second radicand's inner sign flipped
-circulates in some derivations and is kept as ``transport_sign_variant`` --
-it has ``|w|^2 = 1 + a.x/(|x||x+a|)`` and serves as a negative control in
-the verification suites.
+circulates in some derivations; it has ``|w|^2 = 1 + a.x/(|x||x+a|)``, and
+the tests keep it (``tests/oracles.py``) as a negative control.
 
 Functions broadcast over leading axes: pass arrays of shape (..., 3) to
 evaluate many configurations at once.
@@ -183,27 +182,6 @@ def transport(a, x) -> np.ndarray:
     """
     xs, ys, nx, ny, v = _segment(a, x)
     return _transport_value(tuple(xk / nx for xk in xs), nx, ys, ny, v)
-
-
-def transport_sign_variant(a, x) -> np.ndarray:
-    """Transport with the second radicand's inner sign flipped.
-
-    NOT unitary: ``|w|^2 = 1 + a.x/(|x||x+a|)``.  Kept only as a negative
-    control; do not use for physics.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    _, _, nx, ny, _ = _segment(a, x)
-    ax = np.sum(a * x, axis=-1)
-    c_plus = (nx**2 + ax) / (nx * ny)
-    c_minus = (nx**2 - ax) / (nx * ny)
-    v = np.cross(x, a)
-    nv = _norm(v)
-    axis = np.where((nv > 0.0)[..., None], v / np.where(nv > 0.0, nv, 1.0)[..., None], 0.0)
-    out = np.empty(v.shape[:-1] + (4,))
-    out[..., 0] = np.sqrt(np.maximum(1.0 + c_plus, 0.0) / 2.0)
-    out[..., 1:] = axis * np.sqrt(np.maximum(1.0 - c_minus, 0.0) / 2.0)[..., None]
-    return out
 
 
 def solid_angle(v1, v2, v3) -> np.ndarray:

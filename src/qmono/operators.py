@@ -16,8 +16,8 @@ written ``A B`` below.  The kinds are
   evolves with the same matrices,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
-* composites (``Compose``, with an adjoint) and real-linear combinations
-  (``OpSum``, ``Scaled``: no adjoint, which no path needs) of the above.
+* composites (``Compose``) and real multiples (``Scaled``) of the above;
+  neither has an adjoint, which no path needs.
 
 The slice frame has its one owner here: the gauge ``q``, a field's complex
 columns ``psi = q (f1 + f2 e1)`` and ``_FrameField``, a field held as its
@@ -331,18 +331,6 @@ def _factors(ops) -> tuple:
     return ops
 
 
-class OpSum(Operator):
-    def __init__(self, ops):
-        self.ops = _factors(ops)
-        self.spec = self.ops[0].spec
-
-    def apply_values(self, vals):
-        out = self.ops[0].apply_values(vals)
-        for op in self.ops[1:]:
-            out = out + op.apply_values(vals)
-        return out
-
-
 class Compose(Operator):
     """Composite; factors apply right-to-left."""
 
@@ -354,9 +342,6 @@ class Compose(Operator):
         for op in reversed(self.ops):
             vals = op.apply_values(vals)
         return vals
-
-    def adjoint(self):
-        return Compose(tuple(op.adjoint() for op in reversed(self.ops)))
 
 
 def net_shift(op: Operator):
@@ -409,13 +394,6 @@ def defect_clip_cells(ma, mb) -> int:
     ma = np.asarray(ma, dtype=int)
     mb = np.asarray(mb, dtype=int)
     return int(np.maximum(np.abs(mb), np.abs(ma + mb)).max())
-
-
-def expectation(op: Operator, psi: LatticeField) -> float:
-    """Normalized real expectation value Re inner(psi, A psi) / |psi|^2."""
-    num = hilbert.inner(psi, op(psi))[0]
-    den = hilbert.norm(psi) ** 2
-    return float(num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -499,22 +477,6 @@ def covderiv(spec: LatticeSpec, axis: int) -> FrameOp:
     axis = _lattice_axis(axis, "covderiv")
     s = 0.5 / spec.step
     return FrameOp(spec, _frame_matrix(spec, 0.0, {axis: (s, -s)}), -1.0)
-
-
-def rotgen(spec: LatticeSpec, axis: int) -> Operator:
-    """Rotation generator about an axis: orbital part plus spin part.
-
-    ``eps_{ijk} x_j d_k - e_i/2``; anti-hermitian, commutes with ``jop`` up
-    to the stencil error, and closes the rotation algebra on positions and
-    covariant derivatives.
-    """
-    j = (axis + 1) % 3
-    k = (axis + 2) % 3
-    orbital = OpSum((
-        Compose((position(spec, j), Diff(spec, k))),
-        Scaled(-1.0, Compose((position(spec, k), Diff(spec, j)))),
-    ))
-    return OpSum((orbital, Scaled(-0.5, left_unit(spec, axis))))
 
 
 def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:

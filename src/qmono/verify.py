@@ -14,7 +14,7 @@ The ``gis``, ``operators`` and ``splitting`` suites each run as one task
 list.  A suite first draws every input from its generator in the parent,
 in the order a draw-then-check loop would draw them; then it evaluates one
 list of tasks, every check group and every sampled draw, with a single
-``_map_draws`` call on forked worker processes, one per available core;
+``_run_tasks`` call on forked worker processes, one per available core;
 last, it appends the returned checks in report order.  The tasks are listed
 longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
@@ -24,10 +24,10 @@ The splitting suite draws one whole field per sample, so its tasks are
 contiguous runs of samples: each run replays the suite generator through
 the runs before its own (``_split_run``), so it draws the same fields
 without the parent holding them.  Its member checks stay in the parent,
-after the map, because they draw from the generator state that the last
-run hands back.  The same code runs on the same inputs, so a report does
-not depend on the number of workers.  The geometry suite, batched vector
-work and three ``chern`` quadratures, runs in the calling process.
+after the task list, because they draw from the generator state that the
+last run hands back.  The same code runs on the same inputs, so a report
+does not depend on the number of workers.  The geometry suite, batched
+vector work and three ``chern`` quadratures, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -99,53 +99,45 @@ def _sample_legs(rng, m, family):
 
 
 # ---------------------------------------------------------------------------
-# forked evaluation of independent draws
+# forked evaluation of a task list
 
-_MAPPED = None  # (task, draws) of the running map, inherited by its workers
-
-
-def _mapped_draw(i: int):
-    task, draws = _MAPPED
-    return task(*draws[i])
+_TASKS = None  # the running task list, inherited by its workers
 
 
-def _map_draws(task, draws: list) -> list:
-    """``[task(*d) for d in draws]``, in order.
+def _run_task(i: int):
+    return _TASKS[i]()
 
-    Runs on one worker process per available core, at most one per draw,
-    forked after ``task`` and ``draws`` are stored in ``_MAPPED``: the
-    workers inherit them and every field ``task`` holds, so only indices
-    go out and only results come back.  With one worker, or where ``fork``
-    does not exist, it evaluates in this process.  The workers are joined
-    before it returns, also when a task raises; the task's exception is
-    then raised here.
+
+def _run_tasks(tasks: list) -> list:
+    """``[task() for task in tasks]``, in order.
+
+    Runs on one worker process per available core, at most one per task,
+    forked after the list is stored in ``_TASKS``: the workers inherit it
+    and every field a task holds, so only indices go out and only results
+    come back.  A worker takes the next task when it finishes one, so the
+    tasks are best listed longest first.  With one worker, or where
+    ``fork`` does not exist, it evaluates in this process.  The workers are
+    joined before it returns, also when a task raises; the task's exception
+    is then raised here.
     """
-    # imported here, so that `evolve` and `chern`, which never map, do not
+    # imported here, so that `evolve` and `chern`, which never fork, do not
     # load them (about 0.5 MiB)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    global _MAPPED
-    workers = min(_cores(), len(draws))
+    global _TASKS
+    workers = min(_cores(), len(tasks))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [task(*d) for d in draws]
-    _MAPPED = task, draws
+        return [task() for task in tasks]
+    _TASKS = tasks
     # an executor, not a multiprocessing.Pool: a worker that dies (say, out
-    # of memory) raises BrokenProcessPool here instead of hanging the map
+    # of memory) raises BrokenProcessPool here instead of hanging the run
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_mapped_draw, range(len(draws))))
+        return list(pool.map(_run_task, range(len(tasks))))
     finally:
         pool.shutdown(cancel_futures=True)
-        _MAPPED = None
-
-
-def _run_tasks(tasks: list) -> list:
-    """``[task() for task in tasks]``, in order, through ``_map_draws``.
-
-    A worker takes the next task when it finishes one, so the tasks are
-    best listed longest first."""
-    return _map_draws(lambda task: task(), [(task,) for task in tasks])
+        _TASKS = None
 
 
 def _step_group_tasks(draws: list, evaluate) -> tuple:
@@ -880,7 +872,7 @@ def _split_run(rng, spec: LatticeSpec, start: int, stop: int) -> tuple:
     """The split deviations of samples ``start`` to ``stop`` and the
     generator state after them, drawn from a copy of ``rng``."""
     shape = (spec.n,) * 3 + (4,)
-    gen = copy.deepcopy(rng)  # the parent advances `rng` only after the map
+    gen = copy.deepcopy(rng)  # the parent advances `rng` only after the tasks run
     skipped = np.empty(shape)
     for _ in range(start):
         gen.standard_normal(out=skipped)

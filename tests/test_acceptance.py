@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from qmono import dynamics, geometry, hilbert, quat, splitting, verify
 from qmono.hilbert import LatticeSpec
 from qmono.report import check_from_devs
@@ -209,7 +210,7 @@ def test_criterion_11_sign_variant_negative_control():
     verify._positions(rng, 4000)
     xt, at = verify._sample_legs(rng, 4000, verify._TRANSPORT_PAIRS)
     unit = check_from_devs("transport-unitarity", "|w(a; x)| = 1",
-                           np.abs(quat.qnorm(geometry.transport_sign_variant(at, xt)) - 1.0),
+                           np.abs(quat.qnorm(oracles.transport_sign_variant(at, xt)) - 1.0),
                            1e-12)
     # restricted to generically non-orthogonal pairs the defect exceeds 1e-2
     rng = np.random.default_rng(42)
@@ -221,7 +222,7 @@ def test_criterion_11_sign_variant_negative_control():
     plain = ((nx**2 + ax) / (nx * ny) > -1.0) & ((nx**2 - ax) / (nx * ny) < 1.0)
     generic = plain & (cosang > 0.2) & (cosang < 0.98) & \
         (np.linalg.norm(a, axis=1) > 0.3 * ny)
-    dev = np.abs(quat.qnorm(geometry.transport_sign_variant(a[generic], x[generic])) ** 2 - 1.0)
+    dev = np.abs(quat.qnorm(oracles.transport_sign_variant(a[generic], x[generic])) ** 2 - 1.0)
     announce(11, "sign-variant transport fails unitarity (negative control)",
              (not unit.passed) and unit.max_dev >= 1e-2 and dev.min() >= 1e-2,
              f"suite unitarity check fails with deviation {unit.max_dev:.2e} "

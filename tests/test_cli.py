@@ -153,6 +153,7 @@ def test_evolve_report_path_keeps_dotted_directories(tmp_path):
     ["--mass", "inf", "--steps", "2"],
     ["--box", "inf", "--steps", "0"],
     ["--box", "nan", "--steps", "0"],
+    ["--box", "1000", "--steps", "2"],  # the packet underflows to norm 0
 ])
 def test_evolve_overrides_are_validated(tmp_path, capsys, overrides):
     code = cli.main(["evolve", "--preset", "free", "--n", "12", *overrides,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import expm_multiply
 
+import oracles
 from qmono import dynamics, geometry, hilbert, operators as ops, quat, splitting
 from qmono.hilbert import LatticeField, LatticeSpec
 
@@ -694,10 +695,11 @@ def test_force_observable_against_operator_oracle():
     b_ops = [ops.bfield_op(spec, k) for k in range(3)]
     for i in range(3):
         jj, kk = (i + 1) % 3, (i + 2) % 3
-        sym = ops.OpSum((ops.Compose((v_ops[jj], b_ops[kk])), ops.Compose((b_ops[kk], v_ops[jj])),
-                         ops.Scaled(-1.0, ops.Compose((v_ops[kk], b_ops[jj]))),
-                         ops.Scaled(-1.0, ops.Compose((b_ops[jj], v_ops[kk])))))
-        ref = ops.expectation(ops.Scaled(0.5 / mass, sym), psi)
+        sym = oracles.OpSum((
+            ops.Compose((v_ops[jj], b_ops[kk])), ops.Compose((b_ops[kk], v_ops[jj])),
+            ops.Scaled(-1.0, ops.Compose((v_ops[kk], b_ops[jj]))),
+            ops.Scaled(-1.0, ops.Compose((b_ops[jj], v_ops[kk])))))
+        ref = oracles.expectation(ops.Scaled(0.5 / mass, sym), psi)
         assert frc[i] == pytest.approx(ref, abs=1e-13)
 
 

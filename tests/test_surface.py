@@ -1,6 +1,6 @@
 """Every function, class, method and property of the package has a user
-besides its tests, and every private name that one package module takes
-from another is listed with its reason.
+besides its tests, every test oracle has a test, and every private name
+that one package module takes from another is listed with its reason.
 
 The package modules and the benchmark scripts are parsed with ``ast``.  A
 top-level definition, public or private, or a method of a top-level
@@ -17,13 +17,6 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# public definitions that no suite, CLI path or benchmark calls, kept on purpose
-KEEP = {
-    "rotgen": "the lattice rotation generator, kept for the conserved Poincare vector",
-    "expectation": "the generic expectation value, the tests' oracle for the fused observables",
-    "transport_sign_variant": "the sign-flipped transport, the negative control of acceptance criterion 11",
-}
 
 # private names that one package module takes from another, as
 # "user -> owner._name", each with the reason it crosses the module line
@@ -87,7 +80,7 @@ def _unused(root=ROOT):
 
 
 def test_every_public_definition_has_a_user():
-    assert sorted(name for name in _unused() - set(KEEP) if not name.startswith("_")) == []
+    assert sorted(name for name in _unused() if not name.startswith("_")) == []
 
 
 def test_every_private_helper_has_a_user():
@@ -95,9 +88,18 @@ def test_every_private_helper_has_a_user():
     assert sorted(name for name in _unused() if name.startswith("_")) == []
 
 
-def test_keep_list_names_unused_public_definitions():
-    # a kept name that disappears, or gains a user, leaves the list
-    assert set(KEEP) <= _unused()
+def test_every_oracle_has_a_test():
+    # tests/oracles.py holds what only tests call; an oracle whose last
+    # test is gone fails here, as a package helper fails above
+    tests = ROOT / "tests"
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    uses = set()
+    for path in sorted(tests.glob("*.py")):
+        if path.name != "oracles.py":
+            uses.update(_identifiers(ast.parse(path.read_text(), filename=str(path))))
+    assert sorted(stmt.name for stmt in oracles.body
+                  if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                  and stmt.name not in uses) == []
 
 
 def _private_crossings(root=ROOT):
