@@ -26,11 +26,16 @@ A run never leaves the frame, which ``operators`` owns: a step reads
 quaternion values are formed only when first read.  ``evolve``'s norm
 column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
-the step generator and the observables.  A row and the next step only read
-the same field, so where a second core exists ``evolve`` computes each row
-on one worker thread while the calling thread takes the next step; on one
-core the rows run in the calling thread, in the same loop.  Either way
-every row and step does the same arithmetic, so a run is bit-identical.
+the step generator and the observables.  Where a second core exists,
+``evolve`` runs its set-up and its rows on ``hilbert._worker``'s one thread
+beside the calling thread: once the slice gauge is cached (itself built on
+two threads), the worker imports the solver's BLAS while the calling thread
+assembles H and the step matrix, then builds the observables' gradient
+matrices and ``bfield`` while the calling thread takes step 1, then
+computes each row while the calling thread takes the next step (a row and
+a step only read the same field).  On one core each job runs in the
+calling thread as it is submitted.  Either way every matrix, row and step
+does the same arithmetic, so a run is bit-identical.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -39,7 +44,6 @@ force ``eps_ijk (v_j B_k + B_k v_j) / (2m)``.
 
 from __future__ import annotations
 
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -47,7 +51,7 @@ import numpy as np
 from scipy import sparse
 
 from . import geometry, hilbert, operators as ops, quat
-from .hilbert import LatticeField, LatticeSpec, _cores
+from .hilbert import LatticeField, LatticeSpec
 from .operators import _hop_links  # noqa: F401  (perfbench/test_perfbench.py traces this alias)
 from .report import Report, check_from_devs
 
@@ -231,10 +235,12 @@ class CayleyEvolver:
         self.cg_iters: list[int] = []
         self.h_mat = h = build_hamiltonian_matrix(spec, mass)
         self._prev = None
-        _blas()  # the solver's BLAS loads with the set-up, not in the first step
         # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
         self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
                                     shape=h.shape)
+        # the solver's BLAS loads with the set-up, not in the first step; last,
+        # so that where evolve's worker is importing it, only the wait is left
+        _blas()
 
     def step(self, psi: LatticeField) -> LatticeField:
         if psi.spec != self.spec:
@@ -290,9 +296,9 @@ class _Observables:
     is shared, and so is each covariant gradient ``G_j f`` between the
     velocity and the force terms of axis ``j``; the force terms form each
     ``B_k f`` afresh.  Agrees with the generic operator-based expectations
-    (see the unit tests) but runs far faster on large lattices.  A row only
-    reads its field and these read-only arrays, so it may run on another
-    thread than the steps.
+    (see the unit tests) but runs far faster on large lattices.  The build
+    and a row only read the evolver's matrix, the cached gauge and the
+    field, so either may run on another thread than the steps.
     """
 
     def __init__(self, evolver: CayleyEvolver, with_force: bool):
@@ -343,16 +349,6 @@ class _Observables:
         return pos, vel, float(np.sqrt(nsq)), en, frc
 
 
-class _CallingThread(Executor):
-    """An executor that runs each submitted call at once, in the calling
-    thread, and returns it as a finished future."""
-
-    def submit(self, fn, *args) -> Future:
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
 def evolve(cfg: EvolutionConfig):
     """Run the configured packet; returns ``(Trajectory, final field)``.
 
@@ -362,12 +358,17 @@ def evolve(cfg: EvolutionConfig):
     sums, and the final field forms its values only when they are read.  One
     Hamiltonian matrix serves the evolver and the observables.
 
-    Where ``hilbert._cores`` counts more than one core, each observables row
-    runs on one worker thread beside the steps: row 0 is submitted before
-    step 1, row k right after step k, and the rows are collected in order
-    after the last step.  On one core they run in the calling thread, in
-    the same loop.  The worker is shut down before ``evolve`` returns or
-    raises, so a step's ``RuntimeError`` leaves no thread behind.
+    The packet is built, and its norm checked, before anything else; then
+    the slice gauge is cached, on two threads that are joined before the
+    run's own worker opens.  That worker (``hilbert._worker``: one thread
+    beside the caller where a second core exists) takes, in order, the
+    solver's ``scipy.linalg`` import, while the calling thread builds the
+    ``CayleyEvolver``; the ``_Observables`` build; row 0, submitted before
+    step 1; and row k, submitted right after step k.  The rows are
+    collected in order after the last step.  On one core each job runs in
+    the calling thread as it is submitted.  The worker is shut down before
+    ``evolve`` returns or raises, so a failed step or set-up leaves no
+    thread behind.
     """
     spec = cfg.lattice
     # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
@@ -382,16 +383,26 @@ def evolve(cfg: EvolutionConfig):
                          f"box={spec.box}; take a smaller box")
     psi = ops._FrameField(spec, f1 / (f1_norm * np.sqrt(spec.cell_volume)))
     del env, angle, f1  # not held while the matrices are assembled (peak RSS)
-    evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = _Observables(evolver, cfg.record_force)
+    # cached on its own two threads, joined before the worker below opens;
+    # every matrix then reads it, on either thread
+    ops._slice_gauge(spec)
 
-    with (ThreadPoolExecutor(1) if _cores() > 1 else _CallingThread()) as pool:
-        times, rows = [0.0], [pool.submit(obs.row, psi)]
+    with hilbert._worker() as pool:
+        # a head start on the import, whose result is not read: the evolver
+        # imports it itself, waiting for this one or retrying if it failed
+        pool.submit(_blas)
+        evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
+        obs = pool.submit(_Observables, evolver, cfg.record_force)
+
+        def row(field):
+            return obs.result().row(field)
+
+        times, rows = [0.0], [pool.submit(row, psi)]
         for k in range(1, cfg.steps + 1):
             psi = evolver.step(psi)
             times.append(k * cfg.dt)
-            rows.append(pool.submit(obs.row, psi))
-        pos, vel, nrm, en, frc = zip(*(row.result() for row in rows))
+            rows.append(pool.submit(row, psi))
+        pos, vel, nrm, en, frc = zip(*(r.result() for r in rows))
 
     traj = Trajectory(
         times=np.asarray(times),

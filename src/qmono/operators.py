@@ -180,6 +180,17 @@ def _hop_links(spec: LatticeSpec, axis: int) -> np.ndarray:
 # the slice frame: U(1) links, complex matrices (rows and columns are sites
 # in C order), field conversion
 
+def _frame_link(q: np.ndarray, plus: np.ndarray, axis: int) -> np.ndarray:
+    """The read-only U(1) link ``z(x) = q(x)* plus(x) q(x+h)`` of one axis,
+    zero where ``x+h`` lies beyond the wall."""
+    here, there = _overlap(_AXES[axis], q.shape)
+    w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
+    z = np.zeros(q.shape[:-1], dtype=complex)
+    z[here] = w[..., 0] + 1j * w[..., 3]
+    z.setflags(write=False)
+    return z
+
+
 @functools.lru_cache(maxsize=8)
 def _slice_gauge(spec: LatticeSpec):
     """The frame ``q = slice_frame(points, e3)`` and the U(1) links.
@@ -188,19 +199,23 @@ def _slice_gauge(spec: LatticeSpec):
     plus(x) q(x+h)``, held as a complex ``(n, n, n)`` array (zero where
     ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
     Computed once per lattice and returned read-only.
+
+    The pieces are independent numpy work, so they run on ``hilbert._worker``:
+    the worker takes the hops of axis 1, then the whole link of axis 2, while
+    the calling thread forms ``q``, the product of axis 1, then the link of
+    axis 0.  On one core each job runs in the calling thread as it is
+    submitted.  The worker is joined before this returns or raises, and a
+    call that raises caches nothing.
     """
-    q = geometry.slice_frame(spec.points(), quat.E3)
-    q.setflags(write=False)
-    links = []
-    for axis in range(3):
-        plus = _hop_links(spec, axis)
-        here, there = _overlap(_AXES[axis], q.shape)
-        w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
-        z = np.zeros((spec.n,) * 3, dtype=complex)
-        z[here] = w[..., 0] + 1j * w[..., 3]
-        z.setflags(write=False)
-        links.append(z)
-    return q, tuple(links)
+    pts = spec.points()  # cached here, before two threads read it
+    with hilbert._worker() as pool:
+        plus1 = pool.submit(_hop_links, spec, 1)
+        q = geometry.slice_frame(pts, quat.E3)
+        q.setflags(write=False)
+        z2 = pool.submit(lambda: _frame_link(q, _hop_links(spec, 2), 2))
+        z1 = _frame_link(q, plus1.result(), 1)
+        z0 = _frame_link(q, _hop_links(spec, 0), 0)
+        return q, (z0, z1, z2.result())
 
 
 @functools.lru_cache(maxsize=8)
@@ -492,7 +507,11 @@ def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:
     """
     if not 0.0 < mass < np.inf:
         raise ValueError("mass must be positive and finite")
-    coeff = -0.5 / (mass * spec.step**2)  # the hop weight; -6 times it on site
+    scale = mass * spec.step**2
+    coeff = -0.5 / scale if scale > 0.0 else -np.inf  # the hop weight; -6 times it on site
+    if not np.isfinite(coeff):
+        raise ValueError(f"the hop weight -1/(2 m h^2) overflows at mass {mass!r} "
+                         f"and lattice step {spec.step!r}")
     hops = {ax: (coeff, coeff) for ax in range(3)}
     return FrameOp(spec, _frame_matrix(spec, -6.0 * coeff, hops), 1.0)
 

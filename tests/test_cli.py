@@ -151,6 +151,7 @@ def test_evolve_report_path_keeps_dotted_directories(tmp_path):
     ["--dt", "inf", "--steps", "2"],
     ["--mass", "nan", "--steps", "2"],
     ["--mass", "inf", "--steps", "2"],
+    ["--mass", "1e-320", "--steps", "2"],  # the hop weight overflows to -inf
     ["--box", "inf", "--steps", "0"],
     ["--box", "nan", "--steps", "0"],
     ["--box", "1000", "--steps", "2"],  # the packet underflows to norm 0

@@ -489,16 +489,22 @@ def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
 def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkeypatch):
-    # one core: every row in the calling thread; two: every row on the worker
-    threads = []
-    real_row = dynamics._Observables.row
+    # one core: every row and observables build in the calling thread; two:
+    # every one of evolve's on the worker
+    threads, builds = [], []
+    real_row, real_init = dynamics._Observables.row, dynamics._Observables.__init__
 
     def located_row(self, psi):
         threads.append(threading.get_ident())
         return real_row(self, psi)
 
-    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    def located_init(self, evolver, with_force):
+        builds.append(threading.get_ident())
+        real_init(self, evolver, with_force)
+
+    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
     monkeypatch.setattr(dynamics._Observables, "row", located_row)
+    monkeypatch.setattr(dynamics._Observables, "__init__", located_init)
     before = threading.active_count()
     test_evolve_matches_a_one_column_step_loop_bit_for_bit(preset)
     assert threading.active_count() == before
@@ -507,16 +513,93 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
     assert len(evolve_rows) == 12 and set(loop_rows) == {threading.get_ident()}
     in_caller = [t == threading.get_ident() for t in evolve_rows]
     assert all(in_caller) if cores == 1 else not any(in_caller)
+    # the builds: evolve's first, the test's own, then evolve's second
+    assert len(builds) == 3 and builds[1] == threading.get_ident()
+    built_in_caller = [t == threading.get_ident() for t in builds[::2]]
+    assert all(built_in_caller) if cores == 1 else not any(built_in_caller)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
-    monkeypatch.setattr(dynamics, "_cores", lambda: cores)
+    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
     monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 1))
     cfg = dynamics.monopole_flyby_config(n=16, steps=4)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="did not converge"):
         dynamics.evolve(cfg)
+    assert threading.active_count() == before
+
+
+def test_evolve_runs_at_most_one_thread_beside_the_caller(monkeypatch):
+    # record the live threads from inside every job of the gauge and the run
+    monkeypatch.setattr(hilbert, "_cores", lambda: 2)
+    counts = []
+
+    def counted(fn):
+        def wrapper(*args):
+            counts.append(threading.active_count())
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ops, "_hop_links", counted(ops._hop_links))
+    monkeypatch.setattr(dynamics, "_blas", counted(dynamics._blas))
+    monkeypatch.setattr(dynamics._Observables, "row", counted(dynamics._Observables.row))
+    cfg = dynamics.monopole_flyby_config(n=16, steps=3)
+    ops._slice_gauge.cache_clear()  # so that the gauge's own worker runs too
+    before = threading.active_count()
+    dynamics.evolve(cfg)
+    assert threading.active_count() == before
+    # 3 hop links; _blas on the worker, in the evolver and in each step's cg; 4 rows
+    assert len(counts) == 3 + (2 + 3) + 4
+    assert max(counts) == before + 1
+
+
+def _hop_links_failing_on_axis_2(monkeypatch):
+    real = ops._hop_links
+
+    def failing(spec, axis):
+        if axis == 2:
+            raise MemoryError("axis 2")
+        return real(spec, axis)
+
+    monkeypatch.setattr(ops, "_hop_links", failing)
+    return real
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
+    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+    real = _hop_links_failing_on_axis_2(monkeypatch)
+    cfg = dynamics.free_flight_config(n=16, steps=2)
+    ops._slice_gauge.cache_clear()
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="axis 2"):
+        dynamics.evolve(cfg)
+    assert threading.active_count() == before
+    # the failure was not cached: the next call computes all three links
+    axes = []
+
+    def recorded(spec, axis):
+        axes.append(axis)
+        return real(spec, axis)
+
+    monkeypatch.setattr(ops, "_hop_links", recorded)
+    q, links = ops._slice_gauge(cfg.lattice)
+    assert sorted(axes) == [0, 1, 2] and len(links) == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
+    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+
+    def failing(self, evolver, with_force):
+        raise MemoryError("observables")
+
+    monkeypatch.setattr(dynamics._Observables, "__init__", failing)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="observables"):
+        dynamics.evolve(dynamics.monopole_flyby_config(n=16, steps=2))
     assert threading.active_count() == before
 
 

@@ -228,6 +228,33 @@ def test_frame_matrices_hold_exactly_their_nonzeros(n):
             assert _buffer_nbytes(arr) == arr.nbytes
 
 
+@pytest.mark.parametrize("n, box", [(16, 6.0), (36, 7.2)])  # 7.2/18: a non-dyadic step
+def test_slice_gauge_and_frame_matrices_are_the_same_on_one_and_two_cores(n, box, monkeypatch):
+    lat = LatticeSpec(n=n, box=box)
+    built = []
+    for cores in (1, 2):
+        monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+        ops._slice_gauge.cache_clear()
+        q, links = ops._slice_gauge(lat)
+        mats = [ops.hamiltonian(lat, 1.3).matrix, *(ops.covderiv(lat, ax).matrix for ax in range(3))]
+        built.append((q, links, mats))
+    (q1, links1, mats1), (q2, links2, mats2) = built
+    assert np.array_equal(q1, q2)
+    assert len(links1) == len(links2) == 3
+    for z1, z2 in zip(links1, links2):
+        assert np.array_equal(z1, z2)
+    for m1, m2 in zip(mats1, mats2):
+        for arr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(m1, arr), getattr(m2, arr)), arr
+
+
+def test_hamiltonian_refuses_an_overflowing_hop_weight(spec):
+    # positive and finite, but -1/(2 m h^2) overflows, or m h^2 underflows to 0
+    for mass in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=rf"mass {mass!r} and lattice step {spec.step!r}"):
+            ops.hamiltonian(spec, mass)
+
+
 def test_hamiltonian_velocity_identity_exact(spec, psi):
     ham = ops.hamiltonian(spec, 1.7)
     for i in range(3):

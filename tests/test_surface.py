@@ -27,14 +27,19 @@ PRIVATE_CROSSINGS = {
         "a Cayley step and an observables row read a field's slice-frame columns",
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
-    "dynamics -> hilbert._cores":
-        "evolve runs the observables rows on a worker thread only when a second core exists",
+    "dynamics -> hilbert._worker":
+        "evolve runs its BLAS import, observables build and rows on the one thread "
+        "beside the caller, which exists only where a second core does",
+    "dynamics -> operators._slice_gauge":
+        "evolve caches the gauge before its worker opens, so no two threads build it",
     "operators -> geometry._plane_norm":
         "the site table's |x|, by transport's own formula",
     "operators -> geometry._far_end":
         "twisted_shift's per-shift terms of transport, at x + m h on the kept sites",
     "operators -> geometry._transport_value":
         "twisted_shift's symbol, transport's formula on the cached site planes",
+    "operators -> hilbert._worker":
+        "the slice gauge computes two of its three links on the thread beside the caller",
     "verify -> hilbert._cores":
         "the suite map forks one worker process per usable core",
     "verify -> operators._steps_admissible":
