@@ -29,13 +29,16 @@ converts at most its final field, on demand.  One Hamiltonian matrix serves both
 the step generator and the observables.  Where a second core exists,
 ``evolve`` runs its set-up and its rows on ``hilbert._worker``'s one thread
 beside the calling thread: once the slice gauge is cached (itself built on
-two threads), the worker imports the solver's BLAS while the calling thread
-assembles H and the step matrix, then builds the observables' gradient
-matrices and ``bfield`` while the calling thread takes step 1, then
-computes each row while the calling thread takes the next step (a row and
-a step only read the same field).  On one core each job runs in the
-calling thread as it is submitted.  Either way every matrix, row and step
+two threads) and the calling thread has assembled H and the step matrix,
+the worker builds the observables' gradient matrices and ``bfield`` while
+the calling thread takes step 1, then computes each row while the calling
+thread takes the next step (a row and a step only read the same field).
+On one core each job runs in the calling thread as it is submitted.  Either way every matrix, row and step
 does the same arithmetic, so a run is bit-identical.
+
+The matrices are ``operators.CSRMatrix`` objects, multiplied by scipy's
+compiled CSR kernels, and ``cg`` calls scipy's compiled BLAS wrappers
+(``_blas``); neither ``scipy.sparse`` nor ``scipy.linalg`` is imported.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
 ``-(J/m) grad_i`` and the acceleration matches the symmetrized magnetic
@@ -48,7 +51,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy import sparse
 
 from . import geometry, hilbert, operators as ops, quat
 from .hilbert import LatticeField, LatticeSpec
@@ -56,7 +58,7 @@ from .operators import _hop_links  # noqa: F401  (perfbench/test_perfbench.py tr
 from .report import Report, check_from_devs
 
 
-def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
+def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> ops.CSRMatrix:
     """``Q* H Q``: the matrix of ``operators.hamiltonian`` in the slice frame."""
     return ops.hamiltonian(spec, mass).matrix
 
@@ -66,7 +68,7 @@ def build_gradient_matrices(spec: LatticeSpec) -> list:
     return [ops.covderiv(spec, axis).matrix for axis in range(3)]
 
 
-def build_generator_matrix(spec: LatticeSpec, mass: float) -> sparse.csr_matrix:
+def build_generator_matrix(spec: LatticeSpec, mass: float) -> ops.CSRMatrix:
     """``i Q* H Q``: the step generator ``J H`` in the slice frame, where
     ``J`` is multiplication by ``i``; exactly anti-hermitian."""
     return 1j * ops.hamiltonian(spec, mass).matrix
@@ -144,11 +146,13 @@ class EvolutionConfig:
 
 
 def _blas():
-    """scipy's BLAS wrappers, imported on first use: only the Cayley solver
-    needs them, so ``scipy.linalg`` (about 8 MiB resident) loads with every
-    ``CayleyEvolver``, never with a verify suite."""
-    from scipy.linalg import blas
-    return blas
+    """scipy's compiled BLAS wrappers ``scipy.linalg._fblas``, loaded alone on
+    first use by ``operators._scipy_compiled`` (about 2 ms, no
+    ``scipy.linalg`` import): only the Cayley solver needs them, so they
+    load with every ``CayleyEvolver``, never with a verify suite.  The
+    ``dznrm2``, ``zdscal``, ``zaxpy``, ``zdotc`` and ``zscal`` that ``cg``
+    calls are the very functions that ``scipy.linalg.blas`` exports."""
+    return ops._scipy_compiled("linalg", "_fblas")
 
 
 def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
@@ -236,10 +240,8 @@ class CayleyEvolver:
         self.h_mat = h = build_hamiltonian_matrix(spec, mass)
         self._prev = None
         # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
-        self._m = sparse.csr_matrix(((0.5 * dt) * (1j * h.data), h.indices, h.indptr),
-                                    shape=h.shape)
-        # the solver's BLAS loads with the set-up, not in the first step; last,
-        # so that where evolve's worker is importing it, only the wait is left
+        self._m = ops.CSRMatrix((0.5 * dt) * (1j * h.data), h.indices, h.indptr, h.shape)
+        # the solver's BLAS loads with the set-up, on the calling thread, not in the first step
         _blas()
 
     def step(self, psi: LatticeField) -> LatticeField:
@@ -360,11 +362,12 @@ def evolve(cfg: EvolutionConfig):
 
     The packet is built, and its norm checked, before anything else; then
     the slice gauge is cached, on two threads that are joined before the
-    run's own worker opens.  That worker (``hilbert._worker``: one thread
+    run's own worker opens.  The calling thread builds the
+    ``CayleyEvolver``; then that worker (``hilbert._worker``: one thread
     beside the caller where a second core exists) takes, in order, the
-    solver's ``scipy.linalg`` import, while the calling thread builds the
-    ``CayleyEvolver``; the ``_Observables`` build; row 0, submitted before
-    step 1; and row k, submitted right after step k.  The rows are
+    ``_Observables`` build; row 0, submitted before step 1; and row k,
+    submitted right after step k.  The calling thread waits for the build
+    after step 1, so a failed build raises before step 2.  The rows are
     collected in order after the last step.  On one core each job runs in
     the calling thread as it is submitted.  The worker is shut down before
     ``evolve`` returns or raises, so a failed step or set-up leaves no
@@ -388,18 +391,13 @@ def evolve(cfg: EvolutionConfig):
     ops._slice_gauge(spec)
 
     with hilbert._worker() as pool:
-        # a head start on the import, whose result is not read: the evolver
-        # imports it itself, waiting for this one or retrying if it failed
-        pool.submit(_blas)
         evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
         obs = pool.submit(_Observables, evolver, cfg.record_force)
-
-        def row(field):
-            return obs.result().row(field)
-
-        times, rows = [0.0], [pool.submit(row, psi)]
+        times, rows = [0.0], [pool.submit(lambda field: obs.result().row(field), psi)]
         for k in range(1, cfg.steps + 1):
             psi = evolver.step(psi)
+            # the build ran beside step 1: a failed one raises here, before step 2
+            row = obs.result().row
             times.append(k * cfg.dt)
             rows.append(pool.submit(row, psi))
         pos, vel, nrm, en, frc = zip(*(r.result() for r in rows))

@@ -13,7 +13,10 @@ written ``A B`` below.  The kinds are
   between neighbors through unit transport links).  They commute with
   ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
   slice_frame(x, e3)``, where every link is a U(1) phase; ``dynamics``
-  evolves with the same matrices,
+  evolves with the same matrices.  A matrix is a ``CSRMatrix``: scipy's CSR
+  arrays, built and multiplied by scipy's compiled kernels
+  (``scipy.sparse._sparsetools``, loaded with this module by
+  ``_scipy_compiled``), with no ``scipy.sparse`` import,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
 * composites (``Compose``) and real multiples (``Scaled``) of the above;
@@ -47,9 +50,12 @@ Conventions fixed here (and relied on by the verification suites):
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 
 import numpy as np
-from scipy import sparse
 
 from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
@@ -177,6 +183,83 @@ def _hop_links(spec: LatticeSpec, axis: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# scipy's compiled kernels, without the Python layers of their packages
+
+def _scipy_compiled(pkg: str, mod: str):
+    """scipy's compiled extension module ``scipy.<pkg>.<mod>``, loaded as one
+    file without running ``scipy.<pkg>``'s ``__init__`` (``scipy.sparse``
+    and ``scipy.linalg`` import far more than the kernels used here).
+
+    A module already in ``sys.modules`` is returned as it is.  Otherwise the
+    file ``scipy/<pkg>/<mod><suffix>``, for a suffix of
+    ``importlib.machinery.EXTENSION_SUFFIXES``, is loaded under the full
+    name and registered in ``sys.modules``, so a later ``import
+    scipy.<pkg>`` reuses the same module and functions.  One wart: that
+    package then lacks the module as an attribute (``scipy.sparse.
+    _sparsetools`` raises AttributeError); no scipy module outside its tests
+    reads it that way.  A missing file raises ImportError.
+    """
+    name = f"scipy.{pkg}.{mod}"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0], pkg)
+    extensions = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(folder, extensions).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled module {name} in {folder}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+# loaded with this module: the first product may run on a worker thread
+_SPARSETOOLS = _scipy_compiled("sparse", "_sparsetools")
+
+
+class CSRMatrix:
+    """A sparse matrix in scipy's CSR layout: ``data``, ``indices`` and
+    ``indptr`` as ``scipy.sparse.csr_matrix`` holds them, ``shape`` and
+    ``nnz``.  ``scipy.sparse.csr_matrix((m.data, m.indices, m.indptr),
+    shape=m.shape)`` wraps one without a copy.
+
+    ``scalar * m`` and ``m * scalar`` scale ``data`` (the index arrays are
+    shared), and ``m @ x`` follows scipy's dispatch for an ndarray ``x`` of
+    shape ``(N,)`` or ``(N, k)``, so both run the same kernels on the same
+    arrays: one vector or one column goes to ``csr_matvec`` (a column comes
+    back as ``(N, 1)``), ``k > 1`` columns to ``csr_matvecs``, each into a
+    zero-filled result of the common dtype.
+    """
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = tuple(shape)
+        self.nnz = int(indptr[-1])
+
+    def __mul__(self, scalar):
+        if not np.isscalar(scalar):
+            return NotImplemented
+        return CSRMatrix(self.data * scalar, self.indices, self.indptr, self.shape)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        rows, cols = self.shape
+        if not (isinstance(other, np.ndarray) and other.ndim in (1, 2) and other.shape[0] == cols):
+            raise ValueError(f"matmul: a {self.shape} matrix cannot take {np.shape(other)}")
+        dtype = np.result_type(self.data.dtype, other.dtype)
+        if other.ndim == 1 or other.shape[1] == 1:
+            out = np.zeros(rows, dtype=dtype)
+            _SPARSETOOLS.csr_matvec(rows, cols, self.indptr, self.indices, self.data,
+                                    other.ravel(), out)
+            return out if other.ndim == 1 else out.reshape(rows, 1)
+        out = np.zeros((rows, other.shape[1]), dtype=dtype)
+        _SPARSETOOLS.csr_matvecs(rows, cols, other.shape[1], self.indptr, self.indices,
+                                 self.data, other.ravel(), out.ravel())
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the slice frame: U(1) links, complex matrices (rows and columns are sites
 # in C order), field conversion
 
@@ -234,11 +317,16 @@ def _site_table(spec: LatticeSpec):
     return j, xs, nx
 
 
-def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_matrix:
+def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> CSRMatrix:
     """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
     ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
     ``down conj(z(x))`` at ``(x+h, x)``.  Its arrays hold exactly its
-    nonzeros: a zero diagonal is not passed, and the wall links are dropped."""
+    nonzeros: a zero diagonal is not passed, and the wall links are dropped.
+
+    Built as ``scipy.sparse.diags(..., format="csr")`` builds it: the
+    diagonals in ``diags_array``'s DIA layout (diagonal ``d`` from column
+    ``max(0, offset_d)`` of row ``d``), then ``dia_tocsr`` in the order of
+    ascending offsets, as ``dia_matrix.tocsr`` calls it."""
     n = spec.n
     size = n**3
     links = _slice_gauge(spec)[1]
@@ -248,11 +336,19 @@ def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> sparse.csr_ma
         z = links[axis].ravel()[:size - stride]
         diagonals += [up * z, down * z.conj()]
         offsets += [stride, -stride]
-    mat = sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
-    # the conversion drops the zero wall links but returns views of its
-    # full-length buffers: copied, the arrays are exactly nnz long
-    mat.data, mat.indices = mat.data.copy(), mat.indices.copy()
-    return mat
+    dia = np.zeros((len(offsets), size), dtype=complex)
+    for row, diagonal, offset in zip(dia, diagonals, offsets):
+        row[max(0, offset):max(0, offset) + size - abs(offset)] = diagonal
+    del diagonals  # not held beside the conversion's buffers (peak RSS)
+    # int32 indices, as scipy picks below 2^31 nonzeros (7 n^3 at most here)
+    most = sum(size - abs(offset) for offset in offsets)
+    offsets = np.array(offsets, dtype=np.int32)
+    data, indices = np.empty(most, dtype=complex), np.empty(most, dtype=np.int32)
+    indptr = np.empty(size + 1, dtype=np.int32)
+    nnz = _SPARSETOOLS.dia_tocsr(size, size, *dia.shape, offsets, dia,
+                                 np.argsort(offsets).astype(np.int32), data, indices, indptr)
+    # the conversion drops the zero wall links: copied, the arrays are exactly nnz long
+    return CSRMatrix(data[:nnz].copy(), indices[:nnz].copy(), indptr, (size, size))
 
 
 def _to_cols(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -310,12 +406,13 @@ class FrameOp(Operator):
     """A ``J``-linear lattice operator held as its slice-frame matrix.
 
     ``matrix`` is the complex ``n^3 x n^3`` matrix ``Q* A Q`` in the gauge
-    ``q = slice_frame(x, e3)``; it acts on both columns ``(f1, f2)`` of a
-    field alike.  ``adjoint_sign`` is +1 for a hermitian and -1 for an
-    anti-hermitian operator.
+    ``q = slice_frame(x, e3)``, a ``CSRMatrix`` (which scipy's
+    ``csr_matrix`` wraps without a copy); it acts on both columns ``(f1,
+    f2)`` of a field alike.  ``adjoint_sign`` is +1 for a hermitian and -1
+    for an anti-hermitian operator.
     """
 
-    def __init__(self, spec: LatticeSpec, matrix: sparse.csr_matrix, adjoint_sign: float):
+    def __init__(self, spec: LatticeSpec, matrix: CSRMatrix, adjoint_sign: float):
         self.spec = spec
         self.matrix = matrix
         self.adjoint_sign = adjoint_sign

@@ -6,11 +6,12 @@ they live beside the tests instead of in the package.
 """
 
 import numpy as np
+from scipy import sparse
 
 from qmono import geometry, hilbert
 from qmono.hilbert import LatticeField, LatticeSpec
-from qmono.operators import (Compose, Diff, Operator, Scaled, _factors, left_unit,
-                             position)
+from qmono.operators import (Compose, Diff, Operator, Scaled, _factors, _slice_gauge,
+                             left_unit, position)
 
 
 def transport_sign_variant(a, x) -> np.ndarray:
@@ -67,3 +68,19 @@ def rotgen(spec: LatticeSpec, axis: int) -> Operator:
         Scaled(-1.0, Compose((position(spec, k), Diff(spec, j)))),
     ))
     return OpSum((orbital, Scaled(-0.5, left_unit(spec, axis))))
+
+
+def frame_matrix_by_diags(spec: LatticeSpec, diag: float, hops: dict) -> sparse.csr_matrix:
+    """The slice-frame matrix of ``operators._frame_matrix`` built by
+    ``scipy.sparse.diags(..., format="csr")`` from the cached links ``z``:
+    ``diag`` on the diagonal and, per ``axis: (up, down)``, ``up z`` above it
+    and ``down conj(z)`` below, the zero wall links dropped."""
+    size = spec.n**3
+    links = _slice_gauge(spec)[1]
+    diagonals, offsets = ([np.full(size, diag)], [0]) if diag else ([], [])
+    for axis, (up, down) in hops.items():
+        stride = spec.n ** (2 - axis)
+        z = links[axis].ravel()[:size - stride]
+        diagonals += [up * z, down * z.conj()]
+        offsets += [stride, -stride]
+    return sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)

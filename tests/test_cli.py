@@ -258,23 +258,34 @@ def test_evolve_single_step_gates_norm_drift(tmp_path, monkeypatch, capsys):
     assert "norm drift" in capsys.readouterr().out
 
 
-def test_verify_never_loads_the_solver_blas(tmp_path):
-    # scipy.linalg (the BLAS of the Cayley solver) loads with an evolver,
-    # not with a verify run; a fresh process shows which
+def test_no_command_imports_scipy_sparse_or_linalg(tmp_path):
+    # the program reaches scipy only through two compiled modules: no command
+    # imports the Python layer of scipy.sparse or scipy.linalg, and the
+    # solver's BLAS loads with an evolver only; a fresh process shows which
     code = f"""
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
-from qmono import cli, dynamics
-from qmono.hilbert import LatticeSpec
+from qmono import cli
 out = {str(tmp_path)!r}
-assert cli.main(["verify", "geometry", "--samples", "200", "--out", out + "/g.json"]) == 0
-assert cli.main(["verify", "gis", "--samples", "10", "--n", "12", "--box", "4.0",
-                 "--out", out + "/gis.json"]) == 0
-print("scipy.linalg" in sys.modules)
-dynamics.CayleyEvolver(LatticeSpec(n=12, box=4.0), 1.0, 0.1)
-print("scipy.linalg" in sys.modules)
+commands = [
+    ["verify", "geometry", "--samples", "200"],
+    ["verify", "gis", "--samples", "10", "--n", "12", "--box", "4.0"],
+    ["verify", "operators", "--samples", "10", "--n", "14", "--box", "4.0"],
+    ["verify", "splitting", "--samples", "2", "--n", "8"],
+    ["chern", "--n", "16", "--tol", "1e-2"],
+    ["evolve", "--preset", "free", "--n", "12", "--steps", "2"],
+]
+for k, args in enumerate(commands):
+    path = out + "/" + str(k) + (".csv" if args[0] != "verify" else ".json")
+    status = cli.main([*args, "--out", path])
+    print("loaded:", args[0], status, "scipy.sparse" in sys.modules,
+          "scipy.linalg" in sys.modules, "scipy.linalg._fblas" in sys.modules)
 """
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=300)
+                         timeout=300, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split()[-2:] == ["False", "True"]
+    assert [line for line in run.stdout.splitlines() if line.startswith("loaded:")] == [
+        *["loaded: verify 0 False False False"] * 4,
+        "loaded: chern 0 False False False",
+        "loaded: evolve 0 False False True",
+    ]

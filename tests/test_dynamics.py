@@ -1,8 +1,12 @@
 import dataclasses
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
@@ -232,7 +236,9 @@ def test_cayley_steps_converge_to_exact_propagator():
     mass, total = 1.0, 0.4
     psi0 = dynamics.gaussian_packet(spec, (-1.5, 1.5, 1.5), 0.85, (0.6, 0.0, 0.0))
     f0 = _frame_cols(spec, psi0.values)
-    exact = expm_multiply(-1j * total * dynamics.build_hamiltonian_matrix(spec, mass), f0)
+    h = dynamics.build_hamiltonian_matrix(spec, mass)
+    h = sparse.csr_matrix((h.data, h.indices, h.indptr), shape=h.shape)  # no copy
+    exact = expm_multiply(-1j * total * h, f0)
     errs = []
     for dt in (0.05, 0.025, 0.0125):
         ev = dynamics.CayleyEvolver(spec, mass, dt)
@@ -242,6 +248,32 @@ def test_cayley_steps_converge_to_exact_propagator():
         errs.append(np.linalg.norm(_frame_cols(spec, cur.values) - exact) / np.linalg.norm(exact))
     ratios = [errs[0] / errs[1], errs[1] / errs[2]]
     assert all(3.0 <= r <= 5.0 for r in ratios), (errs, ratios)
+
+
+@pytest.mark.parametrize("scipy_first", [True, False])
+def test_solver_blas_is_scipys_own_whichever_loads_first(scipy_first):
+    # _blas loads scipy.linalg._fblas alone; imported before or after it,
+    # scipy.linalg.blas exports the very same routines, and scipy.sparse the
+    # same compiled CSR kernels; a fresh process fixes the order
+    code = f"""
+import sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
+if {scipy_first}:
+    import scipy.linalg.blas
+from qmono import dynamics, operators
+assert ("scipy.linalg" in sys.modules) == {scipy_first}
+fblas = dynamics._blas()
+from scipy.linalg import blas
+import scipy.sparse
+names = ("dznrm2", "zdscal", "zaxpy", "zdotc", "zscal")
+print(all(getattr(fblas, name) is getattr(blas, name) for name in names),
+      sys.modules["scipy.sparse._sparsetools"] is operators._SPARSETOOLS,
+      scipy.sparse._compressed._sparsetools is operators._SPARSETOOLS)
+"""
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "True", "True"]
 
 
 def _anti_hermitian(n, norm, rng):
@@ -549,8 +581,8 @@ def test_evolve_runs_at_most_one_thread_beside_the_caller(monkeypatch):
     before = threading.active_count()
     dynamics.evolve(cfg)
     assert threading.active_count() == before
-    # 3 hop links; _blas on the worker, in the evolver and in each step's cg; 4 rows
-    assert len(counts) == 3 + (2 + 3) + 4
+    # 3 hop links; _blas in the evolver and in each step's cg; 4 rows
+    assert len(counts) == 3 + (1 + 3) + 4
     assert max(counts) == before + 1
 
 
@@ -597,10 +629,20 @@ def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
         raise MemoryError("observables")
 
     monkeypatch.setattr(dynamics._Observables, "__init__", failing)
+    steps = []
+    real_step = dynamics.CayleyEvolver.step
+
+    def counted_step(self, psi):
+        steps.append(1)
+        return real_step(self, psi)
+
+    monkeypatch.setattr(dynamics.CayleyEvolver, "step", counted_step)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="observables"):
         dynamics.evolve(dynamics.monopole_flyby_config(n=16, steps=2))
     assert threading.active_count() == before
+    # on every core count the failure surfaces before step 2
+    assert len(steps) <= 1
 
 
 def _three_gradient_row(obs, psi):

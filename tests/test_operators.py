@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import oracles
-from qmono import geometry, hilbert, operators as ops, quat, verify
+from qmono import dynamics, geometry, hilbert, operators as ops, quat, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 
 AX = np.eye(3)
@@ -226,6 +227,50 @@ def test_frame_matrices_hold_exactly_their_nonzeros(n):
         for arr in (m.data, m.indices):
             assert arr.size == m.nnz
             assert _buffer_nbytes(arr) == arr.nbytes
+
+
+def _assert_same_csr(got, ref):
+    assert got.shape == ref.shape and got.nnz == ref.nnz
+    for arr in ("data", "indices", "indptr"):
+        a, b = getattr(got, arr), getattr(ref, arr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), arr
+
+
+@pytest.mark.parametrize("n, box", [(4, 4.0), (8, 4.0), (16, 4.0), (36, 7.2)])
+def test_frame_matrices_equal_scipy_diags(n, box):
+    # the compiled dia_tocsr path gives scipy.sparse.diags's CSR arrays bit for
+    # bit: values, index dtypes and row pointers, for H, each covderiv and i H
+    lat = LatticeSpec(n=n, box=box)
+    coeff = -0.5 / (1.3 * lat.step**2)
+    h_ref = oracles.frame_matrix_by_diags(lat, -6.0 * coeff, {ax: (coeff, coeff) for ax in range(3)})
+    _assert_same_csr(ops.hamiltonian(lat, 1.3).matrix, h_ref)
+    _assert_same_csr(dynamics.build_generator_matrix(lat, 1.3), 1j * h_ref)
+    s = 0.5 / lat.step
+    for ax in range(3):
+        _assert_same_csr(ops.covderiv(lat, ax).matrix,
+                         oracles.frame_matrix_by_diags(lat, 0.0, {ax: (s, -s)}))
+
+
+def test_csr_product_equals_scipy_on_every_operand_shape():
+    # a one-column operand goes to csr_matvec and k > 1 columns to csr_matvecs,
+    # as in scipy, so each product is scipy's to the bit; scipy wraps the
+    # matrix without a copy
+    mat = ops.hamiltonian(LatticeSpec(n=8, box=4.0), 1.3).matrix
+    wrap = sparse.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
+    assert all(np.shares_memory(getattr(wrap, arr), getattr(mat, arr))
+               for arr in ("data", "indices", "indptr"))
+    rng = np.random.default_rng(3)
+    size = mat.shape[0]
+    wide = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+    operands = [wide[:, 0].copy(), wide[:, :1].copy(), wide[:, :2].copy(), wide[:, ::2],
+                rng.standard_normal(size)]
+    assert not operands[3].flags.c_contiguous
+    for v in operands:
+        got, ref = mat @ v, wrap @ v
+        assert got.shape == ref.shape == v.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+    with pytest.raises(ValueError, match="matmul"):
+        mat @ wide[1:]
 
 
 @pytest.mark.parametrize("n, box", [(16, 6.0), (36, 7.2)])  # 7.2/18: a non-dyadic step

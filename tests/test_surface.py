@@ -28,8 +28,11 @@ PRIVATE_CROSSINGS = {
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
     "dynamics -> hilbert._worker":
-        "evolve runs its BLAS import, observables build and rows on the one thread "
+        "evolve runs its observables build and rows on the one thread "
         "beside the caller, which exists only where a second core does",
+    "dynamics -> operators._scipy_compiled":
+        "the Cayley solver loads scipy's compiled BLAS with the one loader that "
+        "operators uses for the compiled CSR kernels",
     "dynamics -> operators._slice_gauge":
         "evolve caches the gauge before its worker opens, so no two threads build it",
     "operators -> geometry._plane_norm":
