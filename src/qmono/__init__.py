@@ -16,11 +16,12 @@ hilbert    lattice fields, inner product, spectral boxes
 operators  multipliers, shifts, slice-frame matrix operators
 splitting  complex-slice decomposition and reduction checks
 dynamics   Cayley evolution and Ehrenfest verification
+runner     where work runs: the thread beside the caller, forked task lists
 verify     identity suites, imprimitivity included, and samplers (CLI backend)
 cli        `qmono` command-line entry point
 """
 
-from . import dynamics, geometry, hilbert, operators, quat, report, splitting, verify
+from . import dynamics, geometry, hilbert, operators, quat, report, runner, splitting, verify
 from .geometry import DomainError
 from .hilbert import Box, LatticeField, LatticeSpec
 from .report import Check, Report
@@ -41,6 +42,7 @@ __all__ = [
     "operators",
     "quat",
     "report",
+    "runner",
     "splitting",
     "verify",
 ]

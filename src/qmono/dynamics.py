@@ -26,15 +26,14 @@ A run never leaves the frame, which ``operators`` owns: a step reads
 quaternion values are formed only when first read.  ``evolve``'s norm
 column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
-the step generator and the observables.  Where a second core exists,
-``evolve`` runs its set-up and its rows on ``hilbert._worker``'s one thread
-beside the calling thread: once the slice gauge is cached (itself built on
-two threads) and the calling thread has assembled H and the step matrix,
-the worker builds the observables' gradient matrices and ``bfield`` while
-the calling thread takes step 1, then computes each row while the calling
-thread takes the next step (a row and a step only read the same field).
-On one core each job runs in the calling thread as it is submitted.  Either way every matrix, row and step
-does the same arithmetic, so a run is bit-identical.
+the step generator and the observables.  ``evolve`` runs its set-up and its
+rows on ``runner.beside``'s one thread beside the calling thread: once the
+slice gauge is cached (itself built on two threads) and the calling thread
+has assembled H and the step matrix, the worker builds the observables'
+gradient matrices and ``bfield`` while the calling thread takes step 1,
+then computes each row while the calling thread takes the next step (a row
+and a step only read the same field).  Every matrix, row and step does the
+same arithmetic as on one thread, so a run is bit-identical.
 
 The matrices are ``operators.CSRMatrix`` objects, multiplied by scipy's
 compiled CSR kernels, and ``cg`` calls scipy's compiled BLAS wrappers
@@ -52,7 +51,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import geometry, hilbert, operators as ops, quat
+from . import geometry, hilbert, operators as ops, quat, runner
 from .hilbert import LatticeField, LatticeSpec
 from .operators import _hop_links  # noqa: F401  (perfbench/test_perfbench.py traces this alias)
 from .report import Report, check_from_devs
@@ -363,15 +362,13 @@ def evolve(cfg: EvolutionConfig):
     The packet is built, and its norm checked, before anything else; then
     the slice gauge is cached, on two threads that are joined before the
     run's own worker opens.  The calling thread builds the
-    ``CayleyEvolver``; then that worker (``hilbert._worker``: one thread
-    beside the caller where a second core exists) takes, in order, the
-    ``_Observables`` build; row 0, submitted before step 1; and row k,
-    submitted right after step k.  The calling thread waits for the build
-    after step 1, so a failed build raises before step 2.  The rows are
-    collected in order after the last step.  On one core each job runs in
-    the calling thread as it is submitted.  The worker is shut down before
-    ``evolve`` returns or raises, so a failed step or set-up leaves no
-    thread behind.
+    ``CayleyEvolver``; then that worker (``runner.beside``: one thread
+    beside the caller) takes, in order, the ``_Observables`` build; row 0,
+    submitted before step 1; and row k, submitted right after step k.  The
+    calling thread waits for the build after step 1, so a failed build
+    raises before step 2.  The rows are collected in order after the last
+    step.  The worker is shut down before ``evolve`` returns or raises, so
+    a failed step or set-up leaves no thread behind.
     """
     spec = cfg.lattice
     # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
@@ -390,7 +387,7 @@ def evolve(cfg: EvolutionConfig):
     # every matrix then reads it, on either thread
     ops._slice_gauge(spec)
 
-    with hilbert._worker() as pool:
+    with runner.beside() as pool:
         evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
         obs = pool.submit(_Observables, evolver, cfg.record_force)
         times, rows = [0.0], [pool.submit(lambda field: obs.result().row(field), psi)]

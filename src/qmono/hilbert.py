@@ -17,18 +17,12 @@ A field is either a callable ``x -> quaternion`` (analytic representation,
 evaluable anywhere) or a ``LatticeField`` (samples on a ``LatticeSpec``);
 ``sample`` converts the former to the latter.  ``gaussian_field`` is the
 analytic bump that the suites and the slice sampler draw, one field or a
-batch of them.  ``_cores`` is the one count of usable cores: the forked
-task list of ``verify`` reads it, and so does ``_worker``, the one place
-that decides whether a job runs on a thread beside the caller.  The slice
-gauge of ``operators`` and the run of ``dynamics.evolve`` take their
-worker from it.
+batch of them.
 """
 
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,26 +182,3 @@ def project(delta: Box, psi: LatticeField) -> LatticeField:
     out = np.zeros(psi.values.shape)
     out[block] = psi.values[block]
     return LatticeField(psi.spec, out)
-
-
-def _cores() -> int:
-    """The cores this process may run on (1 where the OS does not say)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-class _CallingThread(Executor):
-    """An executor that runs each submitted call at once, in the calling
-    thread, and returns it as a finished future; a call that raises
-    raises at once, from ``submit``."""
-
-    def submit(self, fn, *args) -> Future:
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-
-def _worker() -> Executor:
-    """One thread beside the caller where ``_cores`` counts more than one
-    core, else the calling thread itself.  Jobs run one at a time, in the
-    order submitted; leaving the ``with`` block joins the thread."""
-    return ThreadPoolExecutor(1) if _cores() > 1 else _CallingThread()

@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, hilbert, quat
+from . import geometry, hilbert, quat, runner
 from .hilbert import LatticeField, LatticeSpec
 
 _AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
@@ -283,15 +283,14 @@ def _slice_gauge(spec: LatticeSpec):
     ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
     Computed once per lattice and returned read-only.
 
-    The pieces are independent numpy work, so they run on ``hilbert._worker``:
-    the worker takes the hops of axis 1, then the whole link of axis 2, while
-    the calling thread forms ``q``, the product of axis 1, then the link of
-    axis 0.  On one core each job runs in the calling thread as it is
-    submitted.  The worker is joined before this returns or raises, and a
-    call that raises caches nothing.
+    The pieces are independent numpy work, so they run on two threads: the
+    one ``runner.beside`` opens takes the hops of axis 1, then the whole
+    link of axis 2, while the calling thread forms ``q``, the product of
+    axis 1, then the link of axis 0.  The worker is joined before this
+    returns or raises, and a call that raises caches nothing.
     """
     pts = spec.points()  # cached here, before two threads read it
-    with hilbert._worker() as pool:
+    with runner.beside() as pool:
         plus1 = pool.submit(_hop_links, spec, 1)
         q = geometry.slice_frame(pts, quat.E3)
         q.setflags(write=False)

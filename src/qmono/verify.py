@@ -14,8 +14,9 @@ The ``gis``, ``operators`` and ``splitting`` suites each run as one task
 list.  A suite first draws every input from its generator in the parent,
 in the order a draw-then-check loop would draw them; then it evaluates one
 list of tasks, every check group and every sampled draw, with a single
-``_run_tasks`` call on forked worker processes, one per available core;
-last, it appends the returned checks in report order.  The tasks are listed
+``runner.run_tasks`` call (forked worker processes, one per available
+core; in the calling process with one core or without ``fork``); last,
+it appends the returned checks in report order.  The tasks are listed
 longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
 by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
@@ -37,8 +38,8 @@ from functools import partial
 
 import numpy as np
 
-from . import geometry, hilbert, operators as ops, quat, splitting
-from .hilbert import LatticeField, LatticeSpec, _cores
+from . import geometry, hilbert, operators as ops, quat, runner, splitting
+from .hilbert import LatticeField, LatticeSpec
 from .report import Report, check_from_devs
 
 _AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
@@ -99,46 +100,7 @@ def _sample_legs(rng, m, family):
 
 
 # ---------------------------------------------------------------------------
-# forked evaluation of a task list
-
-_TASKS = None  # the running task list, inherited by its workers
-
-
-def _run_task(i: int):
-    return _TASKS[i]()
-
-
-def _run_tasks(tasks: list) -> list:
-    """``[task() for task in tasks]``, in order.
-
-    Runs on one worker process per available core, at most one per task,
-    forked after the list is stored in ``_TASKS``: the workers inherit it
-    and every field a task holds, so only indices go out and only results
-    come back.  A worker takes the next task when it finishes one, so the
-    tasks are best listed longest first.  With one worker, or where
-    ``fork`` does not exist, it evaluates in this process.  The workers are
-    joined before it returns, also when a task raises; the task's exception
-    is then raised here.
-    """
-    # imported here, so that `evolve` and `chern`, which never fork, do not
-    # load them (about 0.5 MiB)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _TASKS
-    workers = min(_cores(), len(tasks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [task() for task in tasks]
-    _TASKS = tasks
-    # an executor, not a multiprocessing.Pool: a worker that dies (say, out
-    # of memory) raises BrokenProcessPool here instead of hanging the run
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(_run_task, range(len(tasks))))
-    finally:
-        pool.shutdown(cancel_futures=True)
-        _TASKS = None
-
+# task lists
 
 def _step_group_tasks(draws: list, evaluate) -> tuple:
     """One task per distinct step vector of ``draws``, whose first entries
@@ -811,7 +773,7 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
     shift_tasks, shift_groups = _step_group_tasks(
         shift_draws, partial(_imprimitivity_devs, spec, psi, interior))
     # longest first: the whole-field groups, then the sampled draws
-    ham_c, par_c, analytic_c, wpr_c, jop_c, adj_c, *devs = _run_tasks([
+    ham_c, par_c, analytic_c, wpr_c, jop_c, adj_c, *devs = runner.run_tasks([
         partial(_hamiltonian_checks, spec, psi, phi, jo, smooth, ham, tol),
         partial(_parallel_checks, spec, tol),
         partial(_analytic_checks, fields, probes, directions),
@@ -945,12 +907,12 @@ def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     rng = np.random.default_rng(seed)
     rep = Report(suite="splitting", seed=seed, n_samples=samples)
     spec = LatticeSpec(n=n, box=box)
-    runs = max(1, min(_cores(), samples))
+    runs = max(1, min(runner.cores(), samples))
     bounds = [(k * samples // runs, (k + 1) * samples // runs) for k in range(runs)]
     # longest first: a run also replays the fields of the runs before it, so
     # the last run goes first; the reduce checks, with their own generator,
     # go last
-    *split_runs, reduce_c = _run_tasks(
+    *split_runs, reduce_c = runner.run_tasks(
         [partial(_split_run, rng, spec, *b) for b in reversed(bounds)]
         + [partial(_reduce_checks, spec, seed)])
     split_runs.reverse()
@@ -1010,7 +972,7 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
                      for _ in range(max(1, samples // 50))]
     cov_tasks, cov_groups = _step_group_tasks(cov_draws, partial(_covariance_devs, spec, psi))
     # longest first: a closure defect, then the covariance groups
-    devs = _run_tasks([partial(_closure_devs, spec, psi, *d) for d in closure_draws]
+    devs = runner.run_tasks([partial(_closure_devs, spec, psi, *d) for d in closure_draws]
                       + cov_tasks)
     rep.checks.append(check_from_devs(
         "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact",

@@ -261,31 +261,40 @@ def test_evolve_single_step_gates_norm_drift(tmp_path, monkeypatch, capsys):
 def test_no_command_imports_scipy_sparse_or_linalg(tmp_path):
     # the program reaches scipy only through two compiled modules: no command
     # imports the Python layer of scipy.sparse or scipy.linalg, and the
-    # solver's BLAS loads with an evolver only; a fresh process shows which
+    # solver's BLAS loads with an evolver only; multiprocessing and the
+    # process pool load with the first forking suite only; a fresh process
+    # shows which
     code = f"""
 import sys
 sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "src")!r})
 from qmono import cli
 out = {str(tmp_path)!r}
+
+def loaded(*head):
+    print("loaded:", *head, *(name in sys.modules for name in (
+        "scipy.sparse", "scipy.linalg", "scipy.linalg._fblas",
+        "multiprocessing", "concurrent.futures.process")))
+
+loaded("cli")
 commands = [
     ["verify", "geometry", "--samples", "200"],
+    ["chern", "--n", "16", "--tol", "1e-2"],
+    ["evolve", "--preset", "free", "--n", "12", "--steps", "2"],
     ["verify", "gis", "--samples", "10", "--n", "12", "--box", "4.0"],
     ["verify", "operators", "--samples", "10", "--n", "14", "--box", "4.0"],
     ["verify", "splitting", "--samples", "2", "--n", "8"],
-    ["chern", "--n", "16", "--tol", "1e-2"],
-    ["evolve", "--preset", "free", "--n", "12", "--steps", "2"],
 ]
 for k, args in enumerate(commands):
     path = out + "/" + str(k) + (".csv" if args[0] != "verify" else ".json")
-    status = cli.main([*args, "--out", path])
-    print("loaded:", args[0], status, "scipy.sparse" in sys.modules,
-          "scipy.linalg" in sys.modules, "scipy.linalg._fblas" in sys.modules)
+    loaded(args[0], cli.main([*args, "--out", path]))
 """
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=300, cwd=tmp_path)
     assert run.returncode == 0, run.stderr
     assert [line for line in run.stdout.splitlines() if line.startswith("loaded:")] == [
-        *["loaded: verify 0 False False False"] * 4,
-        "loaded: chern 0 False False False",
-        "loaded: evolve 0 False False True",
+        "loaded: cli False False False False False",
+        "loaded: verify 0 False False False False False",
+        "loaded: chern 0 False False False False False",
+        "loaded: evolve 0 False False True False False",
+        *["loaded: verify 0 False False True True True"] * 3,
     ]

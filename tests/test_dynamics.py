@@ -10,7 +10,7 @@ from scipy import sparse
 from scipy.sparse.linalg import expm_multiply
 
 import oracles
-from qmono import dynamics, geometry, hilbert, operators as ops, quat, splitting
+from qmono import dynamics, geometry, hilbert, operators as ops, quat, runner, splitting
 from qmono.hilbert import LatticeField, LatticeSpec
 
 SPEC = LatticeSpec(n=16, box=4.0)
@@ -521,8 +521,8 @@ def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
 @pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
 def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkeypatch):
-    # one core: every row and observables build in the calling thread; two:
-    # every one of evolve's on the worker
+    # whatever the core count, every row and observables build of evolve's
+    # runs on the worker, never in the calling thread
     threads, builds = [], []
     real_row, real_init = dynamics._Observables.row, dynamics._Observables.__init__
 
@@ -534,7 +534,7 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
         builds.append(threading.get_ident())
         real_init(self, evolver, with_force)
 
-    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+    monkeypatch.setattr(runner, "cores", lambda: cores)
     monkeypatch.setattr(dynamics._Observables, "row", located_row)
     monkeypatch.setattr(dynamics._Observables, "__init__", located_init)
     before = threading.active_count()
@@ -543,17 +543,15 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
     # the test runs evolve twice (10 and 0 steps), then its own 11-row loop
     evolve_rows, loop_rows = threads[:12], threads[12:]
     assert len(evolve_rows) == 12 and set(loop_rows) == {threading.get_ident()}
-    in_caller = [t == threading.get_ident() for t in evolve_rows]
-    assert all(in_caller) if cores == 1 else not any(in_caller)
+    assert threading.get_ident() not in evolve_rows
     # the builds: evolve's first, the test's own, then evolve's second
     assert len(builds) == 3 and builds[1] == threading.get_ident()
-    built_in_caller = [t == threading.get_ident() for t in builds[::2]]
-    assert all(built_in_caller) if cores == 1 else not any(built_in_caller)
+    assert threading.get_ident() not in builds[::2]
 
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
-    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+    monkeypatch.setattr(runner, "cores", lambda: cores)
     monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 1))
     cfg = dynamics.monopole_flyby_config(n=16, steps=4)
     before = threading.active_count()
@@ -564,7 +562,6 @@ def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
 
 def test_evolve_runs_at_most_one_thread_beside_the_caller(monkeypatch):
     # record the live threads from inside every job of the gauge and the run
-    monkeypatch.setattr(hilbert, "_cores", lambda: 2)
     counts = []
 
     def counted(fn):
@@ -600,7 +597,7 @@ def _hop_links_failing_on_axis_2(monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
-    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+    monkeypatch.setattr(runner, "cores", lambda: cores)
     real = _hop_links_failing_on_axis_2(monkeypatch)
     cfg = dynamics.free_flight_config(n=16, steps=2)
     ops._slice_gauge.cache_clear()
@@ -623,7 +620,7 @@ def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2])
 def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
-    monkeypatch.setattr(hilbert, "_cores", lambda: cores)
+    monkeypatch.setattr(runner, "cores", lambda: cores)
 
     def failing(self, evolver, with_force):
         raise MemoryError("observables")
@@ -641,8 +638,8 @@ def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
     with pytest.raises(MemoryError, match="observables"):
         dynamics.evolve(dynamics.monopole_flyby_config(n=16, steps=2))
     assert threading.active_count() == before
-    # on every core count the failure surfaces before step 2
-    assert len(steps) <= 1
+    # on every core count the failure surfaces after step 1, before step 2
+    assert len(steps) == 1
 
 
 def _three_gradient_row(obs, psi):

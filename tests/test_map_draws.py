@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
-from qmono import cli, geometry, hilbert, operators as ops, quat, splitting, verify
+from qmono import cli, geometry, hilbert, operators as ops, quat, runner, splitting, verify
 from qmono.hilbert import Box, LatticeField, LatticeSpec
 from qmono.report import check_from_devs
 
@@ -25,7 +25,7 @@ SPEC = LatticeSpec(n=16, box=6.0)
 
 
 def _workers(monkeypatch, count):
-    monkeypatch.setattr(verify, "_cores", lambda: count)
+    monkeypatch.setattr(runner, "cores", lambda: count)
 
 
 def _fields(seed=0):
@@ -43,9 +43,9 @@ def test_pooled_map_equals_the_in_process_map(monkeypatch):
 
     tasks = [functools.partial(task, *d) for d in draws]
     _workers(monkeypatch, 1)
-    serial = verify._run_tasks(tasks)
+    serial = runner.run_tasks(tasks)
     _workers(monkeypatch, 2)
-    pooled = verify._run_tasks(tasks)
+    pooled = runner.run_tasks(tasks)
     assert multiprocessing.active_children() == []
     # the pooled values come from forked workers, not from this process
     assert {pid for pid, _ in serial} == {os.getpid()}
@@ -63,9 +63,9 @@ def test_a_task_error_in_a_worker_is_raised_in_the_parent(monkeypatch):
 
     _workers(monkeypatch, 2)
     with pytest.raises(geometry.DomainError, match="through the origin"):
-        verify._run_tasks([functools.partial(task, k) for k in range(6)])
+        runner.run_tasks([functools.partial(task, k) for k in range(6)])
     assert multiprocessing.active_children() == []
-    assert verify._run_tasks([functools.partial(lambda k: -k, k) for k in range(6)]) \
+    assert runner.run_tasks([functools.partial(lambda k: -k, k) for k in range(6)]) \
         == [0, -1, -2, -3, -4, -5]
 
 
@@ -123,13 +123,13 @@ def test_no_worker_outlives_a_suite_or_the_cli(tmp_path, monkeypatch):
 ], ids=["gis", "operators", "splitting"])
 def test_a_suite_evaluates_its_tasks_in_one_map(suite, monkeypatch):
     _workers(monkeypatch, 2)
-    maps, real = [], verify._run_tasks
+    maps, real = [], runner.run_tasks
 
     def counted(tasks):
         maps.append(len(tasks))
         return real(tasks)
 
-    monkeypatch.setattr(verify, "_run_tasks", counted)
+    monkeypatch.setattr(runner, "run_tasks", counted)
     suite()
     assert len(maps) == 1, maps
 

@@ -1,6 +1,7 @@
 """Every function, class, method and property of the package has a user
-besides its tests, every test oracle has a test, and every private name
-that one package module takes from another is listed with its reason.
+besides its tests, every test oracle has a test, every private name
+that one package module takes from another is listed with its reason, and
+only ``runner`` imports ``concurrent.futures`` or ``multiprocessing``.
 
 The package modules and the benchmark scripts are parsed with ``ast``.  A
 top-level definition, public or private, or a method of a top-level
@@ -27,9 +28,6 @@ PRIVATE_CROSSINGS = {
         "a Cayley step and an observables row read a field's slice-frame columns",
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
-    "dynamics -> hilbert._worker":
-        "evolve runs its observables build and rows on the one thread "
-        "beside the caller, which exists only where a second core does",
     "dynamics -> operators._scipy_compiled":
         "the Cayley solver loads scipy's compiled BLAS with the one loader that "
         "operators uses for the compiled CSR kernels",
@@ -41,10 +39,6 @@ PRIVATE_CROSSINGS = {
         "twisted_shift's per-shift terms of transport, at x + m h on the kept sites",
     "operators -> geometry._transport_value":
         "twisted_shift's symbol, transport's formula on the cached site planes",
-    "operators -> hilbert._worker":
-        "the slice gauge computes two of its three links on the thread beside the caller",
-    "verify -> hilbert._cores":
-        "the suite map forks one worker process per usable core",
     "verify -> operators._steps_admissible":
         "the samplers draw only integer steps whose segments miss the origin",
 }
@@ -141,3 +135,27 @@ def test_every_private_crossing_is_listed():
 def test_private_crossings_list_has_no_stale_entry():
     # a crossing whose use is gone leaves the list
     assert sorted(set(PRIVATE_CROSSINGS) - _private_crossings()) == []
+
+
+def _imported(tree):
+    """The dotted names of everything a module imports, at any depth, and
+    the packages they come from (``from a import b`` gives ``a`` and
+    ``a.b``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_runner_imports_threads_or_processes():
+    # where work runs is decided in one module; the others call it
+    found = set()
+    for path in sorted((ROOT / "src" / "qmono").glob("*.py")):
+        if path.stem != "runner":
+            for name in _imported(ast.parse(path.read_text(), filename=str(path))):
+                if name.split(".")[0] == "multiprocessing" or (
+                        name + ".").startswith("concurrent.futures."):
+                    found.add(f"{path.stem} imports {name}")
+    assert sorted(found) == []
