@@ -1,7 +1,7 @@
 """Command-line driver: verification suites, Chern quadrature, evolution.
 
 Exit codes: 0 all checks within tolerance, 1 identity failure (or solver
-failure), 2 usage error (an unwritable ``--out`` included).  Reports are
+failure), 2 usage error (an unwritable output path included).  Reports are
 JSON with a stable layout (the timestamp is an isolated top-level key);
 trajectories and convergence tables are CSV.
 """
@@ -31,13 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run an identity suite and write a JSON report")
     pv.add_argument("suite", choices=sorted(SUITES))
-    pv.add_argument("--samples", type=int, default=10000,
-                    help="random samples per check (splitting checks at most 200 "
-                         "fields and operators at most 200 imprimitivity draws; gis "
-                         "reads it as its covariance draws, so the default is ten "
-                         "times gis_suite's own 1000)")
-    pv.add_argument("--seed", type=int, default=42)
     # left unset (None), these take the defaults in the suite's signature
+    pv.add_argument("--samples", type=int, help="random samples per check (operators, splitting: <= 200)")
+    pv.add_argument("--seed", type=int)
     pv.add_argument("--n", type=int, help="lattice points per axis (gis, operators, splitting)")
     pv.add_argument("--box", type=float, help="lattice half-width (gis, operators, splitting)")
     pv.add_argument("--tol", type=float, help="algebraic tolerance (algebra, geometry, operators)")
@@ -63,20 +59,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def cmd_verify(args) -> int:
-    if args.samples < 1:
+def cmd_verify(args, out: str) -> int:
+    if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be at least 1")
     suite = SUITES[args.suite]
-    options = {k: v for k, v in (("n", args.n), ("box", args.box), ("tol", args.tol))
-               if v is not None}
+    options = {k: getattr(args, k) for k in ("samples", "seed", "n", "box", "tol")
+               if getattr(args, k) is not None}
     for k in options:
         if k not in inspect.signature(suite).parameters:
             raise ValueError(f"the {args.suite} suite does not read --{k}")
     if "tol" in options and not 0.0 < args.tol < np.inf:
         raise ValueError("--tol must be positive and finite")
-    rep = suite(samples=args.samples, seed=args.seed, **options)
-    path = args.out or f"qmono-{args.suite}-report.json"
-    rep.write(path)
+    rep = suite(**options)
+    rep.write(out)
     if args.json:
         print(rep.to_json())
     for c in rep.checks:
@@ -86,11 +81,11 @@ def cmd_verify(args) -> int:
         print(f"FAILED: worst offender '{worst.name}' ({worst.law}): "
               f"max_dev={worst.max_dev:.3e} > tol={worst.tol:.1e}", file=sys.stderr)
         return 1
-    print(f"suite '{args.suite}' passed; report written to {path}")
+    print(f"suite '{args.suite}' passed; report written to {out}")
     return 0
 
 
-def cmd_chern(args) -> int:
+def cmd_chern(args, out: str | None = None) -> int:
     if args.n < 8:
         raise ValueError("--n must be at least 8")
     if not 0.0 < args.tol < np.inf:
@@ -107,8 +102,8 @@ def cmd_chern(args) -> int:
     for i, (nt, nph, val, err) in enumerate(rows):
         ratio = rows[i - 1][3] / err if i > 0 and err > 0 else float("nan")
         print(f"{nt:8d} {nph:8d} {val:20.12f} {err:12.3e} {ratio:8.1f}")
-    if args.out:
-        np.savetxt(args.out, [(nt, nph, v, e) for nt, nph, v, e in rows],
+    if out:
+        np.savetxt(out, [(nt, nph, v, e) for nt, nph, v, e in rows],
                    delimiter=",", header="n_theta,n_phi,value,error",
                    comments="", fmt=["%d", "%d", "%.15g", "%.6e"])
     if args.json:
@@ -121,7 +116,7 @@ def cmd_chern(args) -> int:
     return 0 if final_err <= args.tol else 1
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args, out: str, report_path: str) -> int:
     cfg = dynamics.free_flight_config() if args.preset == "free" \
         else dynamics.monopole_flyby_config()
     # replace() re-runs the config's validation on the overridden values
@@ -134,8 +129,8 @@ def cmd_evolve(args) -> int:
     cfg = dataclasses.replace(cfg, **overrides)
 
     traj, _ = dynamics.evolve(cfg)
-    traj.save_csv(args.out)
-    print(f"trajectory ({len(traj.times)} samples) written to {args.out}")
+    traj.save_csv(out)
+    print(f"trajectory ({len(traj.times)} samples) written to {out}")
     if len(traj.cg_iters):
         print(f"mean CG iterations per step (one matvec each): {traj.cg_iters.mean():.1f}")
 
@@ -145,7 +140,6 @@ def cmd_evolve(args) -> int:
         return 0 if drift <= 1e-9 else 1
 
     rep = dynamics.ehrenfest(traj)
-    report_path = f"{os.path.splitext(args.out)[0]}-report.json"
     rep.write(report_path)
     if args.json:
         print(rep.to_json())
@@ -159,14 +153,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # an --out in a missing directory is refused before any work runs
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise ValueError(f"--out directory does not exist: {args.out}")
         if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "chern":
-            return cmd_chern(args)
-        return cmd_evolve(args)
+            run, paths = cmd_verify, [args.out or f"qmono-{args.suite}-report.json"]
+        elif args.command == "chern":
+            run, paths = cmd_chern, ([args.out] if args.out else [])
+        else:
+            run, paths = cmd_evolve, [args.out, f"{os.path.splitext(args.out)[0]}-report.json"]
+        # every path the command writes is checked before any work runs
+        for path in paths:
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path!r}: its directory does not exist")
+            if not path or os.path.isdir(path):
+                raise ValueError(f"cannot write {path!r}: not a file name")
+        return run(args, *paths)
     except (ValueError, OSError, geometry.DomainError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

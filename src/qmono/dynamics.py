@@ -28,12 +28,13 @@ column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
 the step generator and the observables.  ``evolve`` runs its set-up and its
 rows on ``runner.beside``'s one thread beside the calling thread: once the
-slice gauge is cached (itself built on two threads) and the calling thread
-has assembled H and the step matrix, the worker builds the observables'
-gradient matrices and ``bfield`` while the calling thread takes step 1,
-then computes each row while the calling thread takes the next step (a row
-and a step only read the same field).  Every matrix, row and step does the
-same arithmetic as on one thread, so a run is bit-identical.
+calling thread has assembled H (the first frame matrix, which caches the
+slice gauge on the gauge's own two threads) and the step matrix, the
+worker builds the observables' gradient matrices and ``bfield`` while the
+calling thread takes step 1, then computes each row while the calling
+thread takes the next step (a row and a step only read the same field).
+Every matrix, row and step does the same arithmetic as on one thread, so a
+run is bit-identical.
 
 The matrices are ``operators.CSRMatrix`` objects, multiplied by scipy's
 compiled CSR kernels, and ``cg`` calls scipy's compiled BLAS wrappers
@@ -359,16 +360,16 @@ def evolve(cfg: EvolutionConfig):
     sums, and the final field forms its values only when they are read.  One
     Hamiltonian matrix serves the evolver and the observables.
 
-    The packet is built, and its norm checked, before anything else; then
-    the slice gauge is cached, on two threads that are joined before the
-    run's own worker opens.  The calling thread builds the
-    ``CayleyEvolver``; then that worker (``runner.beside``: one thread
-    beside the caller) takes, in order, the ``_Observables`` build; row 0,
-    submitted before step 1; and row k, submitted right after step k.  The
-    calling thread waits for the build after step 1, so a failed build
-    raises before step 2.  The rows are collected in order after the last
-    step.  The worker is shut down before ``evolve`` returns or raises, so
-    a failed step or set-up leaves no thread behind.
+    The packet is built, and its norm checked, before anything else.  The
+    calling thread then builds the ``CayleyEvolver``, whose Hamiltonian,
+    the first frame matrix, caches the slice gauge (on two threads, joined
+    before any job is submitted); then the run's worker (``runner.beside``:
+    one thread beside the caller) takes, in order, the ``_Observables``
+    build; row 0, submitted before step 1; and row k, submitted right after
+    step k.  The calling thread waits for the build after step 1, so a
+    failed build raises before step 2.  The rows are collected in order
+    after the last step.  The worker is shut down before ``evolve`` returns
+    or raises, so a failed step or set-up leaves no thread behind.
     """
     spec = cfg.lattice
     # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
@@ -383,9 +384,6 @@ def evolve(cfg: EvolutionConfig):
                          f"box={spec.box}; take a smaller box")
     psi = ops._FrameField(spec, f1 / (f1_norm * np.sqrt(spec.cell_volume)))
     del env, angle, f1  # not held while the matrices are assembled (peak RSS)
-    # cached on its own two threads, joined before the worker below opens;
-    # every matrix then reads it, on either thread
-    ops._slice_gauge(spec)
 
     with runner.beside() as pool:
         evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)

@@ -739,7 +739,7 @@ def _wpr_checks(spec, psi, ham) -> list:
                 cov_dev, 1e-12)]
 
 
-def operators_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
+def operators_suite(n: int = 32, box: float = 6.0, samples: int = 200,
                     seed: int = 42, tol: float = 1e-12) -> Report:
     samples = min(samples, 200)  # imprimitivity draws; the report states the count drawn
     spec = _suite_lattice(n, box, _PARALLEL_BAND)
@@ -948,7 +948,7 @@ def _closure_checks(devs) -> list:
     ]
 
 
-def gis_suite(n: int = 32, box: float = 6.0, samples: int = 1000,
+def gis_suite(n: int = 32, box: float = 6.0, samples: int = 10000,
               seed: int = 42) -> Report:
     """Check the three generalized-imprimitivity axioms on random inputs.
 

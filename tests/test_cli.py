@@ -217,16 +217,55 @@ def test_out_in_a_missing_directory_is_a_usage_error(tmp_path, monkeypatch, caps
     assert list(tmp_path.iterdir()) == []
 
 
-def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys):
-    # the directory exists, but the path names a directory, not a file
-    assert cli.main(["chern", "--n", "16", "--out", str(tmp_path)]) == 2
-    assert "usage error:" in capsys.readouterr().err
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # the directory exists, but a path the command writes names a directory:
+    # refused before any work runs, and nothing is written
+    calls = []
+    monkeypatch.setitem(cli.SUITES, "algebra", lambda **k: calls.append(k))
+    monkeypatch.setattr(cli.geometry, "chern", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli.dynamics, "evolve", lambda *a: calls.append(a))
+    evolve = ["evolve", "--preset", "free", "--n", "16", "--steps", "4", "--out", "traj.csv"]
+    for k, (args, taken) in enumerate([
+            (["verify", "algebra"], "qmono-algebra-report.json"),
+            (["verify", "algebra", "--out", "rep.json"], "rep.json"),
+            (["chern", "--n", "16", "--out", "table.csv"], "table.csv"),
+            (evolve, "traj.csv"),
+            (evolve, "traj-report.json")]):
+        cwd = tmp_path / str(k)
+        (cwd / taken).mkdir(parents=True)
+        monkeypatch.chdir(cwd)
+        assert cli.main(args) == 2, args
+        captured = capsys.readouterr()
+        assert "usage error:" in captured.err and taken in captured.err
+        assert calls == []
+        assert [p.name for p in cwd.iterdir()] == [taken]
+        assert list((cwd / taken).iterdir()) == []
+    # an empty --out names no file either
+    monkeypatch.chdir(tmp_path / "0")
+    assert cli.main([*evolve[:-1], ""]) == 2
+    assert "usage error:" in capsys.readouterr().err and calls == []
 
 
 def test_suites_take_only_the_options_of_qmono_verify():
     # a suite parameter that the CLI cannot set is a knob only tests reach
     for name, suite in SUITES.items():
         assert set(inspect.signature(suite).parameters) <= {"samples", "seed", "n", "box", "tol"}, name
+
+
+def test_verify_options_have_no_parser_default():
+    # each default is written once, in the suite's signature
+    for name in SUITES:
+        args = cli._build_parser().parse_args(["verify", name])
+        assert [args.samples, args.seed, args.n, args.box, args.tol] == [None] * 5, name
+
+
+def test_verify_at_cli_defaults_writes_the_suite_default_report(tmp_path):
+    out = tmp_path / "gis.json"
+    assert cli.main(["verify", "gis", "--n", "12", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())
+    want = SUITES["gis"](n=12).to_dict()
+    del got["timestamp"], want["timestamp"]
+    assert got == want
 
 
 @pytest.mark.parametrize("suite", ["algebra", "geometry", "gis", "operators", "splitting"])

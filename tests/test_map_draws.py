@@ -69,6 +69,21 @@ def test_a_task_error_in_a_worker_is_raised_in_the_parent(monkeypatch):
         == [0, -1, -2, -3, -4, -5]
 
 
+def test_without_fork_the_tasks_run_in_this_process(monkeypatch):
+    # as on Windows: without fork no worker could inherit the task list
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    pids = runner.run_tasks([functools.partial(lambda k: (os.getpid(), k), k) for k in range(4)])
+    assert pids == [(os.getpid(), k) for k in range(4)]
+    assert multiprocessing.active_children() == []
+
+
+def test_without_an_affinity_call_there_is_one_core(monkeypatch):
+    # as on macOS and Windows, where os has no sched_getaffinity
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert runner.cores() == 1
+
+
 def test_a_dead_worker_fails_the_run_and_leaves_no_process(tmp_path, monkeypatch, capsys):
     # a worker that dies (say, killed out of memory) breaks the pool: the
     # run fails with exit 1 instead of hanging, and writes nothing

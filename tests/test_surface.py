@@ -31,8 +31,6 @@ PRIVATE_CROSSINGS = {
     "dynamics -> operators._scipy_compiled":
         "the Cayley solver loads scipy's compiled BLAS with the one loader that "
         "operators uses for the compiled CSR kernels",
-    "dynamics -> operators._slice_gauge":
-        "evolve caches the gauge before its worker opens, so no two threads build it",
     "operators -> geometry._plane_norm":
         "the site table's |x|, by transport's own formula",
     "operators -> geometry._far_end":

@@ -1,0 +1,74 @@
+"""Record every output of a fixed list of qmono commands, for byte-identity checks.
+
+    python tools/cli_outputs.py OUTDIR
+
+Each command runs in a fresh process, in its own empty directory
+``OUTDIR/<name>``, with one BLAS thread and this checkout's ``src`` on
+``PYTHONPATH``.  Beside the files the command writes go its ``stdout``,
+``stderr`` and ``exit`` code; the ``timestamp`` key is dropped from every
+JSON report and OUTDIR is replaced by ``<OUTDIR>`` everywhere, so that two
+checkouts recorded into two directories compare with ``diff -r A B``.  The
+``cg_iters`` that ``dynamics.evolve`` returns for each preset are recorded
+too, one count per line.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+COMMANDS = {
+    "verify-algebra": ["verify", "algebra"],
+    "verify-geometry": ["verify", "geometry"],
+    **{f"verify-{suite}-n32-seed{seed}": ["verify", suite, "--n", "32", "--seed", str(seed)]
+       for suite in ("gis", "operators", "splitting") for seed in (1, 42, 1008)},
+    "verify-gis-n12": ["verify", "gis", "--n", "12"],
+    "evolve-free": ["evolve", "--preset", "free"],
+    "evolve-flyby": ["evolve", "--preset", "flyby"],
+    "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
+    "chern": ["chern"],
+}
+
+CG_ITERS = """
+from qmono import dynamics
+traj, _ = dynamics.evolve(dynamics.{}_config())
+print(*traj.cg_iters, sep="\\n")
+"""
+
+
+def _run(outdir: str, name: str, argv: list) -> None:
+    cwd = os.path.join(outdir, name)
+    os.makedirs(cwd)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True)
+    written = sorted(os.listdir(cwd))
+    outputs = {"stdout": proc.stdout, "stderr": proc.stderr, "exit": f"{proc.returncode}\n"}
+    for fname in written:
+        with open(os.path.join(cwd, fname)) as fh:
+            text = fh.read()
+        if fname.endswith(".json"):
+            report = json.loads(text)
+            report.pop("timestamp", None)
+            text = json.dumps(report, indent=2) + "\n"
+        outputs[fname] = text
+    for fname, text in outputs.items():
+        with open(os.path.join(cwd, fname), "w") as fh:
+            fh.write(text.replace(outdir, "<OUTDIR>"))
+    print(f"{name}: exit {proc.returncode}, wrote {', '.join(written) or 'nothing'}")
+
+
+def main() -> None:
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    outdir = os.path.abspath(sys.argv[1])
+    os.makedirs(outdir)
+    for name, args in COMMANDS.items():
+        _run(outdir, name, ["-m", "qmono.cli", *args])
+    for preset in ("free_flight", "monopole_flyby"):
+        _run(outdir, f"cg-iters-{preset}", ["-c", CG_ITERS.format(preset)])
+
+
+if __name__ == "__main__":
+    main()
