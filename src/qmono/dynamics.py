@@ -27,14 +27,13 @@ quaternion values are formed only when first read.  ``evolve``'s norm
 column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
 the step generator and the observables.  ``evolve`` runs its set-up and its
-rows on ``runner.beside``'s one thread beside the calling thread: once the
-calling thread has assembled H (the first frame matrix, which caches the
-slice gauge on the gauge's own two threads) and the step matrix, the
-worker builds the observables' gradient matrices and ``bfield`` while the
-calling thread takes step 1, then computes each row while the calling
-thread takes the next step (a row and a step only read the same field).
-Every matrix, row and step does the same arithmetic as on one thread, so a
-run is bit-identical.
+rows on ``runner.beside``'s one thread beside the calling thread: the
+worker builds the packet while the calling thread builds the slice gauge
+(``operators._slice_gauge``, slab by slab), then the observables' gradient
+matrices and ``bfield`` while the calling thread assembles H and the step
+matrix, then each row while the calling thread takes the next step (a row
+and a step only read the same field).  Every matrix, row and step does
+the same arithmetic as on one thread, so a run is bit-identical.
 
 The matrices are ``operators.CSRMatrix`` objects, multiplied by scipy's
 compiled CSR kernels, and ``cg`` calls scipy's compiled BLAS wrappers
@@ -222,7 +221,8 @@ class CayleyEvolver:
     Solves ``(I + M) f' = (I - M) f`` each step, from the ``(n^3, k)``
     columns ``operators._frame_cols(psi)`` to an ``operators._FrameField``;
     ``M = (dt/2) i Q* H Q`` is held as a precomputed sparse matrix on the index
-    arrays of the Hamiltonian's matrix ``h_mat``.  ``M`` is anti-hermitian, so
+    arrays of the Hamiltonian's matrix ``h_mat``, its own data scaled in
+    place from ``i`` times H's.  ``M`` is anti-hermitian, so
     ``cg`` solves the system itself by generalized conjugate gradients, one
     matvec per iteration, from the warm start ``2 f - f_prev``.  ``M`` acts
     on each column alone, so a zero ``f2`` stays zero and a one-column
@@ -239,8 +239,10 @@ class CayleyEvolver:
         self.cg_iters: list[int] = []
         self.h_mat = h = build_hamiltonian_matrix(spec, mass)
         self._prev = None
-        # (dt/2) times build_generator_matrix's i H, bit for bit, on H's own index arrays
-        self._m = ops.CSRMatrix((0.5 * dt) * (1j * h.data), h.indices, h.indptr, h.shape)
+        # (dt/2) times build_generator_matrix's i H, bit for bit, scaled in
+        # place on H's own index arrays
+        data = 1j * h.data
+        self._m = ops.CSRMatrix(np.multiply(0.5 * dt, data, out=data), h.indices, h.indptr, h.shape)
         # the solver's BLAS loads with the set-up, on the calling thread, not in the first step
         _blas()
 
@@ -294,20 +296,20 @@ class _Observables:
     """Fused expectation values along a run, on ``operators._frame_cols``.
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
-    Re vdot(f, g)``, and ``J`` is ``i``.  The evolver's Hamiltonian matrix
-    is shared, and so is each covariant gradient ``G_j f`` between the
-    velocity and the force terms of axis ``j``; the force terms form each
-    ``B_k f`` afresh.  Agrees with the generic operator-based expectations
-    (see the unit tests) but runs far faster on large lattices.  The build
-    and a row only read the evolver's matrix, the cached gauge and the
-    field, so either may run on another thread than the steps.
+    Re vdot(f, g)``, and ``J`` is ``i``.  Each row is passed the evolver's
+    Hamiltonian matrix, and each covariant gradient ``G_j f`` is shared
+    between the velocity and the force terms of axis ``j``; the force terms
+    form each ``B_k f`` afresh.  Agrees with the generic operator-based
+    expectations (see the unit tests) but runs far faster on large
+    lattices.  The build reads only the lattice and the cached gauge, and a
+    row only the matrices and the field, so either may run on another
+    thread than the steps, and the build beside the Hamiltonian's.
     """
 
-    def __init__(self, evolver: CayleyEvolver, with_force: bool):
-        self.spec = spec = evolver.spec
-        self.mass = evolver.mass
+    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool):
+        self.spec = spec
+        self.mass = mass
         self.with_force = with_force
-        self.h_mat = evolver.h_mat
         self.cell = spec.cell_volume
         pts = spec.points()
         # column views of the cached grid; each product below is formed contiguous
@@ -317,9 +319,10 @@ class _Observables:
             b = geometry.bfield(pts)
             self.bvals = [b[..., k].ravel() for k in range(3)]
 
-    def row(self, psi: LatticeField):
+    def row(self, psi: LatticeField, h_mat: ops.CSRMatrix):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
-        from its frame columns; ``force`` is None unless recorded.
+        from its frame columns, with the energy of the Hamiltonian matrix
+        ``h_mat``; ``force`` is None unless recorded.
 
         One gradient grid ``G_j f`` is live at a time: the velocity and the
         force terms of axis ``j`` are read from it before the next is formed.
@@ -331,7 +334,7 @@ class _Observables:
         nsq = float(dens.sum() * self.cell)
         scale = self.cell / (self.mass * nsq)
         pos = [float((c * dens).sum() * self.cell / nsq) for c in self.coords]
-        en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
+        en = float(np.vdot(f, h_mat @ f).real * self.cell / nsq)
         vel = []
         t = np.zeros((3, 3))
         for jj, grad in enumerate(self.grad_mats):
@@ -351,6 +354,20 @@ class _Observables:
         return pos, vel, float(np.sqrt(nsq)), en, frc
 
 
+def _packet_field(cfg: EvolutionConfig) -> ops._FrameField:
+    """The run's packet, ``gaussian_packet`` in the e3 slice, held in the
+    evolver's frame as the one column ``f1 = env exp(i kick . x)``,
+    normalized; ValueError where it underflows to norm 0 on the lattice."""
+    spec = cfg.lattice
+    env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
+    f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
+    f1_norm = np.linalg.norm(f1)
+    if f1_norm == 0.0:
+        raise ValueError(f"the packet underflows to norm 0 on the lattice n={spec.n}, "
+                         f"box={spec.box}; take a smaller box")
+    return ops._FrameField(spec, f1 / (f1_norm * np.sqrt(spec.cell_volume)))
+
+
 def evolve(cfg: EvolutionConfig):
     """Run the configured packet; returns ``(Trajectory, final field)``.
 
@@ -360,41 +377,36 @@ def evolve(cfg: EvolutionConfig):
     sums, and the final field forms its values only when they are read.  One
     Hamiltonian matrix serves the evolver and the observables.
 
-    The packet is built, and its norm checked, before anything else.  The
-    calling thread then builds the ``CayleyEvolver``, whose Hamiltonian,
-    the first frame matrix, caches the slice gauge (on two threads, joined
-    before any job is submitted); then the run's worker (``runner.beside``:
-    one thread beside the caller) takes, in order, the ``_Observables``
-    build; row 0, submitted before step 1; and row k, submitted right after
-    step k.  The calling thread waits for the build after step 1, so a
-    failed build raises before step 2.  The rows are collected in order
+    The set-up runs on two threads: the calling thread and the run's worker
+    (``runner.beside``: one thread beside the caller), which takes its jobs
+    in order.  The worker builds the packet while the calling thread builds
+    the slice gauge; the calling thread then waits for the packet, so a
+    packet that vanishes on the lattice is refused (ValueError) once the
+    gauge is built, before any matrix is.  The worker next builds the
+    ``_Observables`` (the gradient matrices and ``bfield``) while the
+    calling thread builds the ``CayleyEvolver`` (H and the step matrix),
+    then takes row 0, submitted before step 1, and row k, submitted right
+    after step k.  The calling thread waits for the build after step 1, so
+    a failed build raises before step 2.  The rows are collected in order
     after the last step.  The worker is shut down before ``evolve`` returns
     or raises, so a failed step or set-up leaves no thread behind.
     """
     spec = cfg.lattice
-    # the packet (``gaussian_packet`` in the e3 slice) is, in the evolver's
-    # frame, the one column f1 = env exp(i kick . x), stepped and observed as
-    # such; built first, so that a lattice on which it vanishes is refused
-    # before any matrix is built
-    env, angle = _packet_envelope_phase(spec, cfg.center, cfg.sigma, cfg.kick)
-    f1 = (env * np.exp(1j * angle)).reshape(-1, 1)
-    f1_norm = np.linalg.norm(f1)
-    if f1_norm == 0.0:
-        raise ValueError(f"the packet underflows to norm 0 on the lattice n={spec.n}, "
-                         f"box={spec.box}; take a smaller box")
-    psi = ops._FrameField(spec, f1 / (f1_norm * np.sqrt(spec.cell_volume)))
-    del env, angle, f1  # not held while the matrices are assembled (peak RSS)
-
+    spec.points()  # cached here, before the worker's jobs read it
     with runner.beside() as pool:
+        packet = pool.submit(_packet_field, cfg)
+        ops._slice_gauge(spec)  # cached before the observables build reads it
+        psi = packet.result()
+        obs = pool.submit(_Observables, spec, cfg.mass, cfg.record_force)
         evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-        obs = pool.submit(_Observables, evolver, cfg.record_force)
-        times, rows = [0.0], [pool.submit(lambda field: obs.result().row(field), psi)]
+        h_mat = evolver.h_mat
+        times, rows = [0.0], [pool.submit(lambda field: obs.result().row(field, h_mat), psi)]
         for k in range(1, cfg.steps + 1):
             psi = evolver.step(psi)
-            # the build ran beside step 1: a failed one raises here, before step 2
+            # the build ran beside the evolver's: a failed one raises here, before step 2
             row = obs.result().row
             times.append(k * cfg.dt)
-            rows.append(pool.submit(row, psi))
+            rows.append(pool.submit(row, psi, h_mat))
         pos, vel, nrm, en, frc = zip(*(r.result() for r in rows))
 
     traj = Trajectory(

@@ -57,7 +57,7 @@ import sys
 
 import numpy as np
 
-from . import geometry, hilbert, quat, runner
+from . import geometry, hilbert, quat
 from .hilbert import LatticeField, LatticeSpec
 
 _AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
@@ -171,15 +171,30 @@ class Diff(Operator):
         return Scaled(-1.0, self)
 
 
-def _hop_links(spec: LatticeSpec, axis: int) -> np.ndarray:
-    """Transport quaternions ``plus[x]`` from ``x+h`` to ``x`` along an axis.
+def _hop_links(spec: LatticeSpec, axis: int):
+    """Transport quaternions ``plus[x]`` from ``x+h`` to ``x`` along an axis,
+    as the function ``plus(rows)`` that evaluates them on the sites of a
+    block of rows (a slice of the first axis).
 
-    Axis hops never meet the origin on a cell-centered grid, and the links
+    Axis hops never meet the origin on a cell-centered grid: a site's other
+    two coordinates are odd multiples of h/2, never zero (in integers, as
+    ``_steps_admissible`` of a unit step says).  So the links skip
+    ``geometry.transport``'s float domain test and take its formula, bit
+    for bit, from ``geometry._far_end`` and ``_transport_value``.  They
     intertwine the radial complex structure exactly: ``j(x) plus[x] =
-    plus[x] j(x+h)`` pointwise.  Only ``_slice_gauge`` (cached) reads them.
+    plus[x] j(x+h)`` pointwise.  Only ``_slice_gauge`` (cached) reads them,
+    one slab of rows at a time.
     """
     step = spec.step * _AXES[axis]
-    return geometry.transport(-step, spec.points() + step)
+    pts = spec.points()
+
+    def plus(rows):
+        xs = tuple(np.ascontiguousarray(np.moveaxis(pts[rows] + step, -1, 0)))
+        ys, ny, v = geometry._far_end(xs, -step)
+        nx = geometry._plane_norm(xs)
+        return geometry._transport_value(tuple(xk / nx for xk in xs), nx, ys, ny, v)
+
+    return plus
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +278,17 @@ class CSRMatrix:
 # the slice frame: U(1) links, complex matrices (rows and columns are sites
 # in C order), field conversion
 
-def _frame_link(q: np.ndarray, plus: np.ndarray, axis: int) -> np.ndarray:
-    """The read-only U(1) link ``z(x) = q(x)* plus(x) q(x+h)`` of one axis,
-    zero where ``x+h`` lies beyond the wall."""
-    here, there = _overlap(_AXES[axis], q.shape)
-    w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
-    z = np.zeros(q.shape[:-1], dtype=complex)
+def _frame_link(z: np.ndarray, q: np.ndarray, plus: np.ndarray, axis: int, rows: slice):
+    """Write the U(1) link ``z(x) = q(x)* plus(x) q(x+h)`` of one axis into
+    ``z`` on the block of rows ``rows`` (a slice of the first axis), from
+    ``plus`` on those rows; ``q`` must hold the sites ``x+h`` already.
+    Sites whose ``x+h`` lies beyond the wall are left as they are (zero)."""
+    e = _AXES[axis]
+    here, there = _overlap(e, z.shape)
+    here = (rows,) + here[1:]
+    there = (slice(rows.start + e[0], rows.stop + e[0]),) + there[1:]
+    w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[(slice(None),) + here[1:]], q[there]))
     z[here] = w[..., 0] + 1j * w[..., 3]
-    z.setflags(write=False)
-    return z
 
 
 @functools.lru_cache(maxsize=8)
@@ -281,23 +298,31 @@ def _slice_gauge(spec: LatticeSpec):
     Per axis the link of the hop from ``x+h`` to ``x`` is ``z(x) = q(x)*
     plus(x) q(x+h)``, held as a complex ``(n, n, n)`` array (zero where
     ``x+h`` lies beyond the wall); the hop back carries ``conj(z(x))``.
-    Computed once per lattice and returned read-only.
+    Computed once per lattice, on the calling thread, and returned read-only.
 
-    The pieces are independent numpy work, so they run on two threads: the
-    one ``runner.beside`` opens takes the hops of axis 1, then the whole
-    link of axis 2, while the calling thread forms ``q``, the product of
-    axis 1, then the link of axis 0.  The worker is joined before this
-    returns or raises, and a call that raises caches nothing.
+    Built in slabs of rows of about ``quat.QMUL_BLOCK`` sites, each written
+    straight into the final ``q`` and link arrays, so that no temporary
+    spans the grid: a slab's frame, then its links along axes 1 and 2, then
+    the links along axis 0 of the rows up to its last, whose hop reaches
+    into it.  Every site's value is the same arithmetic as on the whole
+    grid, bit for bit.  A call that raises caches nothing.
     """
-    pts = spec.points()  # cached here, before two threads read it
-    with runner.beside() as pool:
-        plus1 = pool.submit(_hop_links, spec, 1)
-        q = geometry.slice_frame(pts, quat.E3)
-        q.setflags(write=False)
-        z2 = pool.submit(lambda: _frame_link(q, _hop_links(spec, 2), 2))
-        z1 = _frame_link(q, plus1.result(), 1)
-        z0 = _frame_link(q, _hop_links(spec, 0), 0)
-        return q, (z0, z1, z2.result())
+    n = spec.n
+    pts = spec.points()
+    hops = [_hop_links(spec, axis) for axis in range(3)]
+    q = np.empty((n, n, n, 4))
+    links = tuple(np.zeros((n, n, n), dtype=complex) for _ in range(3))
+    size = max(1, quat.QMUL_BLOCK // n**2)
+    for start in range(0, n, size):
+        slab = slice(start, min(start + size, n))
+        q[slab] = geometry.slice_frame(pts[slab], quat.E3)
+        for axis in (1, 2):
+            _frame_link(links[axis], q, hops[axis](slab), axis, slab)
+        back = slice(max(start - 1, 0), slab.stop - 1)
+        _frame_link(links[0], q, hops[0](back), 0, back)
+    for arr in (q, *links):
+        arr.setflags(write=False)
+    return q, links
 
 
 @functools.lru_cache(maxsize=8)
@@ -324,30 +349,34 @@ def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> CSRMatrix:
 
     Built as ``scipy.sparse.diags(..., format="csr")`` builds it: the
     diagonals in ``diags_array``'s DIA layout (diagonal ``d`` from column
-    ``max(0, offset_d)`` of row ``d``), then ``dia_tocsr`` in the order of
+    ``max(0, offset_d)`` of row ``d``), each computed straight into its row
+    (``up * z``, ``down * conj(z)``), then ``dia_tocsr`` in the order of
     ascending offsets, as ``dia_matrix.tocsr`` calls it."""
     n = spec.n
     size = n**3
     links = _slice_gauge(spec)[1]
-    diagonals, offsets = ([np.full(size, diag)], [0]) if diag else ([], [])
+    offsets = ([0] if diag else []) + [sign * n ** (2 - axis) for axis in hops for sign in (1, -1)]
+    dia = np.zeros((len(offsets), size), dtype=complex)
+    rows = iter(dia)
+    if diag:
+        next(rows)[:] = diag
     for axis, (up, down) in hops.items():
         stride = n ** (2 - axis)
         z = links[axis].ravel()[:size - stride]
-        diagonals += [up * z, down * z.conj()]
-        offsets += [stride, -stride]
-    dia = np.zeros((len(offsets), size), dtype=complex)
-    for row, diagonal, offset in zip(dia, diagonals, offsets):
-        row[max(0, offset):max(0, offset) + size - abs(offset)] = diagonal
-    del diagonals  # not held beside the conversion's buffers (peak RSS)
+        np.multiply(up, z, out=next(rows)[stride:])
+        below = np.conjugate(z, out=next(rows)[:size - stride])
+        np.multiply(down, below, out=below)
+    # dia_tocsr writes each nonzero of `dia` that lies inside the matrix and
+    # nothing else (it drops the zero wall links); every nonzero here does,
+    # so arrays of exactly that count are filled to the end, never past it.
     # int32 indices, as scipy picks below 2^31 nonzeros (7 n^3 at most here)
-    most = sum(size - abs(offset) for offset in offsets)
-    offsets = np.array(offsets, dtype=np.int32)
-    data, indices = np.empty(most, dtype=complex), np.empty(most, dtype=np.int32)
+    nnz = np.count_nonzero(dia)
+    data, indices = np.empty(nnz, dtype=complex), np.empty(nnz, dtype=np.int32)
     indptr = np.empty(size + 1, dtype=np.int32)
-    nnz = _SPARSETOOLS.dia_tocsr(size, size, *dia.shape, offsets, dia,
-                                 np.argsort(offsets).astype(np.int32), data, indices, indptr)
-    # the conversion drops the zero wall links: copied, the arrays are exactly nnz long
-    return CSRMatrix(data[:nnz].copy(), indices[:nnz].copy(), indptr, (size, size))
+    offsets = np.array(offsets, dtype=np.int32)
+    _SPARSETOOLS.dia_tocsr(size, size, *dia.shape, offsets, dia,
+                           np.argsort(offsets).astype(np.int32), data, indices, indptr)
+    return CSRMatrix(data, indices, indptr, (size, size))
 
 
 def _to_cols(q: np.ndarray, vals: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Where work runs: one thread beside the caller, or forked worker processes.
 
 ``cores`` is the one count of usable cores.  ``beside`` opens the one
-thread beside the calling thread that the slice gauge of ``operators`` and
-the run of ``dynamics.evolve`` submit jobs to, on every core count.
+thread beside the calling thread that ``dynamics.evolve`` submits its
+set-up jobs and rows to, on every core count.
 ``run_tasks`` evaluates the task list of a ``verify`` suite on forked
 worker processes, one per core; with one core, or where ``fork`` does not
 exist, the tasks run in the calling process.  No other module of the

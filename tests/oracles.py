@@ -8,7 +8,7 @@ they live beside the tests instead of in the package.
 import numpy as np
 from scipy import sparse
 
-from qmono import geometry, hilbert
+from qmono import geometry, hilbert, quat
 from qmono.hilbert import LatticeField, LatticeSpec
 from qmono.operators import (Compose, Diff, Operator, Scaled, _factors, _slice_gauge,
                              left_unit, position)
@@ -84,3 +84,23 @@ def frame_matrix_by_diags(spec: LatticeSpec, diag: float, hops: dict) -> sparse.
         diagonals += [up * z, down * z.conj()]
         offsets += [stride, -stride]
     return sparse.diags(diagonals, offsets, shape=(size, size), format="csr", dtype=complex)
+
+
+def slice_gauge_whole_grid(spec: LatticeSpec):
+    """The frame and U(1) links of ``operators._slice_gauge``, each formed on
+    the whole grid at once: ``q = slice_frame(points, e3)``, and per axis
+    the link ``z = q* plus q(x+h)`` with ``plus = transport(-step, points +
+    step)``, zero where ``x+h`` lies beyond the wall."""
+    pts = spec.points()
+    q = geometry.slice_frame(pts, quat.E3)
+    links = []
+    for axis, step in enumerate(spec.step * np.eye(3)):
+        plus = geometry.transport(-step, pts + step)
+        here, there = [slice(None)] * 3, [slice(None)] * 3
+        here[axis], there[axis] = slice(None, -1), slice(1, None)
+        here, there = tuple(here), tuple(there)
+        w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[here], q[there]))
+        z = np.zeros(q.shape[:-1], dtype=complex)
+        z[here] = w[..., 0] + 1j * w[..., 3]
+        links.append(z)
+    return q, tuple(links)

@@ -80,7 +80,7 @@ def test_frame_links_are_u1_phases(n, box):
     spec = LatticeSpec(n=n, box=box)
     q = geometry.slice_frame(spec.points(), quat.E3)
     for ax in range(3):
-        plus = ops._hop_links(spec, ax)
+        plus = ops._hop_links(spec, ax)(slice(None))
         here, there = [slice(None)] * 3, [slice(None)] * 3
         here[ax], there[ax] = slice(None, -1), slice(1, None)
         here, there = tuple(here), tuple(there)
@@ -362,6 +362,15 @@ def test_frame_columns_round_trip(k):
     assert np.abs(back[:, k:]).max(initial=0.0) < 1e-15 * np.abs(cols).max()
 
 
+def test_step_matrix_is_scaled_in_place_on_the_hamiltonians_index_arrays():
+    ev = dynamics.CayleyEvolver(SPEC, 1.3, 0.05)
+    h, m = ev.h_mat, ev._m
+    assert m.data.flags.owndata and not np.shares_memory(m.data, h.data)
+    assert m.indices is h.indices and m.indptr is h.indptr
+    want = (0.5 * 0.05) * (1j * h.data)
+    assert m.data.dtype == want.dtype and m.data.tobytes() == want.tobytes()
+
+
 def test_step_output_is_read_only():
     # a step's output keeps its frame columns for the next step, so
     # an in-place write to the output would go unseen: it is refused
@@ -389,14 +398,15 @@ def test_step_rejects_a_field_of_another_lattice():
 
 
 def test_observables_row_rejects_a_field_of_another_lattice():
-    obs = dynamics._Observables(dynamics.CayleyEvolver(SPEC, 1.0, 0.0), with_force=True)
+    h_mat = dynamics.CayleyEvolver(SPEC, 1.0, 0.0).h_mat
+    obs = dynamics._Observables(SPEC, 1.0, with_force=True)
     with pytest.raises(ValueError, match="does not match the evolver"):
-        obs.row(hilbert.constant(LatticeSpec(n=12, box=SPEC.box), quat.E0))
+        obs.row(hilbert.constant(LatticeSpec(n=12, box=SPEC.box), quat.E0), h_mat)
     # columns of the right size on a box twice as large would report the
     # evolver lattice's positions: only the lattice check refuses them
     cols = ops._frame_cols(packet())
     with pytest.raises(ValueError, match="does not match the evolver"):
-        obs.row(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols))
+        obs.row(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols), h_mat)
 
 
 def test_one_column_step_matches_two_column_step_with_zero_f2():
@@ -440,13 +450,13 @@ def test_evolve_matches_a_two_column_step_loop(preset, monkeypatch):
 
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(ev, cfg.record_force)
+    obs = dynamics._Observables(spec, cfg.mass, cfg.record_force)
     psi = dynamics.gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick)
     ref = {name: [] for name in ("position", "velocity", "norm", "energy", "force")}
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        pos, vel, _, en, frc = obs.row(psi)
+        pos, vel, _, en, frc = obs.row(psi, ev.h_mat)
         for name, val in zip(ref, (pos, vel, hilbert.norm(psi), en, frc)):
             ref[name].append(val)
     # evolve solved on the one column f1, the loop on both columns
@@ -471,14 +481,14 @@ def test_evolve_matches_a_one_column_step_loop_bit_for_bit(preset):
     traj, final = dynamics.evolve(cfg)
 
     ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(ev, cfg.record_force)
+    obs = dynamics._Observables(cfg.lattice, cfg.mass, cfg.record_force)
     _, start = dynamics.evolve(dataclasses.replace(cfg, steps=0))
     psi = ops._FrameField(cfg.lattice, ops._frame_cols(start))  # the normalized packet column f1
-    fields, rows = [psi], [obs.row(psi)]
+    fields, rows = [psi], [obs.row(psi, ev.h_mat)]
     for _ in range(cfg.steps):
         psi = ev.step(psi)
         fields.append(psi)
-        rows.append(obs.row(psi))
+        rows.append(obs.row(psi, ev.h_mat))
     pos, vel, nrm, en, frc = (np.asarray(col) for col in zip(*rows))
     assert np.array_equal(traj.position, pos)
     assert np.array_equal(traj.velocity, vel)
@@ -526,13 +536,13 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
     threads, builds = [], []
     real_row, real_init = dynamics._Observables.row, dynamics._Observables.__init__
 
-    def located_row(self, psi):
+    def located_row(self, psi, h_mat):
         threads.append(threading.get_ident())
-        return real_row(self, psi)
+        return real_row(self, psi, h_mat)
 
-    def located_init(self, evolver, with_force):
+    def located_init(self, spec, mass, with_force):
         builds.append(threading.get_ident())
-        real_init(self, evolver, with_force)
+        real_init(self, spec, mass, with_force)
 
     monkeypatch.setattr(runner, "cores", lambda: cores)
     monkeypatch.setattr(dynamics._Observables, "row", located_row)
@@ -561,7 +571,7 @@ def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
 
 
 def test_evolve_runs_at_most_one_thread_beside_the_caller(monkeypatch):
-    # record the live threads from inside every job of the gauge and the run
+    # record the live threads from inside the gauge's hop links and every job of the run
     counts = []
 
     def counted(fn):
@@ -574,7 +584,7 @@ def test_evolve_runs_at_most_one_thread_beside_the_caller(monkeypatch):
     monkeypatch.setattr(dynamics, "_blas", counted(dynamics._blas))
     monkeypatch.setattr(dynamics._Observables, "row", counted(dynamics._Observables.row))
     cfg = dynamics.monopole_flyby_config(n=16, steps=3)
-    ops._slice_gauge.cache_clear()  # so that the gauge's own worker runs too
+    ops._slice_gauge.cache_clear()  # so that the gauge is built inside the run
     before = threading.active_count()
     dynamics.evolve(cfg)
     assert threading.active_count() == before
@@ -622,7 +632,7 @@ def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
 def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
     monkeypatch.setattr(runner, "cores", lambda: cores)
 
-    def failing(self, evolver, with_force):
+    def failing(self, spec, mass, with_force):
         raise MemoryError("observables")
 
     monkeypatch.setattr(dynamics._Observables, "__init__", failing)
@@ -642,7 +652,7 @@ def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
     assert len(steps) == 1
 
 
-def _three_gradient_row(obs, psi):
+def _three_gradient_row(obs, psi, h_mat):
     """The observables row as it was before it held one gradient at a time:
     all three gradients, then the force terms, each ``B_k f`` formed once."""
     f = ops._frame_cols(psi)
@@ -653,7 +663,7 @@ def _three_gradient_row(obs, psi):
     grads = [g @ f for g in obs.grad_mats]
     # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
     vel = [float(np.vdot(f, g).imag * scale) for g in grads]
-    en = float(np.vdot(f, obs.h_mat @ f).real * obs.cell / nsq)
+    en = float(np.vdot(f, h_mat @ f).real * obs.cell / nsq)
     frc = None
     if obs.with_force:
         # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
@@ -672,12 +682,12 @@ def _three_gradient_row(obs, psi):
 def test_the_one_gradient_row_matches_the_three_gradient_row_bit_for_bit():
     cfg = dynamics.monopole_flyby_config(n=16, steps=4)
     ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(ev, True)
+    obs = dynamics._Observables(cfg.lattice, cfg.mass, True)
     _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        got, want = obs.row(psi), _three_gradient_row(obs, psi)
+        got, want = obs.row(psi, ev.h_mat), _three_gradient_row(obs, psi, ev.h_mat)
         for name, a, b in zip(("position", "velocity", "norm", "energy", "force"), got, want):
             assert np.array_equal(a, b), (step, name)
 
@@ -687,12 +697,12 @@ def _observed_run(cfg, vals, columns):
     the field ``vals``, stepped as its first ``columns`` frame columns."""
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(ev, True)
+    obs = dynamics._Observables(spec, cfg.mass, True)
     psi = ops._FrameField(spec, ops._frame_cols(LatticeField(spec, vals))[:, :columns])
-    rows = [obs.row(psi)]
+    rows = [obs.row(psi, ev.h_mat)]
     for _ in range(cfg.steps):
         psi = ev.step(psi)
-        rows.append(obs.row(psi))
+        rows.append(obs.row(psi, ev.h_mat))
     pos, vel, _, _, frc = zip(*rows)
     return np.asarray(pos), np.asarray(vel), np.asarray(frc)
 
@@ -808,8 +818,9 @@ def test_force_observable_against_operator_oracle():
     spec = LatticeSpec(n=16, box=4.0)
     mass = 1.3
     psi = dynamics.gaussian_packet(spec, (-1.2, 1.6, 0.3), 0.6, (1.0, 0.0, 0.0))
-    obs = dynamics._Observables(dynamics.CayleyEvolver(spec, mass, 0.0), with_force=True)
-    _, _, _, _, frc = obs.row(psi)
+    h_mat = dynamics.CayleyEvolver(spec, mass, 0.0).h_mat
+    obs = dynamics._Observables(spec, mass, with_force=True)
+    _, _, _, _, frc = obs.row(psi, h_mat)
 
     j = ops.jop(spec)
     v_ops = [ops.Scaled(-1.0 / mass, ops.Compose((j, ops.covderiv(spec, i))))
@@ -830,7 +841,8 @@ def test_force_observable_classical_limit():
     spec = LatticeSpec(n=32, box=6.0)
     mass = 2.0
     psi = dynamics.gaussian_packet(spec, (-0.7, 2.6, 0.0), 0.7, (2.4, 0.0, 0.0))
-    obs = dynamics._Observables(dynamics.CayleyEvolver(spec, mass, 0.0), with_force=True)
-    pos, vel, _, _, frc = obs.row(psi)
+    h_mat = dynamics.CayleyEvolver(spec, mass, 0.0).h_mat
+    obs = dynamics._Observables(spec, mass, with_force=True)
+    pos, vel, _, _, frc = obs.row(psi, h_mat)
     classical = np.cross(vel, geometry.bfield(np.asarray(pos))) / mass
     assert np.abs(np.asarray(frc) - classical).max() < 0.1 * np.abs(classical).max()

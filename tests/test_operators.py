@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,16 +274,16 @@ def test_csr_product_equals_scipy_on_every_operand_shape():
         mat @ wide[1:]
 
 
-@pytest.mark.parametrize("n, box", [(16, 6.0), (36, 7.2)])  # 7.2/18: a non-dyadic step
-def test_slice_gauge_and_frame_matrices_are_the_same_on_one_and_two_cores(n, box, monkeypatch):
-    # the gauge built on two threads against the calling thread's own, and
-    # the frame matrices built on each
+# 7.2/18: a non-dyadic step; the slabs hold max(1, 8192 // n^2) rows: one
+# slab at n=4 and 16, six at n=36, 4-row slabs and a last one of 2 at n=42
+@pytest.mark.parametrize("n, box", [(4, 2.0), (16, 6.0), (36, 7.2), (42, 7.2), (48, 6.0)])
+def test_slice_gauge_and_frame_matrices_match_the_whole_grid_oracle(n, box, monkeypatch):
+    # the slab-wise gauge against the whole-grid oracle, which shares no
+    # slab code, and the frame matrices built on each
     lat = LatticeSpec(n=n, box=box)
-    q = geometry.slice_frame(lat.points(), quat.E3)
-    alone = q, tuple(ops._frame_link(q, ops._hop_links(lat, ax), ax) for ax in range(3))
     ops._slice_gauge.cache_clear()
     built = []
-    for gauge in (ops._slice_gauge, lambda spec: alone):
+    for gauge in (ops._slice_gauge, oracles.slice_gauge_whole_grid):
         monkeypatch.setattr(ops, "_slice_gauge", gauge)
         q, links = gauge(lat)
         mats = [ops.hamiltonian(lat, 1.3).matrix, *(ops.covderiv(lat, ax).matrix for ax in range(3))]
@@ -291,9 +292,25 @@ def test_slice_gauge_and_frame_matrices_are_the_same_on_one_and_two_cores(n, box
     assert len(links1) == len(links2) == 3
     for a1, a2 in zip((q1, *links1), (q2, *links2)):  # bit for bit
         assert a1.dtype == a2.dtype and np.array_equal(a1.view(np.int64), a2.view(np.int64))
+        assert not a1.flags.writeable
     for m1, m2 in zip(mats1, mats2):
         for arr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(m1, arr), getattr(m2, arr)), arr
+
+
+def test_slice_gauge_holds_no_whole_grid_temporary():
+    # the slabs' temporaries stay far below one (n, n, n, 4) grid
+    spec = LatticeSpec(n=48, box=6.0)
+    spec.points()  # cached before the trace
+    ops._slice_gauge.cache_clear()
+    tracemalloc.start()
+    try:
+        q, links = ops._slice_gauge(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = q.nbytes + sum(z.nbytes for z in links)
+    assert peak <= outputs + q.nbytes + 2 * 2**20
 
 
 def test_hamiltonian_refuses_an_overflowing_hop_weight(spec):

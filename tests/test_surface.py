@@ -28,15 +28,20 @@ PRIVATE_CROSSINGS = {
         "a Cayley step and an observables row read a field's slice-frame columns",
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
+    "dynamics -> operators._slice_gauge":
+        "evolve builds the gauge on the calling thread before the observables "
+        "build on its worker reads it from the cache",
     "dynamics -> operators._scipy_compiled":
         "the Cayley solver loads scipy's compiled BLAS with the one loader that "
         "operators uses for the compiled CSR kernels",
     "operators -> geometry._plane_norm":
-        "the site table's |x|, by transport's own formula",
+        "the site table's and the hop links' |x|, by transport's own formula",
     "operators -> geometry._far_end":
-        "twisted_shift's per-shift terms of transport, at x + m h on the kept sites",
+        "twisted_shift's per-shift terms of transport, at x + m h on the kept sites, "
+        "and the hop links', whose domain is decided in integers",
     "operators -> geometry._transport_value":
-        "twisted_shift's symbol, transport's formula on the cached site planes",
+        "twisted_shift's symbol, transport's formula on the cached site planes, "
+        "and the hop links', without transport's float domain test",
     "verify -> operators._steps_admissible":
         "the samplers draw only integer steps whose segments miss the origin",
 }

@@ -25,9 +25,12 @@ COMMANDS = {
     **{f"verify-{suite}-n32-seed{seed}": ["verify", suite, "--n", "32", "--seed", str(seed)]
        for suite in ("gis", "operators", "splitting") for seed in (1, 42, 1008)},
     "verify-gis-n12": ["verify", "gis", "--n", "12"],
+    # n = 42 leaves a partial last slab in the slice gauge (4-row slabs)
+    "verify-operators-n42-seed1": ["verify", "operators", "--n", "42", "--seed", "1"],
     "evolve-free": ["evolve", "--preset", "free"],
     "evolve-flyby": ["evolve", "--preset", "flyby"],
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
+    "evolve-free-n42": ["evolve", "--preset", "free", "--n", "42", "--steps", "3"],
     "chern": ["chern"],
 }
 
