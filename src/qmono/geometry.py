@@ -157,16 +157,17 @@ def _segment(a, x):
 
 def _transport_value(xhat, nx, ys, ny, v):
     """``transport``'s quaternion from the planes of ``x/|x|``, ``|x|``, the
-    far end's planes and ``|y|``, and the planes ``v`` of ``x cross y``.
-    Written plane by plane: the ``(..., 4)`` view of a ``(4, ...)`` array,
-    whose components ``quat.qmul`` reads without a copy."""
+    far end's planes and ``|y|``, and the planes ``v`` of ``x cross y``,
+    which may broadcast to the shape of ``|s|``.  Written plane by plane:
+    the ``(..., 4)`` view of a ``(4, ...)`` array, whose components
+    ``quat.qmul`` reads without a copy."""
     s = [xh + yk / ny for xh, yk in zip(xhat, ys)]
     ns = _plane_norm(s)
-    out = np.empty((4,) + np.shape(v[0]))
-    out[0] = 0.5 * ns
+    out = np.empty((4,) + ns.shape)
+    np.multiply(0.5, ns, out=out[0, ...])
     r = nx * ny * ns
     for k in range(3):
-        out[k + 1] = v[k] / r
+        np.divide(v[k], r, out=out[k + 1, ...])
     return np.moveaxis(out, 0, -1)
 
 

@@ -146,7 +146,7 @@ class Multiplier(Shift):
 
     def apply_values(self, vals):
         out = np.zeros_like(vals)
-        out[self.dst] = quat.qmul(self.symbol, vals[self.src])
+        quat.qmul(self.symbol, vals[self.src], out=out[self.dst])
         return out
 
     def adjoint(self):
@@ -328,17 +328,15 @@ def _slice_gauge(spec: LatticeSpec):
 @functools.lru_cache(maxsize=8)
 def _site_table(spec: LatticeSpec):
     """The radial unit ``dirq(x)`` (the symbol of ``jop``, held plane by
-    plane), the contiguous planes ``x_k`` and ``|x|`` of every site, once
-    per lattice and read-only: with ``dirq``'s vector part ``x/|x|``, the
-    half of ``geometry.transport``'s terms that ``twisted_shift`` does not
-    recompute for each shift."""
+    plane) and ``|x|`` of every site, once per lattice and read-only: with
+    ``dirq``'s vector part ``x/|x|``, the terms of ``geometry.transport``
+    at ``x`` that ``twisted_shift`` does not recompute for each shift."""
     pts = spec.points()
     j = np.moveaxis(np.ascontiguousarray(np.moveaxis(geometry.dirq(pts), -1, 0)), 0, -1)
-    xs = tuple(np.ascontiguousarray(pts[..., k]) for k in range(3))
-    nx = geometry._plane_norm(xs)
-    for arr in (j, *xs, nx):
+    nx = geometry._plane_norm(np.moveaxis(pts, -1, 0))
+    for arr in (j, nx):
         arr.setflags(write=False)
-    return j, xs, nx
+    return j, nx
 
 
 def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> CSRMatrix:
@@ -572,17 +570,21 @@ def twisted_shift(spec: LatticeSpec, m) -> Multiplier:
 
     The domain is decided in integers by ``_steps_admissible`` (DomainError
     where a site's segment meets the origin).  The symbol is
-    ``geometry.transport``'s formula, bit for bit, on the lattice's cached
-    site planes, computed only on the sites that the shift keeps.
+    ``geometry.transport``'s formula, bit for bit, computed only on the
+    sites that the shift keeps.  Their coordinates ``x_k`` are the axis
+    values of the kept rows, so the terms of one or two coordinates (``x +
+    m h``, the partial sums of ``|x + m h|^2``, each component of ``x cross
+    (x + m h)``) are formed on 1-D and 2-D arrays that broadcast; ``x/|x|``
+    and ``|x|`` come from the lattice's cached site table.
     """
     m = _lattice_steps(m)
     if not _steps_admissible(spec, m):
         raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
     src = _overlap(m, (spec.n,) * 3)[0]
-    j, xs, nx = _site_table(spec)
+    j, nx = _site_table(spec)
     xhat = tuple(j[..., k][src] for k in range(1, 4))
-    symbol = geometry._transport_value(
-        xhat, nx[src], *geometry._far_end(tuple(x[src] for x in xs), m * spec.step))
+    xs = tuple(spec.axis()[rows].reshape((-1,) + (1,) * (2 - k)) for k, rows in enumerate(src))
+    symbol = geometry._transport_value(xhat, nx[src], *geometry._far_end(xs, m * spec.step))
     return Multiplier(spec, symbol, m)
 
 

@@ -43,7 +43,7 @@ def _planes(q, rows):
     return [np.ascontiguousarray(block[..., k]) for k in range(4)]
 
 
-def qmul(p, q) -> np.ndarray:
+def qmul(p, q, out=None) -> np.ndarray:
     """Quaternion product ``p q`` (non-commutative), broadcasting over (..., 4).
 
     Evaluated in blocks of about ``QMUL_BLOCK`` sites along the first axis,
@@ -51,27 +51,33 @@ def qmul(p, q) -> np.ndarray:
     whole field's temporaries never leave the cache; an operand held plane
     by plane is read in place.  A single quaternion is a batch of one.
     Each component is the same four products, summed in the same order, at
-    every site.
+    every site.  ``out``, a float array (a strided view too) of the
+    product's shape, receives the product and is returned; another shape
+    raises ValueError.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     shape = np.broadcast_shapes(p.shape, q.shape)
     full = shape if len(shape) > 1 else (1,) + shape
     p, q = (x if x.shape == full else np.broadcast_to(x, full) for x in (p, q))
-    out = np.empty(full)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"qmul: out has shape {out.shape}, the product {shape}")
+    dest = out.reshape(full)  # a view: at most a leading axis of one is added
     step = max(1, QMUL_BLOCK // max(1, math.prod(full[1:-1])))
     acc = np.empty((min(step, full[0]),) + full[1:-1])
     term = np.empty_like(acc)
     for start in range(0, full[0], step):
         rows = slice(start, start + step)
-        pp, qq, o = _planes(p, rows), _planes(q, rows), out[rows]
+        pp, qq, o = _planes(p, rows), _planes(q, rows), dest[rows]
         a, t = acc[:len(o)], term[:len(o)]
         for k, ((i, j), *rest) in enumerate(_PRODUCTS):
             np.multiply(pp[i], qq[j], out=a)
             for op, i, j in rest:
                 op(a, np.multiply(pp[i], qq[j], out=t), out=a)
             o[..., k] = a
-    return out.reshape(shape)
+    return out
 
 
 def rmul(p, c) -> np.ndarray:

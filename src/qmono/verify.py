@@ -21,6 +21,11 @@ longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
 by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
 once and checks every box drawn with that ``m`` (``_step_group_tasks``).
+The twisted lines of ``operators`` are grouped by axis the same way, keyed
+by the line's unit step ``u``: one task builds each ``U(c u)`` and ``U(c u)
+psi`` once; each draw's unitarity stays a task of its own.  A closure
+defect's symbol is compared with ``geometry.multiplier`` on the sites its
+shifts leave unclipped, and the oracle is evaluated on those sites only.
 The splitting suite draws one whole field per sample, so its tasks are
 contiguous runs of samples: each run replays the suite generator through
 the runs before its own (``_split_run``), so it draws the same fields
@@ -34,7 +39,7 @@ vector work and three ``chern`` quadratures, runs in the calling process.
 from __future__ import annotations
 
 import copy
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -217,15 +222,15 @@ def _closure_defect(spec: LatticeSpec, ma, mb):
     Returns ``(defect, core_symbol, dev, structural)``:
     ``compose_defect(spec, ma, mb)``, its symbol on the sites its shifts
     leave unclipped, the symbol's deviation from ``geometry.multiplier(ma
-    h, mb h, x)`` there, and 0.0 if the defect is structurally pointwise
-    (else 1.0).
+    h, mb h, x)`` evaluated on those sites only, and 0.0 if the defect is
+    structurally pointwise (else 1.0).
     """
     defect = ops.compose_defect(spec, ma, mb)
-    sym = ops.symbol_of(defect)
     core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
-    want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points())
-    dev = float(quat.qnorm(sym - want)[core].max())
-    return defect, sym[core], dev, 0.0 if ops.is_pointwise(defect) else 1.0
+    sym = ops.symbol_of(defect)[core]
+    want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points()[core])
+    dev = float(quat.qnorm(sym - want).max())
+    return defect, sym, dev, 0.0 if ops.is_pointwise(defect) else 1.0
 
 
 def _sample_tetraflux(rng, m: int):
@@ -560,19 +565,32 @@ def _shift_checks(devs) -> list:
                 "shift-composition", "V(a) V(b) = V(a+b), bit-exact", comp_dev, 0.0)]
 
 
-def _twisted_devs(spec, interior, interior_norm, m, ax, s_steps, t_steps) -> tuple:
-    # twisted shifts: unitary, one-parameter along a line
-    u = ops.twisted_shift(spec, m)
-    unit = _AXES[ax]
-    left = ops.twisted_shift(spec, s_steps * unit)(
-        ops.twisted_shift(spec, t_steps * unit)(interior))
-    right = ops.twisted_shift(spec, (s_steps + t_steps) * unit)(interior)
-    return (abs(hilbert.norm(u(interior)) - interior_norm) / interior_norm,
-            np.abs(left.values - right.values).max())
+def _unitarity_dev(spec, interior, interior_norm, m) -> float:
+    # twisted shifts: unitary on a field with interior support
+    return abs(hilbert.norm(ops.twisted_shift(spec, m)(interior)) - interior_norm) / interior_norm
 
 
-def _twisted_checks(devs, tol) -> list:
-    un_dev, group_dev = zip(*devs)
+def _line_devs(spec, interior, unit, s_steps, t_steps) -> list:
+    """``U(s u) U(t u) = U((s+t) u)`` deviations of the draws along the unit
+    step ``u = unit``, one per draw's step counts ``(s, t)``.  Each line
+    shift ``U(c u)``, each ``U(c u) interior`` and each distinct pair's
+    deviation is formed once."""
+    @cache
+    def shift(c):
+        return ops.twisted_shift(spec, c * unit)
+
+    @cache
+    def moved(c):
+        return shift(c)(interior).values
+
+    @cache
+    def dev(s, t):
+        return np.abs(shift(s).apply_values(moved(t)) - moved(s + t)).max()
+
+    return [dev(s, t) for s, t in zip(s_steps, t_steps)]
+
+
+def _twisted_checks(un_dev, group_dev, tol) -> list:
     return [check_from_devs(
                 "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol),
             check_from_devs(
@@ -772,7 +790,10 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     interior_norm = hilbert.norm(interior)
     shift_tasks, shift_groups = _step_group_tasks(
         shift_draws, partial(_imprimitivity_devs, spec, psi, interior))
-    # longest first: the whole-field groups, then the sampled draws
+    # the twisted lines grouped by axis, keyed by the line's unit step
+    line_tasks, line_groups = _step_group_tasks(
+        [(_AXES[ax], s, t) for _, ax, s, t in twisted_draws], partial(_line_devs, spec, interior))
+    # longest first: the whole-field groups, the line groups, then the sampled draws
     ham_c, par_c, analytic_c, wpr_c, jop_c, adj_c, *devs = runner.run_tasks([
         partial(_hamiltonian_checks, spec, psi, phi, jo, smooth, ham, tol),
         partial(_parallel_checks, spec, tol),
@@ -780,15 +801,17 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 200,
         partial(_wpr_checks, spec, psi, ham),
         partial(_jop_checks, spec, psi, phi, jo, tol),
         partial(_adjoint_checks, spec, jo, interior, smooth, ham),
+        *line_tasks,
         *(partial(_defect_devs, spec, *d) for d in defect_draws),
-        *(partial(_twisted_devs, spec, interior, interior_norm, *d) for d in twisted_draws),
+        *(partial(_unitarity_dev, spec, interior, interior_norm, d[0]) for d in twisted_draws),
         *shift_tasks])
+    line_devs, devs = devs[:len(line_tasks)], devs[len(line_tasks):]
     defect_devs, devs = devs[:len(defect_draws)], devs[len(defect_draws):]
-    twisted_devs, devs = devs[:len(twisted_draws)], devs[len(twisted_draws):]
+    unit_devs, devs = devs[:len(twisted_draws)], devs[len(twisted_draws):]
 
     rep.checks += jop_c
     rep.checks += _shift_checks(_in_draw_order(shift_groups, devs))
-    rep.checks += _twisted_checks(twisted_devs, tol)
+    rep.checks += _twisted_checks(unit_devs, _in_draw_order(line_groups, line_devs), tol)
     rep.checks += _defect_checks(defect_draws, defect_devs, tol) + par_c
     rep.checks += analytic_c + ham_c + adj_c + wpr_c
     return rep

@@ -11,8 +11,10 @@ import functools
 import json
 import multiprocessing
 import os
+import sys
 import tracemalloc
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,6 +279,45 @@ def _twisted_loop(rng, interior):
         right = ops.twisted_shift(SPEC, (s + t) * unit)(interior)
         group.append(np.abs(left.values - right.values).max())
     return {"twisted-unitarity": un, "one-parameter-line": group}
+
+
+def _twisted_steps(rng):
+    """The first steps ``m`` of the 20 twisted draws of ``operators_suite(n=16,
+    samples=30)``, drawn from the suite's fresh generator ``rng``."""
+    for _ in range(2):
+        rng.standard_normal((16, 16, 16, 4))  # psi, phi
+    for _ in range(30):
+        verify._covariance_draw(rng, SPEC)
+        verify._sample_steps(rng, SPEC, 1, 3)
+    steps = []
+    for _ in range(20):
+        steps.append(verify._sample_steps(rng, SPEC, 1, 3)[0])
+        rng.integers(0, 3), rng.integers(1, 3), rng.integers(1, 3)  # the line
+    return steps
+
+
+def test_the_twisted_lines_build_each_line_shift_once(monkeypatch):
+    # the one-parameter-line check builds each U(c e_i), 1 <= c <= 4, at
+    # most once; the twisted draws' other builds are their own U(m), one
+    # per draw.  The suite's other checks build twisted shifts too, and are
+    # told apart by the function that calls twisted_shift
+    elsewhere = {"compose_defect", "_wpr_checks", "_adjoint_checks", "_covariance_devs"}
+    _workers(monkeypatch, 1)
+    builds, real = Counter(), ops.twisted_shift
+
+    def counted(spec, m):
+        if sys._getframe(1).f_code.co_name not in elsewhere:
+            builds[tuple(int(k) for k in m)] += 1
+        return real(spec, m)
+
+    monkeypatch.setattr(ops, "twisted_shift", counted)
+    verify.operators_suite(n=16, samples=30, seed=42)
+    drawn = Counter(tuple(int(k) for k in m) for m in _twisted_steps(np.random.default_rng(42)))
+    assert not drawn - builds  # every draw builds its own U(m)
+    lines = builds - drawn
+    assert set(lines) <= {tuple(c * e) for e in np.eye(3, dtype=int) for c in range(1, 5)}
+    assert max(lines.values()) == 1, lines
+    assert len(lines) >= 9  # lines along all three axes were drawn
 
 
 def _defect_loop(rng):

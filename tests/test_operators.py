@@ -465,13 +465,15 @@ def test_steps_admissible_matches_segment_distance(n):
             assert clear, m
 
 
-@pytest.mark.parametrize("n", [8, 32])
-def test_twisted_shift_symbol_matches_transport(n):
-    # bit-for-bit: the twisted shift's symbol, from the cached site planes on
-    # the sites x whose image x + m h stays on the lattice, against the
-    # whole-grid transport there, for every |m_i| <= 3; both raise
-    # DomainError for exactly the shifts that the integer test rejects
-    spec = LatticeSpec(n=n, box=3.0)
+@pytest.mark.parametrize("n, box", [(8, 3.0), (32, 3.0), (36, 7.2)], ids=["8", "32", "36-box7.2"])
+def test_twisted_shift_symbol_matches_transport(n, box):
+    # bit-for-bit, signed zeros included (compared as int64 views): the
+    # twisted shift's symbol, from the separable terms of the kept sites'
+    # axis coordinates, against the whole-grid transport there, for every
+    # |m_i| <= 3; both raise DomainError for exactly the shifts that the
+    # integer test rejects.  Box 7.2 at n = 36 has the step 0.4, which is
+    # not dyadic, so the coordinates and their sums round
+    spec = LatticeSpec(n=n, box=box)
     rejected = 0
     for m in np.stack(np.meshgrid(*[np.arange(-3, 4)] * 3), axis=-1).reshape(-1, 3):
         a = m * spec.step
@@ -480,7 +482,7 @@ def test_twisted_shift_symbol_matches_transport(n):
             kept = tuple(slice(max(0, -k), n - max(0, k)) for k in m)
             assert u.src == kept, m
             want = geometry.transport(a, spec.points())[kept]
-            assert np.array_equal(u.symbol, want), m
+            assert np.array_equal(u.symbol.view(np.int64), want.view(np.int64)), m
             continue
         rejected += 1
         with pytest.raises(geometry.DomainError):

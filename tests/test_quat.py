@@ -156,6 +156,30 @@ def test_qmul_reads_a_plane_held_operand_as_the_interleaved_one():
             assert np.array_equal(quat.qmul(pa, pb).view(np.int64), want)
 
 
+def test_qmul_writes_into_a_strided_block_of_a_grid():
+    # the product lands in the [dst] block of a zeroed grid, as a Multiplier
+    # applies: the same bits as the returned product, the block view itself
+    # returned, every site outside the block left at zero
+    rng = np.random.default_rng(24)
+    p, q = rng.standard_normal((2, 13, 14, 15, 4))
+    q[rng.random(q.shape) < 0.2] = -0.0
+    grid = np.zeros((16, 16, 16, 4))
+    dst = (slice(3, 16), slice(0, 14), slice(1, 16))
+    block = grid[dst]
+    assert quat.qmul(p, q, out=block) is block
+    assert np.array_equal(block.view(np.int64), quat.qmul(p, q).view(np.int64))
+    rest = np.ones(grid.shape[:-1], dtype=bool)
+    rest[dst] = False
+    assert not grid[rest].view(np.int64).any()  # +0.0 only, no -0.0
+    pair = np.zeros((2, 4))  # a single quaternion, into one row
+    row = pair[1]
+    assert quat.qmul(quat.E1, quat.E2, out=row) is row
+    assert np.array_equal(pair, [np.zeros(4), quat.E3])
+    for shape in ((13, 14, 15), (13, 14, 14, 4), (1, 13, 14, 15, 4)):
+        with pytest.raises(ValueError):
+            quat.qmul(p, q, out=np.empty(shape))
+
+
 def test_multiplier_symbols_are_held_plane_by_plane():
     # qmul reads these planes in place; an interleaved symbol would be copied
     # plane by plane in every block

@@ -37,10 +37,10 @@ PRIVATE_CROSSINGS = {
     "operators -> geometry._plane_norm":
         "the site table's and the hop links' |x|, by transport's own formula",
     "operators -> geometry._far_end":
-        "twisted_shift's per-shift terms of transport, at x + m h on the kept sites, "
-        "and the hop links', whose domain is decided in integers",
+        "twisted_shift's per-shift terms of transport, at x + m h on the kept sites' "
+        "broadcast axis coordinates, and the hop links', whose domain is decided in integers",
     "operators -> geometry._transport_value":
-        "twisted_shift's symbol, transport's formula on the cached site planes, "
+        "twisted_shift's symbol, transport's formula on the kept sites, "
         "and the hop links', without transport's float domain test",
     "verify -> operators._steps_admissible":
         "the samplers draw only integer steps whose segments miss the origin",

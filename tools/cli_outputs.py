@@ -27,6 +27,11 @@ COMMANDS = {
     "verify-gis-n12": ["verify", "gis", "--n", "12"],
     # n = 42 leaves a partial last slab in the slice gauge (4-row slabs)
     "verify-operators-n42-seed1": ["verify", "operators", "--n", "42", "--seed", "1"],
+    # a step of 0.4, not dyadic: the twisted shifts' symbols round in their last bits
+    "verify-operators-n36-box7.2": ["verify", "operators", "--n", "36", "--box", "7.2",
+                                    "--seed", "5"],
+    "verify-gis-n36-box7.2": ["verify", "gis", "--n", "36", "--box", "7.2", "--seed", "5",
+                              "--samples", "300"],
     "evolve-free": ["evolve", "--preset", "free"],
     "evolve-flyby": ["evolve", "--preset", "flyby"],
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
