@@ -70,7 +70,8 @@ def build_gradient_matrices(spec: LatticeSpec) -> list:
 def build_generator_matrix(spec: LatticeSpec, mass: float) -> ops.CSRMatrix:
     """``i Q* H Q``: the step generator ``J H`` in the slice frame, where
     ``J`` is multiplication by ``i``; exactly anti-hermitian."""
-    return 1j * ops.hamiltonian(spec, mass).matrix
+    h = ops.hamiltonian(spec, mass).matrix
+    return ops.CSRMatrix(1j * h.data, h.indices, h.indptr, h.shape)
 
 
 def _packet_envelope_phase(spec: LatticeSpec, center, sigma: float, kick):
@@ -234,7 +235,6 @@ class CayleyEvolver:
     def __init__(self, spec: LatticeSpec, mass: float, dt: float,
                  solver_rtol: float = EvolutionConfig.solver_rtol):
         self.spec = spec
-        self.mass = mass
         self.solver_rtol = solver_rtol
         self.cg_iters: list[int] = []
         self.h_mat = h = build_hamiltonian_matrix(spec, mass)

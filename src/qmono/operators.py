@@ -238,25 +238,18 @@ class CSRMatrix:
     ``nnz``.  ``scipy.sparse.csr_matrix((m.data, m.indices, m.indptr),
     shape=m.shape)`` wraps one without a copy.
 
-    ``scalar * m`` and ``m * scalar`` scale ``data`` (the index arrays are
-    shared), and ``m @ x`` follows scipy's dispatch for an ndarray ``x`` of
-    shape ``(N,)`` or ``(N, k)``, so both run the same kernels on the same
+    ``m @ x`` follows scipy's dispatch for an ndarray ``x`` of shape
+    ``(N,)`` or ``(N, k)``, so both run the same kernels on the same
     arrays: one vector or one column goes to ``csr_matvec`` (a column comes
     back as ``(N, 1)``), ``k > 1`` columns to ``csr_matvecs``, each into a
-    zero-filled result of the common dtype.
+    zero-filled result of the common dtype.  A multiple of ``m`` is built
+    from its scaled ``data`` on the same index arrays.
     """
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape):
         self.data, self.indices, self.indptr = data, indices, indptr
         self.shape = tuple(shape)
         self.nnz = int(indptr[-1])
-
-    def __mul__(self, scalar):
-        if not np.isscalar(scalar):
-            return NotImplemented
-        return CSRMatrix(self.data * scalar, self.indices, self.indptr, self.shape)
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other: np.ndarray) -> np.ndarray:
         rows, cols = self.shape
@@ -507,19 +500,16 @@ def symbol_of(op: Operator) -> np.ndarray:
     """Extract the pointwise symbol by applying to the constant unit field.
 
     Shifts in the composite clip a boundary band (zero fill), so the symbol
-    is only meaningful on the interior; compare it under ``interior_mask``.
+    is only meaningful on the interior; read it on ``interior_block``.
     """
     return op.apply_values(hilbert.constant(op.spec, quat.E0).values)
 
 
-def interior_mask(spec: LatticeSpec, cells: int) -> np.ndarray:
-    """Boolean site mask excluding a band of ``cells`` at every wall."""
+def interior_block(spec: LatticeSpec, cells: int) -> tuple:
+    """The sites off a band of ``cells`` at every wall, as three slices."""
     if 2 * cells >= spec.n:
-        raise ValueError("interior_mask band leaves no sites")
-    mask = np.zeros((spec.n,) * 3, dtype=bool)
-    core = slice(cells, spec.n - cells)
-    mask[core, core, core] = True
-    return mask
+        raise ValueError("interior_block band leaves no sites")
+    return (slice(cells, spec.n - cells),) * 3
 
 
 def defect_clip_cells(ma, mb) -> int:
@@ -717,22 +707,6 @@ def rotation_exp_fn(fn, axis: int, theta: float):
         return quat.qmul(phase, fn(x @ rot.T))
 
     return r
-
-
-def commutator_check(i: int, j: int, fn, points, h: float) -> np.ndarray:
-    """Compare ``[covderiv_i, covderiv_j]`` against the curvature multiplier.
-
-    Both derivatives are nested step-h central differences on the analytic
-    field ``fn``; the target is ``kappa_ij(x) * dirq(x) * fn(x)``.  Returns the
-    per-point deviations, O(h^2) on smooth fields away from the origin.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    di_dj = covderiv_fn(covderiv_fn(fn, _AXES[j], h), _AXES[i], h)
-    dj_di = covderiv_fn(covderiv_fn(fn, _AXES[i], h), _AXES[j], h)
-    comm = di_dj(points) - dj_di(points)
-    kap = geometry.curvature(points).kappa[..., i, j]
-    target = kap[..., None] * quat.qmul(geometry.dirq(points), fn(points))
-    return quat.qnorm(comm - target)
 
 
 # ---------------------------------------------------------------------------

@@ -220,13 +220,13 @@ def _closure_defect(spec: LatticeSpec, ma, mb):
     spec, 2, 2)`` draws one).
 
     Returns ``(defect, core_symbol, dev, structural)``:
-    ``compose_defect(spec, ma, mb)``, its symbol on the sites its shifts
-    leave unclipped, the symbol's deviation from ``geometry.multiplier(ma
-    h, mb h, x)`` evaluated on those sites only, and 0.0 if the defect is
-    structurally pointwise (else 1.0).
+    ``compose_defect(spec, ma, mb)``, its symbol on the block of sites its
+    shifts leave unclipped (``interior_block``), the symbol's deviation
+    from ``geometry.multiplier(ma h, mb h, x)`` evaluated on those sites
+    only, and 0.0 if the defect is structurally pointwise (else 1.0).
     """
     defect = ops.compose_defect(spec, ma, mb)
-    core = ops.interior_mask(spec, ops.defect_clip_cells(ma, mb) + 1)
+    core = ops.interior_block(spec, ops.defect_clip_cells(ma, mb) + 1)
     sym = ops.symbol_of(defect)[core]
     want = geometry.multiplier(ma * spec.step, mb * spec.step, spec.points()[core])
     dev = float(quat.qnorm(sym - want).max())
@@ -470,8 +470,15 @@ def _dev_grad_position(fn, probes, h):
 
 
 def _dev_grad_commutator(fn, probes, h):
-    return np.max([ops.commutator_check(i, j, fn, probes, h).max(axis=-1)
-                   for i, j in ((0, 1), (1, 2), (2, 0))], axis=0)
+    devs = []
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        # [grad_i, grad_j] = kappa_ij J, with J the left multiplication by dirq(x)
+        di_dj = ops.covderiv_fn(ops.covderiv_fn(fn, _AXES[j], h), _AXES[i], h)
+        dj_di = ops.covderiv_fn(ops.covderiv_fn(fn, _AXES[i], h), _AXES[j], h)
+        kap = geometry.curvature(probes).kappa[..., i, j]
+        target = kap[..., None] * quat.qmul(geometry.dirq(probes), fn(probes))
+        devs.append(quat.qnorm(di_dj(probes) - dj_di(probes) - target).max(axis=-1))
+    return np.max(devs, axis=0)
 
 
 def _dev_rotation_covariance(fn, probes, h):
@@ -620,7 +627,7 @@ def _defect_checks(draws, devs, tol) -> list:
 def _parallel_checks(spec, tol) -> list:
     # parallel shifts close exactly
     par_dev = []
-    core = ops.interior_mask(spec, _PARALLEL_BAND)
+    core = ops.interior_block(spec, _PARALLEL_BAND)
     for unit in _AXES:
         sym = ops.symbol_of(ops.compose_defect(spec, 2 * unit, 3 * unit))
         par_dev.append(quat.qnorm(sym - quat.E0)[core].max())

@@ -1,5 +1,6 @@
 import inspect
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -337,3 +338,28 @@ for k, args in enumerate(commands):
         "loaded: evolve 0 False False True False False",
         *["loaded: verify 0 False False True True True"] * 3,
     ]
+
+
+def test_the_output_recorder_fails_when_qmono_does_not_import(tmp_path):
+    # tools/cli_outputs.py records each command's exit and stderr, so two
+    # recordings in which nothing ran would compare equal; it must fail instead
+    tool = tmp_path / "tools" / "cli_outputs.py"
+    tool.parent.mkdir()
+    shutil.copy(Path(__file__).resolve().parents[1] / "tools" / "cli_outputs.py", tool)
+
+    def record(name):
+        return subprocess.run([sys.executable, str(tool), str(tmp_path / name)],
+                              capture_output=True, text=True, timeout=300)
+
+    # no src/qmono beside the copy: exit 2 before anything is recorded
+    run = record("missing")
+    assert run.returncode == 2 and "no qmono package" in run.stderr
+    assert not (tmp_path / "missing").exists()
+    # a qmono that fails to import: every run is recorded, then exit 1
+    (tmp_path / "src" / "qmono").mkdir(parents=True)
+    (tmp_path / "src" / "qmono" / "__init__.py").write_text('raise ImportError("broken")\n')
+    run = record("broken")
+    runs = sorted(p.name for p in (tmp_path / "broken").iterdir())
+    assert run.returncode == 1 and len(runs) > 20
+    assert f"qmono failed to import in {len(runs)} of {len(runs)} runs" in run.stderr
+    assert {(tmp_path / "broken" / name / "exit").read_text() for name in runs} == {"1\n"}

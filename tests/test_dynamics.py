@@ -528,11 +528,10 @@ def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
     assert len(traj.times) == cfg.steps + 1
 
 
-@pytest.mark.parametrize("cores", [1, 2])
 @pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
-def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkeypatch):
-    # whatever the core count, every row and observables build of evolve's
-    # runs on the worker, never in the calling thread
+def test_evolve_matches_the_step_loop_with_its_rows_on_the_worker(preset, monkeypatch):
+    # every row and observables build of evolve's runs on the worker, never
+    # in the calling thread; evolve never asks for the core count
     threads, builds = [], []
     real_row, real_init = dynamics._Observables.row, dynamics._Observables.__init__
 
@@ -544,7 +543,10 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
         builds.append(threading.get_ident())
         real_init(self, spec, mass, with_force)
 
-    monkeypatch.setattr(runner, "cores", lambda: cores)
+    def no_core_count():
+        raise AssertionError("evolve asked for the core count")
+
+    monkeypatch.setattr(runner, "cores", no_core_count)
     monkeypatch.setattr(dynamics._Observables, "row", located_row)
     monkeypatch.setattr(dynamics._Observables, "__init__", located_init)
     before = threading.active_count()
@@ -559,9 +561,7 @@ def test_evolve_matches_the_step_loop_on_one_and_two_cores(preset, cores, monkey
     assert threading.get_ident() not in builds[::2]
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_no_row_worker_outlives_a_failed_step(cores, monkeypatch):
-    monkeypatch.setattr(runner, "cores", lambda: cores)
+def test_no_row_worker_outlives_a_failed_step(monkeypatch):
     monkeypatch.setattr(dynamics, "cg", lambda a, b, **kwargs: (b, 1))
     cfg = dynamics.monopole_flyby_config(n=16, steps=4)
     before = threading.active_count()
@@ -605,9 +605,7 @@ def _hop_links_failing_on_axis_2(monkeypatch):
     return real
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
-    monkeypatch.setattr(runner, "cores", lambda: cores)
+def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(monkeypatch):
     real = _hop_links_failing_on_axis_2(monkeypatch)
     cfg = dynamics.free_flight_config(n=16, steps=2)
     ops._slice_gauge.cache_clear()
@@ -628,10 +626,7 @@ def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(cores, monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("cores", [1, 2])
-def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
-    monkeypatch.setattr(runner, "cores", lambda: cores)
-
+def test_a_failed_observables_build_leaves_no_thread(monkeypatch):
     def failing(self, spec, mass, with_force):
         raise MemoryError("observables")
 
@@ -648,7 +643,7 @@ def test_a_failed_observables_build_leaves_no_thread(cores, monkeypatch):
     with pytest.raises(MemoryError, match="observables"):
         dynamics.evolve(dynamics.monopole_flyby_config(n=16, steps=2))
     assert threading.active_count() == before
-    # on every core count the failure surfaces after step 1, before step 2
+    # the failure surfaces after step 1, before step 2
     assert len(steps) == 1
 
 

@@ -10,6 +10,10 @@ JSON report and OUTDIR is replaced by ``<OUTDIR>`` everywhere, so that two
 checkouts recorded into two directories compare with ``diff -r A B``.  The
 ``cg_iters`` that ``dynamics.evolve`` returns for each preset are recorded
 too, one count per line.
+
+It exits 2, with nothing recorded, when ``src/qmono`` is missing beside
+``tools/``, and 1 after recording when any command failed to import
+``qmono``, so that two recordings in which nothing ran cannot pass as equal.
 """
 
 import json
@@ -46,7 +50,8 @@ print(*traj.cg_iters, sep="\\n")
 """
 
 
-def _run(outdir: str, name: str, argv: list) -> None:
+def _run(outdir: str, name: str, argv: list) -> bool:
+    """Run and record one command; False if its ``stderr`` shows a failed import."""
     cwd = os.path.join(outdir, name)
     os.makedirs(cwd)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=SRC)
@@ -65,17 +70,23 @@ def _run(outdir: str, name: str, argv: list) -> None:
         with open(os.path.join(cwd, fname), "w") as fh:
             fh.write(text.replace(outdir, "<OUTDIR>"))
     print(f"{name}: exit {proc.returncode}, wrote {', '.join(written) or 'nothing'}")
+    return "ModuleNotFoundError" not in proc.stderr and "ImportError" not in proc.stderr
 
 
 def main() -> None:
     if len(sys.argv) != 2:
         sys.exit(__doc__)
+    if not os.path.isfile(os.path.join(SRC, "qmono", "__init__.py")):
+        print(f"no qmono package in {SRC}: run the tool from its own checkout", file=sys.stderr)
+        sys.exit(2)
     outdir = os.path.abspath(sys.argv[1])
     os.makedirs(outdir)
-    for name, args in COMMANDS.items():
-        _run(outdir, name, ["-m", "qmono.cli", *args])
-    for preset in ("free_flight", "monopole_flyby"):
-        _run(outdir, f"cg-iters-{preset}", ["-c", CG_ITERS.format(preset)])
+    runs = {name: ["-m", "qmono.cli", *args] for name, args in COMMANDS.items()}
+    runs.update({f"cg-iters-{preset}": ["-c", CG_ITERS.format(preset)]
+                 for preset in ("free_flight", "monopole_flyby")})
+    failed = [name for name, argv in runs.items() if not _run(outdir, name, argv)]
+    if failed:
+        sys.exit(f"qmono failed to import in {len(failed)} of {len(runs)} runs: {', '.join(failed)}")
 
 
 if __name__ == "__main__":
