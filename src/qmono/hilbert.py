@@ -75,11 +75,17 @@ class LatticeSpec:
 class LatticeField:
     """Quaternion field sampled on a lattice: values of shape (n, n, n, 4).
 
-    Treated as an immutable snapshot; operations allocate new fields.
+    ``support`` is the block of sites outside which the field is zero, as
+    three slices (of the three site axes), or None when it may be nonzero
+    anywhere.  ``project`` and the lattice shifts of ``operators`` set it
+    and act on that block only.  It is a promise about ``values``, so a
+    field is treated as an immutable snapshot: its values are never
+    edited in place, and operations allocate new fields.
     """
 
     spec: LatticeSpec
     values: np.ndarray
+    support: tuple | None = None
 
     def __post_init__(self):
         n = self.spec.n
@@ -169,16 +175,29 @@ class Box:
         return Box.of(np.asarray(self.lo) + a, np.asarray(self.hi) + a)
 
 
+def intersect_blocks(a: tuple, b: tuple | None) -> tuple:
+    """The intersection of the site blocks ``a`` and ``b``, three slices
+    each (``b`` None is every site), as three slices, each with ``start
+    <= stop``."""
+    out = []
+    for s, t in zip(a, a if b is None else b):
+        lo = max(s.start, t.start)
+        out.append(slice(lo, max(lo, min(s.stop, t.stop))))
+    return tuple(out)
+
+
 def project(delta: Box, psi: LatticeField) -> LatticeField:
     """Spectral projection: zero the samples outside ``delta``.
 
     Idempotent, self-adjoint, multiplicative over intersections; commutes
     bit-exactly with every pointwise left multiplication.  The sites with
     ``lo <= x_i < hi`` on every axis form one index block, since the axis
-    coordinates are sorted: it is copied into zeros.
+    coordinates are sorted: its intersection with ``psi``'s support is
+    copied into zeros and becomes the result's support.
     """
     ax = psi.spec.axis()
     block = tuple(slice(*np.searchsorted(ax, (lo, hi))) for lo, hi in zip(delta.lo, delta.hi))
+    block = intersect_blocks(block, psi.support)
     out = np.zeros(psi.values.shape)
     out[block] = psi.values[block]
-    return LatticeField(psi.spec, out)
+    return LatticeField(psi.spec, out, block)

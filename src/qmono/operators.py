@@ -45,6 +45,11 @@ Conventions fixed here (and relied on by the verification suites):
 * ``compose_defect(ma, mb) = twisted_shift(ma+mb)* twisted_shift(ma)
   twisted_shift(mb)`` is a pointwise multiplier whose symbol is
   ``geometry.multiplier(ma h, mb h, x)``.
+* ``Shift`` and ``Multiplier`` read only the sites of a field's
+  ``support`` (``hilbert.LatticeField``) and return the moved block as the
+  result's; ``Compose`` passes it through, the other kinds return None.
+  The values match a whole-grid apply bit for bit, but for the sign of
+  zero: +0.0 off the support where the whole grid's product may give -0.0.
 """
 
 from __future__ import annotations
@@ -77,17 +82,24 @@ def _overlap(steps, shape):
 
 
 class Operator:
-    """Base class: an immutable description applied as a pure function."""
+    """Base class: an immutable description applied as a pure function.
+
+    ``_apply`` maps values and their ``LatticeField.support`` to the
+    result's; by default it runs ``apply_values`` and returns support None.
+    """
 
     spec: LatticeSpec
 
     def apply_values(self, vals: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _apply(self, vals: np.ndarray, support):
+        return self.apply_values(vals), None
+
     def __call__(self, field: LatticeField) -> LatticeField:
         if field.spec != self.spec:
             raise ValueError("operator and field live on different lattices")
-        return LatticeField(self.spec, self.apply_values(field.values))
+        return LatticeField(self.spec, *self._apply(field.values, field.support))
 
     def adjoint(self) -> "Operator":
         raise NotImplementedError
@@ -114,17 +126,30 @@ def _lattice_axis(axis: int, name: str) -> int:
 
 class Shift(Operator):
     """Exact lattice translation ``psi -> psi(. - m h)`` by the integer
-    steps ``m``: ``out[dst] = vals[src]`` on ``_overlap``'s blocks, else zero."""
+    steps ``m``: ``out[dst] = vals[src]`` on ``_overlap``'s blocks, else
+    zero, with ``src`` cut to a field's support; ``dst`` is the result's."""
 
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
         self.steps = _lattice_steps(steps)
         self.src, self.dst = _overlap(self.steps, (spec.n,) * 3)
 
+    def _blocks(self, support):
+        """``src`` cut to ``support``, and ``dst``, where it moves to."""
+        src = hilbert.intersect_blocks(self.src, support)
+        dst = tuple(slice(s.start + d.start - k.start, s.stop + d.start - k.start)
+                    for s, k, d in zip(src, self.src, self.dst))
+        return src, dst
+
+    def _apply(self, vals, support):
+        src, dst = self._blocks(support)
+        # np.zeros, not zeros_like: a fresh large grid is not written whole
+        out = np.zeros(vals.shape)
+        out[dst] = vals[src]
+        return out, dst
+
     def apply_values(self, vals):
-        out = np.zeros_like(vals)
-        out[self.dst] = vals[self.src]
-        return out
+        return self._apply(vals, None)[0]
 
     def adjoint(self):
         return Shift(self.spec, -self.steps)
@@ -135,8 +160,9 @@ class Multiplier(Shift):
     integer steps ``m`` (none by default: a pointwise multiplier).
 
     ``symbol`` is broadcast to the block ``src`` (the whole grid for ``m =
-    0``): ``out[dst] = symbol vals[src]``, zero elsewhere.  The adjoint
-    moves back by the conjugate symbol.
+    0``): ``out[dst] = symbol vals[src]``, zero elsewhere, with ``src``
+    cut to a field's support as for ``Shift``.  The adjoint moves back by
+    the conjugate symbol.
     """
 
     def __init__(self, spec: LatticeSpec, symbol: np.ndarray, steps=(0, 0, 0)):
@@ -144,10 +170,13 @@ class Multiplier(Shift):
         block = tuple(s.stop - s.start for s in self.src)
         self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), block + (4,))
 
-    def apply_values(self, vals):
-        out = np.zeros_like(vals)
-        quat.qmul(self.symbol, vals[self.src], out=out[self.dst])
-        return out
+    def _apply(self, vals, support):
+        src, dst = self._blocks(support)
+        symbol = self.symbol[tuple(slice(s.start - k.start, s.stop - k.start)
+                                   for s, k in zip(src, self.src))]
+        out = np.zeros(vals.shape)
+        quat.qmul(symbol, vals[src], out=out[dst])
+        return out, dst
 
     def adjoint(self):
         return Multiplier(self.spec, quat.qconj(self.symbol), -self.steps)
@@ -469,10 +498,13 @@ class Compose(Operator):
         self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
-    def apply_values(self, vals):
+    def _apply(self, vals, support):
         for op in reversed(self.ops):
-            vals = op.apply_values(vals)
-        return vals
+            vals, support = op._apply(vals, support)
+        return vals, support
+
+    def apply_values(self, vals):
+        return self._apply(vals, None)[0]
 
 
 def net_shift(op: Operator):

@@ -21,6 +21,9 @@ longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
 by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
 once and checks every box drawn with that ``m`` (``_step_group_tasks``).
+A projected field carries its box's block of sites as its support, so
+``U(m) E(box) psi``, a closure defect applied to ``E(box) psi`` and every
+shift of the operators suite's ``interior`` field work on that block only.
 The twisted lines of ``operators`` are grouped by axis the same way, keyed
 by the line's unit step ``u``: one task builds each ``U(c u)`` and ``U(c u)
 psi`` once; each draw's unitarity stays a task of its own.  A closure
@@ -588,11 +591,11 @@ def _line_devs(spec, interior, unit, s_steps, t_steps) -> list:
 
     @cache
     def moved(c):
-        return shift(c)(interior).values
+        return shift(c)(interior)
 
     @cache
     def dev(s, t):
-        return np.abs(shift(s).apply_values(moved(t)) - moved(s + t)).max()
+        return np.abs(shift(s)(moved(t)).values - moved(s + t).values).max()
 
     return [dev(s, t) for s, t in zip(s_steps, t_steps)]
 

@@ -124,6 +124,34 @@ def test_project_spectral_family():
                   - hilbert.inner(phi, hilbert.project(d1, psi))).max() < 1e-12
 
 
+def test_project_support_is_the_box_block_within_the_input_support():
+    spec = LatticeSpec(n=16, box=4.0)
+    psi = random_field(spec, 9)
+    pts = spec.points()
+
+    def sites(*boxes):
+        inside = np.ones((spec.n,) * 3, dtype=bool)
+        for d in boxes:
+            inside &= np.all((pts >= d.lo) & (pts < d.hi), axis=-1)
+        return inside
+
+    def block(support):
+        mask = np.zeros((spec.n,) * 3, dtype=bool)
+        mask[support] = True
+        assert all(0 <= s.start <= s.stop for s in support)
+        return mask
+
+    assert psi.support is None
+    d1 = Box.of((-2.0, -2.0, -2.0), (1.0, 1.5, 2.0))
+    d2 = Box.of((-1.0, -4.0, 0.0), (4.0, 1.0, 4.0))
+    far = Box.of((2.5, 2.5, 2.5), (4.0, 4.0, 4.0))
+    p1 = hilbert.project(d1, psi)
+    assert np.array_equal(block(p1.support), sites(d1))
+    assert np.array_equal(block(hilbert.project(d2, p1).support), sites(d1, d2))
+    empty = hilbert.project(far, p1)
+    assert not block(empty.support).any() and not empty.values.any()
+
+
 def test_multiplier_left_action_and_commutation():
     # the multiplication operator is operators.Multiplier
     spec = LatticeSpec(n=16, box=4.0)

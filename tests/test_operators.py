@@ -126,6 +126,59 @@ def test_shift_imprimitivity_bit_exact(spec, psi):
     assert np.array_equal(lhs.values, rhs.values)
 
 
+def _cell_box(spec, lo, hi):
+    """The box of the sites with indices ``lo <= i < hi`` on every axis."""
+    return Box.of((np.asarray(lo) - spec.n // 2) * spec.step,
+                  (np.asarray(hi) - spec.n // 2) * spec.step)
+
+
+def _oracle_boxes(spec, rng, count):
+    """``count`` random boxes anywhere on the grid (walls included), then
+    boxes on each wall, one a cell thick at each corner, and an empty one."""
+    n = spec.n
+    boxes = []
+    for _ in range(count):
+        lo = rng.integers(0, n, size=3)
+        boxes.append(_cell_box(spec, lo, [rng.integers(l + 1, n + 1) for l in lo]))
+    for axis in range(3):
+        for lo, hi in ((0, 2), (n - 2, n)):
+            a, b = np.zeros(3, dtype=int), np.full(3, n)
+            a[axis], b[axis] = lo, hi
+            boxes.append(_cell_box(spec, a, b))
+    boxes += [_cell_box(spec, (0,) * 3, (1,) * 3), _cell_box(spec, (n - 1,) * 3, (n,) * 3),
+              _cell_box(spec, (3,) * 3, (3, 5, 5))]
+    return boxes
+
+
+def test_block_apply_equals_the_whole_grid_apply(spec, psi):
+    # each operator applied to a projected field, which carries its box's
+    # block as support, against the same values without one; the wall boxes
+    # include blocks that a shift carries entirely off the grid
+    rng = np.random.default_rng(21)
+    operators = [ops.Shift(spec, (2, -1, 3)), ops.Shift(spec, (-4, 0, 1)),
+                 ops.twisted_shift(spec, (1, 2, 0)), ops.twisted_shift(spec, (-3, 0, 1)),
+                 ops.jop(spec), ops.left_unit(spec, 1),
+                 ops.compose_defect(spec, (1, 2, 0), (0, -1, 2))]
+    emptied = 0
+    for box in _oracle_boxes(spec, rng, 40):
+        field = hilbert.project(box, psi)
+        bare = LatticeField(spec, field.values.copy())
+        assert field.support is not None and bare.support is None
+        for op in operators:
+            out, want = op(field), op(bare)
+            # np.array_equal, not a comparison of bytes: off the block the
+            # whole-grid product may leave -0.0 where the block apply leaves +0.0
+            assert np.array_equal(out.values, want.values)
+            off = np.ones((spec.n,) * 3, dtype=bool)
+            off[out.support] = False
+            assert not out.values[off].any()
+            emptied += off.all() and field.values.any()
+    assert emptied  # some shift carried a whole nonempty block off the grid
+    for op in (ops.covderiv(spec, 0), ops.hamiltonian(spec, 1.0), ops.Diff(spec, 2),
+               ops.Scaled(2.0, ops.Shift(spec, (1, 0, 0)))):
+        assert op(field).support is None
+
+
 def test_twisted_shift_unitary_and_covariant(spec, psi, interior):
     m = np.array([2, 1, 0])
     u = ops.twisted_shift(spec, m)
