@@ -45,11 +45,14 @@ Conventions fixed here (and relied on by the verification suites):
 * ``compose_defect(ma, mb) = twisted_shift(ma+mb)* twisted_shift(ma)
   twisted_shift(mb)`` is a pointwise multiplier whose symbol is
   ``geometry.multiplier(ma h, mb h, x)``.
-* ``Shift`` and ``Multiplier`` read only the sites of a field's
-  ``support`` (``hilbert.LatticeField``) and return the moved block as the
-  result's; ``Compose`` passes it through, the other kinds return None.
-  The values match a whole-grid apply bit for bit, but for the sign of
-  zero: +0.0 off the support where the whole grid's product may give -0.0.
+* Every kind implements one ``_apply(vals, support) -> (vals, support)``,
+  run by ``Operator.__call__``.  ``Shift`` and ``Multiplier`` read only the
+  sites of a field's ``support`` (``hilbert.LatticeField``) and return the
+  moved block as the result's; ``Compose`` passes it through, ``Diff`` and
+  ``Scaled`` pass it to the operators they hold and return None, as
+  ``FrameOp`` does.  The values match a whole-grid apply bit for bit, but
+  for the sign of zero: +0.0 off the support where the whole grid's
+  product may give -0.0.
 """
 
 from __future__ import annotations
@@ -84,17 +87,16 @@ def _overlap(steps, shape):
 class Operator:
     """Base class: an immutable description applied as a pure function.
 
-    ``_apply`` maps values and their ``LatticeField.support`` to the
-    result's; by default it runs ``apply_values`` and returns support None.
+    Each kind implements one method, ``_apply``, which maps values and
+    their ``LatticeField.support`` (None for anywhere) to the result's.
+    ``__call__`` is the one entry point; an operator that holds others
+    calls their ``_apply``.
     """
 
     spec: LatticeSpec
 
-    def apply_values(self, vals: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _apply(self, vals: np.ndarray, support):
-        return self.apply_values(vals), None
+        raise NotImplementedError
 
     def __call__(self, field: LatticeField) -> LatticeField:
         if field.spec != self.spec:
@@ -135,21 +137,19 @@ class Shift(Operator):
         self.src, self.dst = _overlap(self.steps, (spec.n,) * 3)
 
     def _blocks(self, support):
-        """``src`` cut to ``support``, and ``dst``, where it moves to."""
+        """``src`` cut to ``support``; ``part``, its place within the uncut
+        ``src``; and ``dst``, where it moves to."""
         src = hilbert.intersect_blocks(self.src, support)
-        dst = tuple(slice(s.start + d.start - k.start, s.stop + d.start - k.start)
-                    for s, k, d in zip(src, self.src, self.dst))
-        return src, dst
+        part = tuple(slice(s.start - k.start, s.stop - k.start) for s, k in zip(src, self.src))
+        dst = tuple(slice(p.start + d.start, p.stop + d.start) for p, d in zip(part, self.dst))
+        return src, part, dst
 
     def _apply(self, vals, support):
-        src, dst = self._blocks(support)
+        src, _, dst = self._blocks(support)
         # np.zeros, not zeros_like: a fresh large grid is not written whole
         out = np.zeros(vals.shape)
         out[dst] = vals[src]
         return out, dst
-
-    def apply_values(self, vals):
-        return self._apply(vals, None)[0]
 
     def adjoint(self):
         return Shift(self.spec, -self.steps)
@@ -160,9 +160,9 @@ class Multiplier(Shift):
     integer steps ``m`` (none by default: a pointwise multiplier).
 
     ``symbol`` is broadcast to the block ``src`` (the whole grid for ``m =
-    0``): ``out[dst] = symbol vals[src]``, zero elsewhere, with ``src``
-    cut to a field's support as for ``Shift``.  The adjoint moves back by
-    the conjugate symbol.
+    0``): ``out[dst] = symbol vals[src]``, zero elsewhere; a field's
+    support cuts ``src`` as for ``Shift`` and the symbol to the same sites,
+    ``_blocks``' ``part``.  The adjoint moves back by the conjugate symbol.
     """
 
     def __init__(self, spec: LatticeSpec, symbol: np.ndarray, steps=(0, 0, 0)):
@@ -171,11 +171,9 @@ class Multiplier(Shift):
         self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), block + (4,))
 
     def _apply(self, vals, support):
-        src, dst = self._blocks(support)
-        symbol = self.symbol[tuple(slice(s.start - k.start, s.stop - k.start)
-                                   for s, k in zip(src, self.src))]
+        src, part, dst = self._blocks(support)
         out = np.zeros(vals.shape)
-        quat.qmul(symbol, vals[src], out=out[dst])
+        quat.qmul(self.symbol[part], vals[src], out=out[dst])
         return out, dst
 
     def adjoint(self):
@@ -191,10 +189,10 @@ class Diff(Operator):
         e = _AXES[self.axis]
         self.ahead, self.behind = Shift(spec, -e), Shift(spec, e)
 
-    def apply_values(self, vals):
-        out = self.ahead.apply_values(vals) - self.behind.apply_values(vals)
+    def _apply(self, vals, support):
+        out = self.ahead._apply(vals, support)[0] - self.behind._apply(vals, support)[0]
         out /= 2.0 * self.spec.step
-        return out
+        return out, None
 
     def adjoint(self):
         return Scaled(-1.0, self)
@@ -465,9 +463,9 @@ class FrameOp(Operator):
         self.matrix = matrix
         self.adjoint_sign = adjoint_sign
 
-    def apply_values(self, vals):
+    def _apply(self, vals, support):
         q = _slice_gauge(self.spec)[0]
-        return _from_cols(q, self.matrix @ _to_cols(q, vals))
+        return _from_cols(q, self.matrix @ _to_cols(q, vals)), None
 
     def adjoint(self):
         return self if self.adjoint_sign > 0 else Scaled(-1.0, self)
@@ -479,8 +477,8 @@ class Scaled(Operator):
         self.op = op
         self.spec = op.spec
 
-    def apply_values(self, vals):
-        return self.coeff * self.op.apply_values(vals)
+    def _apply(self, vals, support):
+        return self.coeff * self.op._apply(vals, support)[0], None
 
 
 def _factors(ops) -> tuple:
@@ -502,9 +500,6 @@ class Compose(Operator):
         for op in reversed(self.ops):
             vals, support = op._apply(vals, support)
         return vals, support
-
-    def apply_values(self, vals):
-        return self._apply(vals, None)[0]
 
 
 def net_shift(op: Operator):
@@ -529,12 +524,12 @@ def is_pointwise(op: Operator) -> bool:
 
 
 def symbol_of(op: Operator) -> np.ndarray:
-    """Extract the pointwise symbol by applying to the constant unit field.
+    """The pointwise symbol: ``op._apply`` of the constant unit field.
 
     Shifts in the composite clip a boundary band (zero fill), so the symbol
     is only meaningful on the interior; read it on ``interior_block``.
     """
-    return op.apply_values(hilbert.constant(op.spec, quat.E0).values)
+    return op._apply(hilbert.constant(op.spec, quat.E0).values, None)[0]
 
 
 def interior_block(spec: LatticeSpec, cells: int) -> tuple:

@@ -40,11 +40,11 @@ class OpSum(Operator):
         self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
-    def apply_values(self, vals):
-        out = self.ops[0].apply_values(vals)
+    def _apply(self, vals, support):
+        out = self.ops[0]._apply(vals, support)[0]
         for op in self.ops[1:]:
-            out = out + op.apply_values(vals)
-        return out
+            out = out + op._apply(vals, support)[0]
+        return out, None
 
 
 def expectation(op: Operator, psi: LatticeField) -> float:

@@ -158,7 +158,9 @@ def test_block_apply_equals_the_whole_grid_apply(spec, psi):
     operators = [ops.Shift(spec, (2, -1, 3)), ops.Shift(spec, (-4, 0, 1)),
                  ops.twisted_shift(spec, (1, 2, 0)), ops.twisted_shift(spec, (-3, 0, 1)),
                  ops.jop(spec), ops.left_unit(spec, 1),
-                 ops.compose_defect(spec, (1, 2, 0), (0, -1, 2))]
+                 ops.compose_defect(spec, (1, 2, 0), (0, -1, 2)),
+                 # these pass the support on to their shifts and return None
+                 ops.Diff(spec, 2), ops.Diff(spec, 0).adjoint()]
     emptied = 0
     for box in _oracle_boxes(spec, rng, 40):
         field = hilbert.project(box, psi)
@@ -169,6 +171,8 @@ def test_block_apply_equals_the_whole_grid_apply(spec, psi):
             # np.array_equal, not a comparison of bytes: off the block the
             # whole-grid product may leave -0.0 where the block apply leaves +0.0
             assert np.array_equal(out.values, want.values)
+            if out.support is None:
+                continue
             off = np.ones((spec.n,) * 3, dtype=bool)
             off[out.support] = False
             assert not out.values[off].any()

@@ -109,14 +109,15 @@ def test_grid_kernels_match_reference_formulas(n):
         assert np.array_equal(quat.qnorm(q), np.sqrt(np.sum(q * q, -1)))
         assert np.array_equal(quat.qconj(q), q * [1.0, -1.0, -1.0, -1.0])
 
+    field = hilbert.LatticeField(spec, f)
     m_range = np.arange(-3, 4)
     for m in np.stack(np.meshgrid(m_range, m_range, m_range), axis=-1).reshape(-1, 3):
-        assert np.array_equal(operators.Shift(spec, m).apply_values(f), shift_ref(f, m)), m
+        assert np.array_equal(operators.Shift(spec, m)(field).values, shift_ref(f, m)), m
     for m in ((n, 0, 0), (0, -n, 1), (2, 1, n + 3), (-n - 1, -n, n)):
-        assert not operators.Shift(spec, m).apply_values(f).any(), m
+        assert not operators.Shift(spec, m)(field).values.any(), m
     for axis, e in enumerate(np.eye(3, dtype=int)):
         want = (shift_ref(f, -e) - shift_ref(f, e)) / (2.0 * spec.step)
-        assert np.array_equal(operators.Diff(spec, axis).apply_values(f), want)
+        assert np.array_equal(operators.Diff(spec, axis)(field).values, want)
 
     h = spec.step
     boxes = [hilbert.Box.of((-spec.box,) * 3, (spec.box,) * 3),  # the whole box
