@@ -186,6 +186,13 @@ def intersect_blocks(a: tuple, b: tuple | None) -> tuple:
     return tuple(out)
 
 
+def translate_block(block: tuple, steps) -> tuple:
+    """The site block ``block`` (three slices) moved by the integer ``steps``
+    per axis, as three slices.  A block moved off the grid must be cut with
+    ``intersect_blocks`` before it indexes, as a negative start would wrap."""
+    return tuple(slice(s.start + int(m), s.stop + int(m)) for s, m in zip(block, steps))
+
+
 def project(delta: Box, psi: LatticeField) -> LatticeField:
     """Spectral projection: zero the samples outside ``delta``.
 

@@ -4,11 +4,12 @@ Operators act on the left of quaternion-valued fields; a composite
 applies its factors right-to-left: ``Compose((A, B))(psi) = A(B(psi))``,
 written ``A B`` below.  The kinds are
 
-* exact lattice shifts (``Shift``; Dirichlet zero fill off the block of
-  sites that ``_overlap`` keeps) and left multipliers followed by a shift
-  (``Multiplier``, a ``Shift``): pointwise with no steps (position, the
-  radial complex structure ``jop``, the axis units, field components) and
-  twisted (``twisted_shift``: a transport multiplier, then a shift, in one pass),
+* exact lattice shifts (``Shift``; Dirichlet zero fill off ``_kept``, the
+  block of sites whose image stays on the grid) and left multipliers
+  followed by a shift (``Multiplier``, a ``Shift``): pointwise with no
+  steps (position, the radial complex structure ``jop``, the axis units,
+  field components) and twisted (``twisted_shift``: a transport
+  multiplier, then a shift, in one pass),
 * frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
   between neighbors through unit transport links).  They commute with
   ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
@@ -71,17 +72,11 @@ from .hilbert import LatticeField, LatticeSpec
 _AXES = np.eye(3, dtype=int)  # the unit steps, also the axis unit vectors
 
 
-def _overlap(steps, shape):
-    """The blocks of sites ``src`` and ``dst = src + steps`` that both lie in
-    a grid of ``shape``, as slice tuples; empty where a step spans an axis."""
-    src, dst = [], []
-    for m, size in zip(steps, shape):
-        m = int(m)
-        if abs(m) >= size:
-            m, size = 0, 0  # no site stays
-        src.append(slice(max(0, -m), size - max(0, m)))
-        dst.append(slice(max(0, m), size - max(0, -m)))
-    return tuple(src), tuple(dst)
+def _kept(steps, shape) -> tuple:
+    """The block of sites ``src`` of a grid of ``shape`` that a shift by
+    ``steps`` keeps: those whose image ``src + steps`` lies in the grid."""
+    whole = tuple(slice(0, size) for size in shape)
+    return hilbert.intersect_blocks(whole, hilbert.translate_block(whole, -steps))
 
 
 class Operator:
@@ -128,21 +123,21 @@ def _lattice_axis(axis: int, name: str) -> int:
 
 class Shift(Operator):
     """Exact lattice translation ``psi -> psi(. - m h)`` by the integer
-    steps ``m``: ``out[dst] = vals[src]`` on ``_overlap``'s blocks, else
-    zero, with ``src`` cut to a field's support; ``dst`` is the result's."""
+    steps ``m``: ``out[dst] = vals[src]`` on the kept block ``src``
+    (``_kept``) cut to a field's support, and ``dst = src + m``, the
+    result's support; zero elsewhere."""
 
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
         self.steps = _lattice_steps(steps)
-        self.src, self.dst = _overlap(self.steps, (spec.n,) * 3)
+        self.src = _kept(self.steps, (spec.n,) * 3)
 
     def _blocks(self, support):
         """``src`` cut to ``support``; ``part``, its place within the uncut
         ``src``; and ``dst``, where it moves to."""
         src = hilbert.intersect_blocks(self.src, support)
-        part = tuple(slice(s.start - k.start, s.stop - k.start) for s, k in zip(src, self.src))
-        dst = tuple(slice(p.start + d.start, p.stop + d.start) for p, d in zip(part, self.dst))
-        return src, part, dst
+        part = hilbert.translate_block(src, [-k.start for k in self.src])
+        return src, part, hilbert.translate_block(src, self.steps)
 
     def _apply(self, vals, support):
         src, _, dst = self._blocks(support)
@@ -304,9 +299,8 @@ def _frame_link(z: np.ndarray, q: np.ndarray, plus: np.ndarray, axis: int, rows:
     ``plus`` on those rows; ``q`` must hold the sites ``x+h`` already.
     Sites whose ``x+h`` lies beyond the wall are left as they are (zero)."""
     e = _AXES[axis]
-    here, there = _overlap(e, z.shape)
-    here = (rows,) + here[1:]
-    there = (slice(rows.start + e[0], rows.stop + e[0]),) + there[1:]
+    here = (rows,) + _kept(e, z.shape)[1:]
+    there = hilbert.translate_block(here, e)
     w = quat.qmul(quat.qconj(q[here]), quat.qmul(plus[(slice(None),) + here[1:]], q[there]))
     z[here] = w[..., 0] + 1j * w[..., 3]
 
@@ -502,25 +496,11 @@ class Compose(Operator):
         return vals, support
 
 
-def net_shift(op: Operator):
-    """Total grid displacement of a composite, or None if not shift-like."""
-    if isinstance(op, Shift):
-        return op.steps.copy()
-    if isinstance(op, Compose):
-        total = np.zeros(3, dtype=int)
-        for f in op.ops:
-            s = net_shift(f)
-            if s is None:
-                return None
-            total += s
-        return total
-    return None
-
-
 def is_pointwise(op: Operator) -> bool:
-    """True if the composite is structurally a pointwise multiplier."""
-    s = net_shift(op)
-    return s is not None and not s.any()
+    """True if ``op`` is a ``Shift``, or a ``Compose`` of ``Shift``s, whose
+    steps sum to zero: structurally a pointwise multiplier."""
+    factors = op.ops if isinstance(op, Compose) else (op,)
+    return all(isinstance(f, Shift) for f in factors) and not sum(f.steps for f in factors).any()
 
 
 def symbol_of(op: Operator) -> np.ndarray:
@@ -597,7 +577,7 @@ def twisted_shift(spec: LatticeSpec, m) -> Multiplier:
     m = _lattice_steps(m)
     if not _steps_admissible(spec, m):
         raise geometry.DomainError(f"a segment of the shift by steps {m} passes through the origin")
-    src = _overlap(m, (spec.n,) * 3)[0]
+    src = _kept(m, (spec.n,) * 3)
     j, nx = _site_table(spec)
     xhat = tuple(j[..., k][src] for k in range(1, 4))
     xs = tuple(spec.axis()[rows].reshape((-1,) + (1,) * (2 - k)) for k, rows in enumerate(src))

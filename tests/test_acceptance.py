@@ -9,6 +9,7 @@ splitting, the unitary dynamics with both Ehrenfest laws, and the negative
 control for the transport sign variant.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -182,9 +183,10 @@ def test_criterion_10_dynamics():
     slice_res = splitting.slice_residual(cur)
 
     # velocity law on the free preset, and its dt convergence
-    traj_a, _ = dynamics.evolve(dynamics.free_flight_config(dt=0.1, steps=60))
+    traj_a, _ = dynamics.evolve(dynamics.free_flight_config())
     dev_a = _velocity_deviation(traj_a)
-    traj_b, _ = dynamics.evolve(dynamics.free_flight_config(dt=0.05, steps=120))
+    traj_b, _ = dynamics.evolve(dataclasses.replace(dynamics.free_flight_config(),
+                                                    dt=0.05, steps=120))
     dev_b = _velocity_deviation(traj_b)
     ratio = dev_a / dev_b
 

@@ -183,6 +183,36 @@ def test_block_apply_equals_the_whole_grid_apply(spec, psi):
         assert op(field).support is None
 
 
+@pytest.mark.parametrize("n", [4, 6])
+def test_shift_blocks_match_a_mask_oracle(n):
+    # every one-axis step, spans of the grid and beyond included, against
+    # every support block along that axis; a block's sites are read as its
+    # range, not by numpy indexing, which would wrap a negative start
+    spec = LatticeSpec(n=n, box=2.0)
+    sites = set(range(n))
+
+    def axis_sites(block, axis):
+        assert all(0 <= s.start <= s.stop for s in block), block
+        return set(range(block[axis].start, block[axis].stop))
+
+    for axis in range(3):
+        for m in range(-(n + 2), n + 3):
+            steps = m * AX_STEPS[axis]
+            kept = {i for i in sites if i + m in sites}
+            assert axis_sites(ops._kept(steps, (n,) * 3), axis) == kept, m
+            shift = ops.Shift(spec, steps)
+            for a in range(n + 1):
+                for b in range(a, n + 1):
+                    support = [slice(0, n)] * 3
+                    support[axis] = slice(a, b)
+                    src, part, dst = shift._blocks(tuple(support))
+                    # where the support misses the kept sites, all three are empty
+                    want = kept & set(range(a, b))
+                    assert axis_sites(src, axis) == want, (m, a, b)
+                    assert axis_sites(part, axis) == {i - min(kept, default=0) for i in want}
+                    assert axis_sites(dst, axis) == {i + m for i in want}, (m, a, b)
+
+
 def test_twisted_shift_unitary_and_covariant(spec, psi, interior):
     m = np.array([2, 1, 0])
     u = ops.twisted_shift(spec, m)
@@ -252,14 +282,14 @@ def test_interior_block_selects_the_sites_off_the_wall_band(n, cells):
             ops.interior_block(spec, band)
 
 
-def test_net_shift_and_pointwise():
+def test_is_pointwise():
     spec = LatticeSpec(n=8, box=2.0)
     v = ops.Shift(spec, [1, 0, 0])
     assert not ops.is_pointwise(v)
     assert ops.is_pointwise(ops.jop(spec))
     comp = ops.Compose((v.adjoint(), ops.jop(spec), v))
     assert ops.is_pointwise(comp)
-    assert ops.net_shift(ops.Diff(spec, 0)) is None
+    assert not ops.is_pointwise(ops.Diff(spec, 0))
 
 
 def test_connection_value():
@@ -591,7 +621,7 @@ def test_twisted_shift_matches_the_composite(n):
         lhs = hilbert.inner(phi, u(psi))
         rhs = hilbert.inner(u.adjoint()(phi), psi)
         assert np.abs(lhs - rhs).max() < 1e-12 * hilbert.norm(phi) * hilbert.norm(psi), m
-        assert np.array_equal(ops.net_shift(u), m) and np.array_equal(ops.net_shift(u.adjoint()), -m)
+        assert np.array_equal(u.steps, m) and np.array_equal(u.adjoint().steps, -m)
     assert ops.is_pointwise(ops.compose_defect(spec, [2, 0, 1], [0, 1, 0]))
     # a pointwise multiplier is the same operator with no steps: its product
     # lands in a zeroed grid with the bits of the bare product
