@@ -172,7 +172,8 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     the start ``x0`` is zero when not given.
 
     Returns ``(x, info)``: ``info`` is 0 once the residual is at most
-    ``rtol |b|``, else the ``maxiter`` iterations run.
+    ``rtol |b|``, -1 as soon as the residual norm is not finite (an
+    overflow in ``a x``), else the ``maxiter`` iterations run.
     ``callback(x)`` is called after every iteration.
     """
     blas = _blas()
@@ -187,6 +188,8 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     xf, vf = x.ravel(), v.ravel()
     # z_k: the last entry of L_k^-1 beta_0 e_1, z_1 = beta_0 = |b - x0 - a x0|
     z = blas.dznrm2(vf)
+    if not np.isfinite(z):
+        return x, -1
     if z <= tol:
         return x, 0
     blas.zdscal(1.0 / z, vf, overwrite_x=True)
@@ -207,6 +210,8 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
         beta = blas.dznrm2(wf)
         if callback is not None:
             callback(x)
+        if not np.isfinite(beta):
+            return x, -1
         if beta * abs(z / eta) <= tol:
             return x, 0
         blas.zdscal(1.0 / beta, wf, overwrite_x=True)

@@ -371,12 +371,18 @@ def chern(n: int, radius: float = 1.0, reverse: bool = False) -> float:
     polar angle (``n`` intervals, even), periodic trapezoid in azimuth
     (``n`` points).  Converges to 2 pi at fourth order in the default
     orientation (the one in which the enclosed monopole charge counts
-    positive); radius drops out exactly.
+    positive); radius drops out exactly.  The curvature divides by
+    ``2 |x|^3``, so ``radius^3`` must be a normal float at most a quarter of
+    the largest (radius about 2.8e-103 to 3.5e102), which leaves a factor 2
+    for the rounding of ``|x|``; other radii are refused with a ValueError.
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("chern requires an even n >= 8 (Simpson rule)")
-    if not 0.0 < radius < np.inf:
-        raise ValueError("radius must be positive and finite")
+    with np.errstate(over="ignore"):
+        cube = np.float64(radius) ** 3
+    if not np.finfo(float).tiny <= cube <= np.finfo(float).max / 4.0:
+        raise ValueError(f"radius must be positive, with radius^3 a normal float at most a "
+                         f"quarter of the largest; got {radius:g}")
 
     theta = np.linspace(0.0, np.pi, n + 1)
     phi = np.arange(n) * (2.0 * np.pi / n)

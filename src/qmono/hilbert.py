@@ -35,7 +35,12 @@ class LatticeSpec:
     """Cell-centered cubic grid: ``n`` points per axis on ``[-box, box]^3``.
 
     ``n`` must be an integer (TypeError else, whole floats included), even
-    and >= 4 so that no sample coordinate hits the origin.
+    and >= 4 so that no sample coordinate hits the origin.  ``box`` must be
+    positive and such that floats hold the lattice: the cell volume ``h^3``
+    a normal float, and the box volume ``(2 box)^3`` at least six decades
+    below the largest float (``box`` below about 2.8e100).  Then every
+    site's ``|x|^2`` is finite and nonzero, and so is ``norm`` of a field
+    with entries of unit scale, ``h^3`` times a sum of ``n^3`` squares.
     """
 
     n: int
@@ -48,6 +53,13 @@ class LatticeSpec:
             raise ValueError("LatticeSpec.n must be even and >= 4")
         if not 0.0 < self.box < np.inf:
             raise ValueError("LatticeSpec.box must be positive and finite")
+        # compared as sides, before a volume that may overflow is formed
+        if 2.0 * self.box > (1e-6 * np.finfo(float).max) ** (1.0 / 3.0):
+            raise ValueError(f"LatticeSpec.box = {self.box:g} is too large: the box volume "
+                             f"(2 box)^3 must stay six decades below the largest float")
+        if self.cell_volume < np.finfo(float).tiny:
+            raise ValueError(f"LatticeSpec.box = {self.box:g} is too small for n = {self.n}: "
+                             f"the cell volume (2 box / n)^3 must be a normal float")
 
     @property
     def step(self) -> float:

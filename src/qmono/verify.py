@@ -25,10 +25,10 @@ A projected field carries its box's block of sites as its support, so
 ``U(m) E(box) psi``, a closure defect applied to ``E(box) psi`` and every
 shift of the operators suite's ``interior`` field work on that block only.
 The twisted lines of ``operators`` are grouped by axis the same way, keyed
-by the line's unit step ``u``: one task builds each ``U(c u)`` and ``U(c u)
-psi`` once; each draw's unitarity stays a task of its own.  A closure
-defect's symbol is compared with ``geometry.multiplier`` on the sites its
-shifts leave unclipped, and the oracle is evaluated on those sites only.
+by the line's unit step ``u``: one task builds each ``U(c u)`` once; each
+draw's unitarity stays a task of its own.  A closure defect's symbol is
+compared with ``geometry.multiplier`` on the sites its shifts leave
+unclipped, and the oracle is evaluated on those sites only.
 The splitting suite draws one whole field per sample, so its tasks are
 contiguous runs of samples: each run replays the suite generator through
 the runs before its own (``_split_run``), so it draws the same fields
@@ -457,59 +457,60 @@ def _richardson(devs_h, devs_h2):
 
 
 # the Richardson-checked stencil identities: each takes an analytic field
-# (batched or not), the probe points and the step, and returns the largest
-# deviation over the probes, one per field of a batch
+# (batched or not), the probe points and the step, and returns the residual
+# array of each of its terms, which _worst reduces to the largest deviation
+# over the probes, one per field of a batch
+
+def _worst(residuals):
+    return np.max([quat.qnorm(r).max(axis=-1) for r in residuals], axis=0)
+
 
 def _dev_grad_position(fn, probes, h):
-    devs = []
+    res = []
     for i in range(3):
         direct = ops.covderiv_fn(fn, _AXES[i], h)(probes)
         for j in range(3):
             grad = ops.covderiv_fn(lambda y, jj=j: y[..., jj, None] * fn(y), _AXES[i], h)
             comm = grad(probes) - probes[:, j, None] * direct
             target = fn(probes) if i == j else 0.0
-            devs.append(quat.qnorm(comm - target).max(axis=-1))
-    return np.max(devs, axis=0)
+            res.append(comm - target)
+    return res
 
 
 def _dev_grad_commutator(fn, probes, h):
-    devs = []
+    res = []
     for i, j in ((0, 1), (1, 2), (2, 0)):
         # [grad_i, grad_j] = kappa_ij J, with J the left multiplication by dirq(x)
         di_dj = ops.covderiv_fn(ops.covderiv_fn(fn, _AXES[j], h), _AXES[i], h)
         dj_di = ops.covderiv_fn(ops.covderiv_fn(fn, _AXES[i], h), _AXES[j], h)
         kap = geometry.curvature(probes).kappa[..., i, j]
         target = kap[..., None] * quat.qmul(geometry.dirq(probes), fn(probes))
-        devs.append(quat.qnorm(di_dj(probes) - dj_di(probes) - target).max(axis=-1))
-    return np.max(devs, axis=0)
+        res.append(di_dj(probes) - dj_di(probes) - target)
+    return res
 
 
 def _dev_rotation_covariance(fn, probes, h):
-    devs = []
+    res = []
     for i, j, k, sign in ((2, 0, 1, -1.0), (0, 1, 2, -1.0), (2, 1, 0, 1.0)):
         # [M_i, grad_j] = -eps_ijk grad_k; listed triples have eps = +/-1
         mg = ops.rotgen_fn(ops.covderiv_fn(fn, _AXES[j], h), i, h)
         gm = ops.covderiv_fn(ops.rotgen_fn(fn, i, h), _AXES[j], h)
         target = sign * ops.covderiv_fn(fn, _AXES[k], h)(probes)
-        devs.append(quat.qnorm(mg(probes) - gm(probes) - target).max(axis=-1))
-    return np.max(devs, axis=0)
+        res.append(mg(probes) - gm(probes) - target)
+    return res
 
 
 def _dev_rotation_j(fn, probes, h):
-    devs = []
     jfn = lambda y: quat.qmul(geometry.dirq(y), fn(y))
-    for i in range(3):
-        mj = ops.rotgen_fn(jfn, i, h)(probes)
-        jm = quat.qmul(geometry.dirq(probes), ops.rotgen_fn(fn, i, h)(probes))
-        devs.append(quat.qnorm(mj - jm).max(axis=-1))
-    return np.max(devs, axis=0)
+    return [ops.rotgen_fn(jfn, i, h)(probes)
+            - quat.qmul(geometry.dirq(probes), ops.rotgen_fn(fn, i, h)(probes)) for i in range(3)]
 
 
 def _dev_rotation_position(fn, probes, h):
     # [M_3, X_1] = -X_2
     mx = ops.rotgen_fn(lambda y: y[..., 0, None] * fn(y), 2, h)(probes)
     xm = probes[:, 0, None] * ops.rotgen_fn(fn, 2, h)(probes)
-    return quat.qnorm(mx - xm + probes[:, 1, None] * fn(probes)).max(axis=-1)
+    return [mx - xm + probes[:, 1, None] * fn(probes)]
 
 
 def _dev_spin_half_turn(fn, probes):
@@ -518,7 +519,7 @@ def _dev_spin_half_turn(fn, probes):
     return quat.qnorm(rot + fn(probes)).max(axis=-1) / quat.qnorm(fn(probes)).max(axis=-1)
 
 
-# (name, law, deviation function, tolerance at step h)
+# (name, law, residual function, tolerance at step h)
 _STENCIL_IDENTITIES = (
     ("grad-position", "[grad_i, X_j] = delta_ij", _dev_grad_position, 2e-3),
     ("grad-commutator", "[grad_i, grad_j] = kappa_ij J", _dev_grad_commutator, 2e-3),
@@ -583,21 +584,13 @@ def _unitarity_dev(spec, interior, interior_norm, m) -> float:
 def _line_devs(spec, interior, unit, s_steps, t_steps) -> list:
     """``U(s u) U(t u) = U((s+t) u)`` deviations of the draws along the unit
     step ``u = unit``, one per draw's step counts ``(s, t)``.  Each line
-    shift ``U(c u)``, each ``U(c u) interior`` and each distinct pair's
-    deviation is formed once."""
+    shift ``U(c u)`` is built once."""
     @cache
     def shift(c):
         return ops.twisted_shift(spec, c * unit)
 
-    @cache
-    def moved(c):
-        return shift(c)(interior)
-
-    @cache
-    def dev(s, t):
-        return np.abs(shift(s)(moved(t)).values - moved(s + t).values).max()
-
-    return [dev(s, t) for s, t in zip(s_steps, t_steps)]
+    return [np.abs(shift(s)(shift(t)(interior)).values - shift(s + t)(interior).values).max()
+            for s, t in zip(s_steps, t_steps)]
 
 
 def _twisted_checks(un_dev, group_dev, tol) -> list:
@@ -660,8 +653,8 @@ def _analytic_checks(fields, probes, directions) -> list:
     # stencil identities on analytic fields, with Richardson ratios
     h = 0.02
     for name, law, fdev, tol_h in _STENCIL_IDENTITIES:
-        devs_h = fdev(fields, probes, h)
-        devs_h2 = fdev(fields, probes, h / 2.0)
+        devs_h = _worst(fdev(fields, probes, h))
+        devs_h2 = _worst(fdev(fields, probes, h / 2.0))
         ratios = _richardson(devs_h, devs_h2)
         checks.append(check_from_devs(name, law + " (step h)", devs_h, tol_h))
         checks.append(check_from_devs(
@@ -671,7 +664,7 @@ def _analytic_checks(fields, probes, directions) -> list:
     # the first five fields of the batch
     checks.append(check_from_devs(
         "rotation-position", "[M_3, X_1] = -X_2",
-        _dev_rotation_position(fields, probes, h)[:5], 2e-3))
+        _worst(_dev_rotation_position(fields, probes, h))[:5], 2e-3))
     checks.append(check_from_devs(
         "spin-half-turn", "exp(2 pi M_3) = -I", _dev_spin_half_turn(fields, probes)[:5], 1e-12))
 

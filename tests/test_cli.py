@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -190,12 +191,31 @@ def test_usage_errors(tmp_path):
                  ["verify", "geometry", "--n", "16"], ["verify", "geometry", "--box", "nan"],
                  ["verify", "gis", "--tol", "1e-12"], ["verify", "splitting", "--tol", "1e-3"],
                  # a box so wide that the operators suite's smooth Gaussian underflows to 0
-                 ["verify", "operators", "--n", "14", "--box", "600"]):
+                 ["verify", "operators", "--n", "14", "--box", "600"],
+                 # a box whose volume floats cannot hold, a radius whose cube is not normal
+                 ["verify", "operators", "--n", "14", "--box", "1e150", "--samples", "2"],
+                 ["chern", "--n", "8", "--radius", "1e200"],
+                 ["chern", "--n", "8", "--radius", "1e-200"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "nosuch"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("box", ["1e300", "1e-170"])
+def test_a_box_that_floats_cannot_hold_is_a_usage_error(tmp_path, box):
+    # the splitting suite's slice sampler would redraw forever once |center|
+    # overflows to inf or underflows to 0; a fresh process with a timeout, so
+    # that a regression fails here instead of hanging the run
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run(
+        [sys.executable, "-m", "qmono.cli", "verify", "splitting", "--n", "8", "--box", box,
+         "--samples", "2", "--out", str(tmp_path / "out.json")],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path, env=env)
+    assert run.returncode == 2
+    assert "usage error:" in run.stderr and "Traceback" not in run.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [

@@ -339,6 +339,18 @@ def test_cg_zero_right_hand_side_and_iteration_limit():
     x, info, iters = _counted_cg(s, b, rtol=1e-12, maxiter=3)
     assert info == 3 and iters == 3
     assert np.linalg.norm(b - x - s @ x) > 1e-12 * np.linalg.norm(b)
+    # a residual norm that is not finite stops the solve at once: the start
+    # residual's norm overflows for an x0 with entries near the largest
+    # float, and the first Lanczos vector's norm |a e_1| = 2e308 for an
+    # anti-hermitian a with four such entries in its first column
+    huge = b / np.abs(b).max() * 1e308
+    wide = np.zeros((5, 5), complex)
+    wide[1:, 0], wide[0, 1:] = 1e308, -1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, info, iters = _counted_cg(s, huge, x0=huge, rtol=1e-12)
+        assert info != 0 and iters == 0
+        x, info, iters = _counted_cg(wide, np.eye(5, 1, dtype=complex), rtol=1e-12)
+        assert info != 0 and iters == 1
 
 
 def test_evolver_records_cg_iterations_per_step():

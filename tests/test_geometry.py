@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -374,3 +376,11 @@ def test_chern_validation():
         geometry.chern(9)
     with pytest.raises(ValueError):
         geometry.chern(16, radius=-1.0)
+    # radius^3 must be a normal float at most a quarter of the largest; just
+    # inside either end, the quadrature runs without a float exception
+    for radius in (2.8e-103, 3.6e102, 1e-200, 1e200):
+        with pytest.raises(ValueError, match=re.escape(f"got {radius:g}")):
+            geometry.chern(16, radius=radius)
+    with np.errstate(all="raise"):
+        for radius in (2.9e-103, 3.5e102):
+            assert geometry.chern(16, radius=radius) == pytest.approx(geometry.chern(16), rel=1e-12)

@@ -19,6 +19,23 @@ def test_lattice_spec_validation():
         LatticeSpec(n=33, box=6.0)  # odd n would sample the origin
     with pytest.raises(ValueError):
         LatticeSpec(n=32, box=0.0)
+    # a box that floats cannot hold: the cell volume h^3 must be a normal
+    # float, and the box volume (2 box)^3 six decades below the largest
+    # float; a box just inside either end keeps every |x|^2 and the norm of
+    # a unit-scale field finite and nonzero
+    fin = np.finfo(float)
+    largest = 0.5 * (1e-6 * fin.max) ** (1.0 / 3.0)
+    for n in (8, 32):
+        smallest = n / 2 * fin.tiny ** (1.0 / 3.0)
+        for box in (0.99 * smallest, 1e-170, 1.01 * largest, 1e150, 1e300):
+            with pytest.raises(ValueError, match=re.escape(f"LatticeSpec.box = {box:g} is too")):
+                LatticeSpec(n=n, box=box)
+        for box in (1.01 * smallest, 0.99 * largest):
+            spec = LatticeSpec(n=n, box=box)
+            assert fin.tiny <= spec.cell_volume and (2.0 * box) ** 3 <= 1e-6 * fin.max
+            r2 = np.sum(spec.points() ** 2, axis=-1)
+            assert np.isfinite(r2).all() and r2.min() > 0.0
+            assert 0.0 < hilbert.norm(LatticeField(spec, np.ones((n, n, n, 4)))) < np.inf
 
 
 @pytest.mark.parametrize("n", [32.0, 32.5, True, "32", np.float64(16.0)])

@@ -499,8 +499,8 @@ def test_commutator_check_curvature_target():
 
     # the check's largest deviation over both points and the pairs (0,1), (1,2), (2,0)
     pts = np.array([[0.0, 0.0, 1.0], [0.1, -0.2, 1.2]])
-    dev1 = verify._dev_grad_commutator(fn, pts, h=0.02)
-    dev2 = verify._dev_grad_commutator(fn, pts, h=0.01)
+    dev1 = verify._worst(verify._dev_grad_commutator(fn, pts, h=0.02))
+    dev2 = verify._worst(verify._dev_grad_commutator(fn, pts, h=0.01))
     assert np.shape(dev1) == np.shape(dev2) == ()
     assert dev1 < 2e-3
     assert dev1 / dev2 == pytest.approx(4.0, abs=0.5)
@@ -741,9 +741,10 @@ def test_operator_arithmetic(spec, psi):
 def test_stencil_identities_on_a_batch_match_field_by_field():
     # the operators suite draws its 20 Gaussian fields as one batched field
     # and checks the four Richardson-checked identities, rotation-position and
-    # spin-half-turn on the whole batch; field k's deviation must be the bits
-    # it gives alone, where each field is the parameters of the one-by-one
-    # draw in a plain scalar formula
+    # spin-half-turn on the whole batch; field k's residual arrays (for
+    # spin-half-turn, its deviation) must be the bits it gives alone, where
+    # each field is the parameters of the one-by-one draw in a plain scalar
+    # formula
     def gaussian_ref(center, width, amp):
         return lambda x: (np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * width**2))
                           [..., None] * amp)
@@ -758,14 +759,20 @@ def test_stencil_identities_on_a_batch_match_field_by_field():
     probes = verify._probe_points(rng)
     assert np.array_equal(probes, verify._probe_points(ref_rng))  # same draws consumed
     assert np.array_equal(batch(probes), np.stack([fn(probes) for fn in singles]))
-    batch_checks = [(name, fdev) for name, _, fdev, _ in verify._STENCIL_IDENTITIES] + [
-        ("rotation-position", verify._dev_rotation_position),
-        ("spin-half-turn", lambda fn, probes, h: verify._dev_spin_half_turn(fn, probes))]
-    for name, fdev in batch_checks:
+    laws = [(name, fres) for name, _, fres, _ in verify._STENCIL_IDENTITIES] + [
+        ("rotation-position", verify._dev_rotation_position)]
+    for name, fres in laws:
         for h in (0.02, 0.01):
-            got = fdev(batch, probes, h)
-            assert got.shape == (20,), name
-            assert np.array_equal(got, [fdev(fn, probes, h) for fn in singles]), (name, h)
+            got = fres(batch, probes, h)
+            alone = [fres(fn, probes, h) for fn in singles]
+            assert all(len(res) == len(got) for res in alone), (name, h)
+            for term, res in enumerate(got):
+                assert res.shape == (20, len(probes), 4), (name, h, term)
+                assert np.array_equal(res, np.stack([a[term] for a in alone])), (name, h, term)
+            assert verify._worst(got).shape == (20,), (name, h)
+    got = verify._dev_spin_half_turn(batch, probes)
+    assert got.shape == (20,)
+    assert np.array_equal(got, [verify._dev_spin_half_turn(fn, probes) for fn in singles])
 
 
 def test_wpr_checks_pass_with_twisted_shifts_and_fail_with_plain_shifts(monkeypatch):
