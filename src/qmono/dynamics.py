@@ -106,10 +106,23 @@ class EvolutionConfig:
     The packet lies in the slice of ``omega = e3``, the evolver's frame, and
     is solved to ``solver_rtol``: class constants, not fields
     (``perfbench/sweep.py`` reads both to build the same run).
+
+    The step matrix ``M = (dt/2) i H`` has norm up to ``3 dt / (m h^2)``, so
+    that scale must be at most ``max_step_scale = 1e15``.  Past it the
+    identity in ``(I + M) x`` falls below the rounding of ``M x`` (``3e15``
+    times the float epsilon is about 0.7), and a step is no longer a
+    Cayley step in float arithmetic.  The CG count of a first step grows
+    with the scale: on the flyby preset's lattice it is 11 at 0.16 (the
+    preset), 110 at 10 and 240 at 100, then about a dozen more per decade:
+    341 at 1e8, 458 at 1e15, the 500-iteration limit at 3e18.  So 1e15 lies
+    fifteen decades above both presets (0.16 and 0.625), and a run below it
+    (``--mass 1e-8`` on the flyby preset, 3.2e7) converges or fails as a
+    run.  A larger scale is refused with a ValueError (the CLI's exit 2).
     """
 
     omega: ClassVar[tuple] = tuple(quat.E3)
     solver_rtol: ClassVar[float] = 1e-13
+    max_step_scale: ClassVar[float] = 1e15
 
     lattice: LatticeSpec
     mass: float = 1.0
@@ -130,6 +143,10 @@ class EvolutionConfig:
         if self.dt == 0.0 and self.steps > 0:
             # every step would be the identity, with no time axis to check
             raise ValueError("dt must be positive when steps > 0")
+        step = self.lattice.step
+        if self.dt > self.max_step_scale * (self.mass * step**2):
+            raise ValueError(f"the step scale dt / (m h^2) exceeds {self.max_step_scale:g} at "
+                             f"mass {self.mass!r}, dt {self.dt!r} and lattice step {step!r}")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
         for name in ("center", "kick"):

@@ -364,6 +364,18 @@ def curvature(x) -> CurvatureSample:
     return CurvatureSample(omega=omega, kappa=kappa)
 
 
+def _chern_integrand(radius, st, ct, sp, cp, reverse):
+    """``kappa(u, v)`` on the rows of the sphere grid whose polar sines and
+    cosines are the columns ``st, ct``, at the azimuths of ``sp, cp``;
+    ``(u, v)`` is ``(d_phi, d_theta)``, swapped when ``reverse``."""
+    # omega, three times kappa's size, is not needed
+    kappa = _kappa(radius * np.stack(np.broadcast_arrays(st * cp, st * sp, ct), axis=-1))[0]
+    d_theta = radius * np.stack(np.broadcast_arrays(ct * cp, ct * sp, -st), axis=-1)
+    d_phi = radius * np.stack(np.broadcast_arrays(-st * sp, st * cp, 0.0), axis=-1)
+    u, v = (d_theta, d_phi) if reverse else (d_phi, d_theta)
+    return np.einsum("...ij,...i,...j->...", kappa, u, v)
+
+
 def chern(n: int, radius: float = 1.0, reverse: bool = False) -> float:
     """Integral of the curvature two-form over a sphere around the origin.
 
@@ -375,6 +387,14 @@ def chern(n: int, radius: float = 1.0, reverse: bool = False) -> float:
     ``2 |x|^3``, so ``radius^3`` must be a normal float at most a quarter of
     the largest (radius about 2.8e-103 to 3.5e102), which leaves a factor 2
     for the rounding of ``|x|``; other radii are refused with a ValueError.
+
+    The integrand is evaluated in blocks of polar-angle rows of about
+    ``quat.QMUL_BLOCK`` points, from the sines and cosines of the 1-D angles,
+    and each block is written, times its Simpson weights, into one
+    ``(n+1, n)`` array that a single ``np.sum`` adds up.  So the working set
+    is one float per quadrature point plus one block's temporaries (about
+    20 floats a point), and every value is bit for bit that of the same
+    quadrature formed on the whole grid at once.
     """
     if n < 8 or n % 2 != 0:
         raise ValueError("chern requires an even n >= 8 (Simpson rule)")
@@ -386,20 +406,17 @@ def chern(n: int, radius: float = 1.0, reverse: bool = False) -> float:
 
     theta = np.linspace(0.0, np.pi, n + 1)
     phi = np.arange(n) * (2.0 * np.pi / n)
-    tg, pg = np.meshgrid(theta, phi, indexing="ij")
-
-    st, ct = np.sin(tg), np.cos(tg)
-    sp, cp = np.sin(pg), np.cos(pg)
-    x = radius * np.stack([st * cp, st * sp, ct], axis=-1)
-    d_theta = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
-    d_phi = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
-
-    kappa = _kappa(x)[0]  # omega, three times kappa's size, is not needed
-    u, v = (d_theta, d_phi) if reverse else (d_phi, d_theta)
-    integrand = np.einsum("...ij,...i,...j->...", kappa, u, v)
+    st, ct = np.sin(theta)[:, None], np.cos(theta)[:, None]
+    sp, cp = np.sin(phi), np.cos(phi)
 
     w_theta = np.ones(n + 1)
     w_theta[1:-1:2] = 4.0
     w_theta[2:-1:2] = 2.0
     w_theta *= (np.pi / n) / 3.0
-    return float(np.sum(integrand * w_theta[:, None]) * (2.0 * np.pi / n))
+    weighted = np.empty((n + 1, n))
+    size = max(1, quat.QMUL_BLOCK // n)
+    for start in range(0, n + 1, size):
+        rows = slice(start, start + size)
+        np.multiply(_chern_integrand(radius, st[rows], ct[rows], sp, cp, reverse),
+                    w_theta[rows, None], out=weighted[rows])
+    return float(np.sum(weighted) * (2.0 * np.pi / n))

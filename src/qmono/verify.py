@@ -36,7 +36,10 @@ without the parent holding them.  Its member checks stay in the parent,
 after the task list, because they draw from the generator state that the
 last run hands back.  The same code runs on the same inputs, so a report
 does not depend on the number of workers.  The geometry suite, batched
-vector work and three ``chern`` quadratures, runs in the calling process.
+vector work and three ``chern`` quadratures, runs in the calling process;
+each quadrature evaluates its integrand in blocks of polar-angle rows,
+so it holds one float per quadrature point plus one block, bit-identical
+to the whole-grid form.
 """
 
 from __future__ import annotations

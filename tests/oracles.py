@@ -104,3 +104,28 @@ def slice_gauge_whole_grid(spec: LatticeSpec):
         z[here] = w[..., 0] + 1j * w[..., 3]
         links.append(z)
     return q, tuple(links)
+
+
+def chern_whole_grid(n: int, radius: float = 1.0, reverse: bool = False) -> float:
+    """``geometry.chern``'s quadrature with every term formed on the whole
+    ``(n+1, n)`` polar-azimuth grid at once, from its ``meshgrid`` planes;
+    the arguments are not checked."""
+    theta = np.linspace(0.0, np.pi, n + 1)
+    phi = np.arange(n) * (2.0 * np.pi / n)
+    tg, pg = np.meshgrid(theta, phi, indexing="ij")
+
+    st, ct = np.sin(tg), np.cos(tg)
+    sp, cp = np.sin(pg), np.cos(pg)
+    x = radius * np.stack([st * cp, st * sp, ct], axis=-1)
+    d_theta = radius * np.stack([ct * cp, ct * sp, -st], axis=-1)
+    d_phi = radius * np.stack([-st * sp, st * cp, np.zeros_like(st)], axis=-1)
+
+    kappa = geometry._kappa(x)[0]
+    u, v = (d_theta, d_phi) if reverse else (d_phi, d_theta)
+    integrand = np.einsum("...ij,...i,...j->...", kappa, u, v)
+
+    w_theta = np.ones(n + 1)
+    w_theta[1:-1:2] = 4.0
+    w_theta[2:-1:2] = 2.0
+    w_theta *= (np.pi / n) / 3.0
+    return float(np.sum(integrand * w_theta[:, None]) * (2.0 * np.pi / n))

@@ -153,7 +153,8 @@ def test_evolve_report_path_keeps_dotted_directories(tmp_path):
     ["--dt", "inf", "--steps", "2"],
     ["--mass", "nan", "--steps", "2"],
     ["--mass", "inf", "--steps", "2"],
-    ["--mass", "1e-320", "--steps", "2"],  # the hop weight overflows to -inf
+    ["--mass", "1e-320", "--steps", "2"],  # the step scale dt / (m h^2) exceeds 1e15
+    ["--mass", "1e-320", "--dt", "0", "--steps", "0"],  # the hop weight overflows to -inf
     ["--box", "inf", "--steps", "0"],
     ["--box", "nan", "--steps", "0"],
     ["--box", "1000", "--steps", "2"],  # the packet underflows to norm 0
@@ -195,7 +196,12 @@ def test_usage_errors(tmp_path):
                  # a box whose volume floats cannot hold, a radius whose cube is not normal
                  ["verify", "operators", "--n", "14", "--box", "1e150", "--samples", "2"],
                  ["chern", "--n", "8", "--radius", "1e200"],
-                 ["chern", "--n", "8", "--radius", "1e-200"]):
+                 ["chern", "--n", "8", "--radius", "1e-200"],
+                 # a step scale dt / (m h^2) above 1e15: too small a mass or too long a step
+                 ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-20"],
+                 ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-100"],
+                 ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-160"],
+                 ["evolve", "--preset", "free", "--steps", "2", "--dt", "1e15"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:

@@ -175,6 +175,13 @@ def test_config_validation():
     with pytest.raises(ValueError, match="dt must be positive"):
         dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=4, **GOOD)
     assert dynamics.EvolutionConfig(lattice=SPEC, dt=0.0, steps=0, **GOOD).steps == 0
+    # the step scale dt / (m h^2) is at most 1e15, the mass and dt named; a
+    # mass so small that m h^2 underflows to 0 is refused too
+    h2 = SPEC.step**2
+    assert dynamics.EvolutionConfig(lattice=SPEC, mass=0.02 / (1e15 * h2), **GOOD).dt == 0.02
+    for mass, dt in ((0.02 / (1.01e15 * h2), 0.02), (1.0, 1.01e15 * h2), (5e-324, 0.02)):
+        with pytest.raises(ValueError, match=rf"exceeds 1e\+15 at mass {mass!r}, dt {dt!r}"):
+            dynamics.EvolutionConfig(lattice=SPEC, mass=mass, dt=dt, **GOOD)
     # the packet's center and kick are three finite numbers each
     for bad in (dict(center=(np.nan, 1.0, 0.4)), dict(center=(-1.2, 1.0)),
                 dict(kick=(np.inf, 0.0, 0.0)), dict(kick=(np.nan, 0.0, 0.0)),

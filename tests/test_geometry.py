@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -361,6 +362,38 @@ def test_chern_quadrature():
     assert abs(val - 2.0 * np.pi) < 1e-6
     assert abs(geometry.chern(256, radius=7.0) - 2.0 * np.pi) < 1e-6
     assert abs(geometry.chern(256, reverse=True) + 2.0 * np.pi) < 1e-6
+
+
+@pytest.mark.parametrize("n", [8, 16, 30, 256, 1024])
+def test_chern_row_blocks_match_the_whole_grid(n):
+    # blocks of QMUL_BLOCK // n rows: n = 256 and 1024 leave a one-row last block
+    for radius in (1.0, 7.0, 1e-3, 3e5):
+        for reverse in (False, True):
+            got = geometry.chern(n, radius=radius, reverse=reverse)
+            assert got.hex() == oracles.chern_whole_grid(n, radius, reverse).hex()
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_chern_is_the_same_at_any_block_size(monkeypatch, block):
+    # one-row blocks, and blocks that split the grid unevenly
+    monkeypatch.setattr(quat, "QMUL_BLOCK", block)
+    for n in (8, 30, 64):
+        for reverse in (False, True):
+            got = geometry.chern(n, radius=7.0, reverse=reverse)
+            assert got.hex() == oracles.chern_whole_grid(n, 7.0, reverse).hex()
+
+
+def test_chern_holds_one_float_per_quadrature_point():
+    # the weighted integrand, (n + 1) n floats, and one block's temporaries;
+    # the whole-grid form peaked at about 200 MiB here
+    n = 1024
+    tracemalloc.start()
+    try:
+        geometry.chern(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + 1) * n + 2 * 2**20
 
 
 def test_chern_convergence_order():

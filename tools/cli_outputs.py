@@ -41,6 +41,8 @@ COMMANDS = {
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
     "evolve-free-n42": ["evolve", "--preset", "free", "--n", "42", "--steps", "3"],
     "chern": ["chern"],
+    # eight-row blocks with a one-row last block, and a radius other than 1
+    "chern-n1024-radius7": ["chern", "--n", "1024", "--radius", "7", "--json"],
 }
 
 CG_ITERS = """
