@@ -118,11 +118,25 @@ class EvolutionConfig:
     fifteen decades above both presets (0.16 and 0.625), and a run below it
     (``--mass 1e-8`` on the flyby preset, 3.2e7) converges or fails as a
     run.  A larger scale is refused with a ValueError (the CLI's exit 2).
+
+    A run that records forces must keep its force row finite.  On the
+    cell-centred grid no site is nearer the origin than ``sqrt(3) h / 2``,
+    so ``|B| <= 2 / (3 h^2)``, and each covariant gradient, a central
+    difference of unitary links, has ``||G_j|| <= 1 / h``.  So each
+    ``2 Re<B_k psi, v_j psi>`` of ``_Observables.row`` is at most ``4 / (3 m
+    h^3)``, and each force component at most ``4 / (3 m^2 h^3)``: the force
+    scale is about ``1 / (m^2 h^3)``, and must be at most ``max_force_scale
+    = 1e305``, three decades below the largest float, so that the row and
+    ``ehrenfest``'s differences of it stay finite.  The flyby preset's scale
+    is 16 (2 at n=24), and the free preset records no force.  On the flyby
+    preset at n=16, ``--mass 1e-150`` is at 2.4e300 and runs; ``--mass
+    1e-160`` (2.4e320) would overflow and is refused with a ValueError.
     """
 
     omega: ClassVar[tuple] = tuple(quat.E3)
     solver_rtol: ClassVar[float] = 1e-13
     max_step_scale: ClassVar[float] = 1e15
+    max_force_scale: ClassVar[float] = 1e305
 
     lattice: LatticeSpec
     mass: float = 1.0
@@ -147,6 +161,9 @@ class EvolutionConfig:
         if self.dt > self.max_step_scale * (self.mass * step**2):
             raise ValueError(f"the step scale dt / (m h^2) exceeds {self.max_step_scale:g} at "
                              f"mass {self.mass!r}, dt {self.dt!r} and lattice step {step!r}")
+        if self.record_force and self.mass * self.mass * step**3 * self.max_force_scale < 1.0:
+            raise ValueError(f"the force scale 1 / (m^2 h^3) exceeds {self.max_force_scale:g} "
+                             f"at mass {self.mass!r} and lattice step {step!r}")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("sigma must be positive and finite")
         for name in ("center", "kick"):

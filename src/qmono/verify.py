@@ -16,7 +16,8 @@ in the order a draw-then-check loop would draw them; then it evaluates one
 list of tasks, every check group and every sampled draw, with a single
 ``runner.run_tasks`` call (forked worker processes, one per available
 core; in the calling process with one core or without ``fork``); last,
-it appends the returned checks in report order.  The tasks are listed
+it turns the sampled draws' deviations into one row per check (``_rows``)
+and appends every check in report order.  The tasks are listed
 longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
 by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
@@ -30,11 +31,11 @@ draw's unitarity stays a task of its own.  A closure defect's symbol is
 compared with ``geometry.multiplier`` on the sites its shifts leave
 unclipped, and the oracle is evaluated on those sites only.
 The splitting suite draws one whole field per sample, so its tasks are
-contiguous runs of samples: each run replays the suite generator through
-the runs before its own (``_split_run``), so it draws the same fields
-without the parent holding them.  Its member checks stay in the parent,
-after the task list, because they draw from the generator state that the
-last run hands back.  The same code runs on the same inputs, so a report
+contiguous runs of samples: each run starts the suite generator from the
+seed and replays it through the runs before its own (``_split_run``), so it
+draws the same fields without the parent holding them or a generator.  The
+last run goes on to the member checks, which draw from where its fields
+leave the generator.  The same code runs on the same inputs, so a report
 does not depend on the number of workers.  The geometry suite, batched
 vector work and three ``chern`` quadratures, runs in the calling process;
 each quadrature evaluates its integrand in blocks of polar-angle rows,
@@ -44,7 +45,6 @@ to the whole-grid form.
 
 from __future__ import annotations
 
-import copy
 from functools import cache, partial
 
 import numpy as np
@@ -138,6 +138,14 @@ def _in_draw_order(groups: list, results: list) -> list:
         for i, r in zip(group, res):
             out[i] = r
     return out
+
+
+def _rows(devs, *rows) -> list:
+    """One ``check_from_devs(name, law, column, tol)`` per ``(name, law,
+    tol)`` of ``rows``: the k-th takes the k-th entry of every per-draw
+    tuple of ``devs``, in draw order."""
+    return [check_from_devs(name, law, column, tol)
+            for (name, law, tol), column in zip(rows, zip(*devs), strict=True)]
 
 
 # (x, a): the transport from x to x + a
@@ -570,15 +578,6 @@ def _imprimitivity_devs(spec, psi, interior, steps, boxes, s2s) -> list:
     return list(zip(_covariance_devs(spec, psi, steps, boxes), comp))
 
 
-def _shift_checks(devs) -> list:
-    # imprimitivity, multiplied-through form, bit-exact
-    imp_dev, comp_dev = zip(*devs)
-    return [check_from_devs(
-                "imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", imp_dev, 0.0),
-            check_from_devs(
-                "shift-composition", "V(a) V(b) = V(a+b), bit-exact", comp_dev, 0.0)]
-
-
 def _unitarity_dev(spec, interior, interior_norm, m) -> float:
     # twisted shifts: unitary on a field with interior support
     return abs(hilbert.norm(ops.twisted_shift(spec, m)(interior)) - interior_norm) / interior_norm
@@ -596,31 +595,9 @@ def _line_devs(spec, interior, unit, s_steps, t_steps) -> list:
             for s, t in zip(s_steps, t_steps)]
 
 
-def _twisted_checks(un_dev, group_dev, tol) -> list:
-    return [check_from_devs(
-                "twisted-unitarity", "|U(a) psi| = |psi| (interior support)", un_dev, tol),
-            check_from_devs(
-                "one-parameter-line", "U(s u) U(t u) = U((s+t) u)", group_dev, tol)]
-
-
 def _defect_devs(spec, ma, mb) -> tuple:
     _, sym, dev, pointwise = _closure_defect(spec, ma, mb)
     return dev, pointwise, quat.qnorm(sym - quat.E0).max()
-
-
-def _defect_checks(draws, devs, tol) -> list:
-    # closure defects: pointwise, with the transport-product symbol; WPR off a line
-    defect_dev, defect_struct, size = zip(*devs)
-    wpr_size = [sz for (ma, mb), sz in zip(draws, size) if np.cross(ma, mb).any()]
-    return [check_from_devs(
-                "defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)",
-                defect_dev, tol),
-            check_from_devs(
-                "defect-pointwise", "closure defect is a pointwise multiplier",
-                defect_struct, 0.0),
-            check_from_devs(
-                "wpr-nontrivial", "generic closure defect differs from the identity",
-                [0.0 if (min(wpr_size) > 1e-3) else 1.0], 0.0)]
 
 
 def _parallel_checks(spec, tol) -> list:
@@ -816,10 +793,25 @@ def operators_suite(n: int = 32, box: float = 6.0, samples: int = 200,
     unit_devs, devs = devs[:len(twisted_draws)], devs[len(twisted_draws):]
 
     rep.checks += jop_c
-    rep.checks += _shift_checks(_in_draw_order(shift_groups, devs))
-    rep.checks += _twisted_checks(unit_devs, _in_draw_order(line_groups, line_devs), tol)
-    rep.checks += _defect_checks(defect_draws, defect_devs, tol) + par_c
-    rep.checks += analytic_c + ham_c + adj_c + wpr_c
+    # imprimitivity, multiplied-through form, bit-exact
+    rep.checks += _rows(
+        _in_draw_order(shift_groups, devs),
+        ("imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", 0.0),
+        ("shift-composition", "V(a) V(b) = V(a+b), bit-exact", 0.0))
+    rep.checks += _rows(
+        zip(unit_devs, _in_draw_order(line_groups, line_devs)),
+        ("twisted-unitarity", "|U(a) psi| = |psi| (interior support)", tol),
+        ("one-parameter-line", "U(s u) U(t u) = U((s+t) u)", tol))
+    # closure defects: pointwise, with the transport-product symbol; WPR off a line
+    rep.checks += _rows(
+        [d[:2] for d in defect_devs],
+        ("defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)", tol),
+        ("defect-pointwise", "closure defect is a pointwise multiplier", 0.0))
+    wpr_size = [d[2] for (ma, mb), d in zip(defect_draws, defect_devs) if np.cross(ma, mb).any()]
+    rep.checks.append(check_from_devs(
+        "wpr-nontrivial", "generic closure defect differs from the identity",
+        [0.0 if (min(wpr_size) > 1e-3) else 1.0], 0.0))
+    rep.checks += par_c + analytic_c + ham_c + adj_c + wpr_c
     return rep
 
 
@@ -852,44 +844,23 @@ def _split_devs(spec: LatticeSpec, psi: LatticeField) -> tuple:
 # The split loop draws one whole grid per sample, about 1 MiB at n=32, so it
 # does not draw all its fields ahead like the gis and operators loops.  It
 # cuts the samples into one contiguous run per worker instead.  Each run
-# replays the suite generator from its state before the loop: it draws the
-# fields of the runs before it into one reused buffer (the same draws, so
-# the same generator state), then draws and checks its own fields, and
-# returns their deviations with its generator's final state.  The last
-# run's state becomes the suite generator's, so the groups after it draw
-# what a draw-then-check loop leaves them.
+# starts the suite generator from the seed: it draws the fields of the runs
+# before it into one reused buffer (the same draws, so the same generator
+# state), then draws and checks its own fields.  The last run goes on to the
+# member checks, which draw what a draw-then-check loop leaves them.
 
-def _split_run(rng, spec: LatticeSpec, start: int, stop: int) -> tuple:
-    """The split deviations of samples ``start`` to ``stop`` and the
-    generator state after them, drawn from a copy of ``rng``."""
+def _split_run(seed, spec: LatticeSpec, start: int, stop: int, samples: int) -> tuple:
+    """The split deviations of samples ``start`` to ``stop`` of ``samples``,
+    and the member checks if ``stop == samples`` (else none)."""
     shape = (spec.n,) * 3 + (4,)
-    gen = copy.deepcopy(rng)  # the parent advances `rng` only after the tasks run
+    gen = np.random.default_rng(seed)
     skipped = np.empty(shape)
     for _ in range(start):
         gen.standard_normal(out=skipped)
     del skipped
     devs = [_split_devs(spec, LatticeField(spec, gen.standard_normal(shape)))
             for _ in range(start, stop)]
-    return devs, gen.bit_generator.state
-
-
-def _split_checks(devs) -> list:
-    # one contiguous row per check, in sample order
-    rec_dev, norm_dev, memb_dev, orth_re, orth_slice, inner_slice = np.ascontiguousarray(
-        np.reshape(devs, (-1, 6)).T)
-    return [
-        check_from_devs("reconstruction", "psi1 + psi2 omega_tilde = psi", rec_dev, 1e-14),
-        check_from_devs("norm-additivity", "|psi|^2 = |psi1|^2 + |psi2|^2", norm_dev, 1e-12),
-        check_from_devs("slice-membership", "J psi_k = psi_k omega", memb_dev, 1e-14),
-        check_from_devs(
-            "orthogonality-real", "Re inner(psi1, psi2 omega_tilde) = 0", orth_re, 1e-12),
-        check_from_devs(
-            "orthogonality-slice", "slice part of inner(psi1, psi2 omega_tilde) = 0",
-            orth_slice, 1e-12),
-        check_from_devs(
-            "inner-in-slice", "inner on the slice takes slice-field values",
-            inner_slice, 1e-12),
-    ]
+    return devs, _member_checks(gen, spec) if stop == samples else []
 
 
 def _member_checks(rng, spec) -> list:
@@ -933,21 +904,26 @@ def _reduce_checks(spec, seed) -> list:
 def splitting_suite(n: int = 32, box: float = 6.0, samples: int = 200,
                     seed: int = 42) -> Report:
     samples = min(samples, 200)  # the report states the count drawn
-    rng = np.random.default_rng(seed)
     rep = Report(suite="splitting", seed=seed, n_samples=samples)
     spec = LatticeSpec(n=n, box=box)
     runs = max(1, min(runner.cores(), samples))
     bounds = [(k * samples // runs, (k + 1) * samples // runs) for k in range(runs)]
     # longest first: a run also replays the fields of the runs before it, so
-    # the last run goes first; the reduce checks, with their own generator,
-    # go last
+    # the last run, with the member checks, goes first; the reduce checks,
+    # with their own generator, go last
     *split_runs, reduce_c = runner.run_tasks(
-        [partial(_split_run, rng, spec, *b) for b in reversed(bounds)]
+        [partial(_split_run, seed, spec, *b, samples) for b in reversed(bounds)]
         + [partial(_reduce_checks, spec, seed)])
     split_runs.reverse()
-    rng.bit_generator.state = split_runs[-1][1]
-    rep.checks += _split_checks([d for devs, _ in split_runs for d in devs])
-    rep.checks += _member_checks(rng, spec) + reduce_c
+    rep.checks += _rows(
+        [d for devs, _ in split_runs for d in devs],
+        ("reconstruction", "psi1 + psi2 omega_tilde = psi", 1e-14),
+        ("norm-additivity", "|psi|^2 = |psi1|^2 + |psi2|^2", 1e-12),
+        ("slice-membership", "J psi_k = psi_k omega", 1e-14),
+        ("orthogonality-real", "Re inner(psi1, psi2 omega_tilde) = 0", 1e-12),
+        ("orthogonality-slice", "slice part of inner(psi1, psi2 omega_tilde) = 0", 1e-12),
+        ("inner-in-slice", "inner on the slice takes slice-field values", 1e-12))
+    rep.checks += split_runs[-1][1] + reduce_c
     return rep
 
 
@@ -960,21 +936,6 @@ def _closure_devs(spec, psi, ma, mb, box) -> tuple:
     rhs = hilbert.project(box, defect(psi))
     return (dev, pointwise, float(np.abs(quat.qnorm(sym) - 1.0).max()),
             _bitexact_dev(lhs.values, rhs.values))
-
-
-def _closure_checks(devs) -> list:
-    comp_dev, structural, mult_norm_dev, mult_comm_dev = zip(*devs)
-    return [
-        check_from_devs(
-            "composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)",
-            comp_dev, 1e-12),
-        check_from_devs(
-            "defect-pointwise", "closure defect has zero net displacement", structural, 0.0),
-        check_from_devs("multiplier-unit", "|m(a,b;x)| = 1", mult_norm_dev, 1e-12),
-        check_from_devs(
-            "multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact",
-            mult_comm_dev, 0.0),
-    ]
 
 
 def gis_suite(n: int = 32, box: float = 6.0, samples: int = 10000,
@@ -1006,7 +967,12 @@ def gis_suite(n: int = 32, box: float = 6.0, samples: int = 10000,
     rep.checks.append(check_from_devs(
         "covariance", "U(a) E(box) = E(box+a) U(a), bit-exact",
         _in_draw_order(cov_groups, devs[len(closure_draws):]), 0.0))
-    rep.checks += _closure_checks(devs[:len(closure_draws)])
+    rep.checks += _rows(
+        devs[:len(closure_draws)],
+        ("composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)", 1e-12),
+        ("defect-pointwise", "closure defect has zero net displacement", 0.0),
+        ("multiplier-unit", "|m(a,b;x)| = 1", 1e-12),
+        ("multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", 0.0))
 
     x, flux, flux_dev = _sample_tetraflux(rng, 2000)
     rep.checks.append(check_from_devs(

@@ -28,6 +28,108 @@ def test_verify_algebra_passes(tmp_path, capsys):
     assert "PASS" in text and "FAIL" not in text
 
 
+_RICHARDSON = ": Richardson ratio h vs h/2 in 4 +/- 0.5"
+
+# every row of the verify reports and of the flyby's ehrenfest report, in
+# report order: (name, law, tol)
+REPORT_ROWS = [
+    # algebra
+    ("multiplication-table", "e_i e_j = -delta_ij e0 + eps_ijk e_k, exact", 0.0),
+    ("associativity", "(p q) r = p (q r)", 1e-12),
+    ("conjugation", "(p q)* = q* p*", 1e-12),
+    ("norm-multiplicative", "|p q| = |p| |q|", 1e-12),
+    ("su2-homomorphism", "su2(p q) = su2(p) su2(q)", 1e-12),
+    ("su2-special-unitary", "det su2(p) = 1 for unit p", 1e-10),
+    ("imaginary-square", "w^2 = -e0 for imaginary units", 1e-12),
+    ("exp-one-parameter", "qexp(s w) qexp(t w) = qexp((s+t) w)", 1e-12),
+    ("auto-multiplicative", "auto(w, p q) = auto(w, p) auto(w, q)", 1e-12),
+    # geometry
+    ("dirq-square", "dirq(x)^2 = -e0", 1e-12),
+    ("transport-unitarity", "|w(a; x)| = 1", 1e-12),
+    ("transport-cocycle", "w(ta; x+sa) w(sa; x) = w((s+t)a; x)", 1e-12),
+    ("multiplier-flux", "m(a,b;x) = qexp(dirq(x) * flux(x, x+b, x+a+b))", 1e-09),
+    ("multiplier-trivial", "m(a, 0; x) = e0", 1e-10),
+    ("multiplier-coplanar", "m = e0 when x, a, b are coplanar with the origin", 1e-09),
+    ("flux-quantization", "tetraflux = 2pi iff the origin is inside, else 0", 1e-09),
+    ("triflux-additivity", "flux(whole) = flux(part1) + flux(part2)", 1e-10),
+    ("curvature-antisymmetry", "kappa_ij = -kappa_ji", 0.0),
+    ("curvature-su2-radial", "omega^r_ij = kappa_ij x^r / |x|", 1e-12),
+    ("curvature-field-strength",
+     "dA_j/dx_i - dA_i/dx_j + [A_i, A_j] = kappa_ij dirq(x) (FD)", 1e-06),
+    ("bfield-divergence", "div B = 0 away from the origin (FD)", 1e-06),
+    ("chern-integral", "sphere integral of kappa = 2pi", 1e-06),
+    ("chern-radius", "radius independence of the sphere integral", 1e-06),
+    ("chern-orientation", "reversed orientation flips the sign", 1e-06),
+    # gis
+    ("covariance", "U(a) E(box) = E(box+a) U(a), bit-exact", 0.0),
+    ("composition-defect", "symbol of U(a+b)* U(a) U(b) = w(a+b;x)* w(a;x+b) w(b;x)", 1e-12),
+    ("defect-pointwise", "closure defect has zero net displacement", 0.0),
+    ("multiplier-unit", "|m(a,b;x)| = 1", 1e-12),
+    ("multiplier-commutes", "M(a,b) E(box) = E(box) M(a,b), bit-exact", 0.0),
+    ("flux-quantization", "tetrahedron flux in {0, 2pi} (inside iff 2pi)", 1e-09),
+    ("associativity", "qexp(dirq(x) * tetraflux) = e0", 1e-09),
+    ("slice-winding", "qexp(2 pi w) = e0 for every imaginary unit", 1e-12),
+    # operators
+    ("jop-square", "J^2 = -I", 1e-14),
+    ("jop-antihermitian", "inner(phi, J psi) = -inner(J phi, psi)", 1e-12),
+    ("jop-isometry", "|J psi| = |psi|", 1e-12),
+    ("position-j-commute", "[X_i, J] = 0 (roundoff only)", 1e-14),
+    ("imprimitivity", "U(a) E(box) = E(box+a) U(a), bit-exact", 0.0),
+    ("shift-composition", "V(a) V(b) = V(a+b), bit-exact", 0.0),
+    ("twisted-unitarity", "|U(a) psi| = |psi| (interior support)", 1e-12),
+    ("one-parameter-line", "U(s u) U(t u) = U((s+t) u)", 1e-12),
+    ("defect-symbol", "U(a+b)* U(a) U(b) has symbol w(a+b;x)* w(a;x+b) w(b;x)", 1e-12),
+    ("defect-pointwise", "closure defect is a pointwise multiplier", 0.0),
+    ("wpr-nontrivial", "generic closure defect differs from the identity", 0.0),
+    ("wpr-parallel-trivial", "m(a, b; x) = e0 for parallel a, b", 1e-12),
+    ("connection-value", "connection(e1)(0,0,1) = -e2/2", 1e-15),
+    ("grad-position", "[grad_i, X_j] = delta_ij (step h)", 0.002),
+    ("grad-position-order", "[grad_i, X_j] = delta_ij" + _RICHARDSON, 0.5),
+    ("grad-commutator", "[grad_i, grad_j] = kappa_ij J (step h)", 0.002),
+    ("grad-commutator-order", "[grad_i, grad_j] = kappa_ij J" + _RICHARDSON, 0.5),
+    ("rotation-covariance", "[M_i, grad_j] = -eps_ijk grad_k (step h)", 0.002),
+    ("rotation-covariance-order", "[M_i, grad_j] = -eps_ijk grad_k" + _RICHARDSON, 0.5),
+    ("rotation-j-invariance", "[M_i, J] = 0 (step h)", 0.002),
+    ("rotation-j-invariance-order", "[M_i, J] = 0" + _RICHARDSON, 0.5),
+    ("rotation-position", "[M_3, X_1] = -X_2", 0.002),
+    ("spin-half-turn", "exp(2 pi M_3) = -I", 1e-12),
+    ("twisted-generator", "(U(s u) psi - psi)/s -> -grad_u psi", 0.01),
+    ("twisted-generator-order", "first-order convergence ratio in 2 +/- 0.5", 0.5),
+    ("hamiltonian-hermitian", "inner(phi, H psi) = inner(H phi, psi)", 1e-12),
+    ("hamiltonian-j-commute", "[H, J] = 0, exact on the lattice", 1e-12),
+    ("hamiltonian-velocity", "[H, X_i] = -(1/m) grad_i, exact on the lattice", 1e-12),
+    ("bfield-op", "B_3 symbol = x_3 / (2 |x|^3)", 1e-14),
+    ("adjoint-consistency", "inner(phi, A psi) = inner(A* phi, psi)", 1e-10),
+    ("hamiltonian-wpr",
+     "H = -(1/2m h^2) sum_i (U_i^+ + U_i^- - 2), exact on the lattice", 1e-12),
+    ("covderiv-wpr", "grad_i = (U_i^- - U_i^+)/2h, exact on the lattice", 1e-12),
+    # splitting
+    ("reconstruction", "psi1 + psi2 omega_tilde = psi", 1e-14),
+    ("norm-additivity", "|psi|^2 = |psi1|^2 + |psi2|^2", 1e-12),
+    ("slice-membership", "J psi_k = psi_k omega", 1e-14),
+    ("orthogonality-real", "Re inner(psi1, psi2 omega_tilde) = 0", 1e-12),
+    ("orthogonality-slice", "slice part of inner(psi1, psi2 omega_tilde) = 0", 1e-12),
+    ("inner-in-slice", "inner on the slice takes slice-field values", 1e-12),
+    ("split-of-member", "psi in slice -> split(psi) = (psi, 0)", 1e-14),
+    ("slice-linear", "psi in slice -> psi z in slice for z = u + v omega", 1e-12),
+    ("reduce-twisted-shift", "U(a) preserves the slice", 1e-12),
+    ("reduce-hamiltonian", "H preserves the slice (exact for hop links)", 1e-12),
+    ("reduce-negative-control", "bare e1 multiplier does NOT reduce (residual order 1)", 0.0),
+    # ehrenfest
+    ("velocity-identity", "d<X>/dt = <-(J/m) grad>", 0.01),
+    ("force-identity", "d2<X>/dt2 = <eps (v B + B v)> / 2m", 0.05),
+]
+
+
+def test_every_report_row_keeps_its_name_law_and_tolerance():
+    # small runs of every suite at its default tol, and a 4-step flyby
+    reports = [SUITES["algebra"](samples=10), SUITES["geometry"](samples=20),
+               SUITES["gis"](n=12, samples=4), SUITES["operators"](n=14, box=4.0, samples=4),
+               SUITES["splitting"](n=8, samples=1),
+               dynamics.ehrenfest(dynamics.evolve(dynamics.monopole_flyby_config(16, steps=4))[0])]
+    assert [(c.name, c.law, c.tol) for rep in reports for c in rep.checks] == REPORT_ROWS
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     # the lattice suites run the BLAS kernels (the Gram inner product, the
     # right product by a constant), the batched analytic identities, and
@@ -201,7 +303,11 @@ def test_usage_errors(tmp_path):
                  ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-20"],
                  ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-100"],
                  ["evolve", "--preset", "flyby", "--steps", "2", "--mass", "1e-160"],
-                 ["evolve", "--preset", "free", "--steps", "2", "--dt", "1e15"]):
+                 ["evolve", "--preset", "free", "--steps", "2", "--dt", "1e15"],
+                 # a force scale 1 / (m^2 h^3) that overflows: refused, not a run
+                 # with a nan force-identity
+                 ["evolve", "--preset", "flyby", "--n", "16", "--box", "6", "--mass", "1e-160",
+                  "--dt", "1e-149", "--steps", "4"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:

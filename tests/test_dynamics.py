@@ -182,6 +182,13 @@ def test_config_validation():
     for mass, dt in ((0.02 / (1.01e15 * h2), 0.02), (1.0, 1.01e15 * h2), (5e-324, 0.02)):
         with pytest.raises(ValueError, match=rf"exceeds 1e\+15 at mass {mass!r}, dt {dt!r}"):
             dynamics.EvolutionConfig(lattice=SPEC, mass=mass, dt=dt, **GOOD)
+    # a run that records forces keeps its force scale 1 / (m^2 h^3) at most
+    # 1e305; dt is small enough for the step scale at these masses
+    edge, tiny = (1e305 * SPEC.step**3) ** -0.5, dict(dt=1e-140, **GOOD)
+    assert dynamics.EvolutionConfig(lattice=SPEC, mass=1.01 * edge, **tiny).record_force
+    with pytest.raises(ValueError, match=rf"exceeds 1e\+305 at mass {0.99 * edge!r}"):
+        dynamics.EvolutionConfig(lattice=SPEC, mass=0.99 * edge, **tiny)
+    assert dynamics.EvolutionConfig(lattice=SPEC, mass=0.99 * edge, record_force=False, **tiny)
     # the packet's center and kick are three finite numbers each
     for bad in (dict(center=(np.nan, 1.0, 0.4)), dict(center=(-1.2, 1.0)),
                 dict(kick=(np.inf, 0.0, 0.0)), dict(kick=(np.nan, 0.0, 0.0)),

@@ -174,15 +174,15 @@ def test_reports_do_not_depend_on_the_worker_count(suite, monkeypatch):
 def test_the_split_loop_holds_one_field_at_a_time(monkeypatch):
     # in one process a run's peak does not grow with its sample count, nor
     # with the fields it replays: drawing its fields ahead would hold one
-    # grid per sample
+    # grid per sample.  No run here is the last of its suite, so none draws
+    # a slice member inside the traced peak
     grid = 16 ** 3 * 4 * 8
 
     def peak(start, stop):
-        rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
             base, _ = tracemalloc.get_traced_memory()
-            verify._split_run(rng, SPEC, start, stop)
+            verify._split_run(0, SPEC, start, stop, stop + 1)
             return (tracemalloc.get_traced_memory()[1] - base) / grid
         finally:
             tracemalloc.stop()
@@ -380,9 +380,7 @@ def _operators_loops(rng):
 
 
 def _splitting_loops(rng):
-    loops = {"split": _split_loop(rng)}
-    splitting.random_slice_member(SPEC, rng)  # the member checks' draw
-    return loops
+    return {"split": _split_loop(rng)}
 
 
 _SUITES = {
@@ -401,7 +399,9 @@ _GROUPS = {"covariance": "gis", "closure": "gis", "shift": "operators", "twisted
 def test_mapped_loops_draw_like_the_interleaved_loops(group, seed, monkeypatch):
     # the whole suite on two workers: its generator ends where the
     # draw-then-check loops leave theirs, and the group's checks read the
-    # loop's deviations
+    # loop's deviations.  The splitting suite holds no generator in this
+    # process: its member checks must draw where its loop leaves the
+    # reference generator
     _workers(monkeypatch, 2)
     suite, loops = _SUITES[_GROUPS[group]]
     ref = np.random.default_rng(seed)
@@ -414,8 +414,12 @@ def test_mapped_loops_draw_like_the_interleaved_loops(group, seed, monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", recorded)
     rep = suite(seed)
-    assert made[0].bit_generator.state == ref.bit_generator.state
     checks = {c.name: c for c in rep.checks}
+    if group == "split":
+        assert [checks["split-of-member"], checks["slice-linear"]] \
+            == verify._member_checks(ref, SPEC)
+    else:
+        assert made[0].bit_generator.state == ref.bit_generator.state
     for name, devs in want.items():
         c = checks[name]
         assert check_from_devs(c.name, c.law, devs, c.tol) == c, name

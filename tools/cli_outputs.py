@@ -36,6 +36,10 @@ COMMANDS = {
                                     "--seed", "5"],
     "verify-gis-n36-box7.2": ["verify", "gis", "--n", "36", "--box", "7.2", "--seed", "5",
                               "--samples", "300"],
+    # one sample: the only run draws the member; a known miss (exit 1) on four
+    # rows, whose absolute deviations scale as box^-3/2
+    "verify-splitting-n4-box1e-6": ["verify", "splitting", "--n", "4", "--box", "1e-6",
+                                    "--samples", "1"],
     "evolve-free": ["evolve", "--preset", "free"],
     "evolve-flyby": ["evolve", "--preset", "flyby"],
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
