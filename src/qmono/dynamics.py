@@ -131,6 +131,11 @@ class EvolutionConfig:
     is 16 (2 at n=24), and the free preset records no force.  On the flyby
     preset at n=16, ``--mass 1e-150`` is at 2.4e300 and runs; ``--mass
     1e-160`` (2.4e320) would overflow and is refused with a ValueError.
+
+    ``ehrenfest`` divides differences of the position series by ``dt^2``,
+    so a positive ``dt`` must have a square that is a normal float: ``dt``
+    at least ``sqrt(tiny)``, about 1.49e-154.  A smaller one is refused
+    with a ValueError, where it would give a NaN ``force-identity``.
     """
 
     omega: ClassVar[tuple] = tuple(quat.E3)
@@ -157,6 +162,9 @@ class EvolutionConfig:
         if self.dt == 0.0 and self.steps > 0:
             # every step would be the identity, with no time axis to check
             raise ValueError("dt must be positive when steps > 0")
+        if 0.0 < self.dt and self.dt * self.dt < np.finfo(float).tiny:
+            raise ValueError(f"dt {self.dt!r} is too small: ehrenfest divides by dt^2, "
+                             f"which must be a normal float (dt at least about 1.49e-154)")
         step = self.lattice.step
         if self.dt > self.max_step_scale * (self.mass * step**2):
             raise ValueError(f"the step scale dt / (m h^2) exceeds {self.max_step_scale:g} at "
@@ -205,6 +213,12 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
     iteration.  ``b`` may be ``(n, k)`` columns, solved as one vector;
     the start ``x0`` is zero when not given.
 
+    The iterate lives in the start: a complex, C-contiguous, writable
+    ``x0`` is overwritten, and the returned ``x`` is a view of it.  Any
+    other start (another dtype or layout, or read-only) is copied and left
+    as it was given, and a zero ``b`` returns a fresh zero array.  ``b`` is
+    never written.
+
     Returns ``(x, info)``: ``info`` is 0 once the residual is at most
     ``rtol |b|``, -1 as soon as the residual norm is not finite (an
     overflow in ``a x``), else the ``maxiter`` iterations run.
@@ -217,8 +231,9 @@ def cg(a, b, x0=None, rtol=1e-5, maxiter=500, callback=None):
         return np.zeros_like(b), 0
     tol = rtol * bnorm
     x = (np.zeros_like(b) if x0 is None
-         else np.array(x0, dtype=complex, order="C").reshape(b.shape))
-    v = b - x - a @ x
+         else np.require(x0, complex, ("C", "W")).reshape(b.shape))
+    v = b - x
+    v -= a @ x
     xf, vf = x.ravel(), v.ravel()
     # z_k: the last entry of L_k^-1 beta_0 e_1, z_1 = beta_0 = |b - x0 - a x0|
     z = blas.dznrm2(vf)
@@ -290,9 +305,10 @@ class CayleyEvolver:
             raise ValueError("field lattice does not match the evolver")
         v = ops._frame_cols(psi)
         b = v - self._m @ v
-        # warm start: linear extrapolation from the previous step of the same shape
+        # warm start: linear extrapolation from the previous step of the same
+        # shape, else b; a fresh array either way, since cg iterates in it
         prev = self._prev
-        x0 = (2.0 * v - prev) if prev is not None and prev.shape == v.shape else b
+        x0 = (2.0 * v - prev) if prev is not None and prev.shape == v.shape else b.copy()
         self.cg_iters.append(0)
 
         def count(_):

@@ -307,7 +307,9 @@ def test_usage_errors(tmp_path):
                  # a force scale 1 / (m^2 h^3) that overflows: refused, not a run
                  # with a nan force-identity
                  ["evolve", "--preset", "flyby", "--n", "16", "--box", "6", "--mass", "1e-160",
-                  "--dt", "1e-149", "--steps", "4"]):
+                  "--dt", "1e-149", "--steps", "4"],
+                 # a dt whose square underflows: refused, not a run with a nan force-identity
+                 ["evolve", "--preset", "flyby", "--n", "16", "--dt", "1e-170", "--steps", "4"]):
         assert cli.main([*args, "--out", out]) == 2, args
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(SystemExit) as exc:

@@ -195,12 +195,38 @@ def test_the_split_loop_holds_one_field_at_a_time(monkeypatch):
     assert replayed <= few + 1.0, (few, replayed)
 
 
-def _covariance_dev(spec, psi, steps, box):
-    """The covariance deviation of one draw, checked on its own."""
+def _covariance_fields(spec, psi, steps, box):
+    """Both sides of one draw's covariance law, built on their own."""
     u = ops.twisted_shift(spec, steps)
-    lhs = u(hilbert.project(box, psi))
-    rhs = hilbert.project(box.translate(steps * spec.step), u(psi))
-    return verify._bitexact_dev(lhs.values, rhs.values)
+    return u(hilbert.project(box, psi)), hilbert.project(box.translate(steps * spec.step), u(psi))
+
+
+def _whole_grid_dev(lhs, rhs):
+    """The bit-exact deviation of two fields, compared on their whole grids
+    whatever their supports: the reference for ``verify._bitexact_dev``."""
+    if np.array_equal(lhs.values, rhs.values):
+        return 0.0
+    return float(np.abs(lhs.values - rhs.values).max())
+
+
+def test_a_bitexact_check_reads_the_whole_grid_deviation():
+    psi, _ = _fields(4)
+    box = Box.of((-2.1, -0.3, 1.5), (1.5, 2.7, 4.5))
+    lhs = hilbert.project(box, psi)
+    block = lhs.support
+    assert block is not None
+    # one support: the block alone is compared, and reads the whole grid's deviation
+    vals = lhs.values.copy()
+    vals[block][2, 1, 3, 2] += 0.75
+    vals[block][0, 3, 1, 0] -= 0.25
+    rhs = LatticeField(SPEC, vals, block)
+    assert verify._bitexact_dev(lhs, rhs) == _whole_grid_dev(lhs, rhs) == 0.75
+    assert verify._bitexact_dev(lhs, LatticeField(SPEC, lhs.values.copy(), block)) == 0.0
+    # other supports, or none: the whole grids are compared, off either block too
+    other = hilbert.project(box.translate((SPEC.step, 0.0, 0.0)), psi)
+    assert other.support != block
+    for a, b in ((lhs, other), (other, lhs), (lhs, psi), (psi, lhs)):
+        assert verify._bitexact_dev(a, b) == _whole_grid_dev(a, b) > 0.0
 
 
 def test_a_step_group_checks_each_draw_like_its_own_check(monkeypatch):
@@ -220,11 +246,12 @@ def test_a_step_group_checks_each_draw_like_its_own_check(monkeypatch):
         assert all(np.array_equal(draws[i][0], draws[g[0]][0]) for i in g)
     # the identity holds, so every deviation reads 0.0; a checksum of both
     # sides' bytes tells each draw's comparison apart
-    checksum = lambda lhs, rhs: float(zlib.crc32(lhs.tobytes() + rhs.tobytes()))
+    checksum = lambda lhs, rhs: float(zlib.crc32(lhs.values.tobytes() + rhs.values.tobytes()))
     for dev in (verify._bitexact_dev, checksum):
         monkeypatch.setattr(verify, "_bitexact_dev", dev)
         got = verify._in_draw_order(groups, [task() for task in tasks])
-        assert got == [_covariance_dev(SPEC, psi, m, box) for m, box in draws]
+        assert got == [verify._bitexact_dev(*_covariance_fields(SPEC, psi, m, box))
+                       for m, box in draws]
     assert len(set(got)) == len(draws)
 
 
@@ -236,7 +263,7 @@ def _covariance_loop(rng, psi):
     for _ in range(150):
         steps, = verify._sample_steps(rng, SPEC, 1, 3)
         box = verify._sample_box(rng, SPEC)
-        devs.append(_covariance_dev(SPEC, psi, steps, box))
+        devs.append(_whole_grid_dev(*_covariance_fields(SPEC, psi, steps, box)))
     return {"covariance": devs}
 
 
@@ -252,7 +279,7 @@ def _closure_loop(rng, psi):
         box = verify._sample_box(rng, SPEC)
         lhs = defect(hilbert.project(box, psi))
         rhs = hilbert.project(box, defect(psi))
-        out["multiplier-commutes"].append(verify._bitexact_dev(lhs.values, rhs.values))
+        out["multiplier-commutes"].append(_whole_grid_dev(lhs, rhs))
     return out
 
 
@@ -260,10 +287,11 @@ def _shift_loop(rng, psi, interior):
     imp, comp = [], []
     for _ in range(30):
         steps, = verify._sample_steps(rng, SPEC, 1, 3)
-        imp.append(_covariance_dev(SPEC, psi, steps, verify._sample_box(rng, SPEC)))
+        box = verify._sample_box(rng, SPEC)
+        imp.append(_whole_grid_dev(*_covariance_fields(SPEC, psi, steps, box)))
         s2, = verify._sample_steps(rng, SPEC, 1, 3)
-        composed = ops.Shift(SPEC, steps)(ops.Shift(SPEC, s2)(interior)).values
-        comp.append(verify._bitexact_dev(composed, ops.Shift(SPEC, steps + s2)(interior).values))
+        composed = ops.Shift(SPEC, steps)(ops.Shift(SPEC, s2)(interior))
+        comp.append(_whole_grid_dev(composed, ops.Shift(SPEC, steps + s2)(interior)))
     return {"imprimitivity": imp, "shift-composition": comp}
 
 

@@ -44,6 +44,9 @@ COMMANDS = {
     "evolve-flyby": ["evolve", "--preset", "flyby"],
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
     "evolve-free-n42": ["evolve", "--preset", "free", "--n", "42", "--steps", "3"],
+    # a step whose square underflows: refused (exit 2), as ehrenfest divides by dt^2
+    "evolve-flyby-n16-dt1e-170": ["evolve", "--preset", "flyby", "--n", "16", "--dt", "1e-170",
+                                  "--steps", "4"],
     "chern": ["chern"],
     # eight-row blocks with a one-row last block, and a radius other than 1
     "chern-n1024-radius7": ["chern", "--n", "1024", "--radius", "7", "--json"],
