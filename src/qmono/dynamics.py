@@ -29,14 +29,16 @@ converts at most its final field, on demand.  One Hamiltonian matrix serves both
 the step generator and the observables.  ``evolve`` runs its set-up and its
 rows on ``runner.beside``'s one thread beside the calling thread: the
 worker builds the packet while the calling thread builds the slice gauge
-(``operators._slice_gauge``, slab by slab), then the observables' gradient
-matrices and ``bfield`` while the calling thread assembles H and the step
-matrix, then each row while the calling thread takes the next step (a row
-and a step only read the same field).  Every matrix, row and step does
-the same arithmetic as on one thread, so a run is bit-identical.
+(``operators._slice_gauge``, slab by slab), then the observables'
+``bfield`` while the calling thread assembles H and the step matrix, then
+each row while the calling thread takes the next step (a row and a step
+only read the same field).  Every matrix, row and step does the same
+arithmetic as on one thread, so a run is bit-identical.
 
-The matrices are ``operators.CSRMatrix`` objects, multiplied by scipy's
-compiled CSR kernels, and ``cg`` calls scipy's compiled BLAS wrappers
+H and the step matrix are ``operators.CSRMatrix`` objects, multiplied by
+scipy's compiled CSR kernels; the covariant gradients are the
+``operators.LinkStencil`` products of the gauge's cached links, with no
+matrix assembled; and ``cg`` calls scipy's compiled BLAS wrappers
 (``_blas``); neither ``scipy.sparse`` nor ``scipy.linalg`` is imported.
 
 Expectation values drive the Ehrenfest checks: the velocity observable is
@@ -63,7 +65,9 @@ def build_hamiltonian_matrix(spec: LatticeSpec, mass: float) -> ops.CSRMatrix:
 
 
 def build_gradient_matrices(spec: LatticeSpec) -> list:
-    """``Q* grad_i Q``: the matrices of ``operators.covderiv`` along each axis."""
+    """``Q* grad_i Q`` along each axis: the ``.matrix`` of each
+    ``operators.covderiv``, a ``LinkStencil`` that applies the slice
+    gauge's cached links by ``@`` (of these, only the gauge is built)."""
     return [ops.covderiv(spec, axis).matrix for axis in range(3)]
 
 
@@ -97,6 +101,14 @@ def gaussian_packet(spec: LatticeSpec, center, sigma: float, kick,
     vals = env[..., None] * quat.qmul(frame, phase)
     psi = LatticeField(spec, vals)
     return LatticeField(spec, vals / hilbert.norm(psi))
+
+
+def _check_dt_square(dt: float) -> None:
+    """ValueError where the square of the positive step ``dt``, which
+    ``ehrenfest`` divides by, is below the smallest normal float."""
+    if dt * dt < np.finfo(float).tiny:
+        raise ValueError(f"dt {dt!r} is too small: ehrenfest divides by dt^2, "
+                         f"which must be a normal float (dt at least about 1.49e-154)")
 
 
 @dataclass
@@ -162,9 +174,8 @@ class EvolutionConfig:
         if self.dt == 0.0 and self.steps > 0:
             # every step would be the identity, with no time axis to check
             raise ValueError("dt must be positive when steps > 0")
-        if 0.0 < self.dt and self.dt * self.dt < np.finfo(float).tiny:
-            raise ValueError(f"dt {self.dt!r} is too small: ehrenfest divides by dt^2, "
-                             f"which must be a normal float (dt at least about 1.49e-154)")
+        if 0.0 < self.dt:
+            _check_dt_square(self.dt)
         step = self.lattice.step
         if self.dt > self.max_step_scale * (self.mass * step**2):
             raise ValueError(f"the step scale dt / (m h^2) exceeds {self.max_step_scale:g} at "
@@ -352,13 +363,17 @@ class _Observables:
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
     Re vdot(f, g)``, and ``J`` is ``i``.  Each row is passed the evolver's
-    Hamiltonian matrix, and each covariant gradient ``G_j f`` is shared
-    between the velocity and the force terms of axis ``j``; the force terms
-    form each ``B_k f`` afresh.  Agrees with the generic operator-based
-    expectations (see the unit tests) but runs far faster on large
-    lattices.  The build reads only the lattice and the cached gauge, and a
-    row only the matrices and the field, so either may run on another
-    thread than the steps, and the build beside the Hamiltonian's.
+    Hamiltonian matrix, and each covariant gradient ``G_j f``, a product of
+    the three link stencils ``grads`` (``build_gradient_matrices``), is
+    shared between the velocity and the force terms of axis ``j``; the
+    force terms form each ``B_k f`` afresh.  The observables keep no
+    gradient matrix: besides the stencils, which hold only the cached
+    links, they keep the three ``bvals`` of a run with forces.  Agrees with
+    the generic operator-based expectations (see the unit tests) but runs
+    far faster on large lattices.  The build reads only the lattice and the
+    cached gauge, and a row only the stencils, the matrix and the field, so
+    either may run on another thread than the steps, and the build beside
+    the Hamiltonian's.
     """
 
     def __init__(self, spec: LatticeSpec, mass: float, with_force: bool):
@@ -369,7 +384,7 @@ class _Observables:
         pts = spec.points()
         # column views of the cached grid; each product below is formed contiguous
         self.coords = [pts.reshape(-1, 3)[:, i] for i in range(3)]
-        self.grad_mats = build_gradient_matrices(spec)
+        self.grads = build_gradient_matrices(spec)
         if with_force:
             b = geometry.bfield(pts)
             self.bvals = [b[..., k].ravel() for k in range(3)]
@@ -392,7 +407,7 @@ class _Observables:
         en = float(np.vdot(f, h_mat @ f).real * self.cell / nsq)
         vel = []
         t = np.zeros((3, 3))
-        for jj, grad in enumerate(self.grad_mats):
+        for jj, grad in enumerate(self.grads):
             g = grad @ f
             # <-(J/m) grad_j> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
             vel.append(float(np.vdot(f, g).imag * scale))
@@ -438,7 +453,7 @@ def evolve(cfg: EvolutionConfig):
     the slice gauge; the calling thread then waits for the packet, so a
     packet that vanishes on the lattice is refused (ValueError) once the
     gauge is built, before any matrix is.  The worker next builds the
-    ``_Observables`` (the gradient matrices and ``bfield``) while the
+    ``_Observables`` (the gradient stencils and ``bfield``) while the
     calling thread builds the ``CayleyEvolver`` (H and the step matrix),
     then takes row 0, submitted before step 1, and row k, submitted right
     after step k.  The calling thread waits for the build after step 1, so
@@ -486,6 +501,9 @@ def ehrenfest(traj: Trajectory) -> Report:
                    did not record forces or has fewer than five samples).
 
     Deviations are evaluated on interior samples only, within 1% and 5%.
+    Fewer than three samples, uneven ones, and a spacing that is not
+    positive or whose square is below the smallest normal float (as
+    ``EvolutionConfig`` refuses its ``dt``) are a ValueError.
     """
     t = traj.times
     if len(t) < 3:
@@ -493,6 +511,7 @@ def ehrenfest(traj: Trajectory) -> Report:
     dt = float(t[1] - t[0])
     if not dt > 0.0:
         raise ValueError("ehrenfest needs a positive sample spacing")
+    _check_dt_square(dt)
     if not np.allclose(np.diff(t), dt, rtol=1e-9, atol=0.0):
         raise ValueError("ehrenfest expects uniformly spaced samples")
 

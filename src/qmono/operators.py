@@ -12,12 +12,15 @@ written ``A B`` below.  The kinds are
   multiplier, then a shift, in one pass),
 * frame operators (``FrameOp``: ``covderiv`` and ``hamiltonian``, which hop
   between neighbors through unit transport links).  They commute with
-  ``jop``, so each is one complex sparse matrix in the gauge ``q(x) =
+  ``jop``, so each is one complex linear map in the gauge ``q(x) =
   slice_frame(x, e3)``, where every link is a U(1) phase; ``dynamics``
-  evolves with the same matrices.  A matrix is a ``CSRMatrix``: scipy's CSR
-  arrays, built and multiplied by scipy's compiled kernels
-  (``scipy.sparse._sparsetools``, loaded with this module by
-  ``_scipy_compiled``), with no ``scipy.sparse`` import,
+  evolves and observes with the same maps.  ``hamiltonian``'s is a
+  ``CSRMatrix``: scipy's CSR arrays, built and multiplied by scipy's
+  compiled kernels (``scipy.sparse._sparsetools``, loaded with this module
+  by ``_scipy_compiled``), with no ``scipy.sparse`` import.
+  ``covderiv``'s is a ``LinkStencil``, which applies the cached links
+  themselves with the same compiled kernels' arithmetic, bit for bit as
+  its CSR matrix would on finite operands,
 * plain difference stencils (``Diff``: zero-padded central differences,
   exactly antisymmetric in the lattice inner product),
 * composites (``Compose``) and real multiples (``Scaled``) of the above;
@@ -290,8 +293,8 @@ class CSRMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the slice frame: U(1) links, complex matrices (rows and columns are sites
-# in C order), field conversion
+# the slice frame: U(1) links, complex matrices and link stencils (rows and
+# columns are sites in C order), field conversion
 
 def _frame_link(z: np.ndarray, q: np.ndarray, plus: np.ndarray, axis: int, rows: slice):
     """Write the U(1) link ``z(x) = q(x)* plus(x) q(x+h)`` of one axis into
@@ -353,31 +356,30 @@ def _site_table(spec: LatticeSpec):
     return j, nx
 
 
-def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> CSRMatrix:
-    """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, for each
-    ``axis: (up, down)`` in ``hops``, ``up z(x)`` at ``(x, x+h)`` and
-    ``down conj(z(x))`` at ``(x+h, x)``.  Its arrays hold exactly its
-    nonzeros: a zero diagonal is not passed, and the wall links are dropped.
+def _frame_matrix(spec: LatticeSpec, diag: complex, hop: complex) -> CSRMatrix:
+    """Complex ``n^3 x n^3`` matrix: ``diag`` on the diagonal and, along
+    every axis, ``hop z(x)`` at ``(x, x+h)`` and ``hop conj(z(x))`` at
+    ``(x+h, x)``.  Its arrays hold exactly its nonzeros: the wall links are
+    dropped.
 
     Built as ``scipy.sparse.diags(..., format="csr")`` builds it: the
     diagonals in ``diags_array``'s DIA layout (diagonal ``d`` from column
     ``max(0, offset_d)`` of row ``d``), each computed straight into its row
-    (``up * z``, ``down * conj(z)``), then ``dia_tocsr`` in the order of
+    (``hop * z``, ``hop * conj(z)``), then ``dia_tocsr`` in the order of
     ascending offsets, as ``dia_matrix.tocsr`` calls it."""
     n = spec.n
     size = n**3
     links = _slice_gauge(spec)[1]
-    offsets = ([0] if diag else []) + [sign * n ** (2 - axis) for axis in hops for sign in (1, -1)]
+    offsets = [0] + [sign * n ** (2 - axis) for axis in range(3) for sign in (1, -1)]
     dia = np.zeros((len(offsets), size), dtype=complex)
     rows = iter(dia)
-    if diag:
-        next(rows)[:] = diag
-    for axis, (up, down) in hops.items():
+    next(rows)[:] = diag
+    for axis in range(3):
         stride = n ** (2 - axis)
         z = links[axis].ravel()[:size - stride]
-        np.multiply(up, z, out=next(rows)[stride:])
+        np.multiply(hop, z, out=next(rows)[stride:])
         below = np.conjugate(z, out=next(rows)[:size - stride])
-        np.multiply(down, below, out=below)
+        np.multiply(hop, below, out=below)
     # dia_tocsr writes each nonzero of `dia` that lies inside the matrix and
     # nothing else (it drops the zero wall links); every nonzero here does,
     # so arrays of exactly that count are filled to the end, never past it.
@@ -389,6 +391,70 @@ def _frame_matrix(spec: LatticeSpec, diag: complex, hops: dict) -> CSRMatrix:
     _SPARSETOOLS.dia_tocsr(size, size, *dia.shape, offsets, dia,
                            np.argsort(offsets).astype(np.int32), data, indices, indptr)
     return CSRMatrix(data, indices, indptr, (size, size))
+
+
+class LinkStencil:
+    """The slice-frame product of a central difference through U(1) links,
+    ``(G f)(x) = (-s conj z(x-h)) f(x-h) + (s z(x)) f(x+h)`` along ``axis``,
+    from the ``(n, n, n)`` links ``z`` of ``_slice_gauge``, with no matrix
+    assembled.
+
+    ``g @ x`` takes an ``(N,)`` or ``(N, k)`` operand of the ``N = n^3``
+    sites in C order, as ``CSRMatrix`` does (another shape is a
+    ValueError), and returns a fresh complex array of its shape.  It is
+    evaluated in slabs of rows of about ``quat.QMUL_BLOCK`` sites.  Per
+    slab it forms the entries of the hop back, ``-s conj(z(x-h))``, and of
+    the hop up, ``s z(x)``, as ``_frame_matrix`` forms a CSR matrix's, and
+    adds each times its neighbor's values to the rows with
+    ``scipy.sparse._sparsetools.dia_matvec`` (``dia_matvecs`` for k > 1
+    columns), one diagonal at a time, so that each row is summed from +0.0
+    with the complex products of scipy's CSR kernels, hop back first.  So
+    for finite operands the product equals that of ``G``'s CSR matrix bit
+    for bit.  The wall link ``z = 0`` enters along the flattened sites as
+    one zero entry per row at a wall, whose product is a zero that the sum
+    drops; only a non-finite value of the site it reaches would make that
+    product NaN, where the CSR matrix stores no entry.
+    """
+
+    _OFFSET = np.zeros(1, dtype=np.int32)  # each call's one diagonal: the main one
+
+    def __init__(self, links: np.ndarray, axis: int, s: float):
+        self.links, self.s = links, s
+        self.stride = links.shape[0] ** (2 - axis)  # of a hop, in flattened sites
+        self.shape = (links.size, links.size)
+
+    def __matmul__(self, other: np.ndarray) -> np.ndarray:
+        size = self.shape[1]
+        if not (isinstance(other, np.ndarray) and other.ndim in (1, 2) and other.shape[0] == size):
+            raise ValueError(f"matmul: a {self.shape} stencil cannot take {np.shape(other)}")
+        x = np.ascontiguousarray(other, dtype=complex).reshape(size, -1)
+        out = np.zeros(x.shape, dtype=complex)
+        z, stride = self.links.ravel(), self.stride
+        n = self.links.shape[0]
+        rows = max(1, quat.QMUL_BLOCK // n**2) * n**2
+        entries = np.empty(rows, dtype=complex)
+        for lo in range(0, size, rows):
+            hi = min(lo + rows, size)
+            # the slab's rows [start, stop) that have each hop
+            back, up = (max(lo, stride), hi), (lo, min(hi, size - stride))
+            if back[0] < back[1]:
+                d = np.conjugate(z[back[0] - stride:back[1] - stride], out=entries[:back[1] - back[0]])
+                self._add(np.multiply(-self.s, d, out=d), x, out, back, -stride)
+            if up[0] < up[1]:
+                d = np.multiply(self.s, z[up[0]:up[1]], out=entries[:up[1] - up[0]])
+                self._add(d, x, out, up, stride)
+        return out.reshape(np.shape(other))
+
+    def _add(self, d, x, out, rows, shift):
+        """``out[r] += d[r - start] x[r + shift]`` for the rows ``r`` in
+        ``[start, stop)``: a one-diagonal DIA product on those rows."""
+        start, stop = rows
+        m = stop - start
+        src, dst = x[start + shift:stop + shift], out[start:stop]
+        if x.shape[1] == 1:
+            _SPARSETOOLS.dia_matvec(m, m, 1, m, self._OFFSET, d, src.ravel(), dst.ravel())
+        else:
+            _SPARSETOOLS.dia_matvecs(m, m, 1, m, self._OFFSET, d, x.shape[1], src, dst)
 
 
 def _to_cols(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -443,16 +509,17 @@ def _frame_cols(psi: LatticeField) -> np.ndarray:
 
 
 class FrameOp(Operator):
-    """A ``J``-linear lattice operator held as its slice-frame matrix.
+    """A ``J``-linear lattice operator held as its slice-frame product.
 
-    ``matrix`` is the complex ``n^3 x n^3`` matrix ``Q* A Q`` in the gauge
-    ``q = slice_frame(x, e3)``, a ``CSRMatrix`` (which scipy's
-    ``csr_matrix`` wraps without a copy); it acts on both columns ``(f1,
-    f2)`` of a field alike.  ``adjoint_sign`` is +1 for a hermitian and -1
-    for an anti-hermitian operator.
+    ``matrix`` applies the complex ``n^3 x n^3`` matrix ``Q* A Q`` in the
+    gauge ``q = slice_frame(x, e3)`` by ``@``: a ``CSRMatrix`` for
+    ``hamiltonian`` (which scipy's ``csr_matrix`` wraps without a copy),
+    the ``LinkStencil`` of the links for ``covderiv``.  It acts on both
+    columns ``(f1, f2)`` of a field alike.  ``adjoint_sign`` is +1 for a
+    hermitian and -1 for an anti-hermitian operator.
     """
 
-    def __init__(self, spec: LatticeSpec, matrix: CSRMatrix, adjoint_sign: float):
+    def __init__(self, spec: LatticeSpec, matrix, adjoint_sign: float):
         self.spec = spec
         self.matrix = matrix
         self.adjoint_sign = adjoint_sign
@@ -611,11 +678,12 @@ def covderiv(spec: LatticeSpec, axis: int) -> FrameOp:
     position_i] = -(1/m) covderiv_i`` as an operator identity (a bare
     multiplier connection would leave O(h^2) mismatches in all three).  In
     the slice frame the link ``plus`` is the phase ``z`` and ``minus(x)``
-    is ``conj(z(x-h))``.
+    is ``conj(z(x-h))``: the ``LinkStencil`` of ``_slice_gauge``'s links
+    along ``axis``, with ``s = 1/2h``, looked up here and assembled into no
+    matrix.
     """
     axis = _lattice_axis(axis, "covderiv")
-    s = 0.5 / spec.step
-    return FrameOp(spec, _frame_matrix(spec, 0.0, {axis: (s, -s)}), -1.0)
+    return FrameOp(spec, LinkStencil(_slice_gauge(spec)[1][axis], axis, 0.5 / spec.step), -1.0)
 
 
 def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:
@@ -636,8 +704,7 @@ def hamiltonian(spec: LatticeSpec, mass: float) -> FrameOp:
     if not np.isfinite(coeff):
         raise ValueError(f"the hop weight -1/(2 m h^2) overflows at mass {mass!r} "
                          f"and lattice step {spec.step!r}")
-    hops = {ax: (coeff, coeff) for ax in range(3)}
-    return FrameOp(spec, _frame_matrix(spec, -6.0 * coeff, hops), 1.0)
+    return FrameOp(spec, _frame_matrix(spec, -6.0 * coeff, coeff), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,8 @@ def rotgen(spec: LatticeSpec, axis: int) -> Operator:
 
 
 def frame_matrix_by_diags(spec: LatticeSpec, diag: float, hops: dict) -> sparse.csr_matrix:
-    """The slice-frame matrix of ``operators._frame_matrix`` built by
+    """A slice-frame matrix (H's of ``operators._frame_matrix``, or the CSR
+    form of a ``covderiv`` ``LinkStencil``) built by
     ``scipy.sparse.diags(..., format="csr")`` from the cached links ``z``:
     ``diag`` on the diagonal and, per ``axis: (up, down)``, ``up z`` above it
     and ``down conj(z)`` below, the zero wall links dropped."""

@@ -2,6 +2,7 @@ import dataclasses
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -792,15 +793,16 @@ def test_a_failed_observables_build_leaves_no_thread(monkeypatch):
     assert len(steps) == 1
 
 
-def _three_gradient_row(obs, psi, h_mat):
+def _three_gradient_row(obs, psi, h_mat, grad_mats):
     """The observables row as it was before it held one gradient at a time:
-    all three gradients, then the force terms, each ``B_k f`` formed once."""
+    all three gradients, each the product of one of ``grad_mats``, then the
+    force terms, each ``B_k f`` formed once."""
     f = ops._frame_cols(psi)
     dens = np.sum(f.real**2 + f.imag**2, axis=-1)
     nsq = float(dens.sum() * obs.cell)
     scale = obs.cell / (obs.mass * nsq)
     pos = [float((c * dens).sum() * obs.cell / nsq) for c in obs.coords]
-    grads = [g @ f for g in obs.grad_mats]
+    grads = [g @ f for g in grad_mats]
     # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
     vel = [float(np.vdot(f, g).imag * scale) for g in grads]
     en = float(np.vdot(f, h_mat @ f).real * obs.cell / nsq)
@@ -827,9 +829,45 @@ def test_the_one_gradient_row_matches_the_three_gradient_row_bit_for_bit():
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        got, want = obs.row(psi, ev.h_mat), _three_gradient_row(obs, psi, ev.h_mat)
+        got, want = obs.row(psi, ev.h_mat), _three_gradient_row(obs, psi, ev.h_mat, obs.grads)
         for name, a, b in zip(("position", "velocity", "norm", "energy", "force"), got, want):
             assert np.array_equal(a, b), (step, name)
+
+
+@pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
+def test_a_row_equals_the_row_of_the_oracle_csr_gradients_bit_for_bit(preset):
+    # the row's link stencils against the CSR gradient matrices that
+    # scipy.sparse.diags builds from the same links; forces on both presets
+    cfg = getattr(dynamics, preset)(n=16, steps=4)
+    spec = cfg.lattice
+    s = 0.5 / spec.step
+    grad_mats = [oracles.frame_matrix_by_diags(spec, 0.0, {ax: (s, -s)}) for ax in range(3)]
+    ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
+    obs = dynamics._Observables(spec, cfg.mass, True)
+    _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
+    for step in range(cfg.steps + 1):
+        if step:
+            psi = ev.step(psi)
+        _, vel, _, _, frc = obs.row(psi, ev.h_mat)
+        _, ref_vel, _, _, ref_frc = _three_gradient_row(obs, psi, ev.h_mat, grad_mats)
+        assert np.array_equal(vel, ref_vel) and np.array_equal(frc, ref_frc), step
+
+
+def test_the_observables_keep_no_gradient_matrix():
+    # the traced bytes a forces build keeps at n=24: the three bvals (3 n^3
+    # floats) and the stencils, which hold only the cached links; three
+    # gradient CSR matrices would add about 1.7 MB
+    spec = LatticeSpec(n=24, box=6.0)
+    spec.points()
+    ops._slice_gauge(spec)  # points and gauge cached before the trace
+    tracemalloc.start()
+    try:
+        obs = dynamics._Observables(spec, 2.0, True)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(obs.grads) == 3
+    assert kept <= 4 * spec.n**3 * 8
 
 
 def _observed_run(cfg, vals, columns):
@@ -939,6 +977,17 @@ def test_ehrenfest_requires_samples():
                                    energy=np.zeros(5))
         with pytest.raises(ValueError, match="positive sample spacing"):
             dynamics.ehrenfest(traj)
+    # a positive spacing whose square is not a normal float: refused as
+    # EvolutionConfig refuses such a dt, before the force row divides by it
+    dt_edge = float(np.sqrt(np.finfo(float).tiny))
+    runs = {dt: dynamics.Trajectory(times=np.arange(6) * dt, position=np.zeros((6, 3)),
+                                    velocity=np.zeros((6, 3)), norm=np.ones(6),
+                                    energy=np.zeros(6), force=np.zeros((6, 3)))
+            for dt in (1e-170, 1.01 * dt_edge)}
+    with pytest.raises(ValueError, match=r"dt 1e-170 is too small: ehrenfest divides by dt\^2"):
+        dynamics.ehrenfest(runs[1e-170])
+    rep = dynamics.ehrenfest(runs[1.01 * dt_edge])
+    assert [c.name for c in rep.checks] == ["velocity-identity", "force-identity"] and rep.passed
 
 
 def test_static_symmetric_packet():

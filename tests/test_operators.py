@@ -324,13 +324,11 @@ def _buffer_nbytes(a):
 
 @pytest.mark.parametrize("n", [8, 16])
 def test_frame_matrices_hold_exactly_their_nonzeros(n):
-    lat = LatticeSpec(n=n, box=4.0)
-    for op in (ops.hamiltonian(lat, 1.3), *(ops.covderiv(lat, ax) for ax in range(3))):
-        m = op.matrix
-        assert np.count_nonzero(m.data) == m.nnz
-        for arr in (m.data, m.indices):
-            assert arr.size == m.nnz
-            assert _buffer_nbytes(arr) == arr.nbytes
+    m = ops.hamiltonian(LatticeSpec(n=n, box=4.0), 1.3).matrix
+    assert np.count_nonzero(m.data) == m.nnz
+    for arr in (m.data, m.indices):
+        assert arr.size == m.nnz
+        assert _buffer_nbytes(arr) == arr.nbytes
 
 
 def _assert_same_csr(got, ref):
@@ -343,16 +341,47 @@ def _assert_same_csr(got, ref):
 @pytest.mark.parametrize("n, box", [(4, 4.0), (8, 4.0), (16, 4.0), (36, 7.2)])
 def test_frame_matrices_equal_scipy_diags(n, box):
     # the compiled dia_tocsr path gives scipy.sparse.diags's CSR arrays bit for
-    # bit: values, index dtypes and row pointers, for H, each covderiv and i H
+    # bit: values, index dtypes and row pointers, for H and i H
     lat = LatticeSpec(n=n, box=box)
     coeff = -0.5 / (1.3 * lat.step**2)
     h_ref = oracles.frame_matrix_by_diags(lat, -6.0 * coeff, {ax: (coeff, coeff) for ax in range(3)})
     _assert_same_csr(ops.hamiltonian(lat, 1.3).matrix, h_ref)
     _assert_same_csr(dynamics.build_generator_matrix(lat, 1.3), 1j * h_ref)
-    s = 0.5 / lat.step
+
+
+def _bits(a):
+    """The bits of a complex array, so that the sign of zero counts."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+# the gauge test's lattices (one slab; six; 4-row slabs and a last one of 2;
+# a dyadic step at n=48) and n=8
+@pytest.mark.parametrize("n, box", [(4, 2.0), (8, 4.0), (16, 6.0), (36, 7.2), (42, 7.2),
+                                    (48, 6.0)])
+def test_covderiv_stencil_equals_the_csr_product_bit_for_bit(n, box):
+    # the link stencil against scipy's product with the CSR matrix that
+    # scipy.sparse.diags builds from the same links, on finite operands: one
+    # vector, one column, two columns, a strided column view, a real vector
+    # and signed zeros
+    lat = LatticeSpec(n=n, box=box)
+    size, s = n**3, 0.5 / lat.step
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal((size, 4)) + 1j * rng.standard_normal((size, 4))
+    wide[rng.random(size) < 0.25] = complex(-0.0, -0.0)
+    operands = [wide[:, 0].copy(), wide[:, :1].copy(), wide[:, :2].copy(), wide[:, ::2],
+                rng.standard_normal(size), np.zeros(size, dtype=complex)]
+    assert not operands[3].flags.c_contiguous
     for ax in range(3):
-        _assert_same_csr(ops.covderiv(lat, ax).matrix,
-                         oracles.frame_matrix_by_diags(lat, 0.0, {ax: (s, -s)}))
+        g = ops.covderiv(lat, ax).matrix
+        ref = oracles.frame_matrix_by_diags(lat, 0.0, {ax: (s, -s)})
+        assert isinstance(g, ops.LinkStencil) and g.shape == ref.shape
+        for v in operands:
+            got, want = g @ v, ref @ v
+            assert got.shape == want.shape == v.shape and got.dtype == want.dtype
+            assert np.array_equal(_bits(got), _bits(want)), (ax, v.shape)
+        for bad in (wide[1:], wide.reshape(-1), wide[None], list(wide[:, 0])):
+            with pytest.raises(ValueError, match="matmul"):
+                g @ bad
 
 
 def test_csr_product_equals_scipy_on_every_operand_shape():
@@ -382,23 +411,27 @@ def test_csr_product_equals_scipy_on_every_operand_shape():
 @pytest.mark.parametrize("n, box", [(4, 2.0), (16, 6.0), (36, 7.2), (42, 7.2), (48, 6.0)])
 def test_slice_gauge_and_frame_matrices_match_the_whole_grid_oracle(n, box, monkeypatch):
     # the slab-wise gauge against the whole-grid oracle, which shares no
-    # slab code, and the frame matrices built on each
+    # slab code, and H's matrix and the covderiv stencils' products on each
     lat = LatticeSpec(n=n, box=box)
+    rng = np.random.default_rng(n)
+    operand = rng.standard_normal((n**3, 2)) + 1j * rng.standard_normal((n**3, 2))
     ops._slice_gauge.cache_clear()
     built = []
     for gauge in (ops._slice_gauge, oracles.slice_gauge_whole_grid):
         monkeypatch.setattr(ops, "_slice_gauge", gauge)
         q, links = gauge(lat)
-        mats = [ops.hamiltonian(lat, 1.3).matrix, *(ops.covderiv(lat, ax).matrix for ax in range(3))]
-        built.append((q, links, mats))
-    (q1, links1, mats1), (q2, links2, mats2) = built
+        mat = ops.hamiltonian(lat, 1.3).matrix
+        grads = [ops.covderiv(lat, ax).matrix @ operand for ax in range(3)]
+        built.append((q, links, mat, grads))
+    (q1, links1, mat1, grads1), (q2, links2, mat2, grads2) = built
     assert len(links1) == len(links2) == 3
     for a1, a2 in zip((q1, *links1), (q2, *links2)):  # bit for bit
         assert a1.dtype == a2.dtype and np.array_equal(a1.view(np.int64), a2.view(np.int64))
         assert not a1.flags.writeable
-    for m1, m2 in zip(mats1, mats2):
-        for arr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(m1, arr), getattr(m2, arr)), arr
+    for arr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(mat1, arr), getattr(mat2, arr)), arr
+    for g1, g2 in zip(grads1, grads2):
+        assert np.array_equal(_bits(g1), _bits(g2))
 
 
 def test_slice_gauge_holds_no_whole_grid_temporary():

@@ -44,6 +44,9 @@ COMMANDS = {
     "evolve-flyby": ["evolve", "--preset", "flyby"],
     "evolve-flyby-n24": ["evolve", "--preset", "flyby", "--n", "24"],
     "evolve-free-n42": ["evolve", "--preset", "free", "--n", "42", "--steps", "3"],
+    # force rows on a step of 2/7, not dyadic, with the gradient stencils'
+    # 4-row slabs and a last one of 2
+    "evolve-flyby-n42": ["evolve", "--preset", "flyby", "--n", "42", "--steps", "3"],
     # a step whose square underflows: refused (exit 2), as ehrenfest divides by dt^2
     "evolve-flyby-n16-dt1e-170": ["evolve", "--preset", "flyby", "--n", "16", "--dt", "1e-170",
                                   "--steps", "4"],
