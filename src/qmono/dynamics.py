@@ -26,14 +26,14 @@ A run never leaves the frame, which ``operators`` owns: a step reads
 quaternion values are formed only when first read.  ``evolve``'s norm
 column comes from the frame density that each observables row sums, so it
 converts at most its final field, on demand.  One Hamiltonian matrix serves both
-the step generator and the observables.  ``evolve`` runs its set-up and its
-rows on ``runner.beside``'s one thread beside the calling thread: the
-worker builds the packet while the calling thread builds the slice gauge
-(``operators._slice_gauge``, slab by slab), then the observables'
-``bfield`` while the calling thread assembles H and the step matrix, then
-each row while the calling thread takes the next step (a row and a step
-only read the same field).  Every matrix, row and step does the same
-arithmetic as on one thread, so a run is bit-identical.
+the step generator and the observables, which hold it.  ``evolve`` runs its
+packet and its rows on ``runner.beside``'s one thread beside the calling
+thread: the worker builds the packet while the calling thread builds the
+evolver (the slice gauge, H and the step matrix) and then the
+observables, then computes each row while the calling thread takes the
+next step (a row and a step only read the same field).  Every matrix, row
+and step does the same arithmetic as on one thread, so a run is
+bit-identical.
 
 H and the step matrix are ``operators.CSRMatrix`` objects, multiplied by
 scipy's compiled CSR kernels; the covariant gradients are the
@@ -362,24 +362,24 @@ class _Observables:
     """Fused expectation values along a run, on ``operators._frame_cols``.
 
     With ``psi = q f`` and ``g`` likewise, ``Re inner(psi, phi) = cell *
-    Re vdot(f, g)``, and ``J`` is ``i``.  Each row is passed the evolver's
-    Hamiltonian matrix, and each covariant gradient ``G_j f``, a product of
-    the three link stencils ``grads`` (``build_gradient_matrices``), is
-    shared between the velocity and the force terms of axis ``j``; the
-    force terms form each ``B_k f`` afresh.  The observables keep no
-    gradient matrix: besides the stencils, which hold only the cached
-    links, they keep the three ``bvals`` of a run with forces.  Agrees with
-    the generic operator-based expectations (see the unit tests) but runs
-    far faster on large lattices.  The build reads only the lattice and the
-    cached gauge, and a row only the stencils, the matrix and the field, so
-    either may run on another thread than the steps, and the build beside
-    the Hamiltonian's.
+    Re vdot(f, g)``, and ``J`` is ``i``.  The observables hold the evolver's
+    Hamiltonian matrix ``h_mat`` for the energy, and each covariant
+    gradient ``G_j f``, a product of the three link stencils ``grads``
+    (``build_gradient_matrices``), is shared between the velocity and the
+    force terms of axis ``j``; the force terms form each ``B_k f`` afresh.
+    The observables keep no gradient matrix: besides H and the stencils,
+    which hold only the cached links, they keep the three ``bvals`` of a
+    run with forces.  Agrees with the generic operator-based expectations
+    (see the unit tests) but runs far faster on large lattices.  A row
+    reads only the stencils, the matrix and the field, so it may run on
+    another thread than the steps.
     """
 
-    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool):
+    def __init__(self, spec: LatticeSpec, mass: float, with_force: bool, h_mat: ops.CSRMatrix):
         self.spec = spec
         self.mass = mass
         self.with_force = with_force
+        self.h_mat = h_mat
         self.cell = spec.cell_volume
         pts = spec.points()
         # column views of the cached grid; each product below is formed contiguous
@@ -389,10 +389,9 @@ class _Observables:
             b = geometry.bfield(pts)
             self.bvals = [b[..., k].ravel() for k in range(3)]
 
-    def row(self, psi: LatticeField, h_mat: ops.CSRMatrix):
+    def row(self, psi: LatticeField):
         """``(position, velocity, norm, energy, force)`` of ``psi``, read
-        from its frame columns, with the energy of the Hamiltonian matrix
-        ``h_mat``; ``force`` is None unless recorded.
+        from its frame columns; ``force`` is None unless recorded.
 
         One gradient grid ``G_j f`` is live at a time: the velocity and the
         force terms of axis ``j`` are read from it before the next is formed.
@@ -404,7 +403,7 @@ class _Observables:
         nsq = float(dens.sum() * self.cell)
         scale = self.cell / (self.mass * nsq)
         pos = [float((c * dens).sum() * self.cell / nsq) for c in self.coords]
-        en = float(np.vdot(f, h_mat @ f).real * self.cell / nsq)
+        en = float(np.vdot(f, self.h_mat @ f).real * self.cell / nsq)
         vel = []
         t = np.zeros((3, 3))
         for jj, grad in enumerate(self.grads):
@@ -447,36 +446,30 @@ def evolve(cfg: EvolutionConfig):
     sums, and the final field forms its values only when they are read.  One
     Hamiltonian matrix serves the evolver and the observables.
 
-    The set-up runs on two threads: the calling thread and the run's worker
+    The run uses two threads: the calling thread and the run's worker
     (``runner.beside``: one thread beside the caller), which takes its jobs
     in order.  The worker builds the packet while the calling thread builds
-    the slice gauge; the calling thread then waits for the packet, so a
-    packet that vanishes on the lattice is refused (ValueError) once the
-    gauge is built, before any matrix is.  The worker next builds the
-    ``_Observables`` (the gradient stencils and ``bfield``) while the
-    calling thread builds the ``CayleyEvolver`` (H and the step matrix),
-    then takes row 0, submitted before step 1, and row k, submitted right
-    after step k.  The calling thread waits for the build after step 1, so
-    a failed build raises before step 2.  The rows are collected in order
-    after the last step.  The worker is shut down before ``evolve`` returns
-    or raises, so a failed step or set-up leaves no thread behind.
+    the ``CayleyEvolver`` (the slice gauge, H and the step matrix) and then
+    the ``_Observables`` (the gradient stencils and ``bfield``); the calling
+    thread then waits for the packet, so a packet that vanishes on the
+    lattice is refused (ValueError) once the matrices are built, before any
+    step.  The worker then takes row 0, submitted before step 1, and row k,
+    submitted right after step k; the rows are collected in order after the
+    last step.  The worker is shut down before ``evolve`` returns or raises,
+    so a failed step or set-up leaves no thread behind.
     """
     spec = cfg.lattice
-    spec.points()  # cached here, before the worker's jobs read it
+    spec.points()  # cached here, before the packet job reads it
     with runner.beside() as pool:
         packet = pool.submit(_packet_field, cfg)
-        ops._slice_gauge(spec)  # cached before the observables build reads it
-        psi = packet.result()
-        obs = pool.submit(_Observables, spec, cfg.mass, cfg.record_force)
         evolver = CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-        h_mat = evolver.h_mat
-        times, rows = [0.0], [pool.submit(lambda field: obs.result().row(field, h_mat), psi)]
+        obs = _Observables(spec, cfg.mass, cfg.record_force, evolver.h_mat)
+        psi = packet.result()
+        times, rows = [0.0], [pool.submit(obs.row, psi)]
         for k in range(1, cfg.steps + 1):
             psi = evolver.step(psi)
-            # the build ran beside the evolver's: a failed one raises here, before step 2
-            row = obs.result().row
             times.append(k * cfg.dt)
-            rows.append(pool.submit(row, psi, h_mat))
+            rows.append(pool.submit(obs.row, psi))
         pos, vel, nrm, en, frc = zip(*(r.result() for r in rows))
 
     traj = Trajectory(

@@ -2,7 +2,7 @@
 
 ``cores`` is the one count of usable cores.  ``beside`` opens the one
 thread beside the calling thread that ``dynamics.evolve`` submits its
-set-up jobs and rows to, on every core count.
+packet and its rows to, on every core count.
 ``run_tasks`` evaluates the task list of a ``verify`` suite on forked
 worker processes, one per core; with one core, or where ``fork`` does not
 exist, the tasks run in the calling process.  No other module of the
@@ -43,7 +43,8 @@ def run_tasks(tasks: list) -> list:
     tasks are best listed longest first.  With one worker, or where
     ``fork`` does not exist, it evaluates in this process.  The workers are
     joined before it returns, also when a task raises; the task's exception
-    is then raised here.
+    is then raised here.  ``_TASKS`` is cleared on every exit, also when the
+    executor cannot be made.
     """
     # imported here, so that `evolve` and `chern`, which never fork, do not
     # load them (about 0.5 MiB)
@@ -55,11 +56,13 @@ def run_tasks(tasks: list) -> list:
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [task() for task in tasks]
     _TASKS = tasks
-    # an executor, not a multiprocessing.Pool: a worker that dies (say, out
-    # of memory) raises BrokenProcessPool here instead of hanging the run
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        return list(pool.map(_run_task, range(len(tasks))))
+        # an executor, not a multiprocessing.Pool: a worker that dies (say, out
+        # of memory) raises BrokenProcessPool here instead of hanging the run
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            return list(pool.map(_run_task, range(len(tasks))))
+        finally:
+            pool.shutdown(cancel_futures=True)
     finally:
-        pool.shutdown(cancel_futures=True)
         _TASKS = None

@@ -459,14 +459,14 @@ def test_step_rejects_a_field_of_another_lattice():
 
 def test_observables_row_rejects_a_field_of_another_lattice():
     h_mat = dynamics.CayleyEvolver(SPEC, 1.0, 0.0).h_mat
-    obs = dynamics._Observables(SPEC, 1.0, with_force=True)
+    obs = dynamics._Observables(SPEC, 1.0, True, h_mat)
     with pytest.raises(ValueError, match="does not match the evolver"):
-        obs.row(hilbert.constant(LatticeSpec(n=12, box=SPEC.box), quat.E0), h_mat)
+        obs.row(hilbert.constant(LatticeSpec(n=12, box=SPEC.box), quat.E0))
     # columns of the right size on a box twice as large would report the
     # evolver lattice's positions: only the lattice check refuses them
     cols = ops._frame_cols(packet())
     with pytest.raises(ValueError, match="does not match the evolver"):
-        obs.row(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols), h_mat)
+        obs.row(ops._FrameField(LatticeSpec(n=SPEC.n, box=2.0 * SPEC.box), cols))
 
 
 def test_one_column_step_matches_two_column_step_with_zero_f2():
@@ -596,13 +596,13 @@ def test_evolve_matches_a_two_column_step_loop(preset, monkeypatch):
 
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(spec, cfg.mass, cfg.record_force)
+    obs = dynamics._Observables(spec, cfg.mass, cfg.record_force, ev.h_mat)
     psi = dynamics.gaussian_packet(spec, cfg.center, cfg.sigma, cfg.kick)
     ref = {name: [] for name in ("position", "velocity", "norm", "energy", "force")}
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        pos, vel, _, en, frc = obs.row(psi, ev.h_mat)
+        pos, vel, _, en, frc = obs.row(psi)
         for name, val in zip(ref, (pos, vel, hilbert.norm(psi), en, frc)):
             ref[name].append(val)
     # evolve solved on the one column f1, the loop on both columns
@@ -627,14 +627,14 @@ def test_evolve_matches_a_one_column_step_loop_bit_for_bit(preset):
     traj, final = dynamics.evolve(cfg)
 
     ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(cfg.lattice, cfg.mass, cfg.record_force)
+    obs = dynamics._Observables(cfg.lattice, cfg.mass, cfg.record_force, ev.h_mat)
     _, start = dynamics.evolve(dataclasses.replace(cfg, steps=0))
     psi = ops._FrameField(cfg.lattice, ops._frame_cols(start))  # the normalized packet column f1
-    fields, rows = [psi], [obs.row(psi, ev.h_mat)]
+    fields, rows = [psi], [obs.row(psi)]
     for _ in range(cfg.steps):
         psi = ev.step(psi)
         fields.append(psi)
-        rows.append(obs.row(psi, ev.h_mat))
+        rows.append(obs.row(psi))
     pos, vel, nrm, en, frc = (np.asarray(col) for col in zip(*rows))
     assert np.array_equal(traj.position, pos)
     assert np.array_equal(traj.velocity, vel)
@@ -676,18 +676,18 @@ def test_evolve_builds_once_and_forms_values_only_when_read(monkeypatch):
 
 @pytest.mark.parametrize("preset", ["free_flight_config", "monopole_flyby_config"])
 def test_evolve_matches_the_step_loop_with_its_rows_on_the_worker(preset, monkeypatch):
-    # every row and observables build of evolve's runs on the worker, never
+    # every row of evolve's runs on the worker, and every observables build
     # in the calling thread; evolve never asks for the core count
     threads, builds = [], []
     real_row, real_init = dynamics._Observables.row, dynamics._Observables.__init__
 
-    def located_row(self, psi, h_mat):
+    def located_row(self, psi):
         threads.append(threading.get_ident())
-        return real_row(self, psi, h_mat)
+        return real_row(self, psi)
 
-    def located_init(self, spec, mass, with_force):
+    def located_init(self, spec, mass, with_force, h_mat):
         builds.append(threading.get_ident())
-        real_init(self, spec, mass, with_force)
+        real_init(self, spec, mass, with_force, h_mat)
 
     def no_core_count():
         raise AssertionError("evolve asked for the core count")
@@ -703,8 +703,31 @@ def test_evolve_matches_the_step_loop_with_its_rows_on_the_worker(preset, monkey
     assert len(evolve_rows) == 12 and set(loop_rows) == {threading.get_ident()}
     assert threading.get_ident() not in evolve_rows
     # the builds: evolve's first, the test's own, then evolve's second
-    assert len(builds) == 3 and builds[1] == threading.get_ident()
-    assert threading.get_ident() not in builds[::2]
+    assert builds == [threading.get_ident()] * 3
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_evolve_submits_only_the_packet_and_the_rows(steps, monkeypatch):
+    jobs = []
+    real_beside = runner.beside
+
+    def recorded_beside():
+        pool = real_beside()
+        real_submit = pool.submit
+
+        def submit(fn, *args, **kwargs):
+            jobs.append(fn.__name__)
+            return real_submit(fn, *args, **kwargs)
+
+        pool.submit = submit
+        return pool
+
+    monkeypatch.setattr(runner, "beside", recorded_beside)
+    cfg = dynamics.monopole_flyby_config(n=16, steps=steps)
+    traj, _ = dynamics.evolve(cfg)
+    # the packet, then one row per sample
+    assert jobs == ["_packet_field"] + ["row"] * (cfg.steps + 1)
+    assert len(traj.times) == cfg.steps + 1
 
 
 def test_no_row_worker_outlives_a_failed_step(monkeypatch):
@@ -773,7 +796,7 @@ def test_a_failed_slice_gauge_leaves_no_thread_and_no_cache(monkeypatch):
 
 
 def test_a_failed_observables_build_leaves_no_thread(monkeypatch):
-    def failing(self, spec, mass, with_force):
+    def failing(self, spec, mass, with_force, h_mat):
         raise MemoryError("observables")
 
     monkeypatch.setattr(dynamics._Observables, "__init__", failing)
@@ -789,11 +812,11 @@ def test_a_failed_observables_build_leaves_no_thread(monkeypatch):
     with pytest.raises(MemoryError, match="observables"):
         dynamics.evolve(dynamics.monopole_flyby_config(n=16, steps=2))
     assert threading.active_count() == before
-    # the failure surfaces after step 1, before step 2
-    assert len(steps) == 1
+    # the build runs on the calling thread: its failure surfaces before step 1
+    assert len(steps) == 0
 
 
-def _three_gradient_row(obs, psi, h_mat, grad_mats):
+def _three_gradient_row(obs, psi, grad_mats):
     """The observables row as it was before it held one gradient at a time:
     all three gradients, each the product of one of ``grad_mats``, then the
     force terms, each ``B_k f`` formed once."""
@@ -805,7 +828,7 @@ def _three_gradient_row(obs, psi, h_mat, grad_mats):
     grads = [g @ f for g in grad_mats]
     # <-(J/m) grad_i> = Re vdot(f, -i g f) cell / m = Im vdot(f, g f) cell / m
     vel = [float(np.vdot(f, g).imag * scale) for g in grads]
-    en = float(np.vdot(f, h_mat @ f).real * obs.cell / nsq)
+    en = float(np.vdot(f, obs.h_mat @ f).real * obs.cell / nsq)
     frc = None
     if obs.with_force:
         # v_j and B_k are hermitian, so <v_j B_k + B_k v_j> = 2 Re<B_k psi, v_j psi>
@@ -824,12 +847,12 @@ def _three_gradient_row(obs, psi, h_mat, grad_mats):
 def test_the_one_gradient_row_matches_the_three_gradient_row_bit_for_bit():
     cfg = dynamics.monopole_flyby_config(n=16, steps=4)
     ev = dynamics.CayleyEvolver(cfg.lattice, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(cfg.lattice, cfg.mass, True)
+    obs = dynamics._Observables(cfg.lattice, cfg.mass, True, ev.h_mat)
     _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        got, want = obs.row(psi, ev.h_mat), _three_gradient_row(obs, psi, ev.h_mat, obs.grads)
+        got, want = obs.row(psi), _three_gradient_row(obs, psi, obs.grads)
         for name, a, b in zip(("position", "velocity", "norm", "energy", "force"), got, want):
             assert np.array_equal(a, b), (step, name)
 
@@ -843,13 +866,13 @@ def test_a_row_equals_the_row_of_the_oracle_csr_gradients_bit_for_bit(preset):
     s = 0.5 / spec.step
     grad_mats = [oracles.frame_matrix_by_diags(spec, 0.0, {ax: (s, -s)}) for ax in range(3)]
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(spec, cfg.mass, True)
+    obs = dynamics._Observables(spec, cfg.mass, True, ev.h_mat)
     _, psi = dynamics.evolve(dataclasses.replace(cfg, steps=0))
     for step in range(cfg.steps + 1):
         if step:
             psi = ev.step(psi)
-        _, vel, _, _, frc = obs.row(psi, ev.h_mat)
-        _, ref_vel, _, _, ref_frc = _three_gradient_row(obs, psi, ev.h_mat, grad_mats)
+        _, vel, _, _, frc = obs.row(psi)
+        _, ref_vel, _, _, ref_frc = _three_gradient_row(obs, psi, grad_mats)
         assert np.array_equal(vel, ref_vel) and np.array_equal(frc, ref_frc), step
 
 
@@ -860,9 +883,10 @@ def test_the_observables_keep_no_gradient_matrix():
     spec = LatticeSpec(n=24, box=6.0)
     spec.points()
     ops._slice_gauge(spec)  # points and gauge cached before the trace
+    h_mat = dynamics.build_hamiltonian_matrix(spec, 2.0)  # held, not built, by the observables
     tracemalloc.start()
     try:
-        obs = dynamics._Observables(spec, 2.0, True)
+        obs = dynamics._Observables(spec, 2.0, True, h_mat)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -875,12 +899,12 @@ def _observed_run(cfg, vals, columns):
     the field ``vals``, stepped as its first ``columns`` frame columns."""
     spec = cfg.lattice
     ev = dynamics.CayleyEvolver(spec, cfg.mass, cfg.dt, cfg.solver_rtol)
-    obs = dynamics._Observables(spec, cfg.mass, True)
+    obs = dynamics._Observables(spec, cfg.mass, True, ev.h_mat)
     psi = ops._FrameField(spec, ops._frame_cols(LatticeField(spec, vals))[:, :columns])
-    rows = [obs.row(psi, ev.h_mat)]
+    rows = [obs.row(psi)]
     for _ in range(cfg.steps):
         psi = ev.step(psi)
-        rows.append(obs.row(psi, ev.h_mat))
+        rows.append(obs.row(psi))
     pos, vel, _, _, frc = zip(*rows)
     return np.asarray(pos), np.asarray(vel), np.asarray(frc)
 
@@ -1008,8 +1032,8 @@ def test_force_observable_against_operator_oracle():
     mass = 1.3
     psi = dynamics.gaussian_packet(spec, (-1.2, 1.6, 0.3), 0.6, (1.0, 0.0, 0.0))
     h_mat = dynamics.CayleyEvolver(spec, mass, 0.0).h_mat
-    obs = dynamics._Observables(spec, mass, with_force=True)
-    _, _, _, _, frc = obs.row(psi, h_mat)
+    obs = dynamics._Observables(spec, mass, True, h_mat)
+    _, _, _, _, frc = obs.row(psi)
 
     j = ops.jop(spec)
     v_ops = [ops.Scaled(-1.0 / mass, ops.Compose((j, ops.covderiv(spec, i))))
@@ -1031,7 +1055,7 @@ def test_force_observable_classical_limit():
     mass = 2.0
     psi = dynamics.gaussian_packet(spec, (-0.7, 2.6, 0.0), 0.7, (2.4, 0.0, 0.0))
     h_mat = dynamics.CayleyEvolver(spec, mass, 0.0).h_mat
-    obs = dynamics._Observables(spec, mass, with_force=True)
-    pos, vel, _, _, frc = obs.row(psi, h_mat)
+    obs = dynamics._Observables(spec, mass, True, h_mat)
+    pos, vel, _, _, frc = obs.row(psi)
     classical = np.cross(vel, geometry.bfield(np.asarray(pos))) / mass
     assert np.abs(np.asarray(frc) - classical).max() < 0.1 * np.abs(classical).max()

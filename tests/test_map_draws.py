@@ -7,6 +7,7 @@ of one step vector as each draw's own check would.  The splitting loop's workers
 the fields of the runs before theirs; it never holds more than one drawn
 field per worker."""
 
+import concurrent.futures
 import functools
 import json
 import multiprocessing
@@ -69,6 +70,20 @@ def test_a_task_error_in_a_worker_is_raised_in_the_parent(monkeypatch):
     assert multiprocessing.active_children() == []
     assert runner.run_tasks([functools.partial(lambda k: -k, k) for k in range(6)]) \
         == [0, -1, -2, -3, -4, -5]
+
+
+def test_an_executor_that_cannot_be_made_leaves_no_task_list(monkeypatch):
+    # as when the process runs out of file descriptors: the error propagates,
+    # and the task list and the fields its tasks hold are not kept
+    def no_executor(*args, **kwargs):
+        raise OSError("too many open files")
+
+    _workers(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_executor)
+    with pytest.raises(OSError, match="too many open files"):
+        runner.run_tasks([functools.partial(lambda k: k, k) for k in range(4)])
+    assert runner._TASKS is None
+    assert multiprocessing.active_children() == []
 
 
 def test_without_fork_the_tasks_run_in_this_process(monkeypatch):

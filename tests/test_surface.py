@@ -28,9 +28,6 @@ PRIVATE_CROSSINGS = {
         "a Cayley step and an observables row read a field's slice-frame columns",
     "dynamics -> operators._hop_links":
         "imported as an alias that perfbench traces as the link assembly",
-    "dynamics -> operators._slice_gauge":
-        "evolve builds the gauge on the calling thread before the observables "
-        "build on its worker reads it from the cache",
     "dynamics -> operators._scipy_compiled":
         "the Cayley solver loads scipy's compiled BLAS with the one loader that "
         "operators uses for the compiled CSR kernels",

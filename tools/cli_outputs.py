@@ -50,6 +50,11 @@ COMMANDS = {
     # a step whose square underflows: refused (exit 2), as ehrenfest divides by dt^2
     "evolve-flyby-n16-dt1e-170": ["evolve", "--preset", "flyby", "--n", "16", "--dt", "1e-170",
                                   "--steps", "4"],
+    # a packet that underflows to norm 0 on the lattice: refused (exit 2), nothing written
+    "evolve-free-n12-box1000": ["evolve", "--preset", "free", "--n", "12", "--box", "1000",
+                                "--steps", "2"],
+    # no step: one row, too few samples for a report
+    "evolve-flyby-n16-steps0": ["evolve", "--preset", "flyby", "--n", "16", "--steps", "0"],
     "chern": ["chern"],
     # eight-row blocks with a one-row last block, and a radius other than 1
     "chern-n1024-radius7": ["chern", "--n", "1024", "--radius", "7", "--json"],
