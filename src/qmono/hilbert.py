@@ -83,26 +83,45 @@ class LatticeSpec:
         return pts
 
 
-@dataclass
 class LatticeField:
     """Quaternion field sampled on a lattice: values of shape (n, n, n, 4).
 
-    ``support`` is the block of sites outside which the field is zero, as
-    three slices (of the three site axes), or None when it may be nonzero
-    anywhere.  ``project`` and the lattice shifts of ``operators`` set it
-    and act on that block only.  It is a promise about ``values``, so a
-    field is treated as an immutable snapshot: its values are never
-    edited in place, and operations allocate new fields.
+    ``LatticeField(spec, values)`` holds whole values: its ``support`` is
+    None and its ``block`` its values.  ``of_block`` makes a field that holds
+    only ``block``, its values on ``support``, three slices of sites off
+    which it is zero; its ``values`` are formed on first read, read-only.
+    A block may view another field's values, so a field is an immutable
+    snapshot: its values are never edited in place.
     """
 
-    spec: LatticeSpec
-    values: np.ndarray
-    support: tuple | None = None
+    support = None
 
-    def __post_init__(self):
-        n = self.spec.n
-        if self.values.shape != (n, n, n, 4):
-            raise ValueError(f"values must have shape {(n, n, n, 4)}, got {self.values.shape}")
+    def __init__(self, spec: LatticeSpec, values: np.ndarray):
+        n = spec.n
+        if values.shape != (n, n, n, 4):
+            raise ValueError(f"values must have shape {(n, n, n, 4)}, got {values.shape}")
+        self.spec = spec
+        self.values = values
+
+    @classmethod
+    def of_block(cls, spec: LatticeSpec, block: np.ndarray, support: tuple) -> "LatticeField":
+        """The field that is ``block`` on the sites ``support`` and zero elsewhere."""
+        field = cls.__new__(cls)
+        field.spec, field.block, field.support = spec, block, support
+        return field
+
+    @functools.cached_property
+    def block(self) -> np.ndarray:
+        return self.values
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        vals = self.block[...]  # a block of the whole grid is the values
+        if vals.shape[:3] != (self.spec.n,) * 3:
+            vals = np.zeros((self.spec.n,) * 3 + (4,))
+            vals[self.support] = self.block
+        vals.setflags(write=False)
+        return vals
 
 
 def sample(spec: LatticeSpec, fn) -> LatticeField:
@@ -205,18 +224,22 @@ def translate_block(block: tuple, steps) -> tuple:
     return tuple(slice(s.start + int(m), s.stop + int(m)) for s, m in zip(block, steps))
 
 
+def within(block: tuple, support: tuple | None) -> tuple:
+    """The place of the site block ``block``, which lies in ``support``
+    (None is every site), within the values held on ``support``."""
+    return block if support is None else translate_block(block, [-s.start for s in support])
+
+
 def project(delta: Box, psi: LatticeField) -> LatticeField:
     """Spectral projection: zero the samples outside ``delta``.
 
     Idempotent, self-adjoint, multiplicative over intersections; commutes
     bit-exactly with every pointwise left multiplication.  The sites with
     ``lo <= x_i < hi`` on every axis form one index block, since the axis
-    coordinates are sorted: its intersection with ``psi``'s support is
-    copied into zeros and becomes the result's support.
+    coordinates are sorted: its intersection with ``psi``'s support is the
+    result's support, and the result's block is a view of ``psi``'s block.
     """
     ax = psi.spec.axis()
     block = tuple(slice(*np.searchsorted(ax, (lo, hi))) for lo, hi in zip(delta.lo, delta.hi))
     block = intersect_blocks(block, psi.support)
-    out = np.zeros(psi.values.shape)
-    out[block] = psi.values[block]
-    return LatticeField(psi.spec, out, block)
+    return LatticeField.of_block(psi.spec, psi.block[within(block, psi.support)], block)

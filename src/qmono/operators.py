@@ -49,14 +49,14 @@ Conventions fixed here (and relied on by the verification suites):
 * ``compose_defect(ma, mb) = twisted_shift(ma+mb)* twisted_shift(ma)
   twisted_shift(mb)`` is a pointwise multiplier whose symbol is
   ``geometry.multiplier(ma h, mb h, x)``.
-* Every kind implements one ``_apply(vals, support) -> (vals, support)``,
-  run by ``Operator.__call__``.  ``Shift`` and ``Multiplier`` read only the
-  sites of a field's ``support`` (``hilbert.LatticeField``) and return the
-  moved block as the result's; ``Compose`` passes it through, ``Diff`` and
-  ``Scaled`` pass it to the operators they hold and return None, as
-  ``FrameOp`` does.  The values match a whole-grid apply bit for bit, but
-  for the sign of zero: +0.0 off the support where the whole grid's
-  product may give -0.0.
+* Every kind implements one ``_apply(field) -> field``, run by
+  ``Operator.__call__``.  ``Shift`` and ``Multiplier`` read only a field's
+  ``block`` (``hilbert.LatticeField``) and return a field that holds only
+  its moved block: a view of the input's for ``Shift``, a new block for
+  ``Multiplier``.  ``Compose`` chains the fields; ``Diff``, ``Scaled``
+  and ``FrameOp`` read whole ``values`` and return whole fields.  The
+  values match a whole-grid apply bit for bit, but for the sign of zero:
+  +0.0 off the support where the whole grid's product may give -0.0.
 """
 
 from __future__ import annotations
@@ -85,21 +85,20 @@ def _kept(steps, shape) -> tuple:
 class Operator:
     """Base class: an immutable description applied as a pure function.
 
-    Each kind implements one method, ``_apply``, which maps values and
-    their ``LatticeField.support`` (None for anywhere) to the result's.
-    ``__call__`` is the one entry point; an operator that holds others
-    calls their ``_apply``.
+    Each kind implements one method, ``_apply``, which maps a field on
+    its lattice to the result's field.  ``__call__`` is the one entry
+    point; an operator that holds others calls their ``_apply``.
     """
 
     spec: LatticeSpec
 
-    def _apply(self, vals: np.ndarray, support):
+    def _apply(self, field: LatticeField) -> LatticeField:
         raise NotImplementedError
 
     def __call__(self, field: LatticeField) -> LatticeField:
         if field.spec != self.spec:
             raise ValueError("operator and field live on different lattices")
-        return LatticeField(self.spec, *self._apply(field.values, field.support))
+        return self._apply(field)
 
     def adjoint(self) -> "Operator":
         raise NotImplementedError
@@ -126,9 +125,9 @@ def _lattice_axis(axis: int, name: str) -> int:
 
 class Shift(Operator):
     """Exact lattice translation ``psi -> psi(. - m h)`` by the integer
-    steps ``m``: ``out[dst] = vals[src]`` on the kept block ``src``
-    (``_kept``) cut to a field's support, and ``dst = src + m``, the
-    result's support; zero elsewhere."""
+    steps ``m``: the kept block ``src`` (``_kept``) cut to a field's
+    support moves to ``dst = src + m``, the result's support, whose block
+    is a view of the field's block on ``src``; zero elsewhere."""
 
     def __init__(self, spec: LatticeSpec, steps):
         self.spec = spec
@@ -139,15 +138,12 @@ class Shift(Operator):
         """``src`` cut to ``support``; ``part``, its place within the uncut
         ``src``; and ``dst``, where it moves to."""
         src = hilbert.intersect_blocks(self.src, support)
-        part = hilbert.translate_block(src, [-k.start for k in self.src])
-        return src, part, hilbert.translate_block(src, self.steps)
+        return src, hilbert.within(src, self.src), hilbert.translate_block(src, self.steps)
 
-    def _apply(self, vals, support):
-        src, _, dst = self._blocks(support)
-        # np.zeros, not zeros_like: a fresh large grid is not written whole
-        out = np.zeros(vals.shape)
-        out[dst] = vals[src]
-        return out, dst
+    def _apply(self, field):
+        src, _, dst = self._blocks(field.support)
+        block = field.block[hilbert.within(src, field.support)]
+        return LatticeField.of_block(self.spec, block, dst)
 
     def adjoint(self):
         return Shift(self.spec, -self.steps)
@@ -158,9 +154,10 @@ class Multiplier(Shift):
     integer steps ``m`` (none by default: a pointwise multiplier).
 
     ``symbol`` is broadcast to the block ``src`` (the whole grid for ``m =
-    0``): ``out[dst] = symbol vals[src]``, zero elsewhere; a field's
-    support cuts ``src`` as for ``Shift`` and the symbol to the same sites,
-    ``_blocks``' ``part``.  The adjoint moves back by the conjugate symbol.
+    0``): the result holds only its block ``symbol psi[src]`` on ``dst``; a
+    field's support cuts ``src`` as for ``Shift`` and the symbol to the
+    same sites, ``_blocks``' ``part``.  The adjoint moves back by the
+    conjugate symbol.
     """
 
     def __init__(self, spec: LatticeSpec, symbol: np.ndarray, steps=(0, 0, 0)):
@@ -168,11 +165,10 @@ class Multiplier(Shift):
         block = tuple(s.stop - s.start for s in self.src)
         self.symbol = np.broadcast_to(np.asarray(symbol, dtype=float), block + (4,))
 
-    def _apply(self, vals, support):
-        src, part, dst = self._blocks(support)
-        out = np.zeros(vals.shape)
-        quat.qmul(self.symbol[part], vals[src], out=out[dst])
-        return out, dst
+    def _apply(self, field):
+        src, part, dst = self._blocks(field.support)
+        block = quat.qmul(self.symbol[part], field.block[hilbert.within(src, field.support)])
+        return LatticeField.of_block(self.spec, block, dst)
 
     def adjoint(self):
         return Multiplier(self.spec, quat.qconj(self.symbol), -self.steps)
@@ -187,10 +183,10 @@ class Diff(Operator):
         e = _AXES[self.axis]
         self.ahead, self.behind = Shift(spec, -e), Shift(spec, e)
 
-    def _apply(self, vals, support):
-        out = self.ahead._apply(vals, support)[0] - self.behind._apply(vals, support)[0]
+    def _apply(self, field):
+        out = self.ahead._apply(field).values - self.behind._apply(field).values
         out /= 2.0 * self.spec.step
-        return out, None
+        return LatticeField(self.spec, out)
 
     def adjoint(self):
         return Scaled(-1.0, self)
@@ -489,15 +485,12 @@ class _FrameField(LatticeField):
         cols.setflags(write=False)
         self.spec = spec
         self.cols = cols
-        self._values = None
 
-    @property
+    @functools.cached_property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            vals = _from_cols(_slice_gauge(self.spec)[0], self.cols)
-            vals.setflags(write=False)
-            self._values = vals
-        return self._values
+        vals = _from_cols(_slice_gauge(self.spec)[0], self.cols)
+        vals.setflags(write=False)
+        return vals
 
 
 def _frame_cols(psi: LatticeField) -> np.ndarray:
@@ -524,9 +517,9 @@ class FrameOp(Operator):
         self.matrix = matrix
         self.adjoint_sign = adjoint_sign
 
-    def _apply(self, vals, support):
+    def _apply(self, field):
         q = _slice_gauge(self.spec)[0]
-        return _from_cols(q, self.matrix @ _to_cols(q, vals)), None
+        return LatticeField(self.spec, _from_cols(q, self.matrix @ _to_cols(q, field.values)))
 
     def adjoint(self):
         return self if self.adjoint_sign > 0 else Scaled(-1.0, self)
@@ -538,8 +531,8 @@ class Scaled(Operator):
         self.op = op
         self.spec = op.spec
 
-    def _apply(self, vals, support):
-        return self.coeff * self.op._apply(vals, support)[0], None
+    def _apply(self, field):
+        return LatticeField(self.spec, self.coeff * self.op._apply(field).values)
 
 
 def _factors(ops) -> tuple:
@@ -557,10 +550,10 @@ class Compose(Operator):
         self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
-    def _apply(self, vals, support):
+    def _apply(self, field):
         for op in reversed(self.ops):
-            vals, support = op._apply(vals, support)
-        return vals, support
+            field = op._apply(field)
+        return field
 
 
 def is_pointwise(op: Operator) -> bool:
@@ -576,7 +569,7 @@ def symbol_of(op: Operator) -> np.ndarray:
     Shifts in the composite clip a boundary band (zero fill), so the symbol
     is only meaningful on the interior; read it on ``interior_block``.
     """
-    return op._apply(hilbert.constant(op.spec, quat.E0).values, None)[0]
+    return op._apply(hilbert.constant(op.spec, quat.E0)).values
 
 
 def interior_block(spec: LatticeSpec, cells: int) -> tuple:

@@ -22,9 +22,9 @@ longest first, in a fixed order written in each suite.  The covariance
 draws of ``gis`` and the imprimitivity draws of ``operators`` are grouped
 by step vector: one task builds the twisted shift ``U(m)`` and ``U(m) psi``
 once and checks every box drawn with that ``m`` (``_step_group_tasks``).
-A projected field carries its box's block of sites as its support, so
-``U(m) E(box) psi``, a closure defect applied to ``E(box) psi`` and every
-shift of the operators suite's ``interior`` field work on that block only.
+A projected field holds only its box's block of sites, so ``U(m) E(box)
+psi``, a closure defect applied to ``E(box) psi`` and every shift of the
+operators suite's ``interior`` field hold and compare blocks only.
 The twisted lines of ``operators`` are grouped by axis the same way, keyed
 by the line's unit step ``u``: one task builds each ``U(c u)`` once; each
 draw's unitarity stays a task of its own.  A closure defect's symbol is
@@ -209,12 +209,10 @@ def _sample_box(rng, spec: LatticeSpec) -> hilbert.Box:
 
 def _bitexact_dev(lhs: LatticeField, rhs: LatticeField) -> float:
     """0.0 if the fields' values are exactly equal, else their largest
-    difference.  Two fields with one ``support`` are both zero off it, so
-    only that block is compared: it reads the whole grid's deviation.
+    difference.  Two fields with one ``support`` hold only their blocks on
+    it, so the blocks are compared: they read the whole grid's deviation.
     Fields with different supports are compared on whole grids."""
-    a, b = lhs.values, rhs.values
-    if lhs.support is not None and lhs.support == rhs.support:
-        a, b = a[lhs.support], b[lhs.support]
+    a, b = (lhs.block, rhs.block) if lhs.support == rhs.support else (lhs.values, rhs.values)
     return 0.0 if np.array_equal(a, b) else float(np.abs(a - b).max())
 
 

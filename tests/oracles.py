@@ -40,11 +40,11 @@ class OpSum(Operator):
         self.ops = _factors(ops)
         self.spec = self.ops[0].spec
 
-    def _apply(self, vals, support):
-        out = self.ops[0]._apply(vals, support)[0]
+    def _apply(self, field):
+        out = self.ops[0]._apply(field).values
         for op in self.ops[1:]:
-            out = out + op._apply(vals, support)[0]
-        return out, None
+            out = out + op._apply(field).values
+        return LatticeField(self.spec, out)
 
 
 def expectation(op: Operator, psi: LatticeField) -> float:

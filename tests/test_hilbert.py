@@ -169,6 +169,22 @@ def test_project_support_is_the_box_block_within_the_input_support():
     assert not block(empty.support).any() and not empty.values.any()
 
 
+def test_a_projected_fields_values_are_read_only():
+    # formed once from the field's block: an in-place edit would set the two apart
+    spec = LatticeSpec(n=16, box=4.0)
+    psi = random_field(spec, 9)
+    whole = Box.of((-spec.box,) * 3, (spec.box,) * 3)
+    for box in (Box.of((-2.0, -2.0, -2.0), (1.0, 1.5, 2.0)), whole):
+        out = hilbert.project(box, psi)
+        with pytest.raises(ValueError):
+            out.values *= 2.0
+        assert np.array_equal(out.values[out.support], out.block)
+    assert np.array_equal(psi.values, random_field(spec, 9).values)
+    # a field built from values holds them whole
+    with pytest.raises(TypeError):
+        LatticeField(spec, psi.values, out.support)
+
+
 def test_multiplier_left_action_and_commutation():
     # the multiplication operator is operators.Multiplier
     spec = LatticeSpec(n=16, box=4.0)

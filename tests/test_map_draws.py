@@ -234,14 +234,37 @@ def test_a_bitexact_check_reads_the_whole_grid_deviation():
     vals = lhs.values.copy()
     vals[block][2, 1, 3, 2] += 0.75
     vals[block][0, 3, 1, 0] -= 0.25
-    rhs = LatticeField(SPEC, vals, block)
+    rhs = LatticeField.of_block(SPEC, vals[block], block)
     assert verify._bitexact_dev(lhs, rhs) == _whole_grid_dev(lhs, rhs) == 0.75
-    assert verify._bitexact_dev(lhs, LatticeField(SPEC, lhs.values.copy(), block)) == 0.0
+    same = LatticeField.of_block(SPEC, lhs.values.copy()[block], block)
+    assert verify._bitexact_dev(lhs, same) == 0.0
     # other supports, or none: the whole grids are compared, off either block too
     other = hilbert.project(box.translate((SPEC.step, 0.0, 0.0)), psi)
     assert other.support != block
     for a, b in ((lhs, other), (other, lhs), (lhs, psi), (psi, lhs)):
         assert verify._bitexact_dev(a, b) == _whole_grid_dev(a, b) > 0.0
+
+
+def test_the_bitexact_paths_form_no_whole_grid():
+    # a covariance draw and a shift-composition draw, built as
+    # verify._covariance_devs and verify._imprimitivity_devs build them:
+    # every projected, shifted and twisted field holds only its block, also
+    # once two with one support are compared
+    psi, interior = _fields(5)
+    rng = np.random.default_rng(8)
+    steps, box = verify._covariance_draw(rng, SPEC)
+    s2, = verify._sample_steps(rng, SPEC, 1, 3)
+    u = ops.twisted_shift(SPEC, steps)
+    u_psi, projected = u(psi), hilbert.project(box, psi)
+    pairs = [(u(projected), hilbert.project(box.translate(steps * SPEC.step), u_psi)),
+             (ops.Shift(SPEC, steps)(ops.Shift(SPEC, s2)(interior)),
+              ops.Shift(SPEC, steps + s2)(interior))]
+    fields = [u_psi, projected, interior, *(f for pair in pairs for f in pair)]
+    assert not any("values" in vars(f) for f in fields)
+    for lhs, rhs in pairs:
+        assert lhs.support == rhs.support and lhs.block.size > 0
+        assert verify._bitexact_dev(lhs, rhs) == 0.0
+    assert not any("values" in vars(f) for f in fields)
 
 
 def test_a_step_group_checks_each_draw_like_its_own_check(monkeypatch):

@@ -150,22 +150,28 @@ def _oracle_boxes(spec, rng, count):
     return boxes
 
 
+def _extent(support) -> tuple:
+    """The shape of the block of values held on ``support``."""
+    return tuple(s.stop - s.start for s in support) + (4,)
+
+
 def test_block_apply_equals_the_whole_grid_apply(spec, psi):
-    # each operator applied to a projected field, which carries its box's
-    # block as support, against the same values without one; the wall boxes
+    # each operator applied to a projected field, which holds only its
+    # box's block, against the same values held whole; the wall boxes
     # include blocks that a shift carries entirely off the grid
     rng = np.random.default_rng(21)
     operators = [ops.Shift(spec, (2, -1, 3)), ops.Shift(spec, (-4, 0, 1)),
                  ops.twisted_shift(spec, (1, 2, 0)), ops.twisted_shift(spec, (-3, 0, 1)),
                  ops.jop(spec), ops.left_unit(spec, 1),
                  ops.compose_defect(spec, (1, 2, 0), (0, -1, 2)),
-                 # these pass the support on to their shifts and return None
+                 # these read the whole values of their shifts' results and return whole fields
                  ops.Diff(spec, 2), ops.Diff(spec, 0).adjoint()]
     emptied = 0
     for box in _oracle_boxes(spec, rng, 40):
         field = hilbert.project(box, psi)
         bare = LatticeField(spec, field.values.copy())
         assert field.support is not None and bare.support is None
+        assert field.block.shape == _extent(field.support)
         for op in operators:
             out, want = op(field), op(bare)
             # np.array_equal, not a comparison of bytes: off the block the
@@ -173,6 +179,7 @@ def test_block_apply_equals_the_whole_grid_apply(spec, psi):
             assert np.array_equal(out.values, want.values)
             if out.support is None:
                 continue
+            assert out.block.shape == _extent(out.support)
             off = np.ones((spec.n,) * 3, dtype=bool)
             off[out.support] = False
             assert not out.values[off].any()
@@ -181,6 +188,16 @@ def test_block_apply_equals_the_whole_grid_apply(spec, psi):
     for op in (ops.covderiv(spec, 0), ops.hamiltonian(spec, 1.0), ops.Diff(spec, 2),
                ops.Scaled(2.0, ops.Shift(spec, (1, 0, 0)))):
         assert op(field).support is None
+    # a frame field, whose values are formed from its columns, is shifted,
+    # twisted and projected as the same values held whole
+    frame = ops._FrameField(spec, ops._frame_cols(psi))
+    whole = LatticeField(spec, frame.values.copy())
+    box = _cell_box(spec, (2, 3, 1), (9, 12, 7))
+    for op in (ops.Shift(spec, (2, -1, 3)), ops.twisted_shift(spec, (-3, 0, 1)),
+               lambda f: hilbert.project(box, f)):
+        out, want = op(frame), op(whole)
+        assert out.support == want.support and out.block.shape == _extent(out.support)
+        assert np.array_equal(out.block, want.block) and np.array_equal(out.values, want.values)
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -29,6 +29,8 @@ COMMANDS = {
     **{f"verify-{suite}-n32-seed{seed}": ["verify", suite, "--n", "32", "--seed", str(seed)]
        for suite in ("gis", "operators", "splitting") for seed in (1, 42, 1008)},
     "verify-gis-n12": ["verify", "gis", "--n", "12"],
+    # the smallest lattice the suite accepts: its shifts carry blocks into the walls most often
+    "verify-operators-n14-seed1": ["verify", "operators", "--n", "14", "--seed", "1"],
     # n = 42 leaves a partial last slab in the slice gauge (4-row slabs)
     "verify-operators-n42-seed1": ["verify", "operators", "--n", "42", "--seed", "1"],
     # a step of 0.4, not dyadic: the twisted shifts' symbols round in their last bits
